@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench experiments validate quick-experiments serve metrics event-time clean
+.PHONY: install test bench bench-pipeline experiments validate quick-experiments serve metrics event-time clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -12,6 +12,12 @@ test:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# Smoke pass of the BENCHMARK.json pipeline benchmark: all six
+# workloads at 1/8 of the fixed work, every answer checked; exits
+# non-zero on any failed operation or invalid run.
+bench-pipeline:
+	python3 benchmarks/pipeline/run.py --quick
 
 experiments:
 	$(PYTHON) -m repro.experiments.cli all --scale default --chart

@@ -19,7 +19,7 @@ two operations when the plan is uniform.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import InvalidOperatorError, WindowStateError
 from repro.operators.base import AggregateOperator
@@ -41,33 +41,36 @@ class _InvEngine:
         # between a query's answer steps (bounded by one cycle).
         capacity = plan.w_size + plan.partials_per_cycle
         self._ring = CircularBuffer(capacity, fill=operator.identity)
-        self._answers: Dict[Query, Any] = {
-            q: operator.identity for q in plan.queries
-        }
+        # Per-query state lives in lists in ``plan.queries`` order,
+        # indexed by ``ScheduledQuery.slot`` — hashing the frozen
+        # ``Query`` per partial cost more than the ⊕/⊖ themselves.
+        self._answers: List[Any] = [operator.identity] * len(plan.queries)
         # Absolute index of the first partial still inside each query's
         # running answer.
-        self._starts: Dict[Query, int] = {q: 0 for q in plan.queries}
+        self._starts: List[int] = [0] * len(plan.queries)
         self._count = 0  # partials seen
 
     def on_partial(self, value: Any, scheduled) -> List[Tuple[Query, Any]]:
         op = self._op
         self._ring.push(value)
-        self._count += 1
-        for query in self._answers:
-            self._answers[query] = op.combine(self._answers[query], value)
+        self._count = count = self._count + 1
+        combine = op.combine
+        self._answers = answers = [
+            combine(answer, value) for answer in self._answers
+        ]
         results = []
         for sq in scheduled:
-            query = sq.query
-            answer = self._answers[query]
-            target_start = max(0, self._count - sq.lookback)
-            start = self._starts[query]
+            slot = sq.slot
+            answer = answers[slot]
+            target_start = max(0, count - sq.lookback)
+            start = self._starts[slot]
             while start < target_start:
-                offset = self._count - start  # pushes since that partial
+                offset = count - start  # pushes since that partial
                 answer = op.inverse(answer, self._ring.at_offset(offset))
                 start += 1
-            self._starts[query] = start
-            self._answers[query] = answer
-            results.append((query, op.lower(answer)))
+            self._starts[slot] = start
+            answers[slot] = answer
+            results.append((sq.query, op.lower(answer)))
         return results
 
 

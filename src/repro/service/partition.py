@@ -180,17 +180,14 @@ def typed_column(values: Any) -> Optional[array]:
     return column
 
 
-def _append_value(buffer: ValueBuffer, value: Any) -> ValueBuffer:
-    """Append one record to a value buffer, demoting a typed buffer
-    to a list the moment the value would not round-trip exactly.
+def _append_value(buffer: array, value: Any) -> ValueBuffer:
+    """Append one record to a typed value buffer, demoting it to a
+    list the moment the value would not round-trip exactly.
 
     The type checks are exact on purpose: a ``bool`` (or any int
     subclass) appended to an i64 buffer would silently re-type through
     the column, so it demotes instead.
     """
-    if type(buffer) is list:
-        buffer.append(value)
-        return buffer
     kind = type(value)
     if (buffer.typecode == "q" and kind is int) or (
         buffer.typecode == "d" and kind is float
@@ -215,10 +212,6 @@ def _extend_values(buffer: ValueBuffer, chunk: Any) -> ValueBuffer:
             return buffer
         if type(buffer) is list and not buffer:
             return chunk  # fresh slice copy: adopt it as the buffer
-        if type(buffer) is array:
-            buffer = list(buffer)
-        buffer.extend(chunk)
-        return buffer
     if type(buffer) is array:
         buffer = list(buffer)
     buffer.extend(chunk)
@@ -280,10 +273,13 @@ class Router:
         self._keys: List[List[Any]] = [[] for _ in range(num_shards)]
         self._values: List[ValueBuffer] = [[] for _ in range(num_shards)]
         # Per-shard trace columns exist only once a traced record has
-        # been routed; until then ``put`` pays a single flag check.
+        # been routed; until then a record pays a single flag check.
         self._traces: Optional[List[List[Optional[int]]]] = None
         self._seqs = [0] * num_shards
         self._sent_watermarks = [0] * num_shards
+        # Framed batches not yet handed to a caller: only a call that
+        # raised mid-stream leaves any, for the next call to return.
+        self._framed: List[Batch] = []
         # Key -> shard memo for the ingestion hot loop: ``stable_hash``
         # walks ``repr(key)`` byte by byte, so re-hashing every record
         # of a hot key dominates routing cost.  The memo is exact (the
@@ -298,6 +294,82 @@ class Router:
         #: Flush rounds completed.
         self.flush_rounds = 0
 
+    def shard_for(self, key: Any) -> int:
+        """The shard owning ``key`` (does not record the key as seen)."""
+        shard = self._shard_cache.get(key)
+        return shard_of(key, self.num_shards) if shard is None else shard
+
+    def _admit(self, key: Any) -> int:
+        """Memoise a first-seen key's shard and record the key."""
+        shard = self._shard_cache[key] = shard_of(key, self.num_shards)
+        self.seen_keys[shard].add(key)
+        return shard
+
+    def _trace_columns(self) -> List[List[Optional[int]]]:
+        """The per-shard trace columns, materialised on first use with
+        the still-buffered untraced records backfilled as ``None``."""
+        if self._traces is None:
+            self._traces = [
+                [None] * len(positions) for positions in self._positions
+            ]
+        return self._traces
+
+    def _route(
+        self,
+        records: Iterable[Tuple[Any, Any]],
+        trace: Optional[int] = None,
+        timestamp: Optional[float] = None,
+    ) -> List[Batch]:
+        """The routing core: one pass over ``(key, value)`` records.
+
+        Per record: one memoised shard lookup, the next global
+        position, one append per column, and a flush round the moment
+        its shard's buffer reaches ``batch_size`` — so batches depend
+        only on the record stream, never on how it was cut into calls.
+        ``trace`` and ``timestamp`` apply to every record of the call.
+
+        A record that cannot be routed (not a 2-tuple, unhashable key)
+        raises before any buffer is touched for it: every record
+        before it is routed, none after it is consumed,
+        :attr:`position` counts exactly the routed ones, and rounds
+        framed earlier in the call are returned by the next call (or
+        :meth:`flush`) ahead of its own.
+        """
+        if (timestamp is None) is not (self._timestamps is None):
+            raise ServiceError(
+                "put_event requires a Router in event-time mode, and "
+                "such a Router accepts nothing else"
+            )
+        cached = self._shard_cache.get
+        positions, keys, values = self._positions, self._keys, self._values
+        batch_size = self.batch_size
+        traced = trace is not None or self._traces is not None
+        position = self.position
+        try:
+            for key, value in records:
+                shard = cached(key)
+                if shard is None:
+                    shard = self._admit(key)
+                if timestamp is not None:
+                    self._timestamps[shard].append(timestamp)
+                if traced:
+                    self._trace_columns()[shard].append(trace)
+                position += 1
+                column = positions[shard]
+                column.append(position)
+                keys[shard].append(key)
+                buffer = values[shard]
+                if type(buffer) is list:
+                    buffer.append(value)
+                else:
+                    values[shard] = _append_value(buffer, value)
+                if len(column) >= batch_size:
+                    self.position = position
+                    self._frame_round()
+        finally:
+            self.position = position
+        return self._take_framed()
+
     def put(
         self, key: Any, value: Any, trace: Optional[int] = None
     ) -> List[Batch]:
@@ -307,28 +379,7 @@ class Router:
         :mod:`repro.telemetry.trace`); the id travels on the record's
         batch so shard outputs can echo which traces they served.
         """
-        self.position += 1
-        shard = self._shard_cache.get(key)
-        if shard is None:
-            shard = shard_of(key, self.num_shards)
-            self._shard_cache[key] = shard
-            self.seen_keys[shard].add(key)
-        self._positions[shard].append(self.position)
-        self._keys[shard].append(key)
-        self._values[shard] = _append_value(self._values[shard], value)
-        if trace is not None and self._traces is None:
-            # First traced record: materialise the trace columns,
-            # backfilling the still-buffered untraced records.
-            self._traces = [
-                [None] * len(self._positions[index])
-                for index in range(self.num_shards)
-            ]
-            self._traces[shard][-1] = trace
-        elif self._traces is not None:
-            self._traces[shard].append(trace)
-        if len(self._positions[shard]) >= self.batch_size:
-            return self.flush()
-        return []
+        return self._route(((key, value),), trace)
 
     def put_event(
         self,
@@ -344,31 +395,17 @@ class Router:
         keeps every shard's buffered timestamp column ascending; the
         shard side relies on that to close time slices with a bisect.
         """
-        if self._timestamps is None:
-            raise ServiceError(
-                "put_event requires a Router in event-time mode"
-            )
-        self.position += 1
-        shard = self._shard_cache.get(key)
-        if shard is None:
-            shard = shard_of(key, self.num_shards)
-            self._shard_cache[key] = shard
-            self.seen_keys[shard].add(key)
-        self._positions[shard].append(self.position)
-        self._keys[shard].append(key)
-        self._values[shard] = _append_value(self._values[shard], value)
-        self._timestamps[shard].append(timestamp)
-        if trace is not None and self._traces is None:
-            self._traces = [
-                [None] * len(self._positions[index])
-                for index in range(self.num_shards)
-            ]
-            self._traces[shard][-1] = trace
-        elif self._traces is not None:
-            self._traces[shard].append(trace)
-        if len(self._positions[shard]) >= self.batch_size:
-            return self.flush()
-        return []
+        return self._route(((key, value),), trace, timestamp)
+
+    def put_many(
+        self,
+        records: Iterable[Tuple[Any, Any]],
+        trace: Optional[int] = None,
+    ) -> List[Batch]:
+        """Route ``(key, value)`` pairs: positions, flush rounds and
+        watermarks are exactly those of :meth:`put` per record; see
+        :meth:`_route` for what a malformed record leaves behind."""
+        return self._route(records, trace)
 
     def put_column(
         self,
@@ -376,20 +413,16 @@ class Router:
         values: Sequence[Any],
         trace: Optional[int] = None,
     ) -> List[Batch]:
-        """Route a run of records sharing one key; one shard lookup.
+        """Route a column of records sharing one key; one shard lookup.
 
-        The column path of the ingestion front: the shard is resolved
-        once, positions are assigned as a range, and the per-shard
-        buffers grow by ``extend`` instead of per-record ``append``.
-        Flush rounds fire at exactly the same stream positions as the
-        equivalent sequence of :meth:`put` calls, so batching,
-        watermarks, and sequence numbers are byte-identical between
-        the two paths.
-
-        A column that arrives typed (see :func:`typed_column` — packed
-        wire bodies, arrays, numeric ndarrays) is buffered typed, so
-        the batches it frames carry ``array``-backed value columns the
-        shm plane encodes without a capability scan.
+        The column path of the ingestion front: positions are assigned
+        as a range and the shard's buffers grow by ``extend`` a
+        batch-sized chunk at a time, framing exactly the batches the
+        equivalent :meth:`put` calls would.  A column that arrives
+        typed (see :func:`typed_column` — packed wire bodies, arrays,
+        numeric ndarrays) is buffered typed, so its batches carry
+        ``array``-backed value columns the shm plane encodes without a
+        capability scan.
         """
         column = typed_column(values)
         if column is not None:
@@ -397,67 +430,30 @@ class Router:
         elif type(values) is not list:
             values = list(values)
         if not values:
-            return []
+            return self._take_framed()
         shard = self._shard_cache.get(key)
         if shard is None:
-            shard = shard_of(key, self.num_shards)
-            self._shard_cache[key] = shard
-            self.seen_keys[shard].add(key)
-        if trace is not None and self._traces is None:
-            self._traces = [
-                [None] * len(self._positions[index])
-                for index in range(self.num_shards)
-            ]
-        batches: List[Batch] = []
+            shard = self._admit(key)
+        traced = trace is not None or self._traces is not None
+        if traced:
+            self._trace_columns()
         total = len(values)
         start = 0
         while start < total:
             positions = self._positions[shard]
             take = min(self.batch_size - len(positions), total - start)
-            first = self.position + 1
-            self.position += take
-            positions.extend(range(first, first + take))
+            last = self.position = self.position + take
+            positions.extend(range(last - take + 1, last + 1))
             self._keys[shard].extend([key] * take)
             self._values[shard] = _extend_values(
                 self._values[shard], values[start : start + take]
             )
-            if self._traces is not None:
+            if traced:
                 self._traces[shard].extend([trace] * take)
             start += take
             if len(positions) >= self.batch_size:
-                batches.extend(self.flush())
-        return batches
-
-    def put_many(
-        self,
-        records: Iterable[Tuple[Any, Any]],
-        trace: Optional[int] = None,
-    ) -> List[Batch]:
-        """Route ``(key, value)`` pairs, grouping contiguous key runs.
-
-        Mirrors the shard side (which folds contiguous same-key runs
-        through the bulk kernel path): each run of consecutive records
-        with the same key pays one shard lookup and one buffer extend
-        via :meth:`put_column`.  Record order — and therefore global
-        positions, flush rounds, and watermarks — is exactly that of
-        calling :meth:`put` per record.
-        """
-        batches: List[Batch] = []
-        run_key: Any = None
-        run_values: List[Any] = []
-        for key, value in records:
-            if run_values and (key is run_key or key == run_key):
-                run_values.append(value)
-                continue
-            if run_values:
-                batches.extend(
-                    self.put_column(run_key, run_values, trace)
-                )
-            run_key = key
-            run_values = [value]
-        if run_values:
-            batches.extend(self.put_column(run_key, run_values, trace))
-        return batches
+                self._frame_round()
+        return self._take_framed()
 
     def flush(self) -> List[Batch]:
         """Frame every shard's buffer into batches (one flush round).
@@ -469,44 +465,47 @@ class Router:
         shard.  In per-key mode empty frames carry no information and
         are skipped.
         """
+        self._frame_round()
+        return self._take_framed()
+
+    def _take_framed(self) -> List[Batch]:
+        framed, self._framed = self._framed, []
+        return framed
+
+    def _frame_round(self) -> None:
         if self._clock is not None:
             self.watermark.advance(
                 self._clock.slices_closed_by(self.position)
             )
         watermark = self.watermark.value
         merged = self._clock is not None or self.event_time
-        batches: List[Batch] = []
+        traces, stamps = self._traces, self._timestamps
+        framed = len(self._framed)
         for shard in range(self.num_shards):
             buffered = self._positions[shard]
             if not buffered:
                 if not merged or self._sent_watermarks[shard] == watermark:
                     continue
             self._seqs[shard] += 1
-            traces = (
-                self._traces[shard] if self._traces is not None else None
-            )
-            batches.append(
+            self._framed.append(
                 Batch(
                     shard,
                     self._seqs[shard],
                     watermark,
-                    self._positions[shard],
+                    buffered,
                     self._keys[shard],
                     self._values[shard],
-                    traces if traces else None,
-                    self._timestamps[shard]
-                    if self._timestamps is not None
-                    else None,
+                    (traces[shard] or None) if traces is not None else None,
+                    stamps[shard] if stamps is not None else None,
                 )
             )
             self._sent_watermarks[shard] = watermark
             self._positions[shard] = array("q")
             self._keys[shard] = []
             self._values[shard] = []
-            if self._timestamps is not None:
-                self._timestamps[shard] = array("d")
-            if self._traces is not None:
-                self._traces[shard] = []
-        if batches:
+            if stamps is not None:
+                stamps[shard] = array("d")
+            if traces is not None:
+                traces[shard] = []
+        if len(self._framed) > framed:
             self.flush_rounds += 1
-        return batches

@@ -48,7 +48,7 @@ from repro.core.multiquery import Answer
 from repro.errors import OutOfOrderError, ServiceError
 from repro.metrics import Summary, ThroughputResult, maybe_summary
 from repro.service.merge import EventTimeMerger, GlobalMerger, PerKeyCollator
-from repro.service.partition import Router, shard_of
+from repro.service.partition import Router
 from repro.service.shard import SHARD_MODES, ShardConfig
 from repro.service.slices import SliceClock
 from repro.service.supervisor import (
@@ -523,9 +523,9 @@ class AggregationService:
     ) -> None:
         """Ingest ``(key, value)`` pairs, optionally under one trace.
 
-        Contiguous same-key runs are routed through the router's
-        column path (one shard lookup and one buffer extend per run),
-        matching the run-grouped fold on the shard side.
+        One pass of the router's core over the records.  A record
+        that cannot be routed (not a pair, unhashable key) raises with
+        every record before it ingested and none after it consumed.
         """
         if self._closed:
             raise ServiceError("cannot submit to a closed service")
@@ -535,12 +535,15 @@ class AggregationService:
                 "must carry event timestamps)"
             )
         first = self._router.position + 1
-        for batch in self._router.put_many(records, trace_id):
-            self._transport.ship(batch)
-        if trace_id is not None and self._router.position >= first:
-            self._note_trace_interval(
-                first, self._router.position, trace_id
-            )
+        try:
+            for batch in self._router.put_many(records, trace_id):
+                self._transport.ship(batch)
+        finally:
+            # Also on a bad record: the routed prefix carries the trace.
+            if trace_id is not None and self._router.position >= first:
+                self._note_trace_interval(
+                    first, self._router.position, trace_id
+                )
 
     def submit_column(
         self,
@@ -664,9 +667,7 @@ class AggregationService:
         sink's per-position deduplication intact.
         """
         key, value, _trace, _arrived = item
-        shard = self._router._shard_cache.get(key)
-        if shard is None:
-            shard = shard_of(key, self.num_shards)
+        shard = self._router.shard_for(key)
         self._late_by_shard[shard] += 1
         if self._late_counters:
             self._late_counters[shard].inc(1)

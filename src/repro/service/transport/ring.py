@@ -4,17 +4,24 @@ One :class:`SpscRing` connects exactly one producer process to exactly
 one consumer process.  The shared segment holds two 8-byte cursors
 followed by the data region::
 
-    offset 0   head  (u64, little-endian) — total bytes ever published
-    offset 8   tail  (u64, little-endian) — total bytes ever consumed
+    offset 0   head  (u64, native order) — total bytes ever published
+    offset 8   tail  (u64, native order) — total bytes ever consumed
     offset 16  data  (``capacity`` bytes, used modulo ``capacity``)
 
 Cursors are *absolute* monotone counters, not wrapped offsets: the
 occupied byte count is always ``head - tail`` with no ambiguity between
 empty and full, and a stuck cursor is visible in stats as a frozen
 number rather than a plausible-looking small offset.  Each side writes
-only its own cursor, so no locks are needed; an 8-byte aligned store is
-atomic on every platform CPython runs on, and the GIL-released
-``memoryview`` slice assignments used here never tear an 8-byte value.
+only its own cursor, so no locks are needed.  What that relies on: both
+cursors are stored and loaded through one ``memoryview.cast("Q")`` of
+the control area, where ``view[i] = value`` is a single aligned 8-byte
+copy that the other process sees either whole or not at all.
+``struct.pack_into`` must not be used for them — it zero-fills its
+target bytes before packing, so the consumer could read a transient
+``head == 0`` and report the record at ``tail`` as torn.  Payload bytes
+precede the head store in program order and no fence is issued: that
+is enough under x86-64's store ordering, the only architecture this
+ring has been exercised on.
 
 Records are length-prefixed: ``u32 length`` then ``length`` payload
 bytes.  A record never wraps — when the contiguous space to the end of
@@ -47,7 +54,9 @@ _CONTROL_BYTES = 16
 _WRAP_MARKER = 0xFFFFFFFF
 
 _U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
+
+#: Slots of the two cursors in the control area's ``cast("Q")`` view.
+_HEAD, _TAIL = 0, 1
 
 
 class SpscRing:
@@ -86,28 +95,16 @@ class SpscRing:
         self.capacity = capacity
         self.name = self._shm.name
         self._buf = self._shm.buf
+        self._cursors = self._buf[:_CONTROL_BYTES].cast("Q")
         self._data = self._buf[_CONTROL_BYTES : _CONTROL_BYTES + capacity]
         #: Pending (payload view, new tail) from an uncommitted read.
         self._pending: Optional[tuple] = None
         self._closed = False
 
-    # -- cursors ----------------------------------------------------
-
-    def _head(self) -> int:
-        return _U64.unpack_from(self._buf, 0)[0]
-
-    def _tail(self) -> int:
-        return _U64.unpack_from(self._buf, 8)[0]
-
-    def _set_head(self, value: int) -> None:
-        _U64.pack_into(self._buf, 0, value)
-
-    def _set_tail(self, value: int) -> None:
-        _U64.pack_into(self._buf, 8, value)
-
     def occupancy(self) -> int:
         """Bytes currently published but not yet consumed."""
-        return self._head() - self._tail()
+        cursors = self._cursors
+        return cursors[_HEAD] - cursors[_TAIL]
 
     def occupancy_ratio(self) -> float:
         """Occupancy as a fraction of capacity (gauge-friendly)."""
@@ -136,8 +133,8 @@ class SpscRing:
                 f"payload of {len(payload)} bytes exceeds ring capacity "
                 f"{self.capacity} (max payload {self.max_payload})"
             )
-        head = self._head()
-        tail = self._tail()
+        head = self._cursors[_HEAD]
+        tail = self._cursors[_TAIL]
         offset = head % self.capacity
         contiguous = self.capacity - offset
         pad = contiguous if contiguous < need else 0
@@ -150,7 +147,7 @@ class SpscRing:
             offset = 0
         _U32.pack_into(self._data, offset, len(payload))
         self._data[offset + 4 : offset + 4 + len(payload)] = payload
-        self._set_head(head + need)
+        self._cursors[_HEAD] = head + need
         return True
 
     # -- consumer side ----------------------------------------------
@@ -167,8 +164,8 @@ class SpscRing:
             raise TransportError(
                 "try_read called with an uncommitted frame pending"
             )
-        head = self._head()
-        tail = self._tail()
+        head = self._cursors[_HEAD]
+        tail = self._cursors[_TAIL]
         while True:
             if head == tail:
                 return None
@@ -198,7 +195,7 @@ class SpscRing:
         view, new_tail = self._pending
         self._pending = None
         view.release()
-        self._set_tail(new_tail)
+        self._cursors[_TAIL] = new_tail
 
     # -- lifecycle ---------------------------------------------------
 
@@ -211,8 +208,10 @@ class SpscRing:
             self._pending[0].release()
             self._pending = None
         try:
+            self._cursors.release()
             self._data.release()
             self._buf = None
+            self._cursors = None
             self._data = None
             self._shm.close()
         except BufferError:  # pragma: no cover - exported view leaked

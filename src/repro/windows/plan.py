@@ -46,6 +46,9 @@ class ScheduledQuery:
     #: Number of partials covering the query's range at this step
     #: (Algorithm 1's ``qR``; may differ between steps of one cycle).
     lookback: int
+    #: Index of ``query`` in :attr:`SharedPlan.queries`, so per-query
+    #: state can live in a list instead of a dict hashed by ``Query``.
+    slot: int
 
 
 @dataclass(frozen=True)
@@ -238,8 +241,10 @@ def build_shared_plan(
     steps: List[PlanStep] = []
     for end_offset, length in zip(edges, lengths):
         scheduled: List[ScheduledQuery] = []
-        for query in sorted(
-            unique, key=lambda q: q.range_size, reverse=True
+        for slot, query in sorted(
+            enumerate(unique),
+            key=lambda item: item[1].range_size,
+            reverse=True,
         ):
             if end_offset % query.slide != 0:
                 continue
@@ -253,6 +258,6 @@ def build_shared_plan(
             lookback = _count_edges_between(
                 edges, cycle, start, end_offset
             )
-            scheduled.append(ScheduledQuery(query, lookback))
+            scheduled.append(ScheduledQuery(query, lookback, slot))
         steps.append(PlanStep(end_offset, length, tuple(scheduled)))
     return SharedPlan(unique, technique, cycle, steps)

@@ -37,6 +37,20 @@ def test_answers_ordered_descending_by_range():
         assert ranges == sorted(ranges, reverse=True)
 
 
+def test_scheduled_queries_carry_their_slot_in_plan_queries():
+    # The invertible final stage keeps per-query state in lists indexed
+    # by this slot; a wrong slot would silently mix two queries' sums.
+    plan = build_shared_plan(
+        [Query(4, 2), Query(8, 2), Query(6, 3), Query(6, 2)], "pairs"
+    )
+    seen = set()
+    for step in plan.steps:
+        for sq in step.answers:
+            assert plan.queries[sq.slot] == sq.query
+            seen.add(sq.slot)
+    assert seen == set(range(len(plan.queries)))
+
+
 def test_lookback_monotone_in_range_within_step():
     plan = build_shared_plan(
         [Query(7, 3), Query(5, 2), Query(10, 6)], "pairs"

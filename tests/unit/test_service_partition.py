@@ -201,6 +201,93 @@ def test_mixed_typecode_columns_demote_to_exact_list():
     assert [type(v) for v in batch.values] == [int, int, float]
 
 
+# -- the routing core: partial-batch failures ------------------------
+# (put_many == per-record put is tests/property/test_prop_router.py)
+
+
+def _frames(batches):
+    return [
+        (
+            b.shard,
+            b.seq,
+            b.watermark,
+            list(b.positions),
+            b.keys,
+            list(b.values),
+            b.traces,
+        )
+        for b in batches
+    ]
+
+
+def _per_record(records, num_shards=3, batch_size=4):
+    router = Router(num_shards, batch_size, clock=_clock())
+    shipped = []
+    for key, value in records:
+        shipped.extend(router.put(key, value))
+    shipped.extend(router.flush())
+    return _frames(shipped)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [("only-a-key",), ("k", 1, "extra"), 7, (["unhashable"], 1)],
+    ids=["1-tuple", "3-tuple", "not-a-tuple", "unhashable-key"],
+)
+def test_put_many_routes_the_prefix_of_a_malformed_call(bad):
+    good = [(f"k{i % 5}", i) for i in range(60)]
+    never = [("never", -1)] * 3
+    router = Router(num_shards=3, batch_size=4, clock=_clock())
+    consumed = iter(good[:41] + [bad] + never)
+    with pytest.raises((TypeError, ValueError)):
+        router.put_many(consumed)
+    # Every record before the bad one is routed, none after it is even
+    # consumed, and position counts exactly the routed ones.
+    assert router.position == 41
+    assert list(consumed) == never
+    assert "never" not in router.seen_keys[router.shard_for("never")]
+    # The next call continues cleanly and hands over the rounds the
+    # failed call had framed first: nothing lost, no sequence gap.
+    shipped = router.put_many(good[41:])
+    shipped.extend(router.flush())
+    assert _frames(shipped) == _per_record(good)
+
+
+def test_failed_call_keeps_its_framed_rounds_for_flush():
+    router = Router(num_shards=1, batch_size=2, clock=_clock())
+    with pytest.raises(ValueError):
+        router.put_many([("k", 1), ("k", 2), ("k", 3), ()])
+    first, second = router.flush()
+    assert (first.seq, list(first.values)) == (1, [1, 2])
+    assert (second.seq, list(second.values)) == (2, [3])
+    assert router.flush() == []
+
+
+def test_shard_for_agrees_with_routing_and_does_not_mark_seen():
+    router = Router(num_shards=5, batch_size=4, clock=_clock())
+    assert router.shard_for("unrouted") == shard_of("unrouted", 5)
+    assert all("unrouted" not in seen for seen in router.seen_keys)
+    [batch] = [b for b in router.put("k", 1) + router.flush() if len(b)]
+    assert router.shard_for("k") == batch.shard == shard_of("k", 5)
+    assert "k" in router.seen_keys[batch.shard]
+
+
+def test_event_time_router_takes_put_event_and_nothing_else():
+    with pytest.raises(ServiceError, match="event-time"):
+        Router(2, 4).put_event("k", 1, 0.5)
+    timed = Router(2, 4, event_time=True)
+    with pytest.raises(ServiceError, match="event-time"):
+        timed.put("k", 1)
+    timed.put_event("k", 1, 0.5)
+    [batch] = [b for b in timed.flush() if len(b)]
+    assert list(batch.timestamps) == [0.5]
+    # A timestamp the f64 column cannot hold is refused before any
+    # other column grows, so the columns never go ragged.
+    with pytest.raises(TypeError):
+        timed.put_event("k", 2, "noon")
+    assert timed.position == 1 and timed.flush() == []
+
+
 # -- load-shedding helpers ------------------------------------------
 
 

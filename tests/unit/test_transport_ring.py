@@ -7,7 +7,10 @@ exact read-then-commit protocol and wraparound behaviour checked here.
 
 from __future__ import annotations
 
+import os
 import pickle
+import signal
+import time
 
 import pytest
 
@@ -157,3 +160,51 @@ def test_occupancy_ratio_is_monotone(ring):
         ratios.append(ring.occupancy_ratio())
     assert ratios == sorted(ratios)
     assert 0.0 < ratios[-1] <= 1.0
+
+
+def test_two_process_cursors_never_read_backwards_or_torn():
+    # A forked producer publishes as fast as it can while this process
+    # consumes and, between reads, polls the published-byte count.  The
+    # consumer owns ``tail``, so between its own commits any drop in
+    # ``occupancy()`` (or a negative one) is a backwards read of the
+    # producer's ``head`` — the transient zero a non-atomic cursor
+    # store exposes, which try_read reports as a TornFrameError.
+    records = 200_000
+    ring = SpscRing(capacity=1 << 14)
+    pid = os.fork()
+    if pid == 0:  # producer
+        status = 1
+        try:
+            for index in range(records):
+                payload = b"%07d" % index
+                while not ring.try_write(payload):
+                    pass
+            status = 0
+        finally:
+            os._exit(status)
+    try:
+        deadline = time.monotonic() + 120
+        received = 0
+        while received < records:
+            assert time.monotonic() < deadline, f"stalled at {received}"
+            published = 0
+            for _ in range(8):
+                seen = ring.occupancy()
+                assert seen >= published, (received, published, seen)
+                published = seen
+            view = ring.try_read()  # raises TornFrameError on a torn head
+            if view is None:
+                continue
+            assert bytes(view) == b"%07d" % received
+            view.release()
+            ring.commit()
+            received += 1
+        _, status = os.waitpid(pid, 0)
+        pid = 0
+        assert status == 0
+    finally:
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        ring.close()
+        ring.unlink()
