@@ -1,13 +1,18 @@
 """Per-tuple vs bulk-ingestion throughput across batch sizes.
 
-The perf-trajectory harness for the bulk API (``push_many`` /
-``step_many`` / ``feed_many``).  Each case drives the same stream
+The perf-trajectory harness for the aggregators' bulk API
+(``push_many`` / ``step_many``).  Each case drives the same stream
 through the same aggregator twice — once per tuple, once in batches —
 querying at every batch boundary in both runs, so the only difference
 is the ingestion path.  Times are median-of-3; throughput is reported
 in tuples/second and as the bulk/per-tuple *speedup ratio*, which is
 what the CI smoke gate compares (ratios are machine-relative, so the
 committed baseline stays meaningful across runners).
+
+``StreamEngine`` is not a case here: a bulk ÷ per-tuple ratio fails
+when ``feed`` gets faster.  The pipeline benchmark's
+``engine_bulk_sum`` and ``engine_pertuple_max`` workloads measure both
+ends in absolute terms.
 
 Usage::
 
@@ -45,8 +50,6 @@ from repro.core.slickdeque_noninv import SlickDequeNonInv  # noqa: E402
 from repro.kernels import active_backends, numpy_enabled  # noqa: E402
 from repro.operators.registry import get_operator  # noqa: E402
 from repro.registry import available_algorithms, get_algorithm  # noqa: E402
-from repro.stream.engine import StreamEngine  # noqa: E402
-from repro.windows.query import Query  # noqa: E402
 
 BULK_JSON = REPO_ROOT / "BENCH_bulk_ingest.json"
 FIG10_JSON = REPO_ROOT / "BENCH_fig10_single_sum.json"
@@ -135,25 +138,6 @@ def _aggregator_run(factory, operator_name, stream, batch, bulk):
     return run
 
 
-def _engine_run(stream, batch, bulk):
-    queries = (Query(WINDOW, 32),)
-
-    def run():
-        engine = StreamEngine(queries, get_operator("sum"))
-        index = 0
-        total = len(stream)
-        if bulk:
-            while index < total:
-                engine.feed_many(stream[index:index + batch])
-                index += batch
-        else:
-            feed = engine.feed
-            for value in stream:
-                feed(value)
-
-    return run
-
-
 def run_matrix(stream_size: int, batches) -> List[Dict[str, Any]]:
     """Measure every case × batch size; return the result rows."""
     stream = make_stream(stream_size)
@@ -185,15 +169,6 @@ def run_matrix(stream_size: int, batches) -> List[Dict[str, Any]]:
                                     pair))
                 print(f"  {case:24s} batch={batch:<5d} (ndarray) "
                       f"speedup={results[-1]['speedup']:.2f}x")
-    for batch in batches:
-        pair = _measure_pair(
-            _engine_run(stream, batch, bulk=False),
-            _engine_run(stream, batch, bulk=True),
-        )
-        results.append(_row("engine_shared/sum", "list", batch,
-                            stream_size, pair))
-        print(f"  {'engine_shared/sum':24s} batch={batch:<5d} "
-              f"speedup={results[-1]['speedup']:.2f}x")
     return results
 
 

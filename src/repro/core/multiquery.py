@@ -50,27 +50,30 @@ class _InvEngine:
         self._starts: List[int] = [0] * len(plan.queries)
         self._count = 0  # partials seen
 
-    def on_partial(self, value: Any, scheduled) -> List[Tuple[Query, Any]]:
+    def on_partial(self, value: Any, scheduled, position: int) -> List[Answer]:
         op = self._op
-        self._ring.push(value)
+        ring = self._ring
+        ring.push(value)
         self._count = count = self._count + 1
         combine = op.combine
         self._answers = answers = [
             combine(answer, value) for answer in self._answers
         ]
+        starts = self._starts
         results = []
         for sq in scheduled:
             slot = sq.slot
             answer = answers[slot]
-            target_start = max(0, count - sq.lookback)
-            start = self._starts[slot]
+            # Negative while the window fills: nothing to evict yet.
+            target_start = count - sq.lookback
+            start = starts[slot]
             while start < target_start:
-                offset = count - start  # pushes since that partial
-                answer = op.inverse(answer, self._ring.at_offset(offset))
+                # The partial pushed ``count - start`` pushes ago.
+                answer = op.inverse(answer, ring.at_offset(count - start))
                 start += 1
-            self._starts[slot] = start
+            starts[slot] = start
             answers[slot] = answer
-            results.append((sq.query, op.lower(answer)))
+            results.append((position, sq.query, op.lower(answer)))
         return results
 
 
@@ -83,24 +86,26 @@ class _NonInvEngine:
         self._w_size = plan.w_size
         self._count = 0
 
-    def on_partial(self, value: Any, scheduled) -> List[Tuple[Query, Any]]:
+    def on_partial(self, value: Any, scheduled, position: int) -> List[Answer]:
         op = self._op
         nodes_deque = self._deque
-        self._count += 1
-        if nodes_deque and nodes_deque[0][0] <= self._count - self._w_size:
+        self._count = count = self._count + 1
+        if nodes_deque and nodes_deque[0][0] <= count - self._w_size:
             nodes_deque.popleft()
-        while nodes_deque and op.dominates(nodes_deque[-1][1], value):
+        dominates = op.dominates
+        while nodes_deque and dominates(nodes_deque[-1][1], value):
             nodes_deque.pop()
-        nodes_deque.append((self._count, value))
+        nodes_deque.append((count, value))
 
+        lower = op.lower
         results = []
         nodes = iter(nodes_deque)
         pos, val = next(nodes)
         for sq in scheduled:  # descending lookback (plan ordering)
-            threshold = self._count - sq.lookback
+            threshold = count - sq.lookback
             while pos <= threshold:
                 pos, val = next(nodes)
-            results.append((sq.query, op.lower(val)))
+            results.append((position, sq.query, lower(val)))
         return results
 
 
@@ -133,6 +138,10 @@ class SharedSlickDeque:
         self.operator = operator
         self.plan = plan or build_shared_plan(self.queries, technique)
         self._partials = PartialAggregator(operator, self.plan)
+        self._identity = operator.identity
+        #: Every plan step is one tuple long (any slide-1 query makes
+        #: it so): :meth:`feed` then skips the partial stage.
+        self._unit_steps = all(step.length == 1 for step in self.plan.steps)
         # Lazily created by feed_partial(); feed() and feed_partial()
         # are mutually exclusive drive modes for one instance.
         self._partial_cursor: Optional[PlanCursor] = None
@@ -182,26 +191,42 @@ class SharedSlickDeque:
             self._partial_cursor = PlanCursor(self.plan)
         self._partial_cursor.get_next_partial_length()
         step = self._partial_cursor.current_step
-        produced = self._engine.on_partial(value, step.answers)
-        return [(position, query, answer) for query, answer in produced]
+        return self._engine.on_partial(value, step.answers, position)
 
     def feed(self, value: Any) -> List[Answer]:
-        """Consume one tuple; return the answers it released."""
+        """Consume one tuple; return the answers it released.
+
+        A value the operator refuses (``lift`` or ⊕ raises in the
+        partial stage) leaves this instance exactly as it was.  A
+        failure inside the final-aggregation update is not covered:
+        the window state can no longer be trusted afterwards.
+        """
         if self._partial_cursor is not None:
             raise WindowStateError(
                 "feed() cannot be mixed with feed_partial() on the "
                 "same SharedSlickDeque instance"
             )
-        completed = self._partials.feed(value)
+        partials = self._partials
+        if self._unit_steps:
+            # Slide-1 bypass: every step closes on its first tuple, so
+            # the open partial is always the identity and the partial
+            # stage's accumulate / compare / reset round trip is one
+            # lift and one ⊕.  ⊕ with the identity still runs: it is
+            # not a no-op bit for bit (``0 + -0.0`` is ``0.0``).
+            op = self.operator
+            partial = op.combine(self._identity, op.lift(value))
+            steps = self.plan.steps
+            index = partials.step_index
+            partials.step_index = (index + 1) % len(steps)
+            partials.position = position = partials.position + 1
+            return self._engine.on_partial(
+                partial, steps[index].answers, position
+            )
+        completed = partials.feed(value)
         if completed is None:
             return []
-        produced = self._engine.on_partial(
-            completed.value, completed.step.answers
-        )
-        return [
-            (completed.position, query, answer)
-            for query, answer in produced
-        ]
+        partial, step, position = completed
+        return self._engine.on_partial(partial, step.answers, position)
 
     def feed_many(self, values: Iterable[Any]) -> List[Answer]:
         """Consume a batch of tuples; return every answer released.
@@ -219,12 +244,8 @@ class SharedSlickDeque:
             )
         answers: List[Answer] = []
         on_partial = self._engine.on_partial
-        for completed in self._partials.feed_many(values):
-            produced = on_partial(completed.value, completed.step.answers)
-            position = completed.position
-            answers.extend(
-                (position, query, answer) for query, answer in produced
-            )
+        for partial, step, position in self._partials.feed_many(values):
+            answers += on_partial(partial, step.answers, position)
         return answers
 
     def run(self, values: Iterable[Any]) -> Iterator[Answer]:

@@ -60,13 +60,12 @@ class _IndependentQuery:
         completed = self._partials.feed(value)
         if completed is None:
             return []
-        self._final.push(completed.value)
-        if not completed.step.answers:
+        partial, step, position = completed
+        self._final.push(partial)
+        if not step.answers:
             return []
         raw = self._final.query()
-        return [
-            (completed.position, self.query, self._operator.lower(raw))
-        ]
+        return [(position, self.query, self._operator.lower(raw))]
 
 
 class StreamEngine:
@@ -80,7 +79,7 @@ class StreamEngine:
         mode: ``"shared"`` (SlickDeque over one shared plan) or
             ``"independent"`` (one plan + final aggregator per query).
         algorithm: Final-aggregation algorithm for independent mode.
-        sinks: Answer consumers; a triple goes to every sink.
+        sinks: Answer consumers; each call's triples go to every sink.
     """
 
     def __init__(
@@ -125,72 +124,80 @@ class StreamEngine:
         """Register another answer consumer."""
         self.sinks.append(sink)
 
-    def _deliver(self, triples: Iterable[Tuple[int, Query, Any]]) -> None:
-        for position, query, answer in triples:
-            self.answers_emitted += 1
+    def _deliver(self, triples: List[Tuple[int, Query, Any]]) -> None:
+        if triples:
+            self.answers_emitted += len(triples)
             for sink in self.sinks:
-                sink.emit(position, query, answer)
+                sink.emit_many(triples)
 
     def feed(self, value: Any) -> None:
-        """Consume one stream value."""
-        self.tuples_consumed += 1
+        """Consume one stream value.
+
+        A value the operator refuses (``lift`` or ⊕ raises in the
+        partial stage) leaves the engine exactly as it was: no position
+        is used up, nothing is counted as consumed, and later answers
+        are those of the stream without it.  A failure inside the
+        final-aggregation update is not covered — the window state can
+        no longer be trusted, which is why ``service/shard.py`` drops
+        an engine that raised.
+        """
         if self._shared is not None:
-            self._deliver(self._shared.feed(value))
+            triples = self._shared.feed(value)
         else:
+            triples = []
             for independent in self._independent:
-                self._deliver(independent.feed(value))
+                triples += independent.feed(value)
+        self.tuples_consumed += 1
+        if triples:  # ``_deliver`` inlined: one call fewer per tuple
+            self.answers_emitted += len(triples)
+            for sink in self.sinks:
+                sink.emit_many(triples)
 
     def feed_many(self, values: Sequence[Any]) -> None:
         """Consume a batch of stream values (bulk ingestion).
 
         Shared mode hands the whole batch to the plan's bulk path —
-        partials fold with one kernel call per segment.  Independent
-        mode keeps the per-value, per-query delivery order of
-        :meth:`feed`.  Either way every sink sees exactly the triples,
-        in exactly the order, that per-value feeding would produce.
+        partials fold with one kernel call per segment — and delivers
+        the batch's answers in one :meth:`Sink.emit_many` per sink.
+        Independent mode feeds value by value through :meth:`feed`.
+        Either way every sink sees exactly the triples, in exactly the
+        order, that per-value feeding would produce.
 
         When a process-global telemetry hub is installed (see
         :func:`repro.telemetry.install`) each call observes its batch
         latency and tuple/answer counts into the hub; with no hub the
-        instrumentation costs one module-attribute load and a ``None``
-        check (pinned by ``benchmarks/bench_telemetry_overhead.py``).
+        instrumentation costs one module-attribute load and two
+        ``None`` checks (pinned by
+        ``benchmarks/bench_telemetry_overhead.py``).
         """
         hub = _telemetry_runtime.active()
-        if hub is None:
-            values = as_sequence(values)
-            self.tuples_consumed += len(values)
-            if self._shared is not None:
-                self._deliver(self._shared.feed_many(values))
-            else:
-                for value in values:
-                    for independent in self._independent:
-                        self._deliver(independent.feed(value))
-            return
-        started = _perf_counter()
-        answers_before = self.answers_emitted
+        if hub is not None:
+            started = _perf_counter()
+            answers_before = self.answers_emitted
         values = as_sequence(values)
-        self.tuples_consumed += len(values)
         if self._shared is not None:
-            self._deliver(self._shared.feed_many(values))
+            triples = self._shared.feed_many(values)
+            self.tuples_consumed += len(values)
+            self._deliver(triples)
         else:
             for value in values:
-                for independent in self._independent:
-                    self._deliver(independent.feed(value))
-        registry = hub.registry
-        registry.histogram(
-            "repro_engine_feed_many_seconds",
-            "StreamEngine.feed_many batch latency",
-        ).observe(_perf_counter() - started)
-        registry.counter(
-            "repro_engine_tuples_total",
-            "Tuples consumed through StreamEngine.feed_many",
-        ).inc(len(values))
-        emitted = self.answers_emitted - answers_before
-        if emitted:
+                self.feed(value)
+        if hub is not None:
+            registry = hub.registry
+            registry.histogram(
+                "repro_engine_feed_many_seconds",
+                "StreamEngine.feed_many batch latency",
+            ).observe(_perf_counter() - started)
             registry.counter(
-                "repro_engine_answers_total",
-                "Answers emitted through StreamEngine.feed_many",
-            ).inc(emitted)
+                "repro_engine_tuples_total",
+                "Tuples consumed through StreamEngine.feed_many",
+            ).inc(len(values))
+            emitted = self.answers_emitted - answers_before
+            if emitted:
+                registry.counter(
+                    "repro_engine_answers_total",
+                    "Answers emitted through StreamEngine.feed_many",
+                ).inc(emitted)
 
     def run(
         self, values: Iterable[Any], batch_size: int = 1024

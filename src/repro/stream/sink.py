@@ -2,14 +2,14 @@
 
 A sink receives ``(position, query, answer)`` triples — the engine's
 equivalent of Algorithm 1's "send answers.getVal(q.range) as answer to
-q".  Sinks compose: the engine fans every answer out to all registered
-sinks.
+q".  Sinks compose: the engine hands each call's triples to every
+registered sink through :meth:`Sink.emit_many`, one sink after another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.windows.query import Query
 
@@ -43,6 +43,17 @@ class Sink:
     def emit(self, position: int, query: Query, answer: Any) -> None:
         """Receive one answer."""
 
+    def emit_many(self, triples: Sequence[AnswerTriple]) -> None:
+        """Receive the answers of one engine call, in order.
+
+        This is what the engine calls.  The default hands each triple
+        to :meth:`emit`, so a sink that overrides only ``emit`` sees
+        every answer.
+        """
+        emit = self.emit
+        for position, query, answer in triples:
+            emit(position, query, answer)
+
     def close(self) -> None:
         """Called once when the stream is exhausted."""
 
@@ -55,6 +66,9 @@ class CollectSink(Sink):
 
     def emit(self, position: int, query: Query, answer: Any) -> None:
         self.answers.append((position, query, answer))
+
+    def emit_many(self, triples: Sequence[AnswerTriple]) -> None:
+        self.answers.extend(triples)
 
     def by_query(self) -> Dict[Query, List[Tuple[int, Any]]]:
         """Answers grouped per query, in arrival order."""
@@ -139,3 +153,6 @@ class CountingSink(Sink):
 
     def emit(self, position: int, query: Query, answer: Any) -> None:
         self.count += 1
+
+    def emit_many(self, triples: Sequence[AnswerTriple]) -> None:
+        self.count += len(triples)

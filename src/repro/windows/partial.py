@@ -13,16 +13,14 @@ partials — so sources never need to be materialised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional
+from typing import Any, Iterable, List, NamedTuple, Optional
 
 from repro.kernels import as_sequence, exact_fold
 from repro.operators.base import Agg, AggregateOperator
-from repro.windows.plan import PlanCursor, PlanStep, SharedPlan
+from repro.windows.plan import PlanStep, SharedPlan
 
 
-@dataclass(frozen=True)
-class CompletedPartial:
+class CompletedPartial(NamedTuple):
     """A closed partial aggregate and the plan step that closed it."""
 
     value: Agg
@@ -38,16 +36,25 @@ class PartialAggregator:
     calculation producing partial aggregates only needs to be performed
     once every 2 tuples, and both ACQs can use these partial
     aggregates" — this class is that shared pre-aggregation.
+
+    :attr:`position` and :attr:`step_index` are plain attributes: a
+    caller that closes a length-1 step itself, with nothing folded into
+    the open partial (``SharedSlickDeque.feed``'s slide-1 bypass),
+    advances both in place and can still interleave :meth:`feed` and
+    :meth:`feed_many` on the same instance.
     """
 
     def __init__(self, operator: AggregateOperator, plan: SharedPlan):
         self.operator = operator
         self.plan = plan
-        self._cursor = PlanCursor(plan)
-        self._target = self._cursor.get_next_partial_length()
-        self._accumulated = operator.identity
+        self._identity = operator.identity
+        #: Index into ``plan.steps`` of the step the open partial will
+        #: close; an ``int`` so the feeds advance it in a local.
+        self.step_index = 0
+        #: 1-based position of the last tuple consumed.
+        self.position = 0
+        self._accumulated = self._identity
         self._count = 0
-        self._position = 0
 
     @property
     def open_value(self) -> Agg:
@@ -58,29 +65,30 @@ class PartialAggregator:
         """
         return self._accumulated
 
-    @property
-    def position(self) -> int:
-        """1-based position of the last tuple consumed."""
-        return self._position
-
     def feed(self, value: Any) -> Optional[CompletedPartial]:
-        """Fold one tuple; return the partial it completed, if any."""
-        self._position += 1
-        self._accumulated = self.operator.combine(
-            self._accumulated, self.operator.lift(value)
+        """Fold one tuple; return the partial it completed, if any.
+
+        ``lift`` and ⊕ run before any state is stored, so a value the
+        operator refuses raises and leaves the aggregator exactly as it
+        was — position included.
+        """
+        operator = self.operator
+        accumulated = operator.combine(
+            self._accumulated, operator.lift(value)
         )
-        self._count += 1
-        if self._count < self._target:
+        self.position = position = self.position + 1
+        count = self._count + 1
+        steps = self.plan.steps
+        step_index = self.step_index
+        step = steps[step_index]
+        if count < step.length:
+            self._accumulated = accumulated
+            self._count = count
             return None
-        completed = CompletedPartial(
-            self._accumulated,
-            self._cursor.current_step,
-            self._position,
-        )
-        self._accumulated = self.operator.identity
+        self._accumulated = self._identity
         self._count = 0
-        self._target = self._cursor.get_next_partial_length()
-        return completed
+        self.step_index = (step_index + 1) % len(steps)
+        return CompletedPartial(accumulated, step, position)
 
     def feed_many(self, values: Iterable[Any]) -> List[CompletedPartial]:
         """Fold a batch, returning every partial it completed.
@@ -90,31 +98,39 @@ class PartialAggregator:
         :func:`repro.kernels.exact_fold`, seeded with the running
         accumulator — answers (and the open-partial state left behind)
         are byte-identical to feeding each tuple through :meth:`feed`,
-        in every domain.
+        in every domain.  State is stored once, after the last segment:
+        a batch holding a value the operator refuses raises and leaves
+        the aggregator as it was before the call.
         """
         values = as_sequence(values)
         operator = self.operator
+        steps = self.plan.steps
+        accumulated = self._accumulated
+        count = self._count
+        position = self.position
+        step_index = self.step_index
+        step = steps[step_index]
         completed: List[CompletedPartial] = []
         index = 0
         total = len(values)
         while index < total:
-            take = min(self._target - self._count, total - index)
-            segment = values[index:index + take]
-            self._accumulated = exact_fold(
-                operator, segment, self._accumulated
+            take = min(step.length - count, total - index)
+            accumulated = exact_fold(
+                operator, values[index:index + take], accumulated
             )
-            self._count += take
-            self._position += take
+            count += take
+            position += take
             index += take
-            if self._count >= self._target:
+            if count >= step.length:
                 completed.append(
-                    CompletedPartial(
-                        self._accumulated,
-                        self._cursor.current_step,
-                        self._position,
-                    )
+                    CompletedPartial(accumulated, step, position)
                 )
-                self._accumulated = operator.identity
-                self._count = 0
-                self._target = self._cursor.get_next_partial_length()
+                accumulated = self._identity
+                count = 0
+                step_index = (step_index + 1) % len(steps)
+                step = steps[step_index]
+        self._accumulated = accumulated
+        self._count = count
+        self.position = position
+        self.step_index = step_index
         return completed

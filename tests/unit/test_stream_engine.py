@@ -65,6 +65,43 @@ class TestStreamEngine:
         assert engine.tuples_consumed == len(self.STREAM)
         assert engine.answers_emitted == len(self.STREAM) // 2
 
+    @pytest.mark.parametrize("mode", ["shared", "independent"])
+    @pytest.mark.parametrize(
+        "queries", [[Query(3, 1)], [Query(4, 2), Query(3, 1)], [Query(4, 2)]]
+    )
+    def test_refused_value_leaves_engine_as_it_was(self, mode, queries):
+        # ``0 + "x"`` raises inside the partial stage.  It used to do so
+        # after the position had been bumped, so every later answer was
+        # reported one position late and "x" counted as consumed.
+        sink = CollectSink()
+        engine = StreamEngine(
+            queries, get_operator("sum"), mode=mode, sinks=[sink]
+        )
+        engine.feed(1)
+        engine.feed(2)
+        with pytest.raises(TypeError):
+            engine.feed("x")
+        assert engine.tuples_consumed == 2
+        for value in (3, 4, 5):
+            engine.feed(value)
+        assert engine.tuples_consumed == 5
+        assert sink.answers == brute_answers(queries, "sum", [1, 2, 3, 4, 5])
+
+    def test_refused_batch_leaves_shared_engine_as_it_was(self):
+        # The bulk partial stage stores its state once, after the last
+        # segment folded: a batch it refuses is not half consumed.
+        queries = [Query(4, 2), Query(6, 3)]
+        sink = CollectSink()
+        engine = StreamEngine(queries, get_operator("sum"), sinks=[sink])
+        engine.feed_many([1, 2, 3])
+        with pytest.raises(TypeError):
+            engine.feed_many([4, 5, 6, "x", 7])
+        assert engine.tuples_consumed == 3
+        engine.feed_many([4, 5, 6, 7])
+        assert sink.answers == brute_answers(
+            queries, "sum", [1, 2, 3, 4, 5, 6, 7]
+        )
+
     def test_multiple_sinks_all_receive(self):
         first, second = CountingSink(), CountingSink()
         engine = StreamEngine(
