@@ -38,13 +38,10 @@ class FirstOperator(AggregateOperator):
         return older
 
     def dominates(self, incumbent: Agg, challenger: Agg) -> bool:
-        # A newer value never supersedes an older one — except that
-        # dropping the incumbent is harmless when the values are equal
-        # (the base combine-equality definition, kept exactly).
-        return (
-            isinstance(incumbent, _NegativeInfinity)
-            or incumbent == challenger
-        )
+        # A newer value never supersedes an older one, not even one
+        # that compares equal: ``0.0 == -0.0`` and ``1 == True``, and
+        # the window's first element is the older of the two.
+        return isinstance(incumbent, _NegativeInfinity)
 
 
 class LastOperator(AggregateOperator):

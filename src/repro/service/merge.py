@@ -11,13 +11,12 @@ path (invertible or selection-type).  :func:`check_mergeable` enforces
 both up front so unsound merges are rejected at service construction,
 not detected as wrong answers.
 
-:class:`GlobalMerger` tracks each shard's slice watermark, finalises a
-slice once every shard has passed it, and drives the shared SlickDeque
-final aggregation through
-:meth:`~repro.core.multiquery.SharedSlickDeque.feed_partial`.  Both it
-and :class:`PerKeyCollator` are idempotent under replay — a recovered
-worker re-emits outputs it produced before dying, and the merger must
-not double-count them.
+:class:`GlobalMerger` and :class:`EventTimeMerger` track each shard's
+slice watermark on one shared frontier, finalise a slice once every
+shard has passed it, and drive the count or the time final aggregation
+with the merged partial.  They and :class:`PerKeyCollator` are
+idempotent under replay — a recovered worker re-emits outputs it
+produced before dying, and the merger must not double-count them.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from typing import Any, Dict, List, Sequence, Tuple
 from repro.core.multiquery import Answer, SharedSlickDeque
 from repro.errors import MergeCapabilityError
 from repro.operators.base import AggregateOperator
-from repro.operators.views import partial_view
 from repro.service.shard import ShardOutput
 from repro.service.slices import SliceClock
 from repro.stream.watermark import TimeSliceClock, Watermark
@@ -36,8 +34,8 @@ from repro.windows.query import Query
 from repro.windows.timebased import (
     DEFAULT_RESOLUTION,
     TimeAnswer,
+    TimeFinalStage,
     TimeQuery,
-    slice_duration,
 )
 
 
@@ -68,36 +66,23 @@ def check_mergeable(operator: AggregateOperator) -> None:
         )
 
 
-class GlobalMerger:
-    """Combine per-shard slice partials into global engine answers.
+class _SliceFrontier:
+    """The min-watermark merge frontier over per-shard slice partials.
 
-    A slice is finalised once the minimum shard watermark passes it:
-    every shard has then shipped (and acknowledged) all of its records
-    for the slice, so the per-shard partials on hand are complete.
-    Shards with no records in a slice simply contribute nothing — the
-    fold starts from the operator identity.
-
-    Args:
-        queries: The service's ACQ set.
-        operator: The (mergeable) aggregate operator.
-        technique: Partial-aggregation technique of the shared plan.
-        num_shards: Number of shards feeding this merger.
+    A slice is finalised once the minimum watermark of the live shards
+    passes it: every shard has then shipped (and acknowledged) all of
+    its records for the slice, so the per-shard partials on hand are
+    complete.  Shards with no records in a slice simply contribute
+    nothing — the combine starts from the operator identity — and the
+    partials that are present combine in shard order.  Watermarks count
+    closed slices whichever clock the service runs on, so count and
+    event time share this frontier; a subclass supplies only
+    :meth:`_finalise`, what a merged slice partial turns into.
     """
 
-    def __init__(
-        self,
-        queries: Sequence[Query],
-        operator: AggregateOperator,
-        technique: str,
-        num_shards: int,
-    ):
+    def __init__(self, operator: AggregateOperator, num_shards: int):
         check_mergeable(operator)
         self.operator = operator
-        self.plan = build_shared_plan(queries, technique)
-        self.clock = SliceClock(self.plan)
-        self._final = SharedSlickDeque(
-            queries, operator, technique, plan=self.plan
-        )
         # One monotone Watermark per shard: replayed outputs from a
         # recovered worker present stale values, which ``advance``
         # ignores by construction.
@@ -125,7 +110,7 @@ class GlobalMerger:
         """
         return bool(self._failed)
 
-    def mark_failed(self, shard_id: int) -> List[Answer]:
+    def mark_failed(self, shard_id: int) -> List[Any]:
         """Stop waiting on a failed shard's watermark.
 
         The shard's already-absorbed partials still participate (they
@@ -137,7 +122,7 @@ class GlobalMerger:
         self._failed.add(shard_id)
         return self._drain()
 
-    def on_output(self, output: ShardOutput) -> List[Answer]:
+    def on_output(self, output: ShardOutput) -> List[Any]:
         """Absorb one shard output; return newly-released answers."""
         for index, value in output.partials:
             if index >= self._next_slice:  # replays of merged slices
@@ -147,8 +132,12 @@ class GlobalMerger:
         self._watermarks[output.shard_id].advance(output.watermark)
         return self._drain()
 
-    def _drain(self) -> List[Answer]:
-        answers: List[Answer] = []
+    def _finalise(self, index: int, merged: Any) -> List[Any]:
+        """Answers released by slice ``index``'s merged partial."""
+        raise NotImplementedError
+
+    def _drain(self) -> List[Any]:
+        answers: List[Any] = []
         active = [
             watermark.value
             for shard_id, watermark in enumerate(self._watermarks)
@@ -163,31 +152,58 @@ class GlobalMerger:
                 merged = operator.combine(
                     merged, shard_partials[shard_id]
                 )
-            answers.extend(
-                self._final.feed_partial(
-                    merged, self.clock.end_position(self._next_slice)
-                )
-            )
+            answers.extend(self._finalise(self._next_slice, merged))
             self._next_slice += 1
         self.answers_emitted += len(answers)
         return answers
 
 
-class EventTimeMerger:
+class GlobalMerger(_SliceFrontier):
+    """Combine per-shard count-slice partials into global engine answers.
+
+    Each merged slice partial drives the shared SlickDeque final
+    aggregation at the slice's end position — the position the
+    single-process engine would report answers at.
+
+    Args:
+        queries: The service's ACQ set.
+        operator: The (mergeable) aggregate operator.
+        technique: Partial-aggregation technique of the shared plan.
+        num_shards: Number of shards feeding this merger.
+    """
+
+    def __init__(
+        self,
+        queries: Sequence[Query],
+        operator: AggregateOperator,
+        technique: str,
+        num_shards: int,
+    ):
+        super().__init__(operator, num_shards)
+        self.plan = build_shared_plan(queries, technique)
+        self.clock = SliceClock(self.plan)
+        self._final = SharedSlickDeque(
+            queries, operator, technique, plan=self.plan
+        )
+
+    def _finalise(self, index: int, merged: Any) -> List[Answer]:
+        return self._final.feed_partial(
+            merged, self.clock.end_position(index)
+        )
+
+
+class EventTimeMerger(_SliceFrontier):
     """Combine per-shard *time-slice* partials into time-query answers.
 
-    The sharded twin of
-    :class:`~repro.windows.timebased.TimeWindowEngine`: the time
-    queries reduce to count queries over uniform time slices (one
-    merged partial per slice, the operator identity for empty slices)
-    and a shared SlickDeque plan over *partials* produces the final
-    aggregation.  Slice completion is the same min-frontier rule as
-    :class:`GlobalMerger`, but the per-shard watermarks count closed
-    *time* slices — the service derives them from its bounded-lateness
-    event watermark, and the shard echoes them monotonically even
-    across a crash/replay cycle.  Answers are
-    ``(window_end_timestamp, time_query, answer)`` triples, identical
-    to the single-node engine's.
+    Each merged slice partial (the operator identity for a slice no
+    shard saw a record in) goes through the same
+    :class:`~repro.windows.timebased.TimeFinalStage` the single-node
+    :class:`~repro.windows.timebased.TimeWindowEngine` closes its
+    slices into, so answers are the engine's
+    ``(window_end_timestamp, time_query, answer)`` triples.  The
+    per-shard watermarks count closed *time* slices — the service
+    derives them from its bounded-lateness event watermark, and the
+    shard echoes them monotonically even across a crash/replay cycle.
     """
 
     def __init__(
@@ -199,81 +215,17 @@ class EventTimeMerger:
         origin: float = 0.0,
         resolution: float = DEFAULT_RESOLUTION,
     ):
-        check_mergeable(operator)
-        self.operator = operator
-        self.queries = tuple(queries)
-        self.origin = origin
-        self.slice_seconds = slice_duration(self.queries, resolution)
-        self.clock = TimeSliceClock(self.slice_seconds, origin)
-        count_to_time = {}
-        for query in self.queries:
-            count_to_time[
-                query.to_count_query(self.slice_seconds, resolution)
-            ] = query
-        self._count_to_time = count_to_time
-        self._final = SharedSlickDeque(
-            list(count_to_time), partial_view(operator), technique
+        super().__init__(operator, num_shards)
+        self._final = TimeFinalStage(
+            queries, operator, origin, resolution, technique
         )
-        self._watermarks = [Watermark(0) for _ in range(num_shards)]
-        self._pending: Dict[int, Dict[int, Any]] = {}
-        self._next_slice = 0
-        self._failed: set = set()
-        #: Global answers emitted so far.
-        self.answers_emitted = 0
+        self.queries = self._final.queries
+        self.origin = origin
+        self.slice_seconds = self._final.slice_seconds
+        self.clock = TimeSliceClock(self.slice_seconds, origin)
 
-    @property
-    def merged_slices(self) -> int:
-        """Number of time slices finalised so far."""
-        return self._next_slice
-
-    @property
-    def degraded(self) -> bool:
-        """Whether any shard has failed (answers since then are partial)."""
-        return bool(self._failed)
-
-    def mark_failed(self, shard_id: int) -> List[TimeAnswer]:
-        """Stop waiting on a failed shard's watermark (see GlobalMerger)."""
-        self._failed.add(shard_id)
-        return self._drain()
-
-    def on_output(self, output: ShardOutput) -> List[TimeAnswer]:
-        """Absorb one shard output; return newly-released answers."""
-        for index, value in output.partials:
-            if index >= self._next_slice:  # replays of merged slices
-                self._pending.setdefault(index, {})[
-                    output.shard_id
-                ] = value
-        self._watermarks[output.shard_id].advance(output.watermark)
-        return self._drain()
-
-    def _drain(self) -> List[TimeAnswer]:
-        answers: List[TimeAnswer] = []
-        active = [
-            watermark.value
-            for shard_id, watermark in enumerate(self._watermarks)
-            if shard_id not in self._failed
-        ]
-        frontier = min(active) if active else self._next_slice
-        operator = self.operator
-        count_to_time = self._count_to_time
-        while self._next_slice < frontier:
-            shard_partials = self._pending.pop(self._next_slice, {})
-            merged = operator.identity
-            for shard_id in sorted(shard_partials):
-                merged = operator.combine(
-                    merged, shard_partials[shard_id]
-                )
-            for position, count_query, raw in self._final.feed(merged):
-                answers.append(
-                    (
-                        self.origin + position * self.slice_seconds,
-                        count_to_time[count_query],
-                        operator.lower(raw),
-                    )
-                )
-            self._next_slice += 1
-        self.answers_emitted += len(answers)
-        return answers
+    def _finalise(self, index: int, merged: Any) -> List[TimeAnswer]:
+        return self._final.close_slice(merged)
 
 
 class PerKeyCollator:

@@ -57,7 +57,11 @@ from repro.service.supervisor import (
     Supervisor,
 )
 from repro.operators.base import AggregateOperator
-from repro.stream.outoforder import LATE_POLICIES, TimestampReorderBuffer
+from repro.stream.outoforder import (
+    LATE_POLICIES,
+    TimestampReorderBuffer,
+    _reject_nonfinite,
+)
 from repro.stream.sink import DeadLetter, DeadLetterSink
 from repro.windows.plan import build_shared_plan
 from repro.windows.query import Query
@@ -272,7 +276,6 @@ class AggregationService:
         self._merger: Optional[Any] = None
         self._collator: Optional[PerKeyCollator] = None
         self._ingress: Optional[TimestampReorderBuffer] = None
-        self._time_clock = None
         self._late_policy = late_policy
         self._late_seq = 0
         self._late_by_shard = [0] * num_shards
@@ -299,7 +302,6 @@ class AggregationService:
                 origin=origin,
                 resolution=resolution,
             )
-            self._time_clock = self._merger.clock
             slice_seconds = self._merger.slice_seconds
             event_time = True
             # The ingress reorder buffer releases records in timestamp
@@ -610,11 +612,7 @@ class AggregationService:
         # forever; +inf would mark every later record late.  Reject
         # both before any state is touched.
         if not math.isfinite(timestamp):
-            raise OutOfOrderError(
-                f"event timestamp must be finite, got {timestamp!r}",
-                position=timestamp,
-                watermark=ingress.watermark,
-            )
+            _reject_nonfinite(timestamp, ingress.watermark)
         if timestamp < self.origin:
             raise OutOfOrderError(
                 f"timestamp {timestamp} precedes the origin "
@@ -627,10 +625,21 @@ class AggregationService:
             if trace_id is not None and self._telemetry is not None
             else None
         )
-        router = self._router
-        for released_ts, (rkey, rvalue, trace, waited_since) in (
+        self._route_released(
             ingress.push(timestamp, (key, value, trace_id, arrived))
-        ):
+        )
+        # Advance the slice watermark only after every released record
+        # is routed: a flush racing mid-release then stamps the older
+        # (conservative) watermark, never one promising records that
+        # are still in flight.
+        self._router.watermark.advance(
+            self._merger.clock.slices_closed_by(ingress.watermark)
+        )
+
+    def _route_released(self, released: Iterable[Tuple[float, Any]]) -> None:
+        """Route records the reorder buffer let go, in timestamp order."""
+        router = self._router
+        for released_ts, (key, value, trace, waited_since) in released:
             if waited_since is not None:
                 # Attribute the record's reorder-buffer residence to
                 # its trace: the gap between submission and release is
@@ -638,15 +647,8 @@ class AggregationService:
                 self._telemetry.tracer.record(
                     trace, "reorder", time.perf_counter() - waited_since
                 )
-            for batch in router.put_event(rkey, rvalue, released_ts, trace):
+            for batch in router.put_event(key, value, released_ts, trace):
                 self._transport.ship(batch)
-        # Advance the slice watermark only after every released record
-        # is routed: a flush racing mid-release then stamps the older
-        # (conservative) watermark, never one promising records that
-        # are still in flight.
-        router.watermark.advance(
-            self._time_clock.slices_closed_by(ingress.watermark)
-        )
 
     def submit_events(
         self,
@@ -878,22 +880,10 @@ class AggregationService:
             # final — release them in order, then close through the
             # last occupied slice (the event-time analogue of
             # TimeWindowEngine.finish closing its open slice).
-            for released_ts, (rkey, rvalue, trace, waited_since) in (
-                ingress.drain()
-            ):
-                if waited_since is not None and self._telemetry is not None:
-                    self._telemetry.tracer.record(
-                        trace,
-                        "reorder",
-                        time.perf_counter() - waited_since,
-                    )
-                for batch in self._router.put_event(
-                    rkey, rvalue, released_ts, trace
-                ):
-                    self._transport.ship(batch)
+            self._route_released(ingress.drain())
             if ingress.high != -math.inf:
                 self._router.watermark.advance(
-                    self._time_clock.slice_of(ingress.high) + 1
+                    self._merger.clock.slice_of(ingress.high) + 1
                 )
         for batch in self._router.flush():
             self._transport.ship(batch)

@@ -3,9 +3,12 @@
 A shard owns the records of the keys hashed to it and runs one of two
 pipelines over them:
 
-* **global mode** — fold each record into the per-slice partial of its
-  global position (the shard-local half of the engine's partial
-  aggregation); completed partials are shipped to the parent, where the
+* **global mode** — fold each record into the partial of its slice on
+  the stream's slice timeline (the shard-local half of the engine's
+  partial aggregation): the slice of its global position, or — in
+  ``"time"`` mode, where records carry event timestamps — of its
+  timestamp.  One fold serves both; only the clock that cuts the runs
+  differs.  Completed partials are shipped to the parent, where the
   cross-shard merger recombines them and drives the shared SlickDeque
   final aggregation.
 * **per-key mode** — one full :class:`~repro.stream.engine.StreamEngine`
@@ -15,7 +18,7 @@ pipelines over them:
 Failure hardening lives at the record level: a value that raises inside
 the operator (a *poison record*) is caught per record, quarantined as a
 :class:`~repro.stream.sink.DeadLetter` on the batch's output, and never
-kills the worker.  Global-mode folds go through a temporary, so the
+kills the worker.  Slice folds go through a temporary, so the
 accumulator is untouched by a poisoned record; per-key mode pre-checks
 ``lift`` before feeding the key's engine, and if the engine itself
 raises mid-feed the key is marked *degraded* (its engine state can no
@@ -33,9 +36,8 @@ from __future__ import annotations
 
 import queue as queue_module
 import time
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import PoisonRecordError, ServiceError
 from repro.kernels import exact_fold
@@ -239,17 +241,17 @@ class ShardState:
         self._accumulators: Dict[int, Agg] = {}
         self._engines: Dict[Any, StreamEngine] = {}
         self._sinks: Dict[Any, CollectSink] = {}
-        self._clock: Optional[SliceClock] = None
-        self._time_clock: Optional[TimeSliceClock] = None
-        if config.mode == "global":
-            plan = build_shared_plan(config.queries, config.technique)
-            self._clock = SliceClock(plan)
-        elif config.mode == "per_key":
-            build_shared_plan(config.queries, config.technique)
-        else:
-            self._time_clock = TimeSliceClock(
+        #: The slice timeline the fold cuts runs on: count positions
+        #: (global mode) or event time; per-key mode keeps no slices.
+        self._clock: Union[SliceClock, TimeSliceClock, None] = None
+        if config.mode == "time":
+            self._clock = TimeSliceClock(
                 config.slice_seconds, config.origin
             )
+        else:
+            plan = build_shared_plan(config.queries, config.technique)
+            if config.mode == "global":
+                self._clock = SliceClock(plan)
 
     def _engine_for(self, key: Any) -> StreamEngine:
         engine = self._engines.get(key)
@@ -320,15 +322,10 @@ class ShardState:
                     trace for trace in batch.traces if trace is not None
                 )
             )
-        folded = 0
-        mode = self.config.mode
-        if mode == "per_key":
+        if self._clock is None:
             folded = self._process_per_key(batch, output)
         else:
-            if mode == "global":
-                folded = self._process_global(batch, output)
-            else:
-                folded = self._process_time(batch, output)
+            folded = self._fold_slices(batch, output)
             accumulators = self._accumulators
             closed = sorted(
                 index for index in accumulators if index < self.watermark
@@ -341,39 +338,39 @@ class ShardState:
         self.records += folded
         return output
 
-    def _process_global(self, batch: Batch, output: ShardOutput) -> int:
-        """Global mode: fold contiguous same-slice runs with one kernel call.
+    def _fold_slices(self, batch: Batch, output: ShardOutput) -> int:
+        """Global and time mode: fold same-slice runs with one kernel call.
 
-        Batch positions are strictly ascending (the router ships each
-        shard's records in stream order, and replayed batches are the
-        originals), so the records in slice ``index`` are exactly those
-        with positions up to ``clock.end_position(index)`` — one
-        ``bisect_right`` per run instead of a per-record ``slice_of``
-        scan.  Each run folds into its accumulator through
+        The batch's ordering column — its event ``timestamps`` when it
+        carries them, its global ``positions`` otherwise — is ascending
+        (the router ships each shard's records in stream order, the
+        ingress reorder buffer releases event records in timestamp
+        order, and replayed batches are the originals), so the records
+        of one slice are one contiguous run and the clock's ``cut``
+        finds its end with one bisection instead of a per-record
+        ``slice_of`` scan.  Each run folds into its accumulator through
         :func:`repro.kernels.exact_fold`, which is byte-identical to
         the per-record combine chain.  A run containing a poison record
         makes the bulk fold raise *before* any state is touched (folds
         go through a temporary), and the run is replayed per record —
         clean records fold exactly as before, poisons are quarantined
-        individually.
+        individually by stream position.
         """
         operator = self.config.operator
         accumulators = self._accumulators
-        clock = self._clock
-        slice_of = clock.slice_of
-        end_position = clock.end_position
+        slice_of = self._clock.slice_of
+        cut = self._clock.cut
         identity = operator.identity
         positions = batch.positions
+        column = positions if batch.timestamps is None else batch.timestamps
         keys = batch.keys
         values = batch.values
         total = len(values)
         folded = 0
         start = 0
         while start < total:
-            index = slice_of(positions[start])
-            stop = bisect_right(
-                positions, end_position(index), start + 1, total
-            )
+            index = slice_of(column[start])
+            stop = cut(column, index, start + 1, total)
             present = index in accumulators
             seed = accumulators[index] if present else identity
             try:
@@ -387,64 +384,6 @@ class ShardState:
                 # ones fold, leaving the accumulator as the per-record
                 # path would.  An all-poison run must not materialise
                 # an accumulator entry the per-record path never made.
-                acc = seed
-                succeeded = False
-                for offset in range(start, stop):
-                    value = values[offset]
-                    try:
-                        acc = operator.combine(acc, operator.lift(value))
-                    except Exception as error:
-                        self._quarantine(
-                            output,
-                            keys[offset],
-                            value,
-                            positions[offset],
-                            error,
-                        )
-                        continue
-                    succeeded = True
-                    folded += 1
-                if present or succeeded:
-                    accumulators[index] = acc
-            start = stop
-        return folded
-
-    def _process_time(self, batch: Batch, output: ShardOutput) -> int:
-        """Time mode: fold contiguous same-time-slice runs in bulk.
-
-        The event-time twin of :meth:`_process_global`: runs are cut by
-        the batch's *timestamp* column instead of its positions.  The
-        ingress reorder buffer releases records in timestamp order and
-        the router preserves that order per shard, so the column is
-        ascending and one ``bisect_left`` per run finds the slice edge
-        (``bisect_left`` because a record exactly on a slice boundary
-        belongs to the next slice).  Poisoned runs replay per record
-        with the same state-preserving semantics as global mode.
-        """
-        operator = self.config.operator
-        accumulators = self._accumulators
-        clock = self._time_clock
-        identity = operator.identity
-        positions = batch.positions
-        timestamps = batch.timestamps
-        keys = batch.keys
-        values = batch.values
-        total = len(values)
-        folded = 0
-        start = 0
-        while start < total:
-            index = clock.slice_of(timestamps[start])
-            stop = bisect_left(
-                timestamps, clock.end_time(index), start + 1, total
-            )
-            present = index in accumulators
-            seed = accumulators[index] if present else identity
-            try:
-                accumulators[index] = exact_fold(
-                    operator, values[start:stop], seed
-                )
-                folded += stop - start
-            except Exception:
                 acc = seed
                 succeeded = False
                 for offset in range(start, stop):

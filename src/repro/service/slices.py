@@ -21,6 +21,7 @@ edge-delimited stretch of the whole stream, across all cycles.
 from __future__ import annotations
 
 from bisect import bisect_right
+from typing import Sequence
 
 from repro.windows.plan import PlanStep, SharedPlan
 
@@ -64,6 +65,14 @@ class SliceClock:
         """1-based stream position of the last tuple in slice ``index``."""
         cycle_number, within = divmod(index, self._per_cycle)
         return cycle_number * self._cycle + self._edges[within]
+
+    def cut(self, column: Sequence[int], index: int, lo: int, hi: int) -> int:
+        """Where slice ``index`` ends in ascending ``column[lo:hi]``.
+
+        A position exactly at :meth:`end_position` belongs to this
+        slice.  Same verb as ``TimeSliceClock.cut``.
+        """
+        return bisect_right(column, self.end_position(index), lo, hi)
 
     def step_of(self, index: int) -> PlanStep:
         """The plan step that closes slice ``index``."""

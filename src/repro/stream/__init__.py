@@ -7,7 +7,7 @@ buffer of Section 3.1.
 """
 
 from repro.stream.engine import CuttyPipeline, StreamEngine
-from repro.stream.outoforder import ReorderBuffer, absorbable
+from repro.stream.outoforder import absorbable
 from repro.stream.punctuation import (
     PunctuatedCuttyPipeline,
     Punctuation,
@@ -41,7 +41,6 @@ __all__ = [
     "DeadLetterSink",
     "StreamEngine",
     "CuttyPipeline",
-    "ReorderBuffer",
     "absorbable",
     "Punctuation",
     "punctuate",

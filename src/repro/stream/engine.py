@@ -167,8 +167,7 @@ class StreamEngine:
         :func:`repro.telemetry.install`) each call observes its batch
         latency and tuple/answer counts into the hub; with no hub the
         instrumentation costs one module-attribute load and two
-        ``None`` checks (pinned by
-        ``benchmarks/bench_telemetry_overhead.py``).
+        ``None`` checks.
         """
         hub = _telemetry_runtime.active()
         if hub is not None:
@@ -224,7 +223,7 @@ class EventTimeEngine:
     through a :class:`~repro.stream.outoforder.TimestampReorderBuffer`
     (bounded-lateness re-sequencing with a configurable late-record
     policy) into a :class:`~repro.windows.timebased.TimeWindowEngine`,
-    whose slice closing is driven by the released, now-sorted stream.
+    which folds the released, now-sorted stream run by run.
     For any stream whose disorder stays within ``lateness`` seconds the
     answers are identical to feeding the sorted stream through
     :class:`TimeWindowEngine` directly — the property suite in
@@ -284,14 +283,9 @@ class EventTimeEngine:
 
     def feed(self, timestamp: float, value: Any) -> List[Tuple[float, Any, Any]]:
         """Consume one timestamped tuple; return released answers."""
-        released: List[Tuple[float, Any]] = []
-        self._reorder.push_into(timestamp, value, released)
-        if not released:
-            return released
-        inner_feed = self._inner.feed
         answers: List[Tuple[float, Any, Any]] = []
-        for released_ts, released_value in released:
-            answers.extend(inner_feed(released_ts, released_value))
+        for released_ts, released in self._reorder.push(timestamp, value):
+            answers += self._inner.feed(released_ts, released)
         return answers
 
     def feed_many(
@@ -300,9 +294,11 @@ class EventTimeEngine:
         """Consume a batch of ``(timestamp, value)`` pairs at once.
 
         Semantically identical to calling :meth:`feed` per record (the
-        reorder buffer fixes the release order either way) but pays the
-        engine-hop overhead once per batch instead of once per record —
-        the shape the sharded service ingests in.
+        reorder buffer fixes the release order either way), but what
+        the batch releases — already sorted — goes to
+        :meth:`TimeWindowEngine.feed_many
+        <repro.windows.timebased.TimeWindowEngine.feed_many>` in one
+        call, which folds it one same-slice run at a time.
 
         When a mid-batch record raises (late under the ``raise``
         policy, or a non-finite timestamp), every record the partial
@@ -315,18 +311,13 @@ class EventTimeEngine:
         try:
             self._reorder.push_many_into(records, released)
         finally:
-            inner_feed = self._inner.feed
-            answers: List[Tuple[float, Any, Any]] = []
-            for released_ts, released_value in released:
-                answers.extend(inner_feed(released_ts, released_value))
+            answers = self._inner.feed_many(released)
         return answers
 
     def finish(self) -> List[Tuple[float, Any, Any]]:
         """Drain the reorder buffer, close the open slice, and answer."""
-        answers: List[Tuple[float, Any, Any]] = []
-        for released_ts, released in self._reorder.drain():
-            answers.extend(self._inner.feed(released_ts, released))
-        answers.extend(self._inner.finish())
+        answers = self._inner.feed_many(self._reorder.drain())
+        answers += self._inner.finish()
         return answers
 
     def run(self, stream: Iterable[Tuple[float, Any]]):

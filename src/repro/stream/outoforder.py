@@ -6,18 +6,18 @@ aggregation, the final result will not be affected.  If, however, some
 tuples fall outside of their partial, inconsistencies in the final
 result may arise."
 
-:class:`ReorderBuffer` implements exactly that contract: tuples may
-arrive up to ``slack`` positions late and are re-sequenced before
-reaching the partial aggregator; anything later raises
-:class:`~repro.errors.OutOfOrderError` (or is routed to a drop handler
-when one is supplied).  Commutative operators additionally allow
-absorbing late tuples *within* the open partial without re-sequencing,
-which :func:`absorbable` checks.
+:class:`TimestampReorderBuffer` implements exactly that contract on
+one timeline: records may arrive up to ``lateness`` behind the newest
+one seen — seconds of event time, or stream positions, which are event
+time with integer stamps (:func:`repro.stream.source.reordered`) — and
+are re-sequenced before reaching the partial aggregator; anything
+later is handled by the late policy.  Commutative operators
+additionally allow absorbing late tuples *within* the open partial
+without re-sequencing, which :func:`absorbable` checks.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left, insort
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
@@ -55,77 +55,11 @@ def _reject_nonfinite(timestamp: float, watermark: float) -> None:
     )
 
 
-class ReorderBuffer:
-    """Re-sequence a slightly out-of-order positioned stream.
-
-    Args:
-        slack: Maximum allowed lateness in positions.  A tuple with
-            position ``p`` must arrive before any tuple with position
-            ``≥ p + slack`` is *released*.
-        on_late: Optional handler for too-late tuples; when omitted,
-            :class:`OutOfOrderError` is raised instead.
-    """
-
-    def __init__(
-        self,
-        slack: int,
-        on_late: Optional[Callable[[int, Any], None]] = None,
-    ):
-        if slack < 0:
-            raise OutOfOrderError(f"slack must be >= 0, got {slack}")
-        self.slack = slack
-        self._on_late = on_late
-        self._heap: List[Tuple[int, Any]] = []
-        self._released = 0  # highest position already emitted
-
-    def push(self, position: int, value: Any) -> Iterator[Tuple[int, Any]]:
-        """Accept one tuple; yield every tuple this arrival releases.
-
-        Tuples are released once the buffer holds more than ``slack``
-        pending positions, guaranteeing in-order delivery for streams
-        whose lateness never exceeds the slack.
-        """
-        if position <= self._released:
-            if self._on_late is not None:
-                self._on_late(position, value)
-                return
-            raise OutOfOrderError(
-                f"tuple at position {position} arrived after position "
-                f"{self._released} was already released "
-                f"(slack={self.slack})",
-                position=position,
-                watermark=self._released,
-            )
-        heapq.heappush(self._heap, (position, value))
-        while len(self._heap) > self.slack:
-            yield self._pop()
-
-    def _pop(self) -> Tuple[int, Any]:
-        position, value = heapq.heappop(self._heap)
-        self._released = position
-        return (position, value)
-
-    def drain(self) -> Iterator[Tuple[int, Any]]:
-        """Release everything still buffered (end of stream)."""
-        while self._heap:
-            yield self._pop()
-
-    def reorder(
-        self, items: Iterable[Tuple[int, Any]]
-    ) -> Iterator[Tuple[int, Any]]:
-        """Re-sequence an entire ``(position, value)`` iterable."""
-        for position, value in items:
-            yield from self.push(position, value)
-        yield from self.drain()
-
-
 class TimestampReorderBuffer:
     """Re-sequence a bounded-lateness *event-time* stream.
 
-    The event-time twin of :class:`ReorderBuffer`: where that class
-    buffers a fixed number of arrival positions, this one buffers by
-    *time* — a record may arrive up to ``lateness`` seconds behind the
-    newest timestamp seen and still be released in timestamp order.
+    A record may arrive up to ``lateness`` seconds behind the newest
+    timestamp seen and still be released in timestamp order.
     Internally a :class:`BoundedLatenessWatermark` tracks
     ``max timestamp − lateness``; records are released strictly below
     the watermark (a record *at* the watermark could still be preceded
@@ -218,13 +152,17 @@ class TimestampReorderBuffer:
         else:
             insort(buffer, (timestamp, self._seq, item))
         self._seq += 1
+        self._release_into(out)
+
+    def _release_into(self, out: List[Tuple[float, Any]]) -> None:
+        """Move every record strictly behind the watermark to ``out``."""
+        buffer = self._buffer
         value = self._value
-        if buffer[0][0] < value:
+        if buffer and buffer[0][0] < value:
             # ``(value,)`` sorts before every ``(value, seq, item)``
             # entry, so this cut is exactly "timestamp < value".
             cut = bisect_left(buffer, (value,))
-            for released_ts, _, released in buffer[:cut]:
-                out.append((released_ts, released))
+            out.extend([(ts, item) for ts, _, item in buffer[:cut]])
             del buffer[:cut]
 
     def push_many_into(
@@ -280,14 +218,7 @@ class TimestampReorderBuffer:
             advanced = high - self._lateness
             if advanced > self._value:
                 self._value = advanced
-            value = self._value
-            if buffer and buffer[0][0] < value:
-                cut = bisect_left(buffer, (value,))
-                released = buffer[:cut]
-                del buffer[:cut]
-                out.extend(
-                    [(ts, item) for ts, _, item in released]
-                )
+            self._release_into(out)
 
     def push(self, timestamp: float, item: Any) -> Iterator[Tuple[float, Any]]:
         """Accept one record; yield every record this arrival releases.

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Iterator, Optional
 
+from repro.errors import OutOfOrderError
+
 
 class Source:
     """An iterable of stream values with an optional value extractor.
@@ -61,17 +63,31 @@ def reordered(
 ) -> Iterator[Any]:
     """Re-sequence a slightly out-of-order ``(position, value)`` stream.
 
-    The §3.1 arrival-order assumption as a source adapter: values come
-    out in position order provided no tuple is more than ``slack``
-    positions late; later arrivals raise
-    :class:`~repro.errors.OutOfOrderError`.  Plug between a network
+    The §3.1 arrival-order assumption as a source adapter.  Positions
+    are event time with integer stamps, so this is a
+    :class:`~repro.stream.outoforder.TimestampReorderBuffer` with
+    ``slack`` as its lateness: a value is released once a position more
+    than ``slack`` ahead of it has arrived (by position distance,
+    ``newest − slack``, not by how many values are buffered) and the
+    end of the stream releases the rest.  A tuple more than ``slack``
+    positions late raises :class:`~repro.errors.OutOfOrderError`; a
+    negative or non-finite ``slack``
+    :class:`~repro.errors.InvalidQueryError`.  Plug between a network
     source and an engine::
 
         engine.run(reordered(network_tuples, slack=16))
     """
-    from repro.stream.outoforder import ReorderBuffer
+    from repro.stream.outoforder import TimestampReorderBuffer
 
-    buffer = ReorderBuffer(slack)
+    def too_late(position: int, value: Any) -> None:
+        raise OutOfOrderError(
+            f"tuple at position {position} arrived more than "
+            f"slack={slack} behind the newest position {buffer.high}",
+            position=position,
+            watermark=buffer.watermark,
+        )
+
+    buffer = TimestampReorderBuffer(slack, "drop", too_late)
     for position, value in positioned_items:
         for _, released in buffer.push(position, value):
             yield released

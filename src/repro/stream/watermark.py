@@ -1,20 +1,24 @@
-"""A unified, monotone watermark model for count- and event-time streams.
+"""One monotone watermark model for count- and event-time streams.
 
 A *watermark* is a monotone promise about completeness: once a stream's
 watermark reaches ``w``, no record ordered before ``w`` will be accepted
 any more, so every window (slice) that ends at or before ``w`` can be
-closed and its aggregate emitted.  Before this module existed the repo
-had two disconnected incarnations of that idea — the count-based slice
-watermark the :class:`~repro.service.partition.Router` stamps on flush
-rounds, and the implicit "latest timestamp seen" cursor inside
-:class:`~repro.windows.timebased.TimeSlicer` — with no shared contract.
-Both are now instances of :class:`Watermark`:
+closed and its aggregate emitted.  Count positions are event time with
+zero lateness, so both kinds of stream live on one slice timeline and
+measure progress in the same unit — *closed slices*:
 
-* count streams advance it with ``SliceClock.slices_closed_by(position)``
-  (the number of *slices* fully covered by the records routed so far);
+* count streams advance a :class:`Watermark` with
+  ``SliceClock.slices_closed_by(position)`` (the slices fully covered
+  by the records routed so far);
 * event-time streams advance it with a :class:`BoundedLatenessWatermark`
   value (``max event timestamp seen − allowed lateness``) mapped through
-  a :class:`TimeSliceClock` to the same "number of closed slices" unit.
+  :meth:`TimeSliceClock.slices_closed_by`.
+
+The two clocks answer the same three questions under the same names —
+``slice_of`` (which slice holds this record), ``slices_closed_by`` (how
+many slices this much progress closes) and ``cut`` (where a slice ends
+in an ascending column) — which is what lets the shard fold, the merge
+frontier and the single-node time engine be written once.
 
 Monotonicity is enforced at the type level: :meth:`Watermark.advance`
 ignores regressions instead of trusting every caller to pre-compare,
@@ -25,7 +29,8 @@ ever reporting a watermark older than its checkpoint.
 from __future__ import annotations
 
 import math
-from typing import Union
+from bisect import bisect_left
+from typing import Sequence, Union
 
 from ..errors import InvalidQueryError
 
@@ -37,10 +42,9 @@ Ordered = Union[int, float]
 class Watermark:
     """A monotone high-water cursor over any totally ordered domain.
 
-    The single invariant is that :attr:`value` never decreases.  All the
-    repo's completeness tracking — router flush rounds, per-shard merge
-    frontiers, time-slicer cursors — funnels through this type so the
-    invariant lives in exactly one place.
+    The single invariant is that :attr:`value` never decreases.  The
+    router's flush rounds and the per-shard merge frontiers funnel
+    through this type so the invariant lives in exactly one place.
     """
 
     __slots__ = ("_value",)
@@ -115,12 +119,11 @@ class BoundedLatenessWatermark(Watermark):
 class TimeSliceClock:
     """Maps event timestamps to time-slice indexes and back.
 
-    The event-time twin of :class:`repro.service.slices.SliceClock`:
-    where that clock counts slices closed by an arrival *position*, this
-    one counts slices closed by a watermark *timestamp*.  Slice ``k``
-    covers the half-open interval ``[origin + k*g, origin + (k+1)*g)``
-    for slice width ``g``, matching ``TimeSlicer``'s assignment rule, so
-    a record exactly on a boundary belongs to the *next* slice.
+    Same verbs as :class:`repro.service.slices.SliceClock`, over
+    timestamps instead of arrival positions.  Slice ``k`` covers the
+    half-open interval ``[origin + k*g, origin + (k+1)*g)`` for slice
+    width ``g``, so a record exactly on a boundary belongs to the
+    *next* slice.
     """
 
     __slots__ = ("slice_seconds", "origin")
@@ -149,6 +152,16 @@ class TimeSliceClock:
         if watermark == -math.inf:
             return 0
         return max(0, int((watermark - self.origin) // self.slice_seconds))
+
+    def cut(
+        self, column: Sequence[float], index: int, lo: int, hi: int
+    ) -> int:
+        """Where slice ``index`` ends in ascending ``column[lo:hi]``.
+
+        A timestamp exactly at :meth:`end_time` starts the next slice.
+        Same verb as ``SliceClock.cut``.
+        """
+        return bisect_left(column, self.end_time(index), lo, hi)
 
     def start_time(self, index: int) -> float:
         """Inclusive start of slice ``index``."""

@@ -11,8 +11,7 @@ hub explicitly without threading a parameter through every layer, so
 this module also keeps a process-global *hook*: :func:`install` sets
 it, :func:`active` reads it, :func:`uninstall` clears it.  The
 uninstrumented cost is one module-attribute load and a ``None`` check
-per call — measured by ``benchmarks/bench_telemetry_overhead.py`` and
-pinned by the CI bench-smoke gate.
+per call.
 """
 
 from __future__ import annotations

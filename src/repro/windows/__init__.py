@@ -15,7 +15,6 @@ from repro.windows.compatibility import (
 from repro.windows.partial import CompletedPartial, PartialAggregator
 from repro.windows.timebased import (
     TimeQuery,
-    TimeSlicer,
     TimeWindowEngine,
     slice_duration,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "CompletedPartial",
     "PartialAggregator",
     "TimeQuery",
-    "TimeSlicer",
     "TimeWindowEngine",
     "slice_duration",
     "AcqSpec",

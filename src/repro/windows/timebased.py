@@ -30,12 +30,15 @@ from functools import reduce
 from typing import Any, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.errors import InvalidQueryError, OutOfOrderError
+from repro.kernels import as_sequence, exact_fold
 from repro.operators.base import AggregateOperator
 from repro.operators.views import partial_view
 from repro.windows.query import Query
 
 #: Default duration resolution: 1 millisecond.
 DEFAULT_RESOLUTION = 0.001
+
+_INF = math.inf
 
 #: One emitted result: (window end timestamp, query, answer).
 TimeAnswer = Tuple[float, "TimeQuery", Any]
@@ -121,87 +124,68 @@ def slice_duration(
     return reduce(math.gcd, ticks) * resolution
 
 
-class TimeSlicer:
-    """Cut a timestamped stream into uniform time slices.
+class TimeFinalStage:
+    """The time→count reduction: slice partials in, time answers out.
 
-    Tuples are ``(timestamp, value)`` with non-decreasing timestamps
-    (late tuples raise :class:`OutOfOrderError`; route the stream
-    through :class:`~repro.stream.outoforder.ReorderBuffer` first if
-    needed).  Slice ``k`` covers ``[origin + k·g, origin + (k+1)·g)``.
-    Empty slices are emitted explicitly so downstream partials stay
-    aligned with wall-clock boundaries.
+    Maps every time query to its count query over uniform slices of
+    :func:`slice_duration` seconds, runs those through one
+    :class:`~repro.core.multiquery.SharedSlickDeque` over *partials*
+    (a :func:`~repro.operators.views.partial_view`), and translates each
+    count answer back to ``(window_end_timestamp, time_query, answer)``.
+    The single-node :class:`TimeWindowEngine` and the sharded
+    :class:`~repro.service.merge.EventTimeMerger` each hold one; they
+    differ only in how a slice's partial comes to be.
     """
 
-    def __init__(self, slice_seconds: float, origin: float = 0.0):
-        # Deferred import: repro.windows initializes before repro.stream
-        # during package import, so binding the watermark types at call
-        # time keeps the layering acyclic.
-        from repro.stream.watermark import TimeSliceClock, Watermark
+    def __init__(
+        self,
+        queries: Sequence[TimeQuery],
+        operator: AggregateOperator,
+        origin: float,
+        resolution: float,
+        technique: str,
+    ):
+        from repro.core.multiquery import SharedSlickDeque
 
-        if slice_seconds <= 0:
-            raise InvalidQueryError(
-                f"slice duration must be positive, got {slice_seconds}"
-            )
-        self._clock = TimeSliceClock(slice_seconds, origin)
-        self.slice_seconds = slice_seconds
+        self.queries = tuple(queries)
+        self.operator = operator
         self.origin = origin
-        self._current_index = 0
-        self._buffer: List[Any] = []
-        # A sorted stream is its own watermark: every timestamp promises
-        # nothing older follows, so the cursor trails by zero lateness.
-        self._watermark = Watermark(-math.inf)
+        self.slice_seconds = slice_duration(self.queries, resolution)
+        self._count_to_time = {
+            query.to_count_query(self.slice_seconds, resolution): query
+            for query in self.queries
+        }
+        self._engine = SharedSlickDeque(
+            list(self._count_to_time), partial_view(operator), technique
+        )
 
-    def _index_of(self, timestamp: float) -> int:
-        return self._clock.slice_of(timestamp)
-
-    def feed(
-        self, timestamp: float, value: Any
-    ) -> Iterator[Tuple[int, List[Any]]]:
-        """Accept one tuple; yield every slice it closes.
-
-        Yields ``(slice_index, values)`` pairs, including empty-value
-        pairs for slices no tuple fell into.
-        """
-        if timestamp < self._watermark.value:
-            raise OutOfOrderError(
-                f"timestamp {timestamp} precedes "
-                f"{self._watermark.value}",
-                position=timestamp,
-                watermark=self._watermark.value,
+    def close_slice(self, partial: Any) -> List[TimeAnswer]:
+        """Feed the next slice's partial; return the answers it releases."""
+        lower = self.operator.lower
+        return [
+            (
+                self.origin + position * self.slice_seconds,
+                self._count_to_time[count_query],
+                lower(raw),
             )
-        if timestamp < self.origin:
-            raise OutOfOrderError(
-                f"timestamp {timestamp} precedes the origin "
-                f"{self.origin}",
-                position=timestamp,
-                watermark=self.origin,
-            )
-        self._watermark.advance(timestamp)
-        index = self._clock.slices_closed_by(self._watermark.value)
-        while index > self._current_index:
-            closed = self._buffer
-            self._buffer = []
-            yield (self._current_index, closed)
-            self._current_index += 1
-        self._buffer.append(value)
-
-    def flush(self) -> Iterator[Tuple[int, List[Any]]]:
-        """Close the slice in progress (end of stream)."""
-        closed = self._buffer
-        self._buffer = []
-        yield (self._current_index, closed)
-        self._current_index += 1
+            for position, count_query, raw in self._engine.feed(partial)
+        ]
 
 
 class TimeWindowEngine:
-    """Run time-based ACQs over a timestamped stream.
+    """Run time-based ACQs over a sorted timestamped stream.
 
-    Reduces the time queries to count queries over shared time slices
-    and executes them with the SlickDeque shared plan: each slice's
-    values fold into one partial (the identity for empty slices), and
-    the inner engine consumes partials through a
-    :func:`~repro.operators.views.partial_view`.  Answers are
-    ``(window_end_timestamp, query, answer)`` triples.
+    Tuples are ``(timestamp, value)`` with non-decreasing finite
+    timestamps at or after ``origin`` (anything else raises
+    :class:`OutOfOrderError` before any state changes; route a
+    disordered stream through
+    :class:`~repro.stream.engine.EventTimeEngine` instead).  Slice
+    ``k`` covers ``[origin + k·g, origin + (k+1)·g)``: records fold
+    into the open slice's accumulator, a record in a later slice closes
+    every slice before it — the identity partial for slices no record
+    fell into, so partials stay aligned with wall-clock boundaries —
+    and each closed partial goes through the :class:`TimeFinalStage`.
+    Answers are ``(window_end_timestamp, query, answer)`` triples.
     """
 
     def __init__(
@@ -212,52 +196,125 @@ class TimeWindowEngine:
         resolution: float = DEFAULT_RESOLUTION,
         technique: str = "pairs",
     ):
-        from repro.core.multiquery import SharedSlickDeque
+        # Deferred import: repro.windows initializes before repro.stream
+        # during package import, so binding the clock at call time
+        # keeps the layering acyclic.
+        from repro.stream.watermark import TimeSliceClock
 
-        self.queries = tuple(queries)
+        self._final = TimeFinalStage(
+            queries, operator, origin, resolution, technique
+        )
+        self.queries = self._final.queries
         self.operator = operator
         self.origin = origin
-        self.slice_seconds = slice_duration(self.queries, resolution)
-        count_to_time = {}
-        for query in self.queries:
-            count_query = query.to_count_query(
-                self.slice_seconds, resolution
-            )
-            count_to_time[count_query] = query
-        self._count_to_time = count_to_time
-        self._slicer = TimeSlicer(self.slice_seconds, origin)
-        self._engine = SharedSlickDeque(
-            list(count_to_time), partial_view(operator), technique
+        self.slice_seconds = self._final.slice_seconds
+        self._clock = TimeSliceClock(self.slice_seconds, origin)
+        self._open_index = 0
+        self._accumulator = operator.identity
+        # Nothing older than this is accepted: the origin, then the
+        # newest accepted timestamp (a sorted stream is its own
+        # watermark).
+        self._newest = origin
+
+    def _refuse(self, timestamp: float, newest: float) -> None:
+        """Raise for a timestamp that failed the ordering check."""
+        if not math.isfinite(timestamp):
+            from repro.stream.outoforder import _reject_nonfinite
+
+            _reject_nonfinite(timestamp, newest)
+        raise OutOfOrderError(
+            f"timestamp {timestamp} precedes {newest}",
+            position=timestamp,
+            watermark=newest,
         )
 
-    def _close_slice(self, values: List[Any]) -> List[TimeAnswer]:
-        op = self.operator
-        partial = op.fold(values)
-        answers: List[TimeAnswer] = []
-        for position, count_query, raw in self._engine.feed(partial):
-            end_time = self.origin + position * self.slice_seconds
-            answers.append(
-                (
-                    end_time,
-                    self._count_to_time[count_query],
-                    op.lower(raw),
-                )
-            )
+    def _close_through(self, index: int) -> List[TimeAnswer]:
+        """Close the open slice and the empty ones before ``index``."""
+        close = self._final.close_slice
+        identity = self.operator.identity
+        answers = close(self._accumulator)
+        for _ in range(self._open_index + 1, index):
+            answers += close(identity)
+        self._open_index = index
+        self._accumulator = identity
         return answers
 
     def feed(self, timestamp: float, value: Any) -> List[TimeAnswer]:
-        """Consume one timestamped tuple; return released answers."""
+        """Consume one timestamped tuple; return released answers.
+
+        A timestamp that is non-finite, older than the newest accepted
+        one or before ``origin`` raises :class:`OutOfOrderError`, and a
+        value the operator refuses raises from ``lift``/⊕ — either way
+        with the engine exactly as it was.
+        """
+        if not (self._newest <= timestamp < _INF):
+            self._refuse(timestamp, self._newest)
+        operator = self.operator
+        index = self._clock.slice_of(timestamp)
+        closes = index > self._open_index
+        accumulator = operator.combine(
+            operator.identity if closes else self._accumulator,
+            operator.lift(value),
+        )
+        answers = self._close_through(index) if closes else []
+        self._accumulator = accumulator
+        self._newest = timestamp
+        return answers
+
+    def feed_many(
+        self, records: Iterable[Tuple[float, Any]]
+    ) -> List[TimeAnswer]:
+        """Consume a batch of sorted ``(timestamp, value)`` pairs.
+
+        Same answers as :meth:`feed` per record, bit for bit, but the
+        batch is cut into same-slice runs with
+        :meth:`~repro.stream.watermark.TimeSliceClock.cut` and each run
+        folds into the open accumulator with one
+        :func:`~repro.kernels.exact_fold` — the step the sharded
+        service's shard fold takes.
+
+        Every timestamp is checked before anything is folded: they must
+        be finite, non-decreasing within the call and against the
+        newest accepted one, and not before ``origin``; otherwise
+        :class:`OutOfOrderError` is raised and the engine is untouched.
+        A value the operator refuses raises out of its run's fold: the
+        runs before it stay folded (their slices closed), the refused
+        run and every record after it are not consumed, and the answers
+        the earlier runs released are not returned.
+        """
+        records = as_sequence(records)
+        timestamps = [record[0] for record in records]
+        values = [record[1] for record in records]
+        newest = self._newest
+        for timestamp in timestamps:
+            if not (newest <= timestamp < _INF):
+                self._refuse(timestamp, newest)
+            newest = timestamp
+        operator = self.operator
+        slice_of = self._clock.slice_of
+        cut = self._clock.cut
         answers: List[TimeAnswer] = []
-        for _, values in self._slicer.feed(timestamp, value):
-            answers.extend(self._close_slice(values))
+        total = len(values)
+        start = 0
+        while start < total:
+            index = slice_of(timestamps[start])
+            stop = cut(timestamps, index, start + 1, total)
+            closes = index > self._open_index
+            accumulator = exact_fold(
+                operator,
+                values[start:stop],
+                operator.identity if closes else self._accumulator,
+            )
+            if closes:
+                answers += self._close_through(index)
+            self._accumulator = accumulator
+            self._newest = timestamps[stop - 1]
+            start = stop
         return answers
 
     def finish(self) -> List[TimeAnswer]:
         """Close the open slice and return its answers."""
-        answers: List[TimeAnswer] = []
-        for _, values in self._slicer.flush():
-            answers.extend(self._close_slice(values))
-        return answers
+        return self._close_through(self._open_index + 1)
 
     def run(
         self, stream: Iterable[Tuple[float, Any]]

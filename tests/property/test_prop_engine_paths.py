@@ -10,8 +10,7 @@ ascending position and, within a position, the plan's query order
 Answers are compared bit for bit (``repr``, so ``-0.0`` is not ``0.0``
 and ``3`` is not ``3.0``) for every operator whose arithmetic is exact
 on the drawn values; ``product`` and ``geometric_mean`` invert through
-float division / logarithms and are compared to a tolerance, and
-``first`` by ``==`` (see ``EQUAL_OPERATORS``).
+float division / logarithms and are compared to a tolerance.
 """
 
 from __future__ import annotations
@@ -46,10 +45,6 @@ OPERATOR_NAMES = [
 
 #: Inverses through float division / logarithms: equal to a tolerance.
 ULP_OPERATORS = ("product", "geometric_mean")
-#: ``first`` lets a newcomer that compares equal replace the incumbent
-#: (its dominance test is ``==``), so it may answer ``-0.0`` where the
-#: window's first element is ``0.0``: equal, not identical.
-EQUAL_OPERATORS = ("first",)
 
 ints = st.integers(min_value=-200, max_value=200)
 #: Quarter-integers plus ``-0.0``: every sum, square and mean of them
@@ -145,9 +140,7 @@ def _drive(engine, stream, plan):
 def _assert_same(got, expected, operator_name):
     assert [t[:2] for t in got] == [t[:2] for t in expected]
     for (position, query, answer), (_, _, wanted) in zip(got, expected):
-        if operator_name in EQUAL_OPERATORS:
-            assert answer == wanted, (position, query)
-        elif operator_name not in ULP_OPERATORS:
+        if operator_name not in ULP_OPERATORS:
             assert repr(answer) == repr(wanted), (position, query)
         elif wanted != wanted:  # NaN
             assert answer != answer, (position, query)

@@ -22,9 +22,15 @@ from hypothesis import strategies as st
 from repro.errors import InvalidOperatorError
 from repro.operators.registry import available_operators, get_operator
 from repro.service.service import AggregationService
+from repro.stream.checkpoint import CheckpointError, restore, snapshot
 from repro.stream.engine import EventTimeEngine
 from repro.stream.outoforder import TimestampReorderBuffer
 from repro.windows.timebased import TimeQuery, TimeWindowEngine
+from tests.property.test_prop_engine_paths import (
+    _assert_same,
+    _streams,
+    call_plans,
+)
 
 def _time_engine_supported(name):
     """Whether the time engine can run this operator at all.
@@ -317,3 +323,105 @@ def test_reorder_buffer_release_order_is_sorted(timestamps, lateness):
     out = [timestamp for timestamp, _ in released]
     assert out == sorted(out)
     assert len(released) + buffer.late_records == len(timestamps)
+
+
+def _checkpointable(name):
+    """Operators built around a lambda cannot be snapshotted at all
+    (``stream/checkpoint.py``, "Limitations")."""
+    try:
+        snapshot(get_operator(name))
+    except CheckpointError:
+        return False
+    return True
+
+
+#: Gaps between consecutive records in quarter-seconds: 0 repeats a
+#: timestamp, an even running total lands exactly on a 0.5 s slice
+#: boundary, and anything above 2 skips whole slices.
+quarter_gaps = st.integers(min_value=0, max_value=14)
+
+
+def _brute_force(queries, operator_name, stream, slice_seconds):
+    """Each window's values folded from scratch, in delivery order.
+
+    Returns the triples and, beside them, whether each window held any
+    record: an invertible operator leaves an emptied window the float
+    zero of the values that left it (``x ⊖ x``) where folding nothing
+    gives the identity ``0`` — equal, not identical, so those answers
+    are compared by ``==``.
+    """
+    op = get_operator(operator_name)
+    ordered = sorted(
+        queries, key=lambda q: (-q.range_seconds, q.slide_seconds, q.name)
+    )
+    closed_slices = int(stream[-1][0] // slice_seconds) + 1
+    triples, occupied = [], []
+    for closed in range(1, closed_slices + 1):
+        end = closed * slice_seconds
+        for query in ordered:
+            if end % query.slide_seconds == 0:
+                window = [
+                    value
+                    for timestamp, value in stream
+                    if end - query.range_seconds <= timestamp < end
+                ]
+                triples.append((end, query, op.lower(op.fold(window))))
+                occupied.append(bool(window))
+    return triples, occupied
+
+
+def _assert_equals_brute_force(got, brute, operator_name):
+    expected, occupied = brute
+    assert len(got) == len(expected)
+    for held, answer, wanted in zip(occupied, got, expected):
+        if held:
+            _assert_same([answer], [wanted], operator_name)
+        else:
+            assert answer[:2] == wanted[:2]
+            assert answer[2] == wanted[2] or (
+                answer[2] != answer[2] and wanted[2] != wanted[2]
+            ), wanted[:2]
+
+
+@pytest.mark.parametrize("operator_name", OPERATOR_NAMES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_time_engine_feed_paths_equal_brute_force(operator_name, data):
+    """``feed``, ``feed_many`` and any mix of them, bit for bit."""
+    values = data.draw(_streams(operator_name))
+    gaps = data.draw(
+        st.lists(quarter_gaps, min_size=len(values), max_size=len(values))
+    )
+    plan = data.draw(call_plans)
+    checkpoint_at = data.draw(st.integers(min_value=0, max_value=len(plan)))
+    stream, tick = [], 0
+    for gap, value in zip(gaps, values):
+        tick += gap
+        stream.append((tick / 4, value))
+
+    queries = [TimeQuery(2.0, 1.0), TimeQuery(3.0, 1.5)]
+    expected = _brute_force(queries, operator_name, stream, 0.5)
+
+    def engine():
+        return TimeWindowEngine(queries, get_operator(operator_name))
+
+    per_record = list(engine().run(stream))
+    _assert_equals_brute_force(per_record, expected, operator_name)
+
+    bulk = engine()
+    _assert_equals_brute_force(
+        bulk.feed_many(stream) + bulk.finish(), expected, operator_name
+    )
+
+    mixed, got, index = engine(), [], 0
+    for call, size in enumerate(plan):
+        if call == checkpoint_at and _checkpointable(operator_name):
+            mixed = restore(snapshot(mixed))
+        if size == 0 and index < len(stream):
+            got += mixed.feed(*stream[index])
+            index += 1
+        else:
+            got += mixed.feed_many(stream[index:index + size])
+            index += size
+    got += mixed.feed_many(stream[index:]) + mixed.finish()
+    _assert_equals_brute_force(got, expected, operator_name)

@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.operators.registry import get_operator
-from repro.stream.outoforder import ReorderBuffer
 from repro.stream.punctuation import (
     PunctuatedCuttyPipeline,
     Punctuation,
     punctuate,
 )
+from repro.stream.source import reordered
+from repro.stream.watermark import TimeSliceClock
 from repro.windows.compatibility import AcqSpec, CompatibleSharedEngine
 from repro.windows.query import Query
-from repro.windows.timebased import TimeQuery, TimeSlicer
+from repro.windows.timebased import TimeQuery
 
 values = st.lists(
     st.integers(min_value=-500, max_value=500), min_size=1, max_size=120
@@ -66,18 +67,23 @@ def test_punctuation_positions_are_window_starts(stream, queries):
 @given(
     items=st.lists(st.integers(min_value=1, max_value=60), min_size=1,
                    max_size=60, unique=True),
-    slack=st.integers(min_value=0, max_value=60),
+    extra=st.integers(min_value=0, max_value=60),
 )
 @settings(max_examples=80, deadline=None)
-def test_reorder_buffer_sorts_within_slack(items, slack):
-    """Any permutation whose displacement fits the slack comes out
-    sorted; we feed a sorted-by-arrival arbitrary unique set and only
-    assert on runs the slack can absorb."""
-    buffer = ReorderBuffer(slack=max(slack, len(items)))
+def test_reorder_buffer_sorts_within_slack(items, extra):
+    """Any arrival order comes out sorted when the slack covers the
+    furthest a position can trail the newest one seen before it."""
+    newest, displacement = items[0], 0
+    for position in items:
+        newest = max(newest, position)
+        displacement = max(displacement, newest - position)
     released = list(
-        buffer.reorder((position, position) for position in items)
+        reordered(
+            ((position, position) for position in items),
+            slack=displacement + extra,
+        )
     )
-    assert [p for p, _ in released] == sorted(items)
+    assert released == sorted(items)
 
 
 @given(
@@ -90,22 +96,26 @@ def test_reorder_buffer_sorts_within_slack(items, slack):
 )
 @settings(max_examples=80, deadline=None)
 def test_time_slicer_partitions_the_stream(timestamps, slice_seconds):
+    """``TimeSliceClock.cut`` partitions a sorted column into runs."""
     ordered = sorted(timestamps)
-    slicer = TimeSlicer(slice_seconds)
-    slices = []
-    for timestamp in ordered:
-        slices.extend(slicer.feed(timestamp, timestamp))
-    slices.extend(slicer.flush())
-    # Indices are consecutive from 0; every tuple lands in its slice.
-    assert [index for index, _ in slices] == list(range(len(slices)))
-    recovered = [t for _, bucket in slices for t in bucket]
-    assert recovered == ordered
-    for index, bucket in slices:
-        for timestamp in bucket:
+    clock = TimeSliceClock(slice_seconds)
+    runs = []
+    start = 0
+    while start < len(ordered):
+        index = clock.slice_of(ordered[start])
+        stop = clock.cut(ordered, index, start + 1, len(ordered))
+        runs.append((index, ordered[start:stop]))
+        start = stop
+    # Slice indices strictly ascend; concatenated runs are the column.
+    indices = [index for index, _ in runs]
+    assert indices == sorted(set(indices))
+    assert [t for _, run in runs for t in run] == ordered
+    for index, run in runs:
+        for timestamp in run:
             assert (
-                index * slice_seconds
+                clock.start_time(index)
                 <= timestamp
-                < (index + 1) * slice_seconds
+                < clock.end_time(index)
             )
 
 

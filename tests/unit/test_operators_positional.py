@@ -43,6 +43,11 @@ class TestSemantics:
         for op in (FirstOperator(), LastOperator()):
             for incumbent in (1, 2):
                 for challenger in (1, 3):
+                    if op.name == "first" and incumbent == challenger:
+                        # Equal is not identical (0.0 / -0.0, 1 / True):
+                        # the older value stays the window's first.
+                        assert not op.dominates(incumbent, challenger)
+                        continue
                     assert op.dominates(incumbent, challenger) == (
                         base(op, incumbent, challenger)
                     ), op.name
@@ -53,6 +58,26 @@ class TestSliding:
         window = make_slickdeque(FirstOperator(), 3)
         stream = [10, 20, 30, 40, 50]
         assert window.run(stream) == [10, 10, 10, 20, 30]
+
+    @pytest.mark.parametrize(
+        "stream, expected",
+        [
+            ([0.0, -0.0, 5.0], ["0.0", "0.0", "0.0"]),
+            ([1, True, 2], ["1", "1", "1"]),
+        ],
+    )
+    def test_first_keeps_the_older_of_two_equal_values(
+        self, stream, expected
+    ):
+        from repro.stream.engine import StreamEngine
+        from repro.stream.sink import CollectSink
+        from repro.windows.query import Query
+
+        sink = CollectSink()
+        engine = StreamEngine([Query(3, 1)], FirstOperator(), sinks=[sink])
+        for value in stream:
+            engine.feed(value)
+        assert [repr(answer) for _, _, answer in sink.answers] == expected
 
     def test_last_is_the_newest(self):
         window = make_slickdeque(LastOperator(), 3)

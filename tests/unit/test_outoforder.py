@@ -4,52 +4,50 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import OutOfOrderError
+from repro.errors import InvalidQueryError, OutOfOrderError
 from repro.operators.invertible import SumOperator
 from repro.operators.noninvertible import MaxOperator
-from repro.stream.outoforder import ReorderBuffer, absorbable
+from repro.stream.outoforder import absorbable
+from repro.stream.source import reordered
 
 
 class TestReorderBuffer:
+    """Position re-sequencing: ``reordered()`` on the timestamp buffer."""
+
     def test_in_order_passthrough(self):
-        buffer = ReorderBuffer(slack=0)
-        released = []
-        for position in (1, 2, 3):
-            released.extend(buffer.push(position, position * 10))
-        assert released == [(1, 10), (2, 20), (3, 30)]
+        items = [(1, 10), (2, 20), (3, 30)]
+        assert list(reordered(items, slack=0)) == [10, 20, 30]
 
     def test_reorders_within_slack(self):
-        buffer = ReorderBuffer(slack=2)
         items = [(2, "b"), (1, "a"), (3, "c"), (4, "d")]
-        released = list(buffer.reorder(items))
-        assert released == [(1, "a"), (2, "b"), (3, "c"), (4, "d")]
+        assert list(reordered(items, slack=2)) == ["a", "b", "c", "d"]
+
+    def test_release_is_by_position_distance_not_buffered_count(self):
+        def arrivals():
+            yield from [(1, "a"), (2, "b"), (9, "i")]
+            raise AssertionError("pulled past the releasing arrival")
+
+        # 9 − 2 = 7 is past both pending positions: that one arrival
+        # releases the two of them, however few values are buffered.
+        stream = reordered(arrivals(), slack=2)
+        assert [next(stream), next(stream)] == ["a", "b"]
 
     def test_too_late_raises(self):
-        buffer = ReorderBuffer(slack=1)
-        list(buffer.push(1, "a"))
-        list(buffer.push(2, "b"))  # releases 1
-        list(buffer.push(3, "c"))  # releases 2
-        with pytest.raises(OutOfOrderError, match="position 1"):
-            list(buffer.push(1, "late"))
-
-    def test_late_handler_routes_instead_of_raising(self):
-        dropped = []
-        buffer = ReorderBuffer(
-            slack=0, on_late=lambda p, v: dropped.append((p, v))
-        )
-        list(buffer.push(2, "b"))
-        list(buffer.push(1, "late"))
-        assert dropped == [(1, "late")]
+        items = [(1, "a"), (2, "b"), (3, "c"), (1, "late")]
+        with pytest.raises(OutOfOrderError, match="position 1 ") as caught:
+            list(reordered(items, slack=1))
+        assert caught.value.position == 1
+        assert caught.value.watermark == 2
 
     def test_drain_releases_everything(self):
-        buffer = ReorderBuffer(slack=10)
-        list(buffer.push(2, "b"))
-        list(buffer.push(1, "a"))
-        assert list(buffer.drain()) == [(1, "a"), (2, "b")]
+        assert list(reordered([(2, "b"), (1, "a")], slack=10)) == [
+            "a",
+            "b",
+        ]
 
     def test_negative_slack_rejected(self):
-        with pytest.raises(OutOfOrderError):
-            ReorderBuffer(slack=-1)
+        with pytest.raises(InvalidQueryError):
+            list(reordered([(1, "a")], slack=-1))
 
 
 class TestAbsorbable:

@@ -1,0 +1,199 @@
+"""Unit tests for the merge frontier and the shard's slice fold.
+
+Count and event time share both: every case runs once on each
+timeline.  The queries are tumbling one-slice windows, so answer ``k``
+*is* slice ``k``'s merged partial and slice arithmetic is readable off
+the answers.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.operators.registry import get_operator
+from repro.service.merge import EventTimeMerger, GlobalMerger
+from repro.service.partition import Batch
+from repro.service.shard import ShardConfig, ShardOutput, ShardState
+from repro.windows.query import Query
+from repro.windows.timebased import TimeQuery
+
+TIMELINES = ["count", "time"]
+
+
+def make_merger(timeline, num_shards=2):
+    if timeline == "count":
+        return GlobalMerger(
+            [Query(2, 2)], get_operator("sum"), "pairs", num_shards
+        )
+    return EventTimeMerger(
+        [TimeQuery(1.0, 1.0)], get_operator("sum"), "pairs", num_shards
+    )
+
+
+def window_end(timeline, index):
+    """Where slice ``index``'s tumbling window reports."""
+    return 2 * (index + 1) if timeline == "count" else float(index + 1)
+
+
+def output(shard_id, seq, watermark, partials=()):
+    return ShardOutput(shard_id, seq, watermark, partials=list(partials))
+
+
+def summary(answers):
+    """``(window end, answer)`` pairs of count or time triples."""
+    return [(end, answer) for end, _, answer in answers]
+
+
+@pytest.mark.parametrize("timeline", TIMELINES)
+class TestMergeFrontier:
+    def test_slice_waits_for_every_shard_then_releases_once(self, timeline):
+        merger = make_merger(timeline)
+        assert merger.on_output(output(0, 1, 1, [(0, 5)])) == []
+        first = output(1, 1, 1, [(0, 7)])
+        released = merger.on_output(first)
+        assert summary(released) == [(window_end(timeline, 0), 12)]
+        assert merger.merged_slices == 1
+        # A recovered worker re-emits the same output: nothing twice,
+        # and its partial for the merged slice is not held for later.
+        assert merger.on_output(first) == []
+        assert merger.on_output(output(0, 1, 1, [(0, 5)])) == []
+        assert merger.answers_emitted == 1
+        merger.on_output(output(0, 2, 2, [(1, 1)]))
+        released = merger.on_output(output(1, 2, 2, [(1, 2)]))
+        assert summary(released) == [(window_end(timeline, 1), 3)]
+
+    def test_stale_watermark_is_ignored(self, timeline):
+        merger = make_merger(timeline)
+        merger.on_output(output(0, 2, 2, [(0, 1), (1, 2)]))
+        merger.on_output(output(0, 1, 1))  # replay of an older batch
+        released = merger.on_output(output(1, 1, 2))
+        assert summary(released) == [
+            (window_end(timeline, 0), 1),
+            (window_end(timeline, 1), 2),
+        ]
+        assert merger.merged_slices == 2
+
+    def test_mark_failed_unwedges_the_frontier(self, timeline):
+        merger = make_merger(timeline)
+        assert merger.on_output(output(0, 1, 2, [(0, 4), (1, 6)])) == []
+        assert not merger.degraded
+        released = merger.mark_failed(1)
+        assert summary(released) == [
+            (window_end(timeline, 0), 4),
+            (window_end(timeline, 1), 6),
+        ]
+        assert merger.degraded
+        assert merger.answers_emitted == 2
+
+    def test_slice_nobody_contributed_to_is_the_identity(self, timeline):
+        merger = make_merger(timeline)
+        merger.on_output(output(0, 1, 2, [(1, 9)]))
+        released = merger.on_output(output(1, 1, 2))
+        assert summary(released) == [
+            (window_end(timeline, 0), 0),
+            (window_end(timeline, 1), 9),
+        ]
+
+    def test_partials_combine_in_shard_order(self, timeline):
+        # (1.0 + 1e16) + -1e16 == 0.0 in shard order 0, 1, 2; arrival
+        # order 1, 2, 0 would give (1e16 + -1e16) + 1.0 == 1.0.
+        merger = make_merger(timeline, num_shards=3)
+        merger.on_output(output(1, 1, 1, [(0, 1e16)]))
+        merger.on_output(output(2, 1, 1, [(0, -1e16)]))
+        released = merger.on_output(output(0, 1, 1, [(0, 1.0)]))
+        assert summary(released) == [(window_end(timeline, 0), 0.0)]
+
+
+def make_shard(timeline):
+    if timeline == "count":
+        config = ShardConfig(0, 2, (Query(2, 2),), get_operator("sum"))
+    else:
+        config = ShardConfig(
+            0,
+            2,
+            (TimeQuery(1.0, 1.0),),
+            get_operator("sum"),
+            mode="time",
+            slice_seconds=1.0,
+        )
+    return ShardState(config)
+
+
+#: Stream positions this shard was routed (the other shard got 4), and
+#: the event timestamps that put the same records in the same slices:
+#: position 2 is exactly ``end_position(0)`` and stays in slice 0,
+#: timestamp 1.0 is exactly ``end_time(0)`` and starts slice 1.
+POSITIONS = [1, 2, 3, 5, 6]
+TIMESTAMPS = [0.2, 0.9, 1.0, 2.5, 2.9]
+
+
+def make_batch(timeline, values, seq=1, watermark=3, pick=slice(None)):
+    return Batch(
+        shard=0,
+        seq=seq,
+        watermark=watermark,
+        positions=POSITIONS[pick],
+        keys=["k"] * len(POSITIONS[pick]),
+        values=values[pick],
+        timestamps=TIMESTAMPS[pick] if timeline == "time" else None,
+    )
+
+
+def per_record(timeline, values):
+    """The same records one batch each: the per-record reference."""
+    state = make_shard(timeline)
+    partials, dead = [], []
+    for offset in range(len(values)):
+        closing = 3 if offset == len(values) - 1 else 0
+        out = state.process(
+            make_batch(
+                timeline,
+                values,
+                seq=offset + 1,
+                watermark=closing,
+                pick=slice(offset, offset + 1),
+            )
+        )
+        partials += out.partials
+        dead += out.dead_letters
+    return partials, dead, state.records
+
+
+@pytest.mark.parametrize("timeline", TIMELINES)
+class TestShardSliceFold:
+    def test_runs_are_cut_at_slice_edges(self, timeline):
+        values = [1, 10, 100, 1000, 10000]
+        out = make_shard(timeline).process(make_batch(timeline, values))
+        assert out.partials == [(0, 11), (1, 100), (2, 11000)]
+        assert out.records == 5 and out.dead_letters == []
+        assert (out.partials, [], 5) == per_record(timeline, values)
+
+    def test_open_slice_carries_over_to_the_next_batch(self, timeline):
+        values = [1, 10, 100, 1000, 10000]
+        state = make_shard(timeline)
+        first = state.process(
+            make_batch(timeline, values, watermark=2, pick=slice(0, 4))
+        )
+        assert first.partials == [(0, 11), (1, 100)]
+        second = state.process(
+            make_batch(timeline, values, seq=2, pick=slice(4, 5))
+        )
+        assert second.partials == [(2, 11000)]
+
+    def test_poison_is_quarantined_as_the_per_record_path_would(
+        self, timeline
+    ):
+        # Slice 0 is poisoned mid-run, slice 1 is all poison.
+        values = [1, "x", "y", 1000, 10000]
+        out = make_shard(timeline).process(make_batch(timeline, values))
+        assert out.partials == [(0, 1), (2, 11000)]  # no entry for 1
+        assert [
+            (letter.position, letter.value) for letter in out.dead_letters
+        ] == [(2, "x"), (3, "y")]
+        assert out.records == 3
+        partials, dead, records = per_record(timeline, values)
+        assert (out.partials, out.dead_letters, out.records) == (
+            partials,
+            dead,
+            records,
+        )

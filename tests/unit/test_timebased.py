@@ -9,7 +9,6 @@ from repro.operators.registry import get_operator
 from repro.windows.query import Query
 from repro.windows.timebased import (
     TimeQuery,
-    TimeSlicer,
     TimeWindowEngine,
     slice_duration,
 )
@@ -56,29 +55,48 @@ class TestSliceDuration:
 
 
 class TestTimeSlicer:
+    """Slice assignment, read off a tumbling one-slice sum."""
+
+    def engine(self, origin=0.0):
+        return TimeWindowEngine(
+            [TimeQuery(1.0, 1.0)], get_operator("sum"), origin=origin
+        )
+
+    @staticmethod
+    def slices(answers):
+        return [(end, answer) for end, _, answer in answers]
+
     def test_slices_by_timestamp(self):
-        slicer = TimeSlicer(1.0)
+        engine = self.engine()
         closed = []
-        for timestamp, value in [(0.1, "a"), (0.9, "b"), (2.5, "c")]:
-            closed.extend(slicer.feed(timestamp, value))
-        closed.extend(slicer.flush())
-        assert closed == [(0, ["a", "b"]), (1, []), (2, ["c"])]
+        for timestamp, value in [(0.1, 1), (0.9, 10), (2.5, 100)]:
+            closed.extend(engine.feed(timestamp, value))
+        closed.extend(engine.finish())
+        assert self.slices(closed) == [(1.0, 11), (2.0, 0), (3.0, 100)]
+
+    def test_boundary_record_belongs_to_the_next_slice(self):
+        engine = self.engine()
+        closed = engine.feed_many([(0.5, 1), (1.0, 10), (1.5, 100)])
+        closed += engine.finish()
+        assert self.slices(closed) == [(1.0, 1), (2.0, 110)]
 
     def test_empty_slices_emitted(self):
-        slicer = TimeSlicer(1.0)
-        closed = list(slicer.feed(3.5, "x"))
-        assert closed == [(0, []), (1, []), (2, [])]
+        closed = self.engine().feed(3.5, 7)
+        assert self.slices(closed) == [(1.0, 0), (2.0, 0), (3.0, 0)]
 
     def test_out_of_order_rejected(self):
-        slicer = TimeSlicer(1.0)
-        list(slicer.feed(5.0, "a"))
-        with pytest.raises(OutOfOrderError):
-            list(slicer.feed(4.0, "b"))
+        engine = self.engine()
+        engine.feed(5.0, 1)
+        with pytest.raises(OutOfOrderError) as caught:
+            engine.feed(4.0, 2)
+        assert caught.value.position == 4.0
+        assert caught.value.watermark == 5.0
 
     def test_before_origin_rejected(self):
-        slicer = TimeSlicer(1.0, origin=10.0)
-        with pytest.raises(OutOfOrderError):
-            list(slicer.feed(9.0, "a"))
+        engine = self.engine(origin=10.0)
+        with pytest.raises(OutOfOrderError) as caught:
+            engine.feed(9.0, 1)
+        assert caught.value.watermark == 10.0
 
 
 class TestTimeWindowEngine:
@@ -150,3 +168,68 @@ class TestTimeWindowEngine:
         answers = [a for _, _, a in engine.run(stream)]
         assert answers[0] == pytest.approx(3.0)
         assert answers[1] == pytest.approx(9.0)
+
+
+class TestIngressChecks:
+    """Bad input raises before any state changes, in both feed paths."""
+
+    def engine(self):
+        return TimeWindowEngine([TimeQuery(2.0, 1.0)], get_operator("sum"))
+
+    def answers_of(self, stream):
+        return list(self.engine().run(stream))
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_feed_rejects_a_nonfinite_timestamp_and_carries_on(self, bad):
+        engine = self.engine()
+        got = engine.feed(0.5, 1)
+        with pytest.raises(OutOfOrderError, match="finite"):
+            engine.feed(bad, 100)
+        got += engine.feed(1.5, 2)
+        got += engine.finish()
+        assert got == self.answers_of([(0.5, 1), (1.5, 2)])
+        assert got[0][2] == 1  # not 101: the NaN-stamped value is out
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_feed_many_rejects_a_nonfinite_timestamp_mid_batch(self, bad):
+        engine = self.engine()
+        with pytest.raises(OutOfOrderError, match="finite"):
+            engine.feed_many([(0.5, 1), (bad, 100), (1.5, 2)])
+        # Nothing of the refused call was folded, not even its prefix.
+        got = engine.feed_many([(0.5, 1), (1.5, 2)]) + engine.finish()
+        assert got == self.answers_of([(0.5, 1), (1.5, 2)])
+
+    def test_feed_many_checks_order_against_the_call_and_the_engine(self):
+        engine = self.engine()
+        with pytest.raises(OutOfOrderError) as caught:
+            engine.feed_many([(0.5, 1), (1.5, 2), (1.4, 3)])
+        assert (caught.value.position, caught.value.watermark) == (1.4, 1.5)
+        engine.feed_many([(0.5, 1), (1.5, 2)])
+        with pytest.raises(OutOfOrderError):
+            engine.feed_many([(1.4, 3)])
+        with pytest.raises(OutOfOrderError) as caught:
+            self.engine().feed_many([(-0.5, 1)])  # before the origin
+        assert (caught.value.position, caught.value.watermark) == (-0.5, 0.0)
+
+    def test_feed_leaves_the_engine_as_it_was_on_a_refused_value(self):
+        engine = self.engine()
+        got = engine.feed(0.5, 1)
+        with pytest.raises(TypeError):
+            engine.feed(0.7, "x")  # same slice
+        with pytest.raises(TypeError):
+            engine.feed(3.5, "x")  # would have closed three slices
+        got += engine.feed(1.5, 2) + engine.finish()
+        assert got == self.answers_of([(0.5, 1), (1.5, 2)])
+
+    def test_feed_many_keeps_the_runs_before_a_refused_value(self):
+        engine = self.engine()
+        with pytest.raises(TypeError):
+            engine.feed_many([(0.2, 1), (1.2, "x"), (1.7, 4), (2.2, 5)])
+        # Slice 0's run stayed folded; the refused run (both records
+        # of slice 1) and everything after it were not consumed.
+        got = engine.feed_many([(1.2, 7), (2.2, 5)]) + engine.finish()
+        assert [answer for _, _, answer in got] == [1, 8, 12]
