@@ -156,7 +156,7 @@ def main(metrics_port: int = None) -> None:
                 print(f"  submit latency median "
                       f"{latency['median'] * 1e3:.2f} ms, p75 "
                       f"{latency['p75'] * 1e3:.2f} ms "
-                      f"({latency['count']} sampled)")
+                      f"({latency['count']} submits)")
 
             print("\nDRAIN: flushing the service ...")
             answers, final = client.drain()

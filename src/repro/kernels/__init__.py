@@ -224,7 +224,7 @@ def column_view(buffer: Any, kind: str) -> memoryview:
 
     ``kind`` is ``"q"`` (little-endian int64) or ``"d"`` (float64) —
     the two wire layouts shared by the shm transport's columnar frames
-    and the network layer's ``SUBMIT_COLUMNS`` payloads.  The returned
+    and the network layer's ``SUBMIT_COLUMN`` payloads.  The returned
     ``memoryview`` aliases ``buffer``; indexing it yields plain Python
     ``int``/``float`` scalars, so it feeds every kernel entry point
     (``_unboxed`` materialises it with one C-level ``tolist``).

@@ -1,8 +1,12 @@
 """Sync and async client libraries for the aggregation server.
 
 Both clients speak the frame protocol of :mod:`repro.net.protocol`
-over one TCP connection with strictly ordered request/reply matching,
-and share the same resilience policy:
+over one TCP connection with strictly ordered request/reply matching.
+They are one request core with two transports: every request and the
+RETRY policy are defined once, on a shared base, and the two classes
+supply only how bytes are sent, received and slept on — a request
+method returns its value on the sync client, an awaitable of it on
+the async one.  The resilience policy:
 
 * **connect timeout** — connection establishment past the deadline
   raises :class:`~repro.errors.ClientTimeoutError`;
@@ -36,7 +40,17 @@ from __future__ import annotations
 import asyncio
 import socket
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import (
     ClientTimeoutError,
@@ -47,19 +61,35 @@ from repro.errors import (
 from repro.net.protocol import (
     FrameDecoder,
     FrameType,
+    SubmitRequest,
+    build_submit,
+    build_submit_batch,
+    build_submit_column,
+    build_submit_event,
+    build_submit_event_batch,
     decode_answers,
     encode_frame,
-    pack_column,
 )
 
 _RECV_CHUNK = 64 * 1024
 
+_REQUEST_TIMED_OUT = (
+    "request timed out waiting for a reply; the connection is "
+    "desynchronised and must be closed"
+)
 
-def _backoff_delay(
-    attempt: int, base: float, maximum: float
+
+def _suggested_delay(
+    reply: Any, attempt: int, base: float, maximum: float
 ) -> float:
-    """Deterministic exponential backoff: ``base * 2**attempt``, capped."""
-    return min(maximum, base * (2**attempt))
+    """Deterministic exponential backoff (``base * 2**attempt``,
+    capped), honouring the server's ``retry_after`` hint."""
+    delay = min(maximum, base * (2**attempt))
+    if isinstance(reply, dict):
+        hint = reply.get("retry_after")
+        if isinstance(hint, (int, float)) and hint > 0:
+            delay = max(delay, float(min(hint, maximum)))
+    return delay
 
 
 def _raise_reply_error(payload: Any) -> None:
@@ -74,7 +104,189 @@ def _raise_reply_error(payload: Any) -> None:
     raise ServiceError(f"server error ({name}): {message}")
 
 
-class AggregationClient:
+# How each kind of reply payload becomes the request's return value.
+
+
+def _accepted(reply: Any) -> int:
+    return reply.get("accepted", 0)
+
+
+def _whole(reply: Any) -> Any:
+    return reply
+
+
+def _drained(reply: Any) -> Tuple[List[Tuple[Any, ...]], Dict[str, Any]]:
+    return decode_answers(reply.get("answers", [])), reply
+
+
+class _RequestCore:
+    """Every request and the RETRY policy, written once.
+
+    A request method builds its frame, names how its reply is read and
+    returns ``self._exchange(request, finish, trace_id)``.  A transport
+    (subclass) supplies ``_exchange`` — perform each step the
+    :meth:`_round_trip` generator yields and return its value — plus
+    ``send_frame`` / ``read_reply`` / ``close``.
+    """
+
+    def __init__(
+        self, max_retries: int, backoff_base: float, backoff_max: float
+    ):
+        self.max_retries = max_retries
+        self.backoff_base = backoff_base
+        self.backoff_max = backoff_max
+        self._decoder = FrameDecoder()
+        self._frames: List[Any] = []
+        self._closed = False
+        #: Trace id carried by the most recent reply frame (``None``
+        #: for v1 replies / untraced requests).
+        self.last_reply_trace_id: Optional[int] = None
+
+    # -- reply buffer -----------------------------------------------
+
+    def _buffer_received(self, data: bytes) -> None:
+        """Decode whatever reply frames ``data`` completes."""
+        if not data:
+            raise ConnectionError("server closed the connection mid-request")
+        self._decoder.feed(data)
+        self._frames.extend(self._decoder.frames_traced())
+
+    def _next_reply(self) -> Tuple[FrameType, Any]:
+        """Pop the oldest buffered reply (replies match request order)."""
+        frame = self._frames.pop(0)
+        self.last_reply_trace_id = frame.trace_id
+        return frame.frame_type, frame.payload
+
+    # -- the request/retry policy -----------------------------------
+
+    def _round_trip(
+        self,
+        request: Optional[SubmitRequest],
+        finish: Callable[[Any], Any],
+        trace_id: Optional[int] = None,
+    ) -> Generator[Tuple[str, Any], Any, Any]:
+        """One request/reply round-trip with RETRY backoff, as steps.
+
+        Yields ``("send", frame bytes)`` — write the frame, read the
+        next reply and send ``(reply type, payload)`` back in — or
+        ``("sleep", seconds)``; returns ``finish(reply payload)``.
+        ``request`` is ``(frame type, payload, event time)``; ``None``
+        (an empty column) finishes with ``0`` without a single step.
+        """
+        if request is None:
+            return 0
+        frame_type, payload, event_time = request
+        frame = encode_frame(frame_type, payload, trace_id, event_time)
+        for attempt in range(self.max_retries + 1):
+            reply_type, reply = yield ("send", frame)
+            if reply_type is not FrameType.RETRY:
+                if reply_type is FrameType.ERROR:
+                    _raise_reply_error(reply)
+                return finish(reply)
+            if attempt < self.max_retries:
+                delay = _suggested_delay(
+                    reply, attempt, self.backoff_base, self.backoff_max
+                )
+                yield ("sleep", delay)
+        raise ServerOverloadedError(
+            f"request shed {self.max_retries + 1} times; "
+            "the server is saturated"
+        )
+
+    # -- public API -------------------------------------------------
+
+    def submit(
+        self, key: Any, value: Any, trace_id: Optional[int] = None
+    ):
+        """Submit one keyed record; returns the accepted count (1)."""
+        return self._exchange(build_submit(key, value), _accepted, trace_id)
+
+    def submit_batch(
+        self,
+        records: Iterable[Tuple[Any, Any]],
+        trace_id: Optional[int] = None,
+    ):
+        """Submit many records in one frame; returns the accepted count."""
+        return self._exchange(
+            build_submit_batch(records), _accepted, trace_id
+        )
+
+    def submit_column(
+        self,
+        key: Any,
+        values: Iterable[Any],
+        trace_id: Optional[int] = None,
+    ):
+        """Submit one key's value column in a single packed frame.
+
+        Homogeneous int64/float64 columns travel as one packed byte
+        blob (8 bytes per record, no per-record tags or tuples) and
+        decode server-side into a zero-copy typed view feeding the
+        router's single-lookup column path; anything else falls back
+        to the tagged object-column encoding, which is semantically
+        identical.  Returns the accepted count (``0`` for an empty
+        column, without touching the connection).
+        """
+        return self._exchange(
+            build_submit_column(key, values), _accepted, trace_id
+        )
+
+    def submit_event(
+        self,
+        key: Any,
+        value: Any,
+        timestamp: float,
+        trace_id: Optional[int] = None,
+    ):
+        """Submit one event-timestamped record (``"time"``-mode server).
+
+        The timestamp rides the protocol-v3 event-time header field —
+        this is the only request that emits v3 framing, so a client
+        that never calls it stays wire-compatible with pre-v3 servers.
+        Returns the accepted count (1).  A record behind the server's
+        watermark raises
+        :class:`~repro.errors.ServiceError` under the service's
+        ``"raise"`` late policy.
+        """
+        return self._exchange(
+            build_submit_event(key, value, timestamp), _accepted, trace_id
+        )
+
+    def submit_event_batch(
+        self,
+        records: Iterable[Tuple[Any, float, Any]],
+        trace_id: Optional[int] = None,
+    ):
+        """Submit ``(key, timestamp, value)`` triples in one frame.
+
+        Timestamps travel in the payload, so the frame itself needs no
+        v3 header field.  Returns the accepted count.
+        """
+        return self._exchange(
+            build_submit_event_batch(records), _accepted, trace_id
+        )
+
+    def poll(self, trace_id: Optional[int] = None):
+        """Answers released since any client's last poll.
+
+        After the call, ``last_reply_trace_id`` holds the trace of the
+        submission whose record closed the newest traced answer's
+        window (or this request's own ``trace_id`` when none were).
+        """
+        return self._exchange(
+            (FrameType.POLL, None, None), decode_answers, trace_id
+        )
+
+    def stats(self):
+        """Server + service stats snapshot (see ``docs/serving.md``)."""
+        return self._exchange((FrameType.STATS, None, None), _whole)
+
+    def drain(self):
+        """Flush the service; returns (remaining answers, final stats)."""
+        return self._exchange((FrameType.DRAIN, None, None), _drained)
+
+
+class AggregationClient(_RequestCore):
     """Blocking TCP client for :class:`~repro.net.server.AggregationServer`.
 
     Args:
@@ -99,9 +311,7 @@ class AggregationClient:
         backoff_base: float = 0.02,
         backoff_max: float = 1.0,
     ):
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_max = backoff_max
+        super().__init__(max_retries, backoff_base, backoff_max)
         try:
             self._sock = socket.create_connection(
                 (host, port), timeout=connect_timeout
@@ -112,14 +322,6 @@ class AggregationClient:
                 f"{connect_timeout} seconds"
             ) from exc
         self._sock.settimeout(request_timeout)
-        self._decoder = FrameDecoder()
-        self._frames: List[Any] = []
-        self._closed = False
-        #: Trace id carried by the most recent reply frame (``None``
-        #: for v1 replies / untraced requests).
-        self.last_reply_trace_id: Optional[int] = None
-
-    # -- low-level I/O ----------------------------------------------
 
     def send_frame(
         self,
@@ -139,140 +341,24 @@ class AggregationClient:
             try:
                 data = self._sock.recv(_RECV_CHUNK)
             except socket.timeout as exc:
-                raise ClientTimeoutError(
-                    "request timed out waiting for a reply; the "
-                    "connection is desynchronised and must be closed"
-                ) from exc
-            if not data:
-                raise ConnectionError(
-                    "server closed the connection mid-request"
-                )
-            self._decoder.feed(data)
-            self._frames.extend(self._decoder.frames_traced())
-        frame = self._frames.pop(0)
-        self.last_reply_trace_id = frame.trace_id
-        return frame.frame_type, frame.payload
+                raise ClientTimeoutError(_REQUEST_TIMED_OUT) from exc
+            self._buffer_received(data)
+        return self._next_reply()
 
-    def _request(
-        self,
-        frame_type: FrameType,
-        payload: Any,
-        trace_id: Optional[int] = None,
-        event_time: Optional[float] = None,
-    ) -> Tuple[FrameType, Any]:
-        """One request/reply round-trip with RETRY backoff."""
-        for attempt in range(self.max_retries + 1):
-            self.send_frame(frame_type, payload, trace_id, event_time)
-            reply_type, reply = self.read_reply()
-            if reply_type is not FrameType.RETRY:
-                if reply_type is FrameType.ERROR:
-                    _raise_reply_error(reply)
-                return reply_type, reply
-            if attempt == self.max_retries:
-                break
-            time.sleep(
-                _suggested_delay(
-                    reply, attempt, self.backoff_base, self.backoff_max
-                )
-            )
-        raise ServerOverloadedError(
-            f"request shed {self.max_retries + 1} times; "
-            "the server is saturated"
-        )
-
-    # -- public API -------------------------------------------------
-
-    def submit(
-        self, key: Any, value: Any, trace_id: Optional[int] = None
-    ) -> int:
-        """Submit one keyed record; returns the accepted count (1)."""
-        _, reply = self._request(
-            FrameType.SUBMIT, (key, value), trace_id
-        )
-        return reply.get("accepted", 0)
-
-    def submit_batch(
-        self,
-        records: Iterable[Tuple[Any, Any]],
-        trace_id: Optional[int] = None,
-    ) -> int:
-        """Submit many records in one frame; returns the accepted count."""
-        batch = [tuple(record) for record in records]
-        _, reply = self._request(
-            FrameType.SUBMIT_BATCH, batch, trace_id
-        )
-        return reply.get("accepted", 0)
-
-    def submit_column(
-        self,
-        key: Any,
-        values: Iterable[Any],
-        trace_id: Optional[int] = None,
-    ) -> int:
-        """Submit one key's value column in a single packed frame.
-
-        Homogeneous int64/float64 columns travel as one packed byte
-        blob (8 bytes per record, no per-record tags or tuples) and
-        decode server-side into a zero-copy typed view feeding the
-        router's single-lookup column path; anything else falls back
-        to the tagged object-column encoding, which is semantically
-        identical.  Returns the accepted count.
-        """
-        column = list(values)
-        if not column:
-            return 0
-        packed = pack_column(column)
-        payload = (
-            (key, *packed) if packed is not None else (key, "o", column)
-        )
-        _, reply = self._request(
-            FrameType.SUBMIT_COLUMN, payload, trace_id
-        )
-        return reply.get("accepted", 0)
-
-    def submit_event(
-        self,
-        key: Any,
-        value: Any,
-        timestamp: float,
-        trace_id: Optional[int] = None,
-    ) -> int:
-        """Submit one event-timestamped record (``"time"``-mode server).
-
-        The timestamp rides the protocol-v3 event-time header field —
-        this is the only request that emits v3 framing, so a client
-        that never calls it stays wire-compatible with pre-v3 servers.
-        Returns the accepted count (1).  A record behind the server's
-        watermark raises
-        :class:`~repro.errors.ServiceError` under the service's
-        ``"raise"`` late policy.
-        """
-        _, reply = self._request(
-            FrameType.SUBMIT_EVENT,
-            (key, value),
-            trace_id,
-            float(timestamp),
-        )
-        return reply.get("accepted", 0)
-
-    def submit_event_batch(
-        self,
-        records: Iterable[Tuple[Any, float, Any]],
-        trace_id: Optional[int] = None,
-    ) -> int:
-        """Submit ``(key, timestamp, value)`` triples in one frame.
-
-        Timestamps travel in the payload, so the frame itself needs no
-        v3 header field.  Returns the accepted count.
-        """
-        batch = [
-            (key, float(timestamp), value)
-            for key, timestamp, value in records
-        ]
-        _, reply = self._request(
-            FrameType.SUBMIT_EVENT_BATCH, batch, trace_id
-        )
-        return reply.get("accepted", 0)
+    def _exchange(self, request, finish, trace_id=None) -> Any:
+        steps = self._round_trip(request, finish, trace_id)
+        reply = None
+        try:
+            while True:
+                action, argument = steps.send(reply)
+                if action == "send":
+                    self._sock.sendall(argument)
+                    reply = self.read_reply()
+                else:
+                    time.sleep(argument)
+                    reply = None
+        except StopIteration as finished:
+            return finished.value
 
     def submit_batches(
         self,
@@ -288,11 +374,9 @@ class AggregationClient:
         ``retry_shed`` is off); shed batches are re-submitted
         sequentially with backoff when ``retry_shed`` is on.
         """
-        prepared = [
-            [tuple(record) for record in batch] for batch in batches
-        ]
-        for batch in prepared:
-            self.send_frame(FrameType.SUBMIT_BATCH, batch)
+        prepared = [build_submit_batch(batch) for batch in batches]
+        for frame_type, payload, _ in prepared:
+            self.send_frame(frame_type, payload)
         accepted: List[int] = []
         shed_indexes: List[int] = []
         for index in range(len(prepared)):
@@ -303,33 +387,13 @@ class AggregationClient:
             elif reply_type is FrameType.ERROR:
                 _raise_reply_error(reply)
             else:
-                accepted.append(reply.get("accepted", 0))
+                accepted.append(_accepted(reply))
         if retry_shed:
             for index in shed_indexes:
-                accepted[index] = self.submit_batch(prepared[index])
+                accepted[index] = self._exchange(
+                    prepared[index], _accepted
+                )
         return accepted
-
-    def poll(
-        self, trace_id: Optional[int] = None
-    ) -> List[Tuple[Any, ...]]:
-        """Answers released since any client's last poll.
-
-        After the call, ``last_reply_trace_id`` holds the trace of the
-        submission whose record closed the newest traced answer's
-        window (or this request's own ``trace_id`` when none were).
-        """
-        _, reply = self._request(FrameType.POLL, None, trace_id)
-        return decode_answers(reply)
-
-    def stats(self) -> Dict[str, Any]:
-        """Server + service stats snapshot (see ``docs/serving.md``)."""
-        _, reply = self._request(FrameType.STATS, None)
-        return reply
-
-    def drain(self) -> Tuple[List[Tuple[Any, ...]], Dict[str, Any]]:
-        """Flush the service; returns (remaining answers, final stats)."""
-        _, reply = self._request(FrameType.DRAIN, None)
-        return decode_answers(reply.get("answers", [])), reply
 
     def close(self) -> None:
         """Send CLOSE (best effort) and release the socket; idempotent."""
@@ -353,25 +417,14 @@ class AggregationClient:
         self.close()
 
 
-def _suggested_delay(
-    reply: Any, attempt: int, base: float, maximum: float
-) -> float:
-    """Backoff delay, honouring the server's ``retry_after`` hint."""
-    delay = _backoff_delay(attempt, base, maximum)
-    if isinstance(reply, dict):
-        hint = reply.get("retry_after")
-        if isinstance(hint, (int, float)) and hint > 0:
-            delay = max(delay, float(min(hint, maximum)))
-    return delay
-
-
-class AsyncAggregationClient:
+class AsyncAggregationClient(_RequestCore):
     """Asyncio twin of :class:`AggregationClient`.
 
     Construct via :meth:`connect`; the policy knobs match the sync
-    client.  All request methods are coroutines; replies are matched
-    to requests by order, so concurrent callers must serialise their
-    round-trips (or use separate connections).
+    client.  The request methods are the sync client's own (one
+    definition serves both) and return awaitables here; replies are
+    matched to requests by order, so concurrent callers must serialise
+    their round-trips (or use separate connections).
     """
 
     def __init__(
@@ -383,17 +436,10 @@ class AsyncAggregationClient:
         backoff_base: float,
         backoff_max: float,
     ):
+        super().__init__(max_retries, backoff_base, backoff_max)
         self._reader = reader
         self._writer = writer
         self.request_timeout = request_timeout
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_max = backoff_max
-        self._decoder = FrameDecoder()
-        self._frames: List[Any] = []
-        self._closed = False
-        #: Trace id carried by the most recent reply frame.
-        self.last_reply_trace_id: Optional[int] = None
 
     @classmethod
     async def connect(
@@ -425,8 +471,6 @@ class AsyncAggregationClient:
             backoff_max,
         )
 
-    # -- low-level I/O ----------------------------------------------
-
     async def send_frame(
         self,
         frame_type: FrameType,
@@ -449,146 +493,25 @@ class AsyncAggregationClient:
                     self.request_timeout,
                 )
             except asyncio.TimeoutError as exc:
-                raise ClientTimeoutError(
-                    "request timed out waiting for a reply; the "
-                    "connection is desynchronised and must be closed"
-                ) from exc
-            if not data:
-                raise ConnectionError(
-                    "server closed the connection mid-request"
-                )
-            self._decoder.feed(data)
-            self._frames.extend(self._decoder.frames_traced())
-        frame = self._frames.pop(0)
-        self.last_reply_trace_id = frame.trace_id
-        return frame.frame_type, frame.payload
+                raise ClientTimeoutError(_REQUEST_TIMED_OUT) from exc
+            self._buffer_received(data)
+        return self._next_reply()
 
-    async def _request(
-        self,
-        frame_type: FrameType,
-        payload: Any,
-        trace_id: Optional[int] = None,
-        event_time: Optional[float] = None,
-    ) -> Tuple[FrameType, Any]:
-        for attempt in range(self.max_retries + 1):
-            await self.send_frame(
-                frame_type, payload, trace_id, event_time
-            )
-            reply_type, reply = await self.read_reply()
-            if reply_type is not FrameType.RETRY:
-                if reply_type is FrameType.ERROR:
-                    _raise_reply_error(reply)
-                return reply_type, reply
-            if attempt == self.max_retries:
-                break
-            await asyncio.sleep(
-                _suggested_delay(
-                    reply, attempt, self.backoff_base, self.backoff_max
-                )
-            )
-        raise ServerOverloadedError(
-            f"request shed {self.max_retries + 1} times; "
-            "the server is saturated"
-        )
-
-    # -- public API -------------------------------------------------
-
-    async def submit(
-        self, key: Any, value: Any, trace_id: Optional[int] = None
-    ) -> int:
-        """Submit one keyed record; returns the accepted count (1)."""
-        _, reply = await self._request(
-            FrameType.SUBMIT, (key, value), trace_id
-        )
-        return reply.get("accepted", 0)
-
-    async def submit_batch(
-        self,
-        records: Iterable[Tuple[Any, Any]],
-        trace_id: Optional[int] = None,
-    ) -> int:
-        """Submit many records in one frame; returns the accepted count."""
-        batch = [tuple(record) for record in records]
-        _, reply = await self._request(
-            FrameType.SUBMIT_BATCH, batch, trace_id
-        )
-        return reply.get("accepted", 0)
-
-    async def submit_column(
-        self,
-        key: Any,
-        values: Iterable[Any],
-        trace_id: Optional[int] = None,
-    ) -> int:
-        """Submit one key's value column in a single packed frame.
-
-        See :meth:`AggregationClient.submit_column`; the packing and
-        fallback rules are identical.
-        """
-        column = list(values)
-        if not column:
-            return 0
-        packed = pack_column(column)
-        payload = (
-            (key, *packed) if packed is not None else (key, "o", column)
-        )
-        _, reply = await self._request(
-            FrameType.SUBMIT_COLUMN, payload, trace_id
-        )
-        return reply.get("accepted", 0)
-
-    async def submit_event(
-        self,
-        key: Any,
-        value: Any,
-        timestamp: float,
-        trace_id: Optional[int] = None,
-    ) -> int:
-        """Submit one event-timestamped record (v3 framing).
-
-        See :meth:`AggregationClient.submit_event`.
-        """
-        _, reply = await self._request(
-            FrameType.SUBMIT_EVENT,
-            (key, value),
-            trace_id,
-            float(timestamp),
-        )
-        return reply.get("accepted", 0)
-
-    async def submit_event_batch(
-        self,
-        records: Iterable[Tuple[Any, float, Any]],
-        trace_id: Optional[int] = None,
-    ) -> int:
-        """Submit ``(key, timestamp, value)`` triples in one frame."""
-        batch = [
-            (key, float(timestamp), value)
-            for key, timestamp, value in records
-        ]
-        _, reply = await self._request(
-            FrameType.SUBMIT_EVENT_BATCH, batch, trace_id
-        )
-        return reply.get("accepted", 0)
-
-    async def poll(
-        self, trace_id: Optional[int] = None
-    ) -> List[Tuple[Any, ...]]:
-        """Answers released since any client's last poll."""
-        _, reply = await self._request(FrameType.POLL, None, trace_id)
-        return decode_answers(reply)
-
-    async def stats(self) -> Dict[str, Any]:
-        """Server + service stats snapshot (see ``docs/serving.md``)."""
-        _, reply = await self._request(FrameType.STATS, None)
-        return reply
-
-    async def drain(
-        self,
-    ) -> Tuple[List[Tuple[Any, ...]], Dict[str, Any]]:
-        """Flush the service; returns (remaining answers, final stats)."""
-        _, reply = await self._request(FrameType.DRAIN, None)
-        return decode_answers(reply.get("answers", [])), reply
+    async def _exchange(self, request, finish, trace_id=None) -> Any:
+        steps = self._round_trip(request, finish, trace_id)
+        reply = None
+        try:
+            while True:
+                action, argument = steps.send(reply)
+                if action == "send":
+                    self._writer.write(argument)
+                    await self._writer.drain()
+                    reply = await self.read_reply()
+                else:
+                    await asyncio.sleep(argument)
+                    reply = None
+        except StopIteration as finished:
+            return finished.value
 
     async def close(self) -> None:
         """Send CLOSE (best effort) and release the stream; idempotent."""

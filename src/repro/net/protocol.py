@@ -52,10 +52,14 @@ chunk by chunk.
 from __future__ import annotations
 
 import enum
+import math
 import struct
 import sys
+from operator import itemgetter
 from typing import (
     Any,
+    Callable,
+    Iterable,
     Iterator,
     List,
     NamedTuple,
@@ -146,31 +150,10 @@ class FrameType(enum.IntEnum):
     ERROR = 0x85
 
 
-#: Frame types a client may send.
-REQUEST_TYPES = frozenset(
-    {
-        FrameType.SUBMIT,
-        FrameType.SUBMIT_BATCH,
-        FrameType.SUBMIT_COLUMN,
-        FrameType.SUBMIT_EVENT,
-        FrameType.SUBMIT_EVENT_BATCH,
-        FrameType.POLL,
-        FrameType.STATS,
-        FrameType.DRAIN,
-        FrameType.CLOSE,
-    }
-)
-
-#: Frame types a server may send.
-REPLY_TYPES = frozenset(
-    {
-        FrameType.OK,
-        FrameType.ANSWERS,
-        FrameType.STATS_REPLY,
-        FrameType.RETRY,
-        FrameType.ERROR,
-    }
-)
+#: Frame types a client may send, and a server may send: the enum's
+#: split at 0x80, so a new member needs no second entry here.
+REQUEST_TYPES = frozenset(t for t in FrameType if t < 0x80)
+REPLY_TYPES = frozenset(FrameType) - REQUEST_TYPES
 
 # -- value codec ----------------------------------------------------
 #
@@ -380,6 +363,233 @@ def pack_column(values: Sequence[Any]) -> Optional[Tuple[str, bytes]]:
     return ("d" if is_float else "q", body)
 
 
+# -- submit shapes --------------------------------------------------
+#
+# Each ingress shape is written once, here: a ``build_*`` half (client
+# arguments -> ``(frame type, payload, event time)``) beside a
+# ``_parse_*`` half (decoded payload -> gateway arguments and record
+# count), bound to its frame type and its
+# :class:`~repro.service.gateway.ServiceGateway` verb by one row of
+# :data:`SUBMIT_SHAPES`.  Adding a shape is one row plus one gateway
+# verb; clients, server and admission handle "a submit", not a kind.
+
+#: What a build half returns: ``(frame type, payload, event time)``.
+SubmitRequest = Tuple[FrameType, Any, Optional[float]]
+
+#: How a refused row of each arity is named in the ERROR reply.
+_ROW_WORDS = {2: "(key, value) pair", 3: "(key, timestamp, value) triple"}
+_row_key = itemgetter(0)
+
+
+def _require_routable(name: str, keys: Iterable[Any]) -> None:
+    """Refuse keys the router's shard memo (a dict) cannot hold."""
+    try:
+        frozenset(keys)
+    except TypeError as exc:
+        raise ProtocolError(f"{name} key cannot be routed: {exc}") from exc
+
+
+def _rows(
+    name: str, payload: Any, arity: int, noun: str = "record"
+) -> List[Tuple[Any, ...]]:
+    """Validate a sequence of ``arity``-tuples with routable keys.
+
+    This loop runs on the server's event-loop thread for every record:
+    one pass for shape (rows the codec already decoded as tuples are
+    kept, not rebuilt), then one C-level pass over the keys.
+    """
+    if not isinstance(payload, (list, tuple)):
+        raise ProtocolError(
+            f"{name} payload must be a sequence of "
+            f"{_ROW_WORDS[arity]}s, got {type(payload).__name__}"
+        )
+    rows: List[Tuple[Any, ...]] = []
+    append = rows.append
+    for row in payload:
+        if type(row) is tuple and len(row) == arity:
+            append(row)
+        elif isinstance(row, (list, tuple)) and len(row) == arity:
+            append(tuple(row))
+        else:
+            raise ProtocolError(
+                f"{name} {noun} must be a {_ROW_WORDS[arity]}, got {row!r}"
+            )
+    _require_routable(name, map(_row_key, rows))
+    return rows
+
+
+def _event_timestamp(timestamp: Any) -> float:
+    """Validate one event timestamp: a finite number, not a bool."""
+    if isinstance(timestamp, bool) or not isinstance(
+        timestamp, (int, float)
+    ):
+        raise ProtocolError(
+            f"event timestamp must be a number, got {timestamp!r}"
+        )
+    if not math.isfinite(timestamp):
+        # A NaN timestamp passes every downstream comparison
+        # (including "timestamp < origin") and would wedge the
+        # service's reorder buffer forever; reject it at the wire.
+        raise ProtocolError(
+            f"event timestamp must be finite, got {timestamp!r}"
+        )
+    return float(timestamp)
+
+
+def build_submit(key: Any, value: Any) -> SubmitRequest:
+    """``SUBMIT``: one keyed record, payload ``(key, value)``."""
+    return FrameType.SUBMIT, (key, value), None
+
+
+def _parse_one(payload: Any, event_time: Optional[float]):
+    (record,) = _rows("SUBMIT", [payload], 2)
+    return record, 1
+
+
+def build_submit_batch(records: Iterable[Tuple[Any, Any]]) -> SubmitRequest:
+    """``SUBMIT_BATCH``: payload ``[(key, value), ...]``."""
+    return FrameType.SUBMIT_BATCH, list(map(tuple, records)), None
+
+
+def _parse_batch(payload: Any, event_time: Optional[float]):
+    records = _rows("SUBMIT_BATCH", payload, 2)
+    return (records,), len(records)
+
+
+def build_submit_column(
+    key: Any, values: Iterable[Any]
+) -> Optional[SubmitRequest]:
+    """``SUBMIT_COLUMN``: payload ``(key, kind, body)``.
+
+    Homogeneous int64/float64 columns travel packed (kind ``"q"`` /
+    ``"d"``, see :func:`pack_column`), anything else as the tagged
+    object column ``"o"``.  An empty column builds nothing (``None``):
+    there is no frame to send.
+    """
+    column = list(values)
+    if not column:
+        return None
+    packed = pack_column(column) or ("o", column)
+    return FrameType.SUBMIT_COLUMN, (key, *packed), None
+
+
+def _parse_column(payload: Any, event_time: Optional[float]):
+    """Packed kinds come back as a zero-copy typed ``memoryview`` over
+    the payload bytes (no per-record decode loop); ``"o"`` as a list."""
+    if not isinstance(payload, (list, tuple)) or len(payload) != 3:
+        raise ProtocolError(
+            "SUBMIT_COLUMN payload must be a (key, kind, body) "
+            f"triple, got {payload!r}"
+        )
+    key, kind, body = payload
+    _require_routable("SUBMIT_COLUMN", (key,))
+    if kind in ("q", "d"):
+        if not isinstance(body, (bytes, bytearray)):
+            raise ProtocolError(
+                f"packed column body must be bytes, got "
+                f"{type(body).__name__}"
+            )
+        if len(body) % 8:
+            raise ProtocolError(
+                f"packed column of {len(body)} bytes is not a "
+                "multiple of 8"
+            )
+        if sys.byteorder != "little":  # pragma: no cover - LE hosts
+            column: Any = list(
+                struct.unpack(f"<{len(body) // 8}{kind}", bytes(body))
+            )
+        else:
+            from repro.kernels import column_view
+
+            column = column_view(bytes(body), kind)
+    elif kind == "o":
+        if not isinstance(body, (list, tuple)):
+            raise ProtocolError(
+                f"object column body must be a sequence, got "
+                f"{type(body).__name__}"
+            )
+        column = list(body)
+    else:
+        raise ProtocolError(
+            f"unknown column kind {kind!r} (expected 'q', 'd', or 'o')"
+        )
+    return (key, column), len(column)
+
+
+def build_submit_event(
+    key: Any, value: Any, timestamp: float
+) -> SubmitRequest:
+    """``SUBMIT_EVENT``: payload ``(key, value)``, the timestamp in
+    the v3 event-time header field (the only shape that needs v3)."""
+    return FrameType.SUBMIT_EVENT, (key, value), float(timestamp)
+
+
+def _parse_event(payload: Any, event_time: Optional[float]):
+    if event_time is None:
+        raise ProtocolError(
+            "SUBMIT_EVENT requires the protocol-v3 event-time "
+            "header field"
+        )
+    timestamp = _event_timestamp(event_time)
+    ((key, value),) = _rows("SUBMIT_EVENT", [payload], 2, "payload")
+    return (key, value, timestamp), 1
+
+
+def build_submit_event_batch(
+    records: Iterable[Tuple[Any, float, Any]],
+) -> SubmitRequest:
+    """``SUBMIT_EVENT_BATCH``: payload ``[(key, timestamp, value),
+    ...]`` — timestamps in-payload, so any framing version carries it."""
+    batch = [(key, float(stamp), value) for key, stamp, value in records]
+    return FrameType.SUBMIT_EVENT_BATCH, batch, None
+
+
+def _parse_event_batch(payload: Any, event_time: Optional[float]):
+    rows = _rows("SUBMIT_EVENT_BATCH", payload, 3)
+    records = [
+        (key, _event_timestamp(stamp), value) for key, stamp, value in rows
+    ]
+    return (records,), len(records)
+
+
+class SubmitShape(NamedTuple):
+    """One row of the submit table: an ingress shape, written once.
+
+    ``parse(payload, event_time)`` refuses with
+    :class:`~repro.errors.ProtocolError` — wrong row shape or arity, a
+    key that does not hash (it could not be routed), a timestamp that
+    is not a finite number, a malformed column — before anything is
+    admitted or routed.
+    """
+
+    #: The :class:`~repro.service.gateway.ServiceGateway` method the
+    #: shape becomes: ``gateway.<verb>(*args, trace_id)``.
+    verb: str
+    #: Client arguments -> :data:`SubmitRequest` (``None``: no frame).
+    build: Callable[..., Optional[SubmitRequest]]
+    #: Decoded frame -> ``(args, count)``: the verb's arguments and the
+    #: records they carry (what admission control budgets).
+    parse: Callable[[Any, Optional[float]], Tuple[Tuple[Any, ...], int]]
+
+
+#: The submit table: every frame type that carries records.
+SUBMIT_SHAPES = {
+    FrameType.SUBMIT: SubmitShape("submit", build_submit, _parse_one),
+    FrameType.SUBMIT_BATCH: SubmitShape(
+        "submit_many", build_submit_batch, _parse_batch
+    ),
+    FrameType.SUBMIT_COLUMN: SubmitShape(
+        "submit_column", build_submit_column, _parse_column
+    ),
+    FrameType.SUBMIT_EVENT: SubmitShape(
+        "submit_event", build_submit_event, _parse_event
+    ),
+    FrameType.SUBMIT_EVENT_BATCH: SubmitShape(
+        "submit_events", build_submit_event_batch, _parse_event_batch
+    ),
+}
+
+
 # -- frame codec ----------------------------------------------------
 
 
@@ -420,32 +630,18 @@ def encode_frame(
             "(0 is reserved for 'no trace')"
         )
     if event_time is not None:
-        return (
-            HEADER.pack(
-                MAGIC,
-                EVENT_TIME_PROTOCOL_VERSION,
-                int(frame_type),
-                len(body),
-            )
-            + _TRACE_FIELD.pack(trace_id or 0)
-            + _EVENT_FIELD.pack(event_time)
-            + body
-        )
-    if trace_id is None:
-        return (
-            HEADER.pack(
-                MAGIC, LEGACY_PROTOCOL_VERSION, int(frame_type),
-                len(body),
-            )
-            + body
-        )
-    return (
-        HEADER.pack(
-            MAGIC, PROTOCOL_VERSION, int(frame_type), len(body)
-        )
-        + _TRACE_FIELD.pack(trace_id)
-        + body
-    )
+        version = EVENT_TIME_PROTOCOL_VERSION
+    elif trace_id is not None:
+        version = PROTOCOL_VERSION
+    else:
+        version = LEGACY_PROTOCOL_VERSION
+    # Fields are appended the way try_decode_frame_traced reads them.
+    frame = HEADER.pack(MAGIC, version, int(frame_type), len(body))
+    if version >= 2:
+        frame += _TRACE_FIELD.pack(trace_id or 0)
+    if version >= 3:
+        frame += _EVENT_FIELD.pack(event_time)
+    return frame + body
 
 
 def try_decode_frame_traced(

@@ -7,7 +7,8 @@ through the thread-safe
 runs two coroutines:
 
 * a **reader** that decodes frames off the socket and makes the
-  admission decision the moment a SUBMIT/SUBMIT_BATCH is decoded, and
+  admission decision the moment a submit is decoded (its shape is a
+  row of :data:`repro.net.protocol.SUBMIT_SHAPES`, not a branch here), and
 * a **processor** that executes the admitted requests strictly in
   arrival order (service calls run on a thread-pool executor, since
   ``block`` backpressure may sleep) and writes one reply per request —
@@ -22,10 +23,10 @@ request's records are dropped immediately and the client gets a
 ``RETRY`` reply (in order), mirroring ``drop``-style load shedding
 with exact shed counts.
 
-STATS replies carry throughput, a
-:class:`~repro.metrics.stats.Reservoir`-sampled submit-latency
-summary, and accepted/shed/poison counters next to the service's own
-live snapshot; see ``docs/serving.md`` for the full payload schema.
+STATS replies carry throughput, a submit-latency summary read off the
+``repro_net_submit_seconds`` histogram, and accepted/shed/poison
+counters next to the service's own live snapshot; see
+``docs/serving.md`` for the full payload schema.
 
 Observability: every server owns a :class:`~repro.telemetry.Telemetry`
 hub (or shares one passed in) and attaches it to the wrapped service,
@@ -44,18 +45,15 @@ STATS under ``"telemetry"`` and via :meth:`AggregationServer.render_metrics`
 from __future__ import annotations
 
 import asyncio
-import math
-import struct
-import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.errors import ProtocolError, ReproError, ServiceError
-from repro.kernels import column_view
-from repro.metrics import Reservoir, maybe_summary
 from repro.net.protocol import (
+    SUBMIT_SHAPES,
+    Frame,
     FrameType,
     encode_answers,
     encode_frame,
@@ -179,7 +177,6 @@ class AggregationServer:
         retry_after: Backoff hint, in seconds, carried in RETRY replies.
         executor_workers: Thread-pool size for (possibly blocking)
             service calls.
-        latency_capacity: Reservoir size for submit-latency sampling.
         telemetry: The :class:`~repro.telemetry.Telemetry` hub to
             observe into; a fresh hub is created when ``None``.  The
             hub is attached to the wrapped service, so one registry
@@ -201,7 +198,6 @@ class AggregationServer:
         admission_policy: str = "shed",
         retry_after: float = 0.05,
         executor_workers: int = 4,
-        latency_capacity: int = 1024,
         telemetry: Optional[Telemetry] = None,
         slow_threshold: float = 0.050,
     ):
@@ -230,7 +226,6 @@ class AggregationServer:
             max_workers=executor_workers,
             thread_name_prefix="repro-net",
         )
-        self._latency = Reservoir(capacity=latency_capacity, seed=0)
         self._server: Optional[asyncio.AbstractServer] = None
         self._connection_tasks: set = set()
         self._next_connection_id = 0
@@ -423,7 +418,6 @@ class AggregationServer:
                 )
                 self._decode_hist.observe(decode_seconds)
                 self._frames_counter.inc()
-                frame_type = frame.frame_type
                 trace_id = frame.trace_id
                 if trace_id is not None:
                     self._traced_counter.inc()
@@ -431,10 +425,7 @@ class AggregationServer:
                 nbytes = next_offset - offset
                 offset = next_offset
                 admit_started = time.perf_counter()
-                item = await self._admit(
-                    connection, frame_type, frame.payload, nbytes,
-                    trace_id, frame.event_time,
-                )
+                item = await self._admit(connection, frame, nbytes)
                 admission_seconds = (
                     time.perf_counter() - admit_started
                 )
@@ -444,19 +435,13 @@ class AggregationServer:
                         trace_id, "admission", admission_seconds
                     )
                 await queue.put(item)
-                if frame_type is FrameType.CLOSE:
+                if frame.frame_type is FrameType.CLOSE:
                     return
             if offset:
                 del buffer[:offset]
 
     async def _admit(
-        self,
-        connection: _Connection,
-        frame_type: FrameType,
-        payload: Any,
-        nbytes: int,
-        trace_id: Optional[int],
-        event_time: Optional[float] = None,
+        self, connection: _Connection, frame: Frame, nbytes: int
     ) -> Tuple[str, Any, int, Optional[int]]:
         """Turn one decoded frame into a queued work item.
 
@@ -464,49 +449,29 @@ class AggregationServer:
         burst is bounded (or shed) even while earlier requests are
         still being folded.
         """
-        if frame_type not in (
-            FrameType.SUBMIT,
-            FrameType.SUBMIT_BATCH,
-            FrameType.SUBMIT_COLUMN,
-            FrameType.SUBMIT_EVENT,
-            FrameType.SUBMIT_EVENT_BATCH,
-        ):
-            return ("request", (frame_type, payload), 0, trace_id)
+        trace_id = frame.trace_id
+        shape = SUBMIT_SHAPES.get(frame.frame_type)
+        if shape is None:
+            return ("request", frame.frame_type, 0, trace_id)
         try:
-            if frame_type is FrameType.SUBMIT_COLUMN:
-                kind = "submit_column"
-                work: Any = _normalize_column(payload)
-                count = len(work[1])
-            elif frame_type in (
-                FrameType.SUBMIT_EVENT,
-                FrameType.SUBMIT_EVENT_BATCH,
-            ):
-                kind = "submit_events"
-                work = _normalize_events(frame_type, payload, event_time)
-                count = len(work)
-            else:
-                kind = "submit"
-                work = _normalize_records(frame_type, payload)
-                count = len(work)
+            args, count = shape.parse(frame.payload, frame.event_time)
         except ProtocolError as error:
-            return ("bad_request", str(error), 0, trace_id)
+            return ("refused", str(error), 0, trace_id)
         if self._draining or self.gateway.closed:
-            return ("rejected", "server is draining", 0, trace_id)
+            return ("refused", "server is draining", 0, trace_id)
         if self.admission_policy == "block":
             await self._budget.acquire(count, nbytes)
             if connection.budget is not None:
                 await connection.budget.acquire(count, nbytes)
-            self._inflight_gauge.set(self._budget.records)
-            return (kind, work, nbytes, trace_id)
-        if not self._budget.try_acquire(count, nbytes):
+        elif not self._budget.try_acquire(count, nbytes):
             return self._shed(connection, count, trace_id)
-        if connection.budget is not None and not (
+        elif connection.budget is not None and not (
             connection.budget.try_acquire(count, nbytes)
         ):
             await self._budget.release(count, nbytes)
             return self._shed(connection, count, trace_id)
         self._inflight_gauge.set(self._budget.records)
-        return (kind, work, nbytes, trace_id)
+        return ("submit", (shape.verb, args, count), nbytes, trace_id)
 
     def _shed(
         self,
@@ -532,11 +497,7 @@ class AggregationServer:
             if kind == "eof":
                 return
             if kind == "protocol_error":
-                await self._reply(
-                    writer,
-                    FrameType.ERROR,
-                    {"error": "ProtocolError", "message": value},
-                )
+                await self._reply_error(writer, "ProtocolError", value)
                 return
             if kind == "shed":
                 await self._reply(
@@ -551,74 +512,29 @@ class AggregationServer:
                 )
                 self.telemetry.tracer.finish(trace_id)
                 continue
-            if kind in ("bad_request", "rejected"):
-                await self._reply(
-                    writer,
-                    FrameType.ERROR,
-                    {"error": "ServiceError", "message": value},
-                    trace_id,
+            if kind == "refused":
+                await self._reply_error(
+                    writer, "ServiceError", value, trace_id
                 )
                 self.telemetry.tracer.finish(trace_id)
                 continue
             if kind == "submit":
-                records = value
                 await self._handle_submit(
-                    loop,
-                    writer,
-                    connection,
-                    lambda: self.gateway.submit_many(records, trace_id),
-                    len(records),
-                    nbytes,
-                    trace_id,
+                    loop, writer, connection, value, nbytes, trace_id
                 )
                 continue
-            if kind == "submit_events":
-                records = value
-                await self._handle_submit(
-                    loop,
-                    writer,
-                    connection,
-                    lambda: self.gateway.submit_events(
-                        records, trace_id
-                    ),
-                    len(records),
-                    nbytes,
-                    trace_id,
-                )
-                continue
-            if kind == "submit_column":
-                key, column = value
-                await self._handle_submit(
-                    loop,
-                    writer,
-                    connection,
-                    lambda: self.gateway.submit_column(
-                        key, column, trace_id
-                    ),
-                    len(column),
-                    nbytes,
-                    trace_id,
-                )
-                continue
-            frame_type, payload = value
-            if frame_type is FrameType.CLOSE:
+            if value is FrameType.CLOSE:
                 await self._reply(
                     writer, FrameType.OK, {"closed": True}, trace_id
                 )
                 return
             try:
                 await self._handle_request(
-                    loop, writer, frame_type, trace_id
+                    loop, writer, value, trace_id
                 )
             except ReproError as error:
-                await self._reply(
-                    writer,
-                    FrameType.ERROR,
-                    {
-                        "error": type(error).__name__,
-                        "message": str(error),
-                    },
-                    trace_id,
+                await self._reply_error(
+                    writer, type(error).__name__, str(error), trace_id
                 )
 
     async def _handle_submit(
@@ -626,20 +542,22 @@ class AggregationServer:
         loop: asyncio.AbstractEventLoop,
         writer: asyncio.StreamWriter,
         connection: _Connection,
-        submit: Callable[[], int],
-        count: int,
+        call: Tuple[str, Tuple[Any, ...], int],
         nbytes: int,
         trace_id: Optional[int],
     ) -> None:
+        """Run ``gateway.<verb>(*args, trace_id)`` for ``count`` records."""
+        verb, args, count = call
         started = time.perf_counter()
         try:
-            await loop.run_in_executor(self._executor, submit)
-        except ReproError as error:
-            await self._reply(
-                writer,
-                FrameType.ERROR,
-                {"error": type(error).__name__, "message": str(error)},
-                trace_id,
+            await loop.run_in_executor(
+                self._executor, getattr(self.gateway, verb), *args, trace_id
+            )
+        except Exception as error:
+            # Whatever the service raises, the request still gets its
+            # in-order reply and the connection's processor lives on.
+            await self._reply_error(
+                writer, type(error).__name__, str(error), trace_id
             )
             return
         finally:
@@ -648,7 +566,6 @@ class AggregationServer:
                 await connection.budget.release(count, nbytes)
             self._inflight_gauge.set(self._budget.records)
         submit_seconds = time.perf_counter() - started
-        self._latency.add(submit_seconds)
         self._submit_hist.observe(submit_seconds)
         self.telemetry.tracer.record(
             trace_id, "submit", submit_seconds
@@ -752,6 +669,16 @@ class AggregationServer:
             trace_id, "reply", reply_seconds
         )
 
+    async def _reply_error(
+        self,
+        writer: asyncio.StreamWriter,
+        name: str,
+        message: str,
+        trace_id: Optional[int] = None,
+    ) -> None:
+        payload = {"error": name, "message": message}
+        await self._reply(writer, FrameType.ERROR, payload, trace_id)
+
     # -- stats ------------------------------------------------------
 
     def stats_payload(
@@ -759,7 +686,7 @@ class AggregationServer:
     ) -> Dict[str, Any]:
         """The STATS reply payload (see ``docs/serving.md``)."""
         uptime = time.perf_counter() - self._started_at
-        summary = maybe_summary(self._latency.values)
+        latency = self._submit_hist
         return {
             "server": {
                 "uptime_seconds": uptime,
@@ -782,16 +709,15 @@ class AggregationServer:
                 ),
                 "submit_latency": (
                     {
-                        "count": summary.count,
-                        "minimum": summary.minimum,
-                        "p25": summary.p25,
-                        "median": summary.median,
-                        "mean": summary.mean,
-                        "p75": summary.p75,
-                        "maximum": summary.maximum,
-                        "sampled_of": self._latency.seen,
+                        "count": latency.count,
+                        "minimum": latency.minimum,
+                        "p25": latency.quantile(0.25),
+                        "median": latency.quantile(0.5),
+                        "mean": latency.sum / latency.count,
+                        "p75": latency.quantile(0.75),
+                        "maximum": latency.maximum,
                     }
-                    if summary is not None
+                    if latency.count
                     else None
                 ),
             },
@@ -812,129 +738,6 @@ class AggregationServer:
         """
         self._inflight_gauge.set(self._budget.records)
         return self.telemetry.render_text()
-
-
-def _normalize_records(
-    frame_type: FrameType, payload: Any
-) -> List[Tuple[Any, Any]]:
-    """Validate a SUBMIT/SUBMIT_BATCH payload into ``(key, value)`` pairs."""
-    if frame_type is FrameType.SUBMIT:
-        pairs: Any = [payload]
-    else:
-        pairs = payload
-    if not isinstance(pairs, (list, tuple)):
-        raise ProtocolError(
-            f"{frame_type.name} payload must be a sequence of "
-            f"(key, value) pairs, got {type(payload).__name__}"
-        )
-    records: List[Tuple[Any, Any]] = []
-    for pair in pairs:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ProtocolError(
-                f"{frame_type.name} record must be a (key, value) "
-                f"pair, got {pair!r}"
-            )
-        records.append((pair[0], pair[1]))
-    return records
-
-
-def _normalize_events(
-    frame_type: FrameType, payload: Any, event_time: Optional[float]
-) -> List[Tuple[Any, float, Any]]:
-    """Validate event frames into ``(key, timestamp, value)`` triples.
-
-    ``SUBMIT_EVENT`` carries its timestamp in the v3 header field and
-    a ``(key, value)`` payload; ``SUBMIT_EVENT_BATCH`` carries triples
-    in the payload (any framing version).
-    """
-    if frame_type is FrameType.SUBMIT_EVENT:
-        if event_time is None:
-            raise ProtocolError(
-                "SUBMIT_EVENT requires the protocol-v3 event-time "
-                "header field"
-            )
-        if not math.isfinite(event_time):
-            # A NaN timestamp passes every downstream comparison
-            # (including "timestamp < origin") and would wedge the
-            # service's reorder buffer forever; reject it at the wire.
-            raise ProtocolError(
-                f"event timestamp must be finite, got {event_time!r}"
-            )
-        if not isinstance(payload, (list, tuple)) or len(payload) != 2:
-            raise ProtocolError(
-                f"SUBMIT_EVENT payload must be a (key, value) pair, "
-                f"got {payload!r}"
-            )
-        return [(payload[0], event_time, payload[1])]
-    if not isinstance(payload, (list, tuple)):
-        raise ProtocolError(
-            "SUBMIT_EVENT_BATCH payload must be a sequence of "
-            f"(key, timestamp, value) triples, got "
-            f"{type(payload).__name__}"
-        )
-    records: List[Tuple[Any, float, Any]] = []
-    for row in payload:
-        if not isinstance(row, (list, tuple)) or len(row) != 3:
-            raise ProtocolError(
-                "SUBMIT_EVENT_BATCH record must be a "
-                f"(key, timestamp, value) triple, got {row!r}"
-            )
-        key, timestamp, value = row
-        if isinstance(timestamp, bool) or not isinstance(
-            timestamp, (int, float)
-        ):
-            raise ProtocolError(
-                f"event timestamp must be a number, got {timestamp!r}"
-            )
-        if not math.isfinite(timestamp):
-            raise ProtocolError(
-                f"event timestamp must be finite, got {timestamp!r}"
-            )
-        records.append((key, float(timestamp), value))
-    return records
-
-
-def _normalize_column(payload: Any) -> Tuple[Any, Any]:
-    """Validate a SUBMIT_COLUMN payload into ``(key, values)``.
-
-    Packed numeric columns (kind ``"q"``/``"d"``) come back as a
-    zero-copy typed ``memoryview`` over the payload bytes — no
-    per-record decode loop; the ``"o"`` fallback kind carries a plain
-    list of tagged values.
-    """
-    if not isinstance(payload, (list, tuple)) or len(payload) != 3:
-        raise ProtocolError(
-            "SUBMIT_COLUMN payload must be a (key, kind, body) "
-            f"triple, got {payload!r}"
-        )
-    key, kind, body = payload
-    if kind in ("q", "d"):
-        if not isinstance(body, (bytes, bytearray)):
-            raise ProtocolError(
-                f"packed column body must be bytes, got "
-                f"{type(body).__name__}"
-            )
-        if len(body) % 8:
-            raise ProtocolError(
-                f"packed column of {len(body)} bytes is not a "
-                "multiple of 8"
-            )
-        if sys.byteorder != "little":  # pragma: no cover - LE hosts
-            count = len(body) // 8
-            return key, list(
-                struct.unpack(f"<{count}{kind}", bytes(body))
-            )
-        return key, column_view(bytes(body), kind)
-    if kind == "o":
-        if not isinstance(body, (list, tuple)):
-            raise ProtocolError(
-                f"object column body must be a sequence, got "
-                f"{type(body).__name__}"
-            )
-        return key, list(body)
-    raise ProtocolError(
-        f"unknown column kind {kind!r} (expected 'q', 'd', or 'o')"
-    )
 
 
 def _final_stats(result: ServiceResult) -> Dict[str, Any]:

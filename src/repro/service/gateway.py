@@ -65,12 +65,9 @@ class ServiceGateway:
         telemetry trace.
         """
         batch = list(records)
-        with self._lock:
-            self._require_open()
-            self._service.submit_many(batch, trace_id)
-            self._records_submitted += len(batch)
-            self._batches_submitted += 1
-        return len(batch)
+        return self._ingest(
+            self._service.submit_many, len(batch), batch, trace_id
+        )
 
     def submit_event(
         self,
@@ -96,12 +93,9 @@ class ServiceGateway:
         accounts for them in its late-record counters).
         """
         batch = list(records)
-        with self._lock:
-            self._require_open()
-            self._service.submit_events(batch, trace_id)
-            self._records_submitted += len(batch)
-            self._batches_submitted += 1
-        return len(batch)
+        return self._ingest(
+            self._service.submit_events, len(batch), batch, trace_id
+        )
 
     def submit_column(
         self,
@@ -113,17 +107,24 @@ class ServiceGateway:
 
         Returns the number of records handed to the service.  The
         column rides the router's single-lookup path end to end, so a
-        ``SUBMIT_COLUMNS`` wire request never pays per-record routing.
+        ``SUBMIT_COLUMN`` wire request never pays per-record routing.
         """
         column = list(values)
         if not column:
             return 0
+        return self._ingest(
+            self._service.submit_column, len(column), key, column, trace_id
+        )
+
+    def _ingest(self, submit, count: int, *args) -> int:
+        """The one ingest body: run a service submit under the lock and
+        count its records as one batch."""
         with self._lock:
             self._require_open()
-            self._service.submit_column(key, column, trace_id)
-            self._records_submitted += len(column)
+            submit(*args)
+            self._records_submitted += count
             self._batches_submitted += 1
-        return len(column)
+        return count
 
     # -- answers ----------------------------------------------------
 

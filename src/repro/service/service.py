@@ -502,21 +502,7 @@ class AggregationService:
         self, key: Any, value: Any, trace_id: Optional[int] = None
     ) -> None:
         """Ingest one keyed record, optionally attributed to a trace."""
-        if self._closed:
-            raise ServiceError("cannot submit to a closed service")
-        if self._ingress is not None:
-            raise ServiceError(
-                "time-mode service requires submit_event (records "
-                "must carry an event timestamp)"
-            )
-        if trace_id is not None:
-            self._note_trace_interval(
-                self._router.position + 1,
-                self._router.position + 1,
-                trace_id,
-            )
-        for batch in self._router.put(key, value, trace_id):
-            self._transport.ship(batch)
+        self._ingest(self._router.put, trace_id, key, value)
 
     def submit_many(
         self,
@@ -529,23 +515,7 @@ class AggregationService:
         that cannot be routed (not a pair, unhashable key) raises with
         every record before it ingested and none after it consumed.
         """
-        if self._closed:
-            raise ServiceError("cannot submit to a closed service")
-        if self._ingress is not None:
-            raise ServiceError(
-                "time-mode service requires submit_events (records "
-                "must carry event timestamps)"
-            )
-        first = self._router.position + 1
-        try:
-            for batch in self._router.put_many(records, trace_id):
-                self._transport.ship(batch)
-        finally:
-            # Also on a bad record: the routed prefix carries the trace.
-            if trace_id is not None and self._router.position >= first:
-                self._note_trace_interval(
-                    first, self._router.position, trace_id
-                )
+        self._ingest(self._router.put_many, trace_id, records)
 
     def submit_column(
         self,
@@ -560,17 +530,23 @@ class AggregationService:
         buffers; the network layer's ``SUBMIT_COLUMN`` request lands
         here.
         """
+        self._ingest(self._router.put_column, trace_id, key, values)
+
+    def _ingest(self, route, trace_id: Optional[int], *args) -> None:
+        """The one count-mode ingest body: route, ship, note the trace."""
         if self._closed:
             raise ServiceError("cannot submit to a closed service")
         if self._ingress is not None:
             raise ServiceError(
-                "time-mode service requires submit_events (records "
-                "must carry event timestamps)"
+                "time-mode service requires submit_event / "
+                "submit_events (records must carry event timestamps)"
             )
         first = self._router.position + 1
-        for batch in self._router.put_column(key, values, trace_id):
-            self._transport.ship(batch)
-        if trace_id is not None and self._router.position >= first:
+        try:
+            for batch in route(*args, trace_id):
+                self._transport.ship(batch)
+        finally:
+            # Also on a bad record: the routed prefix carries the trace.
             self._note_trace_interval(
                 first, self._router.position, trace_id
             )

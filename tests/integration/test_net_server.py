@@ -316,10 +316,11 @@ class TestProtocolAndLifecycle:
             with AggregationClient(
                 "127.0.0.1", thread.port
             ) as client:
-                with pytest.raises(ServiceError, match="pair"):
-                    client._request(
-                        FrameType.SUBMIT, "not-a-pair"
-                    )
+                client.send_frame(FrameType.SUBMIT, "not-a-pair")
+                reply_type, reply = client.read_reply()
+                assert reply_type is FrameType.ERROR
+                assert reply["error"] == "ServiceError"
+                assert "pair" in reply["message"]
                 # The connection survives a semantic error.
                 assert client.submit("k", 1) == 1
 
@@ -377,7 +378,7 @@ class TestProtocolAndLifecycle:
                 "127.0.0.1", port, request_timeout=0.2
             )
             with pytest.raises(ClientTimeoutError):
-                client._request(FrameType.POLL, None)
+                client.poll()
         finally:
             for conn in accepted:
                 conn.close()
@@ -396,7 +397,7 @@ class TestProtocolAndLifecycle:
                     "127.0.0.1", port, request_timeout=0.2
                 )
                 with pytest.raises(ClientTimeoutError):
-                    await client._request(FrameType.POLL, None)
+                    await client.poll()
             finally:
                 server_sock.close()
 

@@ -9,7 +9,10 @@ Three properties the serving layer leans on:
 * **corruption containment** — arbitrary corruption of a valid frame
   either raises :class:`~repro.errors.ProtocolError`, waits for more
   bytes, or decodes to *some* value — never an unexpected exception
-  type escaping the codec.
+  type escaping the codec;
+* **submit table** — for every ingress shape, what the build half puts
+  on the wire is what the parse half hands the gateway, and whatever
+  the parse half accepts the gateway accepts.
 """
 
 from __future__ import annotations
@@ -20,9 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ProtocolError
+from repro import AggregationService, Query, TimeQuery, get_operator
+from repro.errors import OutOfOrderError, ProtocolError
 from repro.net.protocol import (
     MAX_TRACE_ID,
+    SUBMIT_SHAPES,
     FrameDecoder,
     FrameType,
     decode_value,
@@ -31,6 +36,7 @@ from repro.net.protocol import (
     try_decode_frame,
     try_decode_frame_traced,
 )
+from repro.service.gateway import ServiceGateway
 
 # NaN breaks == comparison; it has its own explicit unit test.
 scalars = st.one_of(
@@ -197,3 +203,170 @@ def test_every_float_round_trips(value):
         assert math.isnan(decoded)
     else:
         assert decoded == value
+
+
+# -- the submit table -----------------------------------------------
+
+hashable = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=8),
+    st.binary(max_size=8),
+)
+keys = st.one_of(hashable, st.lists(hashable, max_size=3).map(tuple))
+timestamps = st.one_of(
+    st.integers(min_value=0, max_value=10**6),
+    st.floats(min_value=0, max_value=1e6),
+)
+columns = st.one_of(
+    st.lists(st.integers(-(2**63), 2**63 - 1), max_size=8),
+    st.lists(st.floats(allow_nan=False), max_size=8),
+    st.lists(scalars, max_size=8),
+)
+
+#: Per frame type: client arguments for the build half, and the
+#: gateway arguments they must come back as.
+shape_cases = {
+    FrameType.SUBMIT: st.tuples(keys, scalars).map(
+        lambda kv: (kv, kv)
+    ),
+    FrameType.SUBMIT_BATCH: st.lists(
+        st.tuples(keys, scalars), max_size=8
+    ).map(lambda rows: ((rows,), (rows,))),
+    FrameType.SUBMIT_COLUMN: st.tuples(keys, columns).map(
+        lambda kc: (kc, kc)
+    ),
+    FrameType.SUBMIT_EVENT: st.tuples(keys, scalars, timestamps).map(
+        lambda kvt: (kvt, (kvt[0], kvt[1], float(kvt[2])))
+    ),
+    FrameType.SUBMIT_EVENT_BATCH: st.lists(
+        st.tuples(keys, timestamps, scalars), max_size=8
+    ).map(
+        lambda rows: (
+            (rows,),
+            ([(key, float(ts), value) for key, ts, value in rows],),
+        )
+    ),
+}
+
+
+def test_every_shape_has_a_round_trip_case():
+    assert set(shape_cases) == set(SUBMIT_SHAPES)
+
+
+def _over_the_wire(request, trace_id=None):
+    frame_type, payload, event_time = request
+    decoded, _ = try_decode_frame_traced(
+        encode_frame(frame_type, payload, trace_id, event_time)
+    )
+    return decoded
+
+
+@pytest.mark.parametrize("frame_type", list(SUBMIT_SHAPES))
+@given(st.data(), trace_ids)
+@settings(max_examples=60)
+def test_submit_build_parse_round_trip(frame_type, data, trace_id):
+    """build -> encode_frame -> decode -> parse hands the gateway verb
+    of the shape's row exactly the records that were built."""
+    shape = SUBMIT_SHAPES[frame_type]
+    built_from, expected = data.draw(shape_cases[frame_type])
+    request = shape.build(*built_from)
+    if frame_type is FrameType.SUBMIT_COLUMN and not built_from[1]:
+        assert request is None  # an empty column builds nothing
+        return
+    assert request[0] is frame_type
+    frame = _over_the_wire(request, trace_id)
+    assert frame.frame_type is frame_type and frame.trace_id == trace_id
+    args, count = shape.parse(frame.payload, frame.event_time)
+    if frame_type is FrameType.SUBMIT_COLUMN:
+        # Packed columns come back as typed views: compare by value.
+        key, column = args
+        assert (key, list(column)) == expected
+        assert count == len(expected[1])
+    else:
+        assert args == expected
+        assert count == (
+            len(expected[0]) if "BATCH" in frame_type.name else 1
+        )
+
+
+def _gateway(timed: bool) -> ServiceGateway:
+    if timed:
+        service = AggregationService(
+            [TimeQuery(2.0, 1.0)],
+            get_operator("sum"),
+            num_shards=2,
+            mode="time",
+            transport="inline",
+            lateness=1.0,
+            late_policy="drop",
+        )
+    else:
+        service = AggregationService(
+            [Query(4, 2)],
+            get_operator("sum"),
+            num_shards=2,
+            transport="inline",
+            batch_size=2,
+        )
+    return ServiceGateway(service)
+
+
+# Payloads at and around each accepted shape — keys that may or may
+# not hash, timestamps that may or may not be finite numbers, bodies
+# of the right and the wrong type — so both verdicts are exercised.
+maybe_keys = st.one_of(keys, keys, keys, values)  # mostly routable
+maybe_timestamps = st.one_of(timestamps, st.floats(), values)
+near_payloads = {
+    FrameType.SUBMIT: st.tuples(maybe_keys, values),
+    FrameType.SUBMIT_BATCH: st.lists(
+        st.tuples(maybe_keys, values), max_size=5
+    ),
+    FrameType.SUBMIT_COLUMN: st.tuples(
+        maybe_keys,
+        st.sampled_from(["q", "d", "o", "z"]),
+        st.one_of(
+            st.binary(max_size=24),
+            st.integers(0, 3).map(lambda n: bytes(8 * n)),
+            st.lists(values, max_size=5),
+        ),
+    ),
+    FrameType.SUBMIT_EVENT: st.tuples(maybe_keys, values),
+    FrameType.SUBMIT_EVENT_BATCH: st.lists(
+        st.tuples(maybe_keys, maybe_timestamps, values), max_size=5
+    ),
+}
+
+
+@pytest.mark.parametrize("frame_type", list(SUBMIT_SHAPES))
+@given(
+    st.data(),
+    st.one_of(st.none(), timestamps, st.floats()),
+)
+@settings(max_examples=60, deadline=None)
+def test_what_parse_accepts_the_gateway_accepts(
+    frame_type, data, event_time
+):
+    """The parse half is the only guard: a payload it lets through
+    never makes the gateway raise anything but a specified refusal
+    (an event timestamp before the origin), and is counted in full."""
+    payload = data.draw(st.one_of(near_payloads[frame_type], values))
+    shape = SUBMIT_SHAPES[frame_type]
+    try:
+        args, count = shape.parse(payload, event_time)
+    except ProtocolError:
+        return
+    timed = shape.verb in ("submit_event", "submit_events")
+    gateway = _gateway(timed)
+    try:
+        try:
+            accepted = getattr(gateway, shape.verb)(*args, None)
+        except OutOfOrderError:
+            assert timed
+        else:
+            assert accepted == count
+            assert gateway.snapshot()["records_submitted"] == count
+    finally:
+        gateway.abort()

@@ -509,21 +509,19 @@ def test_service_submit_event_rejects_nonfinite_timestamps(bad):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_wire_normalize_rejects_nonfinite_event_header(bad):
-    from repro.net.server import _normalize_events
+    from repro.net.protocol import SUBMIT_SHAPES
 
     with pytest.raises(ProtocolError) as info:
-        _normalize_events(FrameType.SUBMIT_EVENT, ("k", 1), bad)
+        SUBMIT_SHAPES[FrameType.SUBMIT_EVENT].parse(("k", 1), bad)
     assert "finite" in str(info.value)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_wire_normalize_rejects_nonfinite_batch_timestamps(bad):
-    from repro.net.server import _normalize_events
+    from repro.net.protocol import SUBMIT_SHAPES
 
     with pytest.raises(ProtocolError) as info:
-        _normalize_events(
-            FrameType.SUBMIT_EVENT_BATCH,
-            [("k", 1.0, 10), ("k", bad, 11)],
-            None,
+        SUBMIT_SHAPES[FrameType.SUBMIT_EVENT_BATCH].parse(
+            [("k", 1.0, 10), ("k", bad, 11)], None
         )
     assert "finite" in str(info.value)

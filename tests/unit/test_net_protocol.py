@@ -15,6 +15,9 @@ from repro.net.protocol import (
     MAX_PAYLOAD_BYTES,
     MAX_TRACE_ID,
     PROTOCOL_VERSION,
+    REPLY_TYPES,
+    REQUEST_TYPES,
+    SUBMIT_SHAPES,
     SUPPORTED_VERSIONS,
     FrameDecoder,
     FrameType,
@@ -26,6 +29,7 @@ from repro.net.protocol import (
     try_decode_frame,
     try_decode_frame_traced,
 )
+from repro.service.gateway import ServiceGateway
 from repro.windows.query import Query
 
 
@@ -297,3 +301,135 @@ class TestAnswerMarshalling:
     def test_malformed_query_spec_is_rejected(self):
         with pytest.raises(ProtocolError, match="query spec"):
             decode_answers([(4, "not-a-spec", 10)])
+
+
+class TestGoldenFrames:
+    """``encode_frame`` has one body; its bytes are the parent's.
+
+    Hex captured at the commit that still had one ``return`` per
+    version.  (The request each client method sends, and the server's
+    replies, are pinned in ``tests/integration/test_net_conformance.py``.)
+    """
+
+    @pytest.mark.parametrize(
+        "arguments, expected",
+        [
+            (
+                (FrameType.SUBMIT_BATCH, [("a", 1), ("b", 2.5)]),
+                "534401020000002d08000000020900000002060000000161"
+                "03000000000000000109000000020600000001620540040000"
+                "00000000",
+            ),
+            (
+                (FrameType.OK, {"accepted": 3}, 0x0102030405060708),
+                "534402810000001b01020304050607080a00000001060000"
+                "00086163636570746564030000000000000003",
+            ),
+            (
+                (FrameType.SUBMIT_EVENT, ("k", None), None, 1.5),
+                "534403080000000c00000000000000003ff8000000000000"
+                "090000000206000000016b00",
+            ),
+            (
+                (FrameType.SUBMIT_EVENT, ("k", None), 77, -0.25),
+                "534403080000000c000000000000004dbfd0000000000000"
+                "090000000206000000016b00",
+            ),
+        ],
+        ids=["v1", "v2", "v3", "v3-traced"],
+    )
+    def test_frame_bytes_are_unchanged(self, arguments, expected):
+        frame = encode_frame(*arguments)
+        assert frame.hex() == expected
+        decoded, consumed = try_decode_frame_traced(frame)
+        assert consumed == len(frame)
+        assert tuple(decoded)[: len(arguments)] == arguments
+
+
+def parse(frame_type, payload, event_time=None):
+    """The table's parse half for one decoded frame."""
+    return SUBMIT_SHAPES[frame_type].parse(payload, event_time)
+
+
+class TestSubmitTable:
+    """One row per ingress shape; the parse half guards the gateway."""
+
+    def test_every_record_carrying_frame_type_has_a_row(self):
+        # A sixth SUBMIT_* member cannot join the enum without a row
+        # (and so without a build half, a parse half and a verb).
+        carrying = {
+            member
+            for member in FrameType
+            if member.name.startswith("SUBMIT")
+        }
+        assert set(SUBMIT_SHAPES) == carrying
+        for shape in SUBMIT_SHAPES.values():
+            assert callable(getattr(ServiceGateway, shape.verb))
+
+    def test_request_and_reply_types_split_the_enum(self):
+        assert REQUEST_TYPES | REPLY_TYPES == set(FrameType)
+        assert not REQUEST_TYPES & REPLY_TYPES
+        assert set(SUBMIT_SHAPES) < REQUEST_TYPES
+        assert FrameType.CLOSE in REQUEST_TYPES
+        assert FrameType.ERROR in REPLY_TYPES
+
+    def test_rows_the_codec_decoded_as_lists_are_retupled(self):
+        assert parse(FrameType.SUBMIT_BATCH, (["a", 1], ("b", 2))) == (
+            ([("a", 1), ("b", 2)],),
+            2,
+        )
+        assert parse(FrameType.SUBMIT, ["a", 1]) == (("a", 1), 1)
+
+    def test_event_timestamps_become_floats(self):
+        args, count = parse(FrameType.SUBMIT_EVENT_BATCH, [("a", 1, 10)])
+        assert (args, count) == (([("a", 1.0, 10)],), 1)
+        assert type(args[0][0][1]) is float
+        assert parse(FrameType.SUBMIT_EVENT, ("a", 10), 2.5) == (
+            ("a", 10, 2.5),
+            1,
+        )
+
+    def test_packed_column_parses_to_a_typed_view(self):
+        (key, column), count = parse(
+            FrameType.SUBMIT_COLUMN, ("k", "q", (7).to_bytes(8, "little"))
+        )
+        assert key == "k" and count == 1
+        assert column.format == "q" and list(column) == [7]
+
+    @pytest.mark.parametrize(
+        "frame_type, payload, event_time, message",
+        [
+            (FrameType.SUBMIT, "ab", None, "pair"),
+            (FrameType.SUBMIT, ("k", 1, 2), None, "pair"),
+            (FrameType.SUBMIT_BATCH, 5, None, "sequence"),
+            (FrameType.SUBMIT_BATCH, ["ab"], None, "pair"),
+            (FrameType.SUBMIT_BATCH, [("k",)], None, "pair"),
+            (FrameType.SUBMIT_COLUMN, ("k", "q"), None, "triple"),
+            (FrameType.SUBMIT_COLUMN, ("k", "z", b""), None, "kind"),
+            (FrameType.SUBMIT_COLUMN, ("k", "d", "x"), None, "bytes"),
+            (FrameType.SUBMIT_COLUMN, ("k", "q", b"123"), None, "of 8"),
+            (FrameType.SUBMIT_COLUMN, ("k", "o", 4), None, "sequence"),
+            (FrameType.SUBMIT_EVENT, ("k", 1), None, "v3"),
+            (FrameType.SUBMIT_EVENT, "kv", 1.0, "pair"),
+            (FrameType.SUBMIT_EVENT_BATCH, "x", None, "sequence"),
+            (FrameType.SUBMIT_EVENT_BATCH, [("k", 1.0)], None, "triple"),
+            (FrameType.SUBMIT_EVENT_BATCH, [("k", True, 1)], None, "number"),
+            (FrameType.SUBMIT_EVENT_BATCH, [("k", "1", 1)], None, "number"),
+            # A key that does not hash could not be routed.
+            (FrameType.SUBMIT, (["x"], 1), None, "routed"),
+            (FrameType.SUBMIT_BATCH, [("a", 1), ({}, 2)], None, "routed"),
+            (FrameType.SUBMIT_COLUMN, (["x"], "o", [1]), None, "routed"),
+            (FrameType.SUBMIT_EVENT, (["x"], 1), 1.0, "routed"),
+            (
+                FrameType.SUBMIT_EVENT_BATCH,
+                [(("a", ["x"]), 1.0, 1)],
+                None,
+                "routed",
+            ),
+        ],
+    )
+    def test_refused_payloads_raise_protocol_error(
+        self, frame_type, payload, event_time, message
+    ):
+        with pytest.raises(ProtocolError, match=message):
+            parse(frame_type, payload, event_time)
