@@ -30,7 +30,14 @@ payload codec never has to disambiguate it from record values::
 :data:`SUPPORTED_VERSIONS`, ``type`` is one of :class:`FrameType`, and
 the payload is one value in the tagged binary encoding of
 :func:`encode_value` (None, bools, ints of any size, floats, strings,
-bytes, lists, tuples, and string-or-scalar-keyed dicts).  The v2
+bytes, lists, tuples, and string-or-scalar-keyed dicts).  One payload
+has a second encoding: the rows of ``SUBMIT_BATCH`` /
+``SUBMIT_EVENT_BATCH`` travel as *record columns* (value tag ``0x0B``:
+a CRC'd little-endian value column, key-code column, optional
+timestamp column and key table — see "record columns" below) whenever
+they are eligible, and as the tagged list of row tuples otherwise;
+:func:`encode_frame` chooses, the decoder and the parse half take
+either, and an old client's tagged batches keep working.  The v2
 trace id correlates a request with the work it causes downstream (see
 :mod:`repro.telemetry.trace`); 0 means "no trace" and decodes as
 ``None``.  :func:`encode_frame` emits the *minimal* version for what
@@ -55,6 +62,9 @@ import enum
 import math
 import struct
 import sys
+import zlib
+from array import array
+from itertools import filterfalse
 from operator import itemgetter
 from typing import (
     Any,
@@ -69,6 +79,15 @@ from typing import (
 )
 
 from repro.errors import ProtocolError
+from repro.service.transport.columns import (
+    FLAG_FLOAT,
+    FLAG_TIMES,
+    column_bytes,
+    decode_key_table,
+    encode_key_table,
+    encode_keys,
+    encode_values,
+)
 
 #: Frame preamble identifying this protocol on the wire.
 MAGIC = b"SD"
@@ -112,7 +131,8 @@ class FrameType(enum.IntEnum):
 
     #: One keyed record: payload ``(key, value)``.
     SUBMIT = 0x01
-    #: Many keyed records: payload ``[(key, value), ...]``.
+    #: Many keyed records: payload ``[(key, value), ...]`` — as record
+    #: columns when the rows are eligible, tagged otherwise.
     SUBMIT_BATCH = 0x02
     #: Collect answers released since the last poll: payload ``None``.
     POLL = 0x03
@@ -135,7 +155,8 @@ class FrameType(enum.IntEnum):
     SUBMIT_EVENT = 0x08
     #: Many event-timestamped records: payload
     #: ``[(key, timestamp, value), ...]`` (timestamps in-payload; the
-    #: v3 header field is unused and the frame may travel as v1/v2).
+    #: v3 header field is unused and the frame may travel as v1/v2),
+    #: as record columns when eligible like ``SUBMIT_BATCH``.
     SUBMIT_EVENT_BATCH = 0x09
 
     #: Success without answers: payload ``{"accepted": n}``-style dict.
@@ -173,6 +194,10 @@ _TAG_BYTES = 0x07
 _TAG_LIST = 0x08
 _TAG_TUPLE = 0x09
 _TAG_DICT = 0x0A
+#: Record columns: legal only as the whole payload of SUBMIT_BATCH /
+#: SUBMIT_EVENT_BATCH (see "record columns" below), so the value codec
+#: itself refuses it as an unknown tag anywhere else.
+_TAG_RECORD_COLUMNS = 0x0B
 
 _INT64 = struct.Struct(">q")
 _FLOAT64 = struct.Struct(">d")
@@ -338,29 +363,256 @@ def _decode_at(payload: bytes, offset: int) -> Tuple[Any, int]:
 
 
 # -- column packing -------------------------------------------------
+#
+# Packed columns are little-endian on the wire.  Both directions go
+# through the two functions below, whichever frame carries the column:
+# ``SUBMIT_COLUMN`` (one key, one value column) and the record columns
+# of ``SUBMIT_BATCH`` / ``SUBMIT_EVENT_BATCH``.
 
 
 def pack_column(values: Sequence[Any]) -> Optional[Tuple[str, bytes]]:
-    """Pack a homogeneous numeric column for ``SUBMIT_COLUMN``.
+    """Pack a homogeneous numeric column for the wire.
 
     Returns ``(kind, body)`` — ``("q", <packed int64s>)`` or
     ``("d", <packed float64s>)`` — or ``None`` when the column is not
     eligible (mixed types, bools, ints outside int64, or a big-endian
     host, where native packing would not match the little-endian wire
-    layout).  Eligibility intentionally matches the shm transport's
-    columnar capability check (:func:`repro.service.transport.frame.
-    encode_values`), so a column that packs here also rides the shard
-    rings columnar end to end.
+    layout).  Eligibility is the shm transport's columnar capability
+    check (:func:`repro.service.transport.columns.encode_values`), so
+    a column that packs here also rides the shard rings columnar end
+    to end.
     """
     if sys.byteorder != "little":  # pragma: no cover - LE hosts only
         return None
-    from repro.service.transport.frame import encode_values
-
     encoded = encode_values(values)
     if encoded is None:
         return None
     body, is_float = encoded
     return ("d" if is_float else "q", body)
+
+
+def _unpack_column(body: Any, kind: str) -> Any:
+    """Zero-copy typed view over a packed column of ``kind`` (``"q"``,
+    ``"d"``, or ``"I"`` for key codes): the inverse of
+    :func:`pack_column`, with no per-record decode loop."""
+    if not isinstance(body, (bytes, bytearray, memoryview)):
+        raise ProtocolError(
+            f"packed column body must be bytes, got {type(body).__name__}"
+        )
+    width = 4 if kind == "I" else 8
+    if len(body) % width:
+        raise ProtocolError(
+            f"packed column of {len(body)} bytes is not a "
+            f"multiple of {width}"
+        )
+    if sys.byteorder != "little":  # pragma: no cover - LE hosts
+        column = array(kind)
+        column.frombytes(body)
+        column.byteswap()
+        return column
+    return memoryview(body).cast(kind)
+
+
+# -- record columns -------------------------------------------------
+#
+# The columnar encoding of SUBMIT_BATCH / SUBMIT_EVENT_BATCH: the
+# payload is not a tagged list of row tuples but one value tagged
+# ``_TAG_RECORD_COLUMNS``, legal only as the *whole* payload of those
+# two frame types (nested, or on any other frame, it is an unknown
+# tag).  Everything after the tag is little-endian::
+#
+#     crc32 u32 | records u32 | key-table bytes u32 | flags u8
+#     values      records * 8   i64, or f64 with FLAG_FLOAT
+#     key codes   records * 4   u32 indices into the key table
+#     timestamps  records * 8   f64, SUBMIT_EVENT_BATCH only (FLAG_TIMES)
+#     key table   the batch's distinct keys, first-seen order
+#
+# The CRC covers every byte after itself.  TCP checksums too, but a
+# typed view over damaged bytes yields plausible wrong numbers where
+# the tagged codec would have hit a bad tag.  The columns and the key
+# table are :mod:`repro.service.transport.columns`' — the shm frame's
+# codec in a smaller envelope: no position column (the router assigns
+# positions) and never a pickled key table.
+
+_COLUMNS_SEAL = struct.Struct("<BI")  # tag, crc32
+_COLUMNS_FIELDS = struct.Struct("<IIB")  # records, key-table bytes, flags
+_COLUMNS_HEADER_BYTES = _COLUMNS_SEAL.size + _COLUMNS_FIELDS.size
+
+#: Frame types whose payload may travel as record columns -> row arity.
+_ROW_ARITY = {FrameType.SUBMIT_BATCH: 2, FrameType.SUBMIT_EVENT_BATCH: 3}
+
+
+class RecordColumns:
+    """The records of one columnar batch payload, as columns.
+
+    What the decoder hands the parse half for a columnar
+    ``SUBMIT_BATCH`` / ``SUBMIT_EVENT_BATCH``: typed views over the
+    frame's one ``bytes`` copy, no row tuples built.  It is sized,
+    *iterates as the rows the tagged body would have decoded to* —
+    ``(key, value)`` pairs, or ``(key, timestamp, value)`` triples when
+    it carries :attr:`timestamps` — and compares equal to that row
+    list, so every consumer of records takes either body.
+
+    Attributes:
+        codes: ``memoryview('I')`` — per record, an index into
+            :attr:`key_table`.
+        key_table: The batch's distinct keys (scalars, so every one
+            of them can be routed).
+        values: ``memoryview('q')`` or ``memoryview('d')``.
+        timestamps: ``memoryview('d')`` of event times, or ``None``.
+    """
+
+    __slots__ = ("codes", "key_table", "values", "timestamps", "_keys")
+
+    def __init__(
+        self,
+        codes: Sequence[int],
+        key_table: List[Any],
+        values: Sequence[Any],
+        timestamps: Optional[Sequence[float]] = None,
+    ):
+        self.codes = codes
+        self.key_table = key_table
+        self.values = values
+        self.timestamps = timestamps
+        self._keys: Optional[List[Any]] = None
+
+    def key_column(self) -> List[Any]:
+        """The key of every record (``key_table[code]``), resolved in
+        one C-level pass and kept.  A code outside the table raises
+        :class:`~repro.errors.ProtocolError`."""
+        if self._keys is None:
+            try:
+                # u32 codes are never negative, so IndexError is
+                # exactly the out-of-range check.
+                self._keys = list(map(self.key_table.__getitem__, self.codes))
+            except IndexError:
+                raise ProtocolError(
+                    f"record columns hold a key code outside their "
+                    f"{len(self.key_table)}-entry key table"
+                ) from None
+        return self._keys
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self) -> Iterator[Tuple[Any, ...]]:
+        if self.timestamps is None:
+            return zip(self.key_column(), self.values)
+        return zip(self.key_column(), self.timestamps, self.values)
+
+    def __eq__(self, other: Any) -> bool:
+        if isinstance(other, (list, RecordColumns)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"RecordColumns({list(self)!r})"
+
+
+def _encode_record_columns(rows: Any, arity: int) -> Optional[bytes]:
+    """``rows`` as a record-columns payload, or ``None`` when they must
+    travel tagged.
+
+    Eligibility is a property of the rows and nothing else: a list of
+    exactly ``arity``-tuples, values all exactly ``int`` within i64 or
+    all exactly ``float``, keys the compact key table carries, and
+    timestamps numbers.  Every check is a C-level pass over a column.
+    """
+    if (
+        type(rows) is not list
+        or set(map(type, rows)) != {tuple}
+        or set(map(len, rows)) != {arity}
+    ):
+        return None
+    # One C-level transposition: (keys, values) or (keys, stamps, values).
+    keys, *stamps, values = zip(*rows)
+    packed = pack_column(values)
+    if packed is None:
+        return None
+    key_column = encode_keys(keys)
+    if key_column is None:
+        return None
+    distinct, codes = key_column
+    table = encode_key_table(distinct)
+    if table is None:
+        return None
+    kind, values = packed
+    columns = [values, codes]
+    flags = FLAG_FLOAT if kind == "d" else 0
+    if stamps:
+        if not set(map(type, stamps[0])) <= {int, float}:
+            return None
+        try:
+            columns.append(column_bytes(stamps[0], "d"))
+        except OverflowError:
+            return None
+        flags |= FLAG_TIMES
+    columns.append(table)
+    fields = _COLUMNS_FIELDS.pack(len(rows), len(table), flags)
+    crc = zlib.crc32(fields)
+    for column in columns:
+        crc = zlib.crc32(column, crc)
+    seal = _COLUMNS_SEAL.pack(_TAG_RECORD_COLUMNS, crc)
+    return b"".join((seal, fields, *columns))
+
+
+def _decode_record_columns(payload: bytes, arity: int) -> RecordColumns:
+    """Decode a record-columns payload into views over ``payload``.
+
+    Structural damage is a framing error, raised here before anything
+    is sized from the record count: a body whose length is not what
+    the count and table length imply, a CRC mismatch, flag bits this
+    side does not know (a pickled key table is never decoded from the
+    network), a timestamp column on the wrong frame type, a damaged
+    key table.  What the columns *say* — key codes, timestamps — is
+    the parse half's to refuse.
+    """
+    if len(payload) < _COLUMNS_HEADER_BYTES:
+        raise ProtocolError(
+            f"record-columns payload of {len(payload)} bytes is "
+            f"shorter than its {_COLUMNS_HEADER_BYTES}-byte header"
+        )
+    _, crc = _COLUMNS_SEAL.unpack_from(payload)
+    count, table_bytes, flags = _COLUMNS_FIELDS.unpack_from(
+        payload, _COLUMNS_SEAL.size
+    )
+    unknown = flags & ~(FLAG_FLOAT | FLAG_TIMES)
+    if unknown:
+        raise ProtocolError(
+            f"record columns carry unsupported flag bits {unknown:#04x}: "
+            "the wire takes float values and timestamps, never a "
+            "pickled key table"
+        )
+    if bool(flags & FLAG_TIMES) is not (arity == 3):
+        raise ProtocolError(
+            "record columns carry a timestamp column exactly when the "
+            "frame is SUBMIT_EVENT_BATCH"
+        )
+    view = memoryview(payload)
+    body = view[_COLUMNS_HEADER_BYTES:]
+    expected = (8 + 4 + (8 if arity == 3 else 0)) * count + table_bytes
+    if len(body) != expected:
+        raise ProtocolError(
+            f"record-columns body is {len(body)} bytes, expected "
+            f"{expected} for {count} records and a {table_bytes}-byte "
+            "key table"
+        )
+    if zlib.crc32(view[_COLUMNS_SEAL.size :]) != crc:
+        raise ProtocolError("record-columns CRC mismatch")
+    values_end = 8 * count
+    codes_end = values_end + 4 * count
+    table_start = len(body) - table_bytes
+    return RecordColumns(
+        _unpack_column(body[values_end:codes_end], "I"),
+        decode_key_table(body[table_start:], ProtocolError),
+        _unpack_column(
+            body[:values_end], "d" if flags & FLAG_FLOAT else "q"
+        ),
+        _unpack_column(body[codes_end:table_start], "d")
+        if arity == 3
+        else None,
+    )
 
 
 # -- submit shapes --------------------------------------------------
@@ -426,7 +678,11 @@ def _event_timestamp(timestamp: Any) -> float:
         raise ProtocolError(
             f"event timestamp must be a number, got {timestamp!r}"
         )
-    if not math.isfinite(timestamp):
+    try:
+        finite = math.isfinite(timestamp)
+    except OverflowError:  # an int no f64 can hold
+        finite = False
+    if not finite:
         # A NaN timestamp passes every downstream comparison
         # (including "timestamp < origin") and would wedge the
         # service's reorder buffer forever; reject it at the wire.
@@ -452,6 +708,9 @@ def build_submit_batch(records: Iterable[Tuple[Any, Any]]) -> SubmitRequest:
 
 
 def _parse_batch(payload: Any, event_time: Optional[float]):
+    if type(payload) is RecordColumns:
+        payload.key_column()  # refuses a key code outside the table
+        return (payload,), len(payload)
     records = _rows("SUBMIT_BATCH", payload, 2)
     return (records,), len(records)
 
@@ -484,24 +743,7 @@ def _parse_column(payload: Any, event_time: Optional[float]):
     key, kind, body = payload
     _require_routable("SUBMIT_COLUMN", (key,))
     if kind in ("q", "d"):
-        if not isinstance(body, (bytes, bytearray)):
-            raise ProtocolError(
-                f"packed column body must be bytes, got "
-                f"{type(body).__name__}"
-            )
-        if len(body) % 8:
-            raise ProtocolError(
-                f"packed column of {len(body)} bytes is not a "
-                "multiple of 8"
-            )
-        if sys.byteorder != "little":  # pragma: no cover - LE hosts
-            column: Any = list(
-                struct.unpack(f"<{len(body) // 8}{kind}", bytes(body))
-            )
-        else:
-            from repro.kernels import column_view
-
-            column = column_view(bytes(body), kind)
+        column: Any = _unpack_column(body, kind)
     elif kind == "o":
         if not isinstance(body, (list, tuple)):
             raise ProtocolError(
@@ -545,6 +787,14 @@ def build_submit_event_batch(
 
 
 def _parse_event_batch(payload: Any, event_time: Optional[float]):
+    if type(payload) is RecordColumns:
+        payload.key_column()  # refuses a key code outside the table
+        # The f64 column proves "a number"; finiteness is one pass.
+        if not all(map(math.isfinite, payload.timestamps)):
+            _event_timestamp(
+                next(filterfalse(math.isfinite, payload.timestamps))
+            )
+        return (payload,), len(payload)
     rows = _rows("SUBMIT_EVENT_BATCH", payload, 3)
     records = [
         (key, _event_timestamp(stamp), value) for key, stamp, value in rows
@@ -618,7 +868,11 @@ def encode_frame(
     interoperating with clients that never send event-timestamped
     records.
     """
-    body = encode_value(payload)
+    body = None
+    if frame_type in _ROW_ARITY:
+        body = _encode_record_columns(payload, _ROW_ARITY[frame_type])
+    if body is None:
+        body = encode_value(payload)
     if len(body) > MAX_PAYLOAD_BYTES:
         raise ProtocolError(
             f"payload of {len(body)} bytes exceeds the "
@@ -697,7 +951,11 @@ def try_decode_frame_traced(
         start += _EVENT_FIELD.size
     if len(buffer) - start < length:
         return None
-    payload = decode_value(bytes(buffer[start : start + length]))
+    body = bytes(buffer[start : start + length])
+    if frame_type in _ROW_ARITY and body[:1] == b"\x0b":
+        payload = _decode_record_columns(body, _ROW_ARITY[frame_type])
+    else:
+        payload = decode_value(body)
     return (
         Frame(frame_type, payload, trace_id, event_time),
         start + length,
@@ -787,54 +1045,63 @@ def encode_answers(answers) -> List[Tuple[Any, ...]]:
     (range_size, slide, name), value)``; per-key four-tuples keep the
     leading key.  Time-query answers marshal the query as the tagged
     4-tuple ``("time", range_seconds, slide_seconds, name)`` — count
-    specs stay 3-tuples, so pre-v3 answer bytes are unchanged.
+    specs stay 3-tuples, so pre-v3 answer bytes are unchanged.  A
+    reply repeats a handful of queries many times over, so each query
+    object's spec is built once per call.
     """
+    specs: dict = {}
     marshalled = []
     for answer in answers:
         *prefix, query, value = answer
-        if hasattr(query, "range_seconds"):
-            spec: Tuple[Any, ...] = (
-                "time",
-                query.range_seconds,
-                query.slide_seconds,
-                query.name,
-            )
-        else:
-            spec = (query.range_size, query.slide, query.name)
+        spec = specs.get(id(query))
+        if spec is None:
+            if hasattr(query, "range_seconds"):
+                spec = (
+                    "time",
+                    query.range_seconds,
+                    query.slide_seconds,
+                    query.name,
+                )
+            else:
+                spec = (query.range_size, query.slide, query.name)
+            specs[id(query)] = spec
         marshalled.append((*prefix, spec, value))
     return marshalled
 
 
 def decode_answers(rows) -> List[Tuple[Any, ...]]:
     """Rebuild :class:`~repro.windows.query.Query` (or
-    :class:`~repro.windows.timebased.TimeQuery`) objects client-side."""
+    :class:`~repro.windows.timebased.TimeQuery`) objects client-side,
+    one per distinct spec of the call (queries are immutable, so the
+    answers of one reply share them)."""
     from repro.windows.query import Query
     from repro.windows.timebased import TimeQuery
 
+    queries: dict = {}
     rebuilt = []
     for row in rows:
         *prefix, spec, value = row
-        if (
-            isinstance(spec, (list, tuple))
-            and len(spec) == 4
-            and spec[0] == "time"
-        ):
-            _, range_seconds, slide_seconds, name = spec
-            rebuilt.append(
-                (
-                    *prefix,
-                    TimeQuery(range_seconds, slide_seconds, name=name),
-                    value,
-                )
-            )
-            continue
+        if type(spec) is list:
+            spec = tuple(spec)
         try:
-            range_size, slide, name = spec
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(
-                f"malformed query spec in answer row: {spec!r}"
-            ) from exc
-        rebuilt.append(
-            (*prefix, Query(range_size, slide, name=name), value)
-        )
+            query = queries.get(spec)
+        except TypeError:
+            query = None  # an unhashable field: rebuilt (and refused) below
+        if query is None:
+            if (
+                isinstance(spec, tuple)
+                and len(spec) == 4
+                and spec[0] == "time"
+            ):
+                query = TimeQuery(spec[1], spec[2], name=spec[3])
+            else:
+                try:
+                    range_size, slide, name = spec
+                except (TypeError, ValueError) as exc:
+                    raise ProtocolError(
+                        f"malformed query spec in answer row: {spec!r}"
+                    ) from exc
+                query = Query(range_size, slide, name=name)
+            queries[spec] = query
+        rebuilt.append((*prefix, query, value))
     return rebuilt

@@ -20,6 +20,7 @@ the service.
 from __future__ import annotations
 
 import threading
+from collections.abc import Sized
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ServiceError
@@ -62,9 +63,11 @@ class ServiceGateway:
         while the service's own backpressure blocks; callers that must
         not stall (event loops) should invoke this from an executor
         thread.  ``trace_id`` attributes the whole batch to one
-        telemetry trace.
+        telemetry trace.  A sized input (a list, the wire's column
+        view) is counted and handed on as it is; only an unsized
+        iterable is materialised first.
         """
-        batch = list(records)
+        batch = records if isinstance(records, Sized) else list(records)
         return self._ingest(
             self._service.submit_many, len(batch), batch, trace_id
         )
@@ -92,7 +95,7 @@ class ServiceGateway:
         late records are still counted as submitted here (the service
         accounts for them in its late-record counters).
         """
-        batch = list(records)
+        batch = records if isinstance(records, Sized) else list(records)
         return self._ingest(
             self._service.submit_events, len(batch), batch, trace_id
         )

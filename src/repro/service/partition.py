@@ -404,7 +404,17 @@ class Router:
     ) -> List[Batch]:
         """Route ``(key, value)`` pairs: positions, flush rounds and
         watermarks are exactly those of :meth:`put` per record; see
-        :meth:`_route` for what a malformed record leaves behind."""
+        :meth:`_route` for what a malformed record leaves behind.
+
+        Any iterable of pairs is one pass of the same loop — a row
+        list, or the wire's :class:`~repro.net.protocol.RecordColumns`
+        view, which iterates as its rows (a C-level ``zip`` of the key
+        and value columns).  There is deliberately no second,
+        column-wise routing core behind it: pre-resolving a batch's
+        distinct keys and starting typed buffers measured no faster
+        than this loop over the view, and a vectorised partition
+        slower (``docs/performance.md``).
+        """
         return self._route(records, trace)
 
     def put_column(

@@ -511,9 +511,11 @@ class AggregationService:
     ) -> None:
         """Ingest ``(key, value)`` pairs, optionally under one trace.
 
-        One pass of the router's core over the records.  A record
-        that cannot be routed (not a pair, unhashable key) raises with
-        every record before it ingested and none after it consumed.
+        One pass of the router's core over the records — a row list
+        or any other iterable of pairs, such as the column view the
+        network layer decodes a batch into.  A record that cannot be
+        routed (not a pair, unhashable key) raises with every record
+        before it ingested and none after it consumed.
         """
         self._ingest(self._router.put_many, trace_id, records)
 

@@ -54,9 +54,18 @@ import struct
 import zlib
 from array import array
 from enum import IntEnum
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence
 
-from repro.errors import TornFrameError, TransportError
+from repro.errors import TornFrameError
+from repro.service.transport.columns import (
+    FLAG_FLOAT as _FLAG_FLOAT,
+    FLAG_TIMES as _FLAG_TIMES,
+    column_bytes,
+    decode_key_table,
+    encode_key_table,
+    encode_keys,
+    encode_values,
+)
 
 MAGIC = b"SDF1"
 HEADER_BYTES = 36
@@ -65,13 +74,9 @@ _HEADER = struct.Struct("<4sBBHQQIII")
 _CRC_OFFSET = 32
 _U32 = struct.Struct("<I")
 
-_FLAG_FLOAT = 0x01  # value column is f64 (else i64)
+# Beside the shared FLAG_FLOAT (0x01) and FLAG_TIMES (0x08):
 _FLAG_TRACES = 0x02  # trace-id column present
-_FLAG_KEYS_PICKLED = 0x04  # key table is a pickled tuple
-_FLAG_TIMES = 0x08  # event-timestamp column present (f64)
-
-_I64_MIN = -(1 << 63)
-_I64_MAX = (1 << 63) - 1
+_FLAG_KEYS_PICKLED = 0x04  # key table is a pickled tuple (ring only)
 
 
 class FrameKind(IntEnum):
@@ -88,164 +93,6 @@ class FrameKind(IntEnum):
     STOP = 4
     #: A pickled :class:`~repro.service.shard.ShardOutput` (result ring).
     OUTPUT = 5
-
-
-# -- key table ----------------------------------------------------------
-#
-# Distinct keys are dictionary-encoded: the column stores u32 indices
-# into a table of first-seen distinct keys.  Common key types get a
-# compact tagged binary encoding; anything else pickles the whole
-# distinct tuple (never the per-record column).
-
-_KEY_NONE = 0
-_KEY_INT = 1
-_KEY_FLOAT = 2
-_KEY_STR = 3
-_KEY_BYTES = 4
-_KEY_TRUE = 5
-_KEY_FALSE = 6
-
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
-
-
-def _encode_key_table(distinct: Sequence[Any]) -> Tuple[bytes, bool]:
-    """Encode distinct keys; returns ``(payload, pickled)``."""
-    parts: List[bytes] = [_U32.pack(len(distinct))]
-    for key in distinct:
-        kind = type(key)
-        if kind is bool:
-            parts.append(bytes([_KEY_TRUE if key else _KEY_FALSE]))
-        elif kind is int and _I64_MIN <= key <= _I64_MAX:
-            parts.append(bytes([_KEY_INT]) + _I64.pack(key))
-        elif kind is float:
-            parts.append(bytes([_KEY_FLOAT]) + _F64.pack(key))
-        elif kind is str:
-            raw = key.encode("utf-8")
-            parts.append(bytes([_KEY_STR]) + _U32.pack(len(raw)) + raw)
-        elif kind is bytes:
-            parts.append(bytes([_KEY_BYTES]) + _U32.pack(len(raw := key)) + raw)
-        elif key is None:
-            parts.append(bytes([_KEY_NONE]))
-        else:
-            return pickle.dumps(tuple(distinct), protocol=5), True
-    return b"".join(parts), False
-
-
-def _decode_key_table(payload: memoryview, pickled: bool) -> List[Any]:
-    if pickled:
-        return list(pickle.loads(payload))
-    count = _U32.unpack_from(payload, 0)[0]
-    keys: List[Any] = []
-    offset = 4
-    for _ in range(count):
-        tag = payload[offset]
-        offset += 1
-        if tag == _KEY_INT:
-            keys.append(_I64.unpack_from(payload, offset)[0])
-            offset += 8
-        elif tag == _KEY_STR:
-            length = _U32.unpack_from(payload, offset)[0]
-            offset += 4
-            keys.append(bytes(payload[offset : offset + length]).decode("utf-8"))
-            offset += length
-        elif tag == _KEY_FLOAT:
-            keys.append(_F64.unpack_from(payload, offset)[0])
-            offset += 8
-        elif tag == _KEY_BYTES:
-            length = _U32.unpack_from(payload, offset)[0]
-            offset += 4
-            keys.append(bytes(payload[offset : offset + length]))
-            offset += length
-        elif tag == _KEY_TRUE:
-            keys.append(True)
-        elif tag == _KEY_FALSE:
-            keys.append(False)
-        elif tag == _KEY_NONE:
-            keys.append(None)
-        else:
-            raise TornFrameError(f"unknown key-table tag {tag}")
-    return keys
-
-
-# -- value capability check ---------------------------------------------
-
-
-def encode_values(values: Sequence[Any]) -> Optional[Tuple[bytes, bool]]:
-    """Try to encode values as one flat column.
-
-    Returns ``(column_bytes, is_float)`` when every value is exactly
-    ``int`` (i64-representable) or exactly ``float``; ``None`` when the
-    batch must take the pickle fallback.  The ``type`` check is
-    deliberately exact — ``bool`` and int subclasses would change
-    type through an i64 column.
-
-    Already-typed columns (``array('q')``/``array('d')``, plus the 1-D
-    typed memoryviews a decoded columnar batch carries) skip the scan
-    entirely: the container proves the element type, so the column is
-    just its bytes.
-    """
-    if type(values) is array:
-        if values.typecode == "q":
-            return values.tobytes(), False
-        if values.typecode == "d":
-            return values.tobytes(), True
-    elif type(values) is memoryview and values.ndim == 1:
-        if values.format == "q":
-            return bytes(values), False
-        if values.format == "d":
-            return bytes(values), True
-    kinds = set(map(type, values))
-    if not kinds:
-        # Empty batches (watermark carriers) are trivially columnar.
-        return b"", False
-    if kinds == {int}:
-        try:
-            return array("q", values).tobytes(), False
-        except OverflowError:
-            return None
-    if kinds == {float}:
-        return array("d", values).tobytes(), True
-    return None
-
-
-def _position_bytes(positions: Sequence[int]) -> bytes:
-    """The position column as raw i64 bytes, free for typed inputs."""
-    if type(positions) is array and positions.typecode == "q":
-        return positions.tobytes()
-    if (
-        type(positions) is memoryview
-        and positions.ndim == 1
-        and positions.format == "q"
-    ):
-        return bytes(positions)
-    return array("q", positions).tobytes()
-
-
-def _timestamp_bytes(timestamps: Sequence[float]) -> bytes:
-    """The event-time column as raw f64 bytes, free for typed inputs."""
-    if type(timestamps) is array and timestamps.typecode == "d":
-        return timestamps.tobytes()
-    if (
-        type(timestamps) is memoryview
-        and timestamps.ndim == 1
-        and timestamps.format == "d"
-    ):
-        return bytes(timestamps)
-    return array("d", timestamps).tobytes()
-
-
-def _distinct_keys(keys: Sequence[Any]) -> List[Any]:
-    """First-seen distinct keys, with a C-speed single-key fast path.
-
-    Run-grouped batches overwhelmingly carry one key, and
-    ``list.count`` verifies that in one C pass (with the pointer-equal
-    shortcut for the repeated-reference case) — much cheaper than the
-    hash-everything ``dict.fromkeys`` scan it short-circuits.
-    """
-    if type(keys) is list and keys and keys.count(keys[0]) == len(keys):
-        return [keys[0]]
-    return list(dict.fromkeys(keys))
 
 
 # -- frame assembly ------------------------------------------------------
@@ -282,25 +129,19 @@ def encode_batch_frame(
         return None
     value_bytes, is_float = encoded
     count = len(values)
-    distinct = _distinct_keys(keys)
-    if len(distinct) > 0xFFFFFFFF:  # pragma: no cover - 4G distinct keys
+    key_column = encode_keys(keys)
+    if key_column is None:
         return None
-    key_table, keys_pickled = _encode_key_table(distinct)
-    flags = 0
-    if is_float:
-        flags |= _FLAG_FLOAT
-    if keys_pickled:
+    distinct, key_index = key_column
+    flags = _FLAG_FLOAT if is_float else 0
+    key_table = encode_key_table(distinct)
+    if key_table is None:
+        # Keys the compact table cannot carry: pickle the distinct
+        # tuple (never the per-record column).
+        key_table = pickle.dumps(tuple(distinct), protocol=5)
         flags |= _FLAG_KEYS_PICKLED
-    if len(distinct) == 1:
-        # Single distinct key (the run-grouped common case): the
-        # index column is all zeros, which bytes() produces without
-        # touching the keys again.
-        key_index = bytes(4 * count)
-    else:
-        lookup = {key: index for index, key in enumerate(distinct)}
-        key_index = array("I", map(lookup.__getitem__, keys)).tobytes()
     parts = [
-        _position_bytes(positions),
+        column_bytes(positions, "q"),
         value_bytes,
         key_index,
     ]
@@ -309,7 +150,7 @@ def encode_batch_frame(
         parts.append(array("Q", (t or 0 for t in traces)).tobytes())
     if timestamps is not None:
         flags |= _FLAG_TIMES
-        parts.append(_timestamp_bytes(timestamps))
+        parts.append(column_bytes(timestamps, "d"))
     parts.append(key_table)
     body = b"".join(parts)
     header_fields = (
@@ -469,13 +310,19 @@ def decode_frame(frame: memoryview) -> DecodedFrame:
         decoded.timestamps = body[offset : offset + 8 * count].cast("d")
         offset += 8 * count
     table_view = body[offset : offset + key_table_len]
-    distinct = _decode_key_table(table_view, bool(flags & _FLAG_KEYS_PICKLED))
-    table_view.release()
-    if count and distinct:
+    try:
+        if flags & _FLAG_KEYS_PICKLED:
+            distinct = list(pickle.loads(table_view))
+        else:
+            distinct = decode_key_table(table_view, TornFrameError)
         if len(distinct) == 1:
             # Mirror of the encoder's single-key fast path: a sealed
             # frame with one distinct key has an all-zero index column.
             decoded.keys = distinct * count
+        elif count and not distinct:
+            raise TornFrameError(
+                "columnar frame has records but no key table"
+            )
         else:
             try:
                 # The u32 cast guarantees non-negative indices, so a
@@ -483,19 +330,14 @@ def decode_frame(frame: memoryview) -> DecodedFrame:
                 # no separate max() pass over the column.
                 decoded.keys = list(map(distinct.__getitem__, key_index))
             except IndexError:
-                key_index.release()
-                decoded.release()
-                body.release()
                 raise TornFrameError(
                     "key index out of range for key table"
                 ) from None
-    elif count:
-        key_index.release()
+    except TornFrameError:
         decoded.release()
+        raise
+    finally:
+        table_view.release()
+        key_index.release()
         body.release()
-        raise TornFrameError("columnar frame has records but no key table")
-    else:
-        decoded.keys = []
-    key_index.release()
-    body.release()
     return decoded

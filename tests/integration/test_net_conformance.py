@@ -8,7 +8,9 @@ results awaitable).  Also pinned here:
 
 * the bytes each request method puts on the wire, and the bytes the
   server replies with, captured at the commit before the submit table
-  existed — the table may not change a single one;
+  existed — only an eligible batch's request bytes have changed since
+  (record columns), and the old client's tagged bytes still get the
+  same replies;
 * a key that cannot be routed refuses its whole frame, for all five
   submit shapes, with nothing ingested and the connection still usable.
 """
@@ -41,7 +43,11 @@ from repro.stream.engine import EventTimeEngine, StreamEngine
 from repro.stream.sink import CollectSink
 from repro.windows.timebased import TimeQuery
 
-from tests.integration.net_golden import GOLDEN_REPLIES, GOLDEN_REQUESTS
+from tests.integration.net_golden import (
+    GOLDEN_REPLIES,
+    GOLDEN_REQUESTS,
+    GOLDEN_TIME_REPLIES,
+)
 from tests.integration.test_net_server import SlowGateway
 
 pytestmark = pytest.mark.timeout(120)
@@ -416,10 +422,26 @@ def _read_frame(raw: socket.socket) -> bytes:
             return bytes(received)
 
 
+def _replay(service: AggregationService, conversation) -> None:
+    """Send each golden request's raw bytes; compare the reply's."""
+    with ServerThread(AggregationServer(service)) as thread:
+        raw = socket.create_connection(
+            ("127.0.0.1", thread.port), timeout=10
+        )
+        try:
+            for request, expected in conversation:
+                raw.sendall(bytes.fromhex(request))
+                assert _read_frame(raw).hex() == expected, request
+        finally:
+            raw.close()
+
+
 def test_reply_bytes_are_unchanged():
     """One scripted conversation: accepted submits of every count-mode
     shape, every refusal the parse half can make, a gateway refusal,
-    ANSWERS, a reply-typed request, CLOSE."""
+    ANSWERS, a reply-typed request, CLOSE.  The requests are the old
+    client's bytes — its ``SUBMIT_BATCH`` rows are eligible for record
+    columns but arrive tagged, and must be ingested as before."""
     service = AggregationService(
         [Query(4, 2)],
         get_operator("sum"),
@@ -427,16 +449,24 @@ def test_reply_bytes_are_unchanged():
         transport="inline",
         batch_size=4,
     )
-    with ServerThread(AggregationServer(service)) as thread:
-        raw = socket.create_connection(
-            ("127.0.0.1", thread.port), timeout=10
-        )
-        try:
-            for request, expected in GOLDEN_REPLIES:
-                raw.sendall(bytes.fromhex(request))
-                assert _read_frame(raw).hex() == expected, request
-        finally:
-            raw.close()
+    _replay(service, GOLDEN_REPLIES)
+
+
+def test_time_mode_reply_bytes_are_unchanged():
+    """The old client's tagged ``SUBMIT_EVENT_BATCH`` frames (eligible
+    triples, int and float values, a traced one, a non-finite
+    timestamp) against a time-mode service: same replies, same
+    answers."""
+    service = AggregationService(
+        [TimeQuery(2.0, 1.0)],
+        get_operator("sum"),
+        num_shards=2,
+        mode="time",
+        transport="inline",
+        lateness=1.0,
+        batch_size=4,
+    )
+    _replay(service, GOLDEN_TIME_REPLIES)
 
 
 # -- a key that cannot be routed ------------------------------------

@@ -17,23 +17,31 @@ from __future__ import annotations
 
 import asyncio
 import socket
+import struct
 import threading
 import time
 
 import pytest
 
-from repro import AggregationService, Query, get_operator
+from repro import AggregationService, Query, TimeQuery, get_operator
 from repro.errors import (
     ClientTimeoutError,
     ServerOverloadedError,
     ServiceError,
 )
 from repro.net.client import AggregationClient, AsyncAggregationClient
-from repro.net.protocol import FrameType, encode_frame
+from repro.net.protocol import (
+    HEADER,
+    FrameDecoder,
+    FrameType,
+    encode_frame,
+)
 from repro.net.server import AggregationServer, ServerThread
 from repro.service.gateway import ServiceGateway
 from repro.stream.engine import StreamEngine
 from repro.stream.sink import CollectSink
+
+from tests.unit.test_net_protocol import framed, sealed, tagged_frame
 
 QUERIES = [Query(16, 8), Query(12, 4)]
 KEYS = [f"sensor-{i}" for i in range(7)]
@@ -402,3 +410,164 @@ class TestProtocolAndLifecycle:
                 server_sock.close()
 
         asyncio.run(scenario())
+
+
+class RawConnection:
+    """One socket, raw request bytes in, decoded reply frames out."""
+
+    def __init__(self, port: int):
+        self._sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+        self._decoder = FrameDecoder()
+
+    def request(self, frame: bytes):
+        """Send one request frame; return its reply (``None`` on EOF)."""
+        self._sock.sendall(frame)
+        while True:
+            for reply in self._decoder.frames_traced():
+                return reply
+            data = self._sock.recv(65536)
+            if not data:
+                return None
+            self._decoder.feed(data)
+
+    def at_eof(self) -> bool:
+        return self._sock.recv(65536) == b""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._sock.close()
+
+
+def time_service(**kwargs) -> AggregationService:
+    return AggregationService(
+        [TimeQuery(2.0, 1.0), TimeQuery(5.0, 2.0)],
+        get_operator("sum"),
+        num_shards=2,
+        mode="time",
+        transport="inline",
+        lateness=1.0,
+        batch_size=16,
+        **kwargs,
+    )
+
+
+@pytest.mark.timeout(120)
+class TestRecordColumnsOnTheServer:
+    """The columnar body of SUBMIT_BATCH / SUBMIT_EVENT_BATCH against a
+    live server: same answers as the tagged body, and every refusal
+    made before anything is admitted or routed."""
+
+    @staticmethod
+    def _final_answers(service, frames):
+        with ServerThread(AggregationServer(service)) as thread:
+            with RawConnection(thread.port) as raw:
+                for frame in frames:
+                    assert raw.request(frame).frame_type is FrameType.OK
+                polled = raw.request(encode_frame(FrameType.POLL)).payload
+                final = raw.request(encode_frame(FrameType.DRAIN)).payload
+        return polled, final["answers"], final["stats"]["records_submitted"]
+
+    def test_columnar_and_tagged_bodies_give_identical_answers(self):
+        records = keyed_records(400)
+        chunks = [records[i : i + 25] for i in range(0, 400, 25)]
+        columnar = [encode_frame(FrameType.SUBMIT_BATCH, c) for c in chunks]
+        tagged = [tagged_frame(FrameType.SUBMIT_BATCH, c) for c in chunks]
+        assert all(frame[HEADER.size] == 0x0B for frame in columnar)
+        assert all(frame[HEADER.size] == 0x08 for frame in tagged)
+        through_columns = self._final_answers(make_service(), columnar)
+        assert through_columns == self._final_answers(make_service(), tagged)
+        assert through_columns[2] == 400
+        assert [
+            (position, (query.range_size, query.slide, query.name), value)
+            for position, query, value in reference_answers(records)
+        ] == through_columns[1]
+
+    def test_columnar_and_tagged_event_batches_give_identical_answers(self):
+        events = [
+            (KEYS[i % 7], i * 0.25 + (0.6 if i % 5 == 0 else 0.0), float(i))
+            for i in range(200)
+        ]
+        chunks = [events[i : i + 20] for i in range(0, 200, 20)]
+        frame_type = FrameType.SUBMIT_EVENT_BATCH
+        columnar = [encode_frame(frame_type, c, trace_id=5) for c in chunks]
+        tagged = [tagged_frame(frame_type, c, trace_id=5) for c in chunks]
+        assert all(frame[HEADER.size + 8] == 0x0B for frame in columnar)
+        through_columns = self._final_answers(time_service(), columnar)
+        assert through_columns == self._final_answers(time_service(), tagged)
+        assert through_columns[1] and through_columns[2] == 200
+
+    def test_structural_damage_is_refused_before_anything_is_ingested(self):
+        good = encode_frame(
+            FrameType.SUBMIT_BATCH, [("a", 1), ("b", 2), ("a", 3)]
+        )
+        payload = good[HEADER.size :]
+        damaged = []
+        for index in range(len(payload)):
+            flipped = bytearray(payload)
+            flipped[index] ^= 0x01
+            damaged.append(framed(FrameType.SUBMIT_BATCH, bytes(flipped)))
+        damaged.extend(
+            framed(FrameType.SUBMIT_BATCH, payload[:size])
+            for size in range(1, len(payload))
+        )
+        server = AggregationServer(make_service())
+        with ServerThread(server) as thread:
+            for frame in damaged:
+                with RawConnection(thread.port) as raw:
+                    reply = raw.request(frame)
+                    assert reply.frame_type is FrameType.ERROR, frame.hex()
+                    assert reply.payload["error"] == "ProtocolError"
+                    # A framing error: the stream offset is unknowable.
+                    assert raw.at_eof()
+            with AggregationClient("127.0.0.1", thread.port) as client:
+                stats = client.stats()
+                assert stats["service"]["records_submitted"] == 0
+                assert stats["server"]["accepted_records"] == 0
+                assert stats["server"]["protocol_errors"] == len(damaged)
+                # The server itself is unharmed.
+                assert client.submit_batch([("a", 1), ("b", 2)]) == 2
+
+    def test_semantic_refusals_keep_the_connection_and_touch_nothing(self):
+        table = b"\x02\x00\x00\x00\x03\x01\x00\x00\x00a\x03\x01\x00\x00\x00b"
+        values = (10).to_bytes(8, "little") + (20).to_bytes(8, "little")
+        bad_code = framed(
+            FrameType.SUBMIT_BATCH,
+            sealed(2, table, 0, values + b"\0\0\0\0\x02\0\0\0"),
+        )
+        with ServerThread(AggregationServer(make_service())) as thread:
+            with RawConnection(thread.port) as raw:
+                reply = raw.request(bad_code)
+                assert reply.frame_type is FrameType.ERROR
+                assert "key code outside" in reply.payload["message"]
+                ok = raw.request(
+                    encode_frame(FrameType.SUBMIT_BATCH, [("a", 1), ("b", 2)])
+                )
+                assert ok.payload == {"accepted": 2}
+                stats = raw.request(encode_frame(FrameType.STATS)).payload
+                assert stats["service"]["records_submitted"] == 2
+        codes = b"\0\0\0\0\x01\0\0\0"
+        not_finite = framed(
+            FrameType.SUBMIT_EVENT_BATCH,
+            sealed(
+                2,
+                table,
+                0x08,
+                values + codes + struct.pack("<dd", 1.0, float("nan")),
+            ),
+        )
+        with ServerThread(AggregationServer(time_service())) as thread:
+            with RawConnection(thread.port) as raw:
+                reply = raw.request(not_finite)
+                assert reply.frame_type is FrameType.ERROR
+                assert "must be finite" in reply.payload["message"]
+                ok = raw.request(
+                    encode_frame(
+                        FrameType.SUBMIT_EVENT_BATCH,
+                        [("a", 1.0, 1), ("b", 1.5, 2)],
+                    )
+                )
+                assert ok.payload == {"accepted": 2}
+                stats = raw.request(encode_frame(FrameType.STATS)).payload
+                assert stats["service"]["records_submitted"] == 2

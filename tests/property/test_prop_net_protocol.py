@@ -12,7 +12,11 @@ Three properties the serving layer leans on:
   type escaping the codec;
 * **submit table** — for every ingress shape, what the build half puts
   on the wire is what the parse half hands the gateway, and whatever
-  the parse half accepts the gateway accepts.
+  the parse half accepts the gateway accepts;
+* **one meaning, two bodies** — whichever body ``encode_frame`` picks
+  for a batch (record columns or the tagged rows), the parse half
+  yields the rows the tagged body yields, equal and type-equal, and a
+  service fed either way gives the same answers.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from hypothesis import strategies as st
 from repro import AggregationService, Query, TimeQuery, get_operator
 from repro.errors import OutOfOrderError, ProtocolError
 from repro.net.protocol import (
+    HEADER,
     MAX_TRACE_ID,
     SUBMIT_SHAPES,
     FrameDecoder,
@@ -37,6 +42,8 @@ from repro.net.protocol import (
     try_decode_frame_traced,
 )
 from repro.service.gateway import ServiceGateway
+
+from tests.unit.test_net_protocol import tagged_frame
 
 # NaN breaks == comparison; it has its own explicit unit test.
 scalars = st.one_of(
@@ -370,3 +377,125 @@ def test_what_parse_accepts_the_gateway_accepts(
             assert gateway.snapshot()["records_submitted"] == count
     finally:
         gateway.abort()
+
+
+# -- one meaning, two bodies ----------------------------------------
+
+i64 = st.integers(-(2**63), 2**63 - 1)
+wire_keys = st.one_of(
+    st.none(),
+    st.booleans(),
+    i64,
+    st.integers(),  # bigints: the compact table cannot carry them
+    st.floats(),  # -0.0 and NaN included
+    st.sampled_from([0, 0.0, -0.0, False, 1, 1.0, True]),  # equal, not same
+    st.text(max_size=4),
+    st.binary(max_size=4),
+    st.tuples(st.text(max_size=2), i64),
+)
+value_columns = st.one_of(
+    st.lists(i64, max_size=12),
+    st.lists(st.floats(), max_size=12),
+    st.lists(st.one_of(i64, st.floats(), st.booleans(), st.integers()), max_size=8),
+)
+stamp_values = st.one_of(
+    st.floats(min_value=0, max_value=1e6),
+    st.integers(min_value=0, max_value=10**6),
+    st.floats(),  # NaN / inf: refused by either body's parse half
+    st.booleans(),
+    st.just(10**400),  # no f64 holds it: tagged, then refused
+)
+
+
+@st.composite
+def row_lists(draw, arity):
+    """Mostly eligible batches, bent in every way that makes one not."""
+    column = draw(value_columns)
+    rows = []
+    for value in column:
+        row = [draw(wire_keys), value]
+        if arity == 3:
+            row.insert(1, draw(stamp_values))
+        bend = draw(st.integers(0, 19))
+        if bend == 0:
+            rows.append(row)  # a list row
+        elif bend == 1:
+            rows.append(tuple(row[:-1]))  # a short row
+        elif bend == 2:
+            rows.append(tuple(row) + (None,))  # a long row
+        else:
+            rows.append(tuple(row))
+    return rows
+
+
+def _parsed(frame):
+    """``repr`` of the rows the parse half hands the gateway — equal
+    and type-equal is ``repr``-equal for these types — or its refusal."""
+    decoded, consumed = try_decode_frame_traced(frame)
+    assert consumed == len(frame)
+    shape = SUBMIT_SHAPES[decoded.frame_type]
+    try:
+        (records,), count = shape.parse(decoded.payload, None)
+    except ProtocolError as refusal:
+        return f"refused: {refusal}"
+    rows = list(records)
+    assert count == len(rows) == len(records)
+    return repr(rows)
+
+
+@pytest.mark.parametrize(
+    "frame_type, arity",
+    [(FrameType.SUBMIT_BATCH, 2), (FrameType.SUBMIT_EVENT_BATCH, 3)],
+)
+@given(st.data())
+@settings(max_examples=150)
+def test_either_body_parses_to_the_rows_the_tagged_body_gives(
+    frame_type, arity, data
+):
+    rows = data.draw(row_lists(arity))
+    assert _parsed(encode_frame(frame_type, rows)) == _parsed(
+        tagged_frame(frame_type, rows)
+    )
+
+
+@given(
+    st.lists(
+        st.tuples(st.one_of(st.text(max_size=3), i64, st.none()), i64),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_eligible_rows_do_travel_as_columns(rows):
+    # The property above is not vacuous: these are always columnar.
+    frame = encode_frame(FrameType.SUBMIT_BATCH, rows)
+    assert frame[HEADER.size] == 0x0B
+    assert _parsed(frame) == repr(rows)
+
+
+@given(
+    st.lists(
+        st.lists(
+            st.tuples(st.sampled_from(["a", "b", 3, None, b"k"]), st.integers(-99, 99)),
+            max_size=9,
+        ),
+        max_size=8,
+    )
+)
+@settings(max_examples=40, deadline=None)
+def test_a_service_fed_either_body_gives_the_same_answers(chunks):
+    def answers(encode):
+        gateway = _gateway(timed=False)
+        try:
+            for chunk in chunks:
+                decoded, _ = try_decode_frame_traced(
+                    encode(FrameType.SUBMIT_BATCH, chunk)
+                )
+                args, count = SUBMIT_SHAPES[FrameType.SUBMIT_BATCH].parse(
+                    decoded.payload, None
+                )
+                assert gateway.submit_many(*args, None) == count
+            return gateway.close().answers
+        finally:
+            gateway.abort()
+
+    assert answers(encode_frame) == answers(tagged_frame)

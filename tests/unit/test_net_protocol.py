@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import pickle
+import struct
+import zlib
 
 import pytest
 
@@ -21,6 +24,7 @@ from repro.net.protocol import (
     SUPPORTED_VERSIONS,
     FrameDecoder,
     FrameType,
+    RecordColumns,
     decode_answers,
     decode_value,
     encode_answers,
@@ -31,6 +35,7 @@ from repro.net.protocol import (
 )
 from repro.service.gateway import ServiceGateway
 from repro.windows.query import Query
+from repro.windows.timebased import TimeQuery
 
 
 class TestValueCodec:
@@ -301,6 +306,24 @@ class TestAnswerMarshalling:
     def test_malformed_query_spec_is_rejected(self):
         with pytest.raises(ProtocolError, match="query spec"):
             decode_answers([(4, "not-a-spec", 10)])
+        with pytest.raises(ProtocolError, match="query spec"):
+            decode_answers([(4, (8, 4, ["unhashable"], "extra", 5), 10)])
+
+    def test_one_query_object_per_spec_per_call(self):
+        # A poll repeats its few specs dozens of times: each is built
+        # (and validated) once per call, and list specs — which an
+        # old peer may send — still decode.
+        count, timed = Query(8, 4), TimeQuery(2.0, 1.0)
+        answers = [(4, count, 1), (4.0, timed, 2), (8, count, 3), (5.0, timed, 4)]
+        rows = encode_answers(answers)
+        assert rows[0][1] is rows[2][1] and rows[1][1] is rows[3][1]
+        decoded = decode_answers(rows)
+        assert decoded == answers
+        assert decoded[0][1] is decoded[2][1]
+        assert decoded[1][1] is decoded[3][1]
+        assert decode_answers([(4, [8, 4, "q8/4"], 1)]) == [answers[0]]
+        # Nothing is remembered between calls.
+        assert decode_answers(rows)[0][1] is not decoded[0][1]
 
 
 class TestGoldenFrames:
@@ -426,6 +449,9 @@ class TestSubmitTable:
                 None,
                 "routed",
             ),
+            # An int no f64 holds (appended: the index is in the test id).
+            (FrameType.SUBMIT_EVENT_BATCH, [("k", 10**400, 1)], None, "finite"),
+            (FrameType.SUBMIT_EVENT, ("k", 1), 10**400, "finite"),
         ],
     )
     def test_refused_payloads_raise_protocol_error(
@@ -433,3 +459,308 @@ class TestSubmitTable:
     ):
         with pytest.raises(ProtocolError, match=message):
             parse(frame_type, payload, event_time)
+
+
+# -- record columns -------------------------------------------------
+
+
+def tagged_frame(frame_type, payload, trace_id=None):
+    """The frame an old client sends: the tagged body whatever the rows."""
+    body = encode_value(payload)
+    if trace_id is None:
+        return HEADER.pack(MAGIC, 1, int(frame_type), len(body)) + body
+    head = HEADER.pack(MAGIC, 2, int(frame_type), len(body))
+    return head + struct.pack(">Q", trace_id) + body
+
+
+def sealed(count, table, flags, columns, crc=None):
+    """A record-columns payload with a valid (or the given) CRC."""
+    covered = struct.pack("<IIB", count, len(table), flags) + columns + table
+    if crc is None:
+        crc = zlib.crc32(covered)
+    return b"\x0b" + struct.pack("<I", crc) + covered
+
+
+def framed(frame_type, payload):
+    return HEADER.pack(MAGIC, 1, int(frame_type), len(payload)) + payload
+
+
+def decode_one(frame):
+    decoded, consumed = try_decode_frame_traced(frame)
+    assert consumed == len(frame)
+    return decoded
+
+
+TABLE_AB = struct.pack("<I", 2) + b"\x03\x01\x00\x00\x00a\x03\x01\x00\x00\x00b"
+TWO_INTS = struct.pack("<qq", 10, 20)
+CODES_01 = struct.pack("<II", 0, 1)
+STAMPS = struct.pack("<dd", 1.0, 2.5)
+
+
+class TestRecordColumns:
+    """SUBMIT_BATCH / SUBMIT_EVENT_BATCH travel as columns when the
+    rows are eligible; every other row list travels tagged, as before."""
+
+    def test_eligible_rows_travel_as_columns(self):
+        rows = [("a", 10), ("b", 20)]
+        frame = encode_frame(FrameType.SUBMIT_BATCH, rows)
+        assert frame == framed(
+            FrameType.SUBMIT_BATCH, sealed(2, TABLE_AB, 0, TWO_INTS + CODES_01)
+        )
+        events = [("a", 1.0, 10), ("b", 2.5, 20)]
+        frame = encode_frame(FrameType.SUBMIT_EVENT_BATCH, events, trace_id=7)
+        body = sealed(2, TABLE_AB, 0x08, TWO_INTS + CODES_01 + STAMPS)
+        assert frame[HEADER.size + 8 :] == body
+        assert decode_one(frame).trace_id == 7
+
+    def test_the_view_is_sized_iterates_as_rows_and_equals_them(self):
+        rows = [("a", 1.5), (None, -0.0), ("a", 2.5), (7, 3.5), (b"k", 4.5)]
+        payload = decode_one(encode_frame(FrameType.SUBMIT_BATCH, rows)).payload
+        assert type(payload) is RecordColumns
+        assert len(payload) == 5
+        assert payload.values.format == "d" and payload.codes.format == "I"
+        assert payload.key_table == ["a", None, 7, b"k"]
+        assert list(payload) == rows and list(payload) == rows  # re-iterable
+        assert repr(list(payload)) == repr(rows)  # -0.0 and types survive
+        assert payload == rows and rows == payload
+        assert payload != rows[:-1] and payload != tuple(rows)
+        assert repr(payload) == f"RecordColumns({rows!r})"
+        events = [("a", 1.0, 10), ("b", 2.5, 20)]
+        payload = decode_one(
+            encode_frame(FrameType.SUBMIT_EVENT_BATCH, events)
+        ).payload
+        assert list(payload) == events and payload == events
+        assert payload.timestamps.format == "d"
+
+    def test_parse_halves_take_either_body(self):
+        rows = [("a", 1), ("b", 2), ("a", 3)]
+        events = [("a", 1, 10), ("b", 2.5, 20)]
+        for frame_type, records, floated in [
+            (FrameType.SUBMIT_BATCH, rows, rows),
+            (
+                FrameType.SUBMIT_EVENT_BATCH,
+                events,
+                [("a", 1.0, 10), ("b", 2.5, 20)],
+            ),
+        ]:
+            columnar = decode_one(encode_frame(frame_type, records))
+            tagged = decode_one(tagged_frame(frame_type, records))
+            assert type(columnar.payload) is RecordColumns
+            assert type(tagged.payload) is list
+            (got,), count = parse(frame_type, columnar.payload)
+            (want,), want_count = parse(frame_type, tagged.payload)
+            assert count == want_count == len(records)
+            assert repr(list(got)) == repr(want) == repr(floated)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            [("a", 1), ["b", 2]],  # a list row
+            (("a", 1), ("b", 2)),  # a tuple of rows
+            [("a", 1), ("b", 2.5)],  # mixed value types
+            [("a", True), ("b", False)],  # bools are not i64s
+            [("a", 1), ("b", 2**63)],  # a bigint value
+            [("a", "x")],  # a non-numeric value
+            [(("a", 1), 1)],  # a tuple key
+            [(2**64, 1)],  # a bigint key
+            [(["a"], 1)],  # a key that does not hash
+            [("a", 1), ("b",)],  # a short row
+            [("a", 1, 2)],  # a long row
+        ],
+    )
+    def test_ineligible_rows_travel_tagged_byte_identical(self, rows):
+        frame = encode_frame(FrameType.SUBMIT_BATCH, rows, trace_id=3)
+        assert frame == tagged_frame(FrameType.SUBMIT_BATCH, rows, 3)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [("a", True, 1)],  # a bool timestamp
+            [("a", "1", 1)],  # a string timestamp
+            [("a", 10**400, 1)],  # a timestamp no f64 holds
+            [("a", 1.0, 1), ("b", 2.0, 2.5)],  # mixed value types
+            [("a", 1)],  # pairs on the triple shape
+        ],
+    )
+    def test_ineligible_event_rows_travel_tagged(self, rows):
+        frame = encode_frame(FrameType.SUBMIT_EVENT_BATCH, rows)
+        assert frame == tagged_frame(FrameType.SUBMIT_EVENT_BATCH, rows)
+
+    def test_only_the_two_batch_shapes_ever_encode_as_columns(self):
+        rows = [("a", 1), ("b", 2)]
+        for frame_type in FrameType:
+            frame = encode_frame(frame_type, rows)
+            columnar = frame[HEADER.size] == 0x0B
+            assert columnar == (frame_type is FrameType.SUBMIT_BATCH)
+
+    # -- structural damage: a framing error, at decode ---------------
+
+    def test_tag_is_refused_anywhere_but_a_whole_batch_payload(self):
+        payload = sealed(2, TABLE_AB, 0, TWO_INTS + CODES_01)
+        assert decode_one(framed(FrameType.SUBMIT_BATCH, payload)).payload == [
+            ("a", 10),
+            ("b", 20),
+        ]
+        for frame_type in set(FrameType) - {
+            FrameType.SUBMIT_BATCH,
+            FrameType.SUBMIT_EVENT_BATCH,
+        }:
+            with pytest.raises(ProtocolError, match="unknown value tag 0x0b"):
+                try_decode_frame_traced(framed(frame_type, payload))
+        nested = b"\x08" + struct.pack(">I", 1) + payload
+        with pytest.raises(ProtocolError, match="unknown value tag 0x0b"):
+            try_decode_frame_traced(framed(FrameType.SUBMIT_BATCH, nested))
+        with pytest.raises(ProtocolError, match="unknown value tag 0x0b"):
+            decode_value(payload)
+
+    def test_truncated_header_is_refused(self):
+        payload = sealed(2, TABLE_AB, 0, TWO_INTS + CODES_01)
+        for size in range(1, 14):
+            with pytest.raises(ProtocolError, match="header"):
+                try_decode_frame_traced(
+                    framed(FrameType.SUBMIT_BATCH, payload[:size])
+                )
+
+    def test_length_is_checked_against_the_count_before_anything_is_sized(self):
+        # 4 billion records declared over a 24-byte body: refused by
+        # arithmetic, with a valid CRC, not by trying to view them.
+        payload = sealed(0xFFFFFFFF, TABLE_AB, 0, TWO_INTS + CODES_01)
+        with pytest.raises(ProtocolError, match="expected"):
+            try_decode_frame_traced(framed(FrameType.SUBMIT_BATCH, payload))
+        for columns in (TWO_INTS + CODES_01[:4], TWO_INTS + CODES_01 + b"\0"):
+            with pytest.raises(ProtocolError, match="expected"):
+                try_decode_frame_traced(
+                    framed(
+                        FrameType.SUBMIT_BATCH, sealed(2, TABLE_AB, 0, columns)
+                    )
+                )
+
+    def test_crc_mismatch_is_refused(self):
+        good = sealed(2, TABLE_AB, 0, TWO_INTS + CODES_01)
+        bad_crc = sealed(2, TABLE_AB, 0, TWO_INTS + CODES_01, crc=0)
+        with pytest.raises(ProtocolError, match="CRC"):
+            try_decode_frame_traced(framed(FrameType.SUBMIT_BATCH, bad_crc))
+        # One damaged value byte is still two plausible i64s: only the
+        # CRC can tell.
+        damaged = bytearray(good)
+        damaged[14] ^= 0x01
+        with pytest.raises(ProtocolError, match="CRC"):
+            try_decode_frame_traced(
+                framed(FrameType.SUBMIT_BATCH, bytes(damaged))
+            )
+
+    @pytest.mark.parametrize("flags", [0x02, 0x10, 0x80, 0x01 | 0x40])
+    def test_unknown_flag_bits_are_refused(self, flags):
+        payload = sealed(2, TABLE_AB, flags, TWO_INTS + CODES_01)
+        with pytest.raises(ProtocolError, match="flag bits"):
+            try_decode_frame_traced(framed(FrameType.SUBMIT_BATCH, payload))
+
+    def test_pickled_keys_flag_on_the_wire_never_reaches_pickle_loads(
+        self, monkeypatch
+    ):
+        # The ring's frame may carry a pickled key table (flag 0x04);
+        # the wire must refuse the flag without looking at the table.
+        def loads(*args, **kwargs):
+            raise AssertionError("the server unpickled bytes off the wire")
+
+        monkeypatch.setattr(pickle, "loads", loads)
+        table = pickle.dumps(("a", "b"), protocol=5)
+        payload = sealed(2, table, 0x04, TWO_INTS + CODES_01)
+        with pytest.raises(ProtocolError, match="pickled key table"):
+            try_decode_frame_traced(framed(FrameType.SUBMIT_BATCH, payload))
+
+    def test_timestamp_column_must_match_the_frame_type(self):
+        timed = sealed(2, TABLE_AB, 0x08, TWO_INTS + CODES_01 + STAMPS)
+        plain = sealed(2, TABLE_AB, 0, TWO_INTS + CODES_01)
+        assert decode_one(framed(FrameType.SUBMIT_EVENT_BATCH, timed)).payload
+        with pytest.raises(ProtocolError, match="timestamp column"):
+            try_decode_frame_traced(framed(FrameType.SUBMIT_BATCH, timed))
+        with pytest.raises(ProtocolError, match="timestamp column"):
+            try_decode_frame_traced(
+                framed(FrameType.SUBMIT_EVENT_BATCH, plain)
+            )
+
+    def test_damaged_key_table_is_a_protocol_error(self):
+        # Every case of the shared decoder is pinned, through both
+        # envelopes, in test_transport_frame.py; here: it is wired in.
+        table = struct.pack("<I", 2) + b"\x03\x01\x00\x00\x00a\x03\x09\x00\x00\x00b"
+        payload = sealed(2, table, 0, TWO_INTS + CODES_01)
+        with pytest.raises(ProtocolError, match="past the table"):
+            try_decode_frame_traced(framed(FrameType.SUBMIT_BATCH, payload))
+
+    def test_structural_damage_poisons_the_stream_decoder(self):
+        decoder = FrameDecoder()
+        decoder.feed(
+            framed(
+                FrameType.SUBMIT_BATCH,
+                sealed(2, TABLE_AB, 0, TWO_INTS + CODES_01, crc=1),
+            )
+        )
+        with pytest.raises(ProtocolError, match="CRC"):
+            list(decoder.frames())
+        with pytest.raises(ProtocolError, match="framing error"):
+            decoder.feed(b"")
+
+    # -- semantic refusal: the parse half's, nothing touched ----------
+
+    def test_key_code_outside_the_table_is_the_parse_halfs_refusal(self):
+        codes = struct.pack("<II", 0, 2)
+        payload = sealed(2, TABLE_AB, 0, TWO_INTS + codes)
+        frame = decode_one(framed(FrameType.SUBMIT_BATCH, payload))
+        with pytest.raises(ProtocolError, match="key code outside"):
+            parse(FrameType.SUBMIT_BATCH, frame.payload)
+        timed = sealed(2, TABLE_AB, 0x08, TWO_INTS + codes + STAMPS)
+        frame = decode_one(framed(FrameType.SUBMIT_EVENT_BATCH, timed))
+        with pytest.raises(ProtocolError, match="key code outside"):
+            parse(FrameType.SUBMIT_EVENT_BATCH, frame.payload)
+        # Also for whoever iterates a view nobody parsed.
+        with pytest.raises(ProtocolError, match="key code outside"):
+            list(frame.payload)
+
+    @pytest.mark.parametrize("stamp", [math.nan, math.inf, -math.inf])
+    def test_non_finite_timestamp_is_the_parse_halfs_refusal(self, stamp):
+        stamps = struct.pack("<dd", 1.0, stamp)
+        payload = sealed(2, TABLE_AB, 0x08, TWO_INTS + CODES_01 + stamps)
+        frame = decode_one(framed(FrameType.SUBMIT_EVENT_BATCH, payload))
+        with pytest.raises(ProtocolError, match="must be finite"):
+            parse(FrameType.SUBMIT_EVENT_BATCH, frame.payload)
+
+    def test_an_empty_batch_of_columns_is_an_empty_batch(self):
+        empty_table = struct.pack("<I", 0)
+        frame = decode_one(
+            framed(FrameType.SUBMIT_BATCH, sealed(0, empty_table, 0, b""))
+        )
+        assert parse(FrameType.SUBMIT_BATCH, frame.payload) == (([],), 0)
+
+    # -- every byte, every offset --------------------------------------
+
+    @pytest.mark.parametrize(
+        "frame_type, rows",
+        [
+            (FrameType.SUBMIT_BATCH, [("a", 1), ("b", 2), ("a", 3)]),
+            (FrameType.SUBMIT_EVENT_BATCH, [("a", 1.0, 1.5), (7, 2.0, 2.5)]),
+        ],
+    )
+    def test_no_flipped_byte_or_truncation_escapes_as_another_error(
+        self, frame_type, rows
+    ):
+        frame = encode_frame(frame_type, rows)
+        for index in range(len(frame)):
+            for mask in (0x01, 0x80, 0xFF):
+                damaged = bytearray(frame)
+                damaged[index] ^= mask
+                try:
+                    decoded = try_decode_frame_traced(bytes(damaged))
+                    if decoded is not None and decoded[0].frame_type in SUBMIT_SHAPES:
+                        parse(decoded[0].frame_type, decoded[0].payload)
+                except ProtocolError:
+                    continue
+                # What still decodes did not touch the columns: the
+                # CRC covers every byte after itself.
+                assert index < HEADER.size or decoded is None, index
+        payload = frame[HEADER.size :]
+        for size in range(len(payload)):
+            with pytest.raises(ProtocolError):
+                try_decode_frame_traced(framed(frame_type, payload[:size]))
+            assert try_decode_frame_traced(frame[: HEADER.size + size]) is None

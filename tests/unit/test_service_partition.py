@@ -253,6 +253,26 @@ def test_put_many_routes_the_prefix_of_a_malformed_call(bad):
     assert _frames(shipped) == _per_record(good)
 
 
+def test_put_many_frames_a_wire_column_view_like_its_rows():
+    from repro.net.protocol import (
+        FrameType,
+        encode_frame,
+        try_decode_frame_traced,
+    )
+
+    records = [(f"k{i % 5}", i) for i in range(60)]
+    (frame, _) = try_decode_frame_traced(
+        encode_frame(FrameType.SUBMIT_BATCH, records)
+    )
+    router = Router(num_shards=3, batch_size=4, clock=_clock())
+    shipped = router.put_many(frame.payload, trace=7)
+    shipped.extend(router.flush())
+    by_rows = Router(num_shards=3, batch_size=4, clock=_clock())
+    expected = by_rows.put_many(records, trace=7) + by_rows.flush()
+    assert _frames(shipped) == _frames(expected)
+    assert router.position == 60
+
+
 def test_failed_call_keeps_its_framed_rounds_for_flush():
     router = Router(num_shards=1, batch_size=2, clock=_clock())
     with pytest.raises(ValueError):

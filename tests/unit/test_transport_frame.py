@@ -4,15 +4,32 @@ The codec is the contract between the supervisor (encoder) and the
 shard worker (decoder): these tests pin the capability check, the
 dictionary key encoding, CRC protection, and the exact round-trip
 semantics the service-level equivalence tests rely on.
+
+The column codec underneath (:mod:`repro.service.transport.columns`)
+is shared with the wire's record columns, so what it promises — a key
+table that trusts none of its bytes, a dictionary that never retypes a
+key — is pinned here once, through both envelopes.
 """
 
 from __future__ import annotations
 
+import pickle
 import struct
+import zlib
 
 import pytest
 
-from repro.errors import TornFrameError
+from repro.errors import ProtocolError, TornFrameError
+from repro.net.protocol import (
+    FrameType,
+    encode_frame,
+    try_decode_frame_traced,
+)
+from repro.service.transport.columns import (
+    decode_key_table,
+    encode_key_table,
+    encode_keys,
+)
 from repro.service.transport.frame import (
     FrameKind,
     HEADER_BYTES,
@@ -23,6 +40,9 @@ from repro.service.transport.frame import (
     encode_pickled_frame,
     encode_values,
 )
+
+
+from tests.unit.test_net_protocol import tagged_frame
 
 
 def _decode(frame_bytes):
@@ -179,6 +199,121 @@ def test_key_table_huge_int_keys_pickle():
     decoded = _decode(frame)
     assert decoded.keys == keys
     decoded.release()
+
+
+# -- the shared key column, through both envelopes -----------------------
+
+
+def ring_frame_with_key_table(table: bytes, flags: int = 0) -> bytes:
+    """A CRC-valid one-record columnar ring frame around ``table``."""
+    body = struct.pack("<qqI", 1, 7, 0) + table
+    head = struct.pack(
+        "<4sBBHQQII", MAGIC, int(FrameKind.COLUMNAR), flags, 0, 1, 0, 1,
+        len(table),
+    )
+    crc = zlib.crc32(body, zlib.crc32(head))
+    return head + struct.pack("<I", crc) + body
+
+
+def wire_frame_with_key_table(table: bytes, flags: int = 0) -> bytes:
+    """A CRC-valid one-record SUBMIT_BATCH record-columns frame."""
+    sealed = struct.pack("<IIB", 1, len(table), flags) + struct.pack(
+        "<qI", 7, 0
+    ) + table
+    payload = b"\x0b" + struct.pack("<I", zlib.crc32(sealed)) + sealed
+    return b"SD\x01\x02" + struct.pack(">I", len(payload)) + payload
+
+
+def test_hand_built_envelopes_decode_when_the_table_is_sound():
+    table = encode_key_table(["k"])
+    decoded = _decode(ring_frame_with_key_table(table))
+    assert (decoded.keys, list(decoded.values)) == (["k"], [7])
+    decoded.release()
+    frame, _ = try_decode_frame_traced(wire_frame_with_key_table(table))
+    assert frame.payload == [("k", 7)]
+
+
+DAMAGED_KEY_TABLES = {
+    "no-count-field": b"\x01",
+    "entry-missing": struct.pack("<I", 1),
+    "int-entry-truncated": struct.pack("<I", 1) + b"\x01\x07\x00\x00",
+    "str-length-truncated": struct.pack("<I", 1) + b"\x03\x02\x00",
+    "str-runs-past-the-table": struct.pack("<I", 1) + b"\x03\x09\x00\x00\x00ab",
+    "bad-utf-8": struct.pack("<I", 1) + b"\x03\x02\x00\x00\x00\xff\xfe",
+    "trailing-bytes": struct.pack("<I", 1) + b"\x00trailing",
+    "unknown-tag": struct.pack("<I", 1) + b"\x09",
+    "count-beyond-the-table": struct.pack("<I", 0x7FFFFFFF) + b"\x00",
+}
+
+
+@pytest.mark.parametrize("case", DAMAGED_KEY_TABLES)
+def test_damaged_key_table_is_one_error_type_per_envelope(case):
+    table = DAMAGED_KEY_TABLES[case]
+    with pytest.raises(TornFrameError):
+        _decode(ring_frame_with_key_table(table))
+    with pytest.raises(ProtocolError):
+        try_decode_frame_traced(wire_frame_with_key_table(table))
+
+
+def test_key_table_entry_count_is_bounded_before_the_loop():
+    # 2**31 declared entries in a five-byte table: refused by the
+    # bound, not by walking off the end after looping that far.
+    table = DAMAGED_KEY_TABLES["count-beyond-the-table"]
+    with pytest.raises(ProtocolError, match="cannot hold"):
+        decode_key_table(memoryview(table), ProtocolError)
+
+
+RETYPING_ROWS = [(1, 1), (True, 2), (1.0, 3), (-0.0, 4), (0.0, 5)]
+
+
+def test_dictionary_encoding_keeps_equal_keys_apart_on_the_ring():
+    # 1 == True == 1.0 and 0.0 == -0.0, but they are five keys: the
+    # pickle plane keeps each one's type, and so must the columns.
+    keys = [key for key, _ in RETYPING_ROWS]
+    frame = encode_batch_frame(0, 1, None, range(5), keys, range(5), None)
+    decoded = _decode(frame)
+    assert repr(decoded.keys) == repr(keys)
+    assert repr(decoded.keys) == repr(pickle.loads(pickle.dumps(keys)))
+    decoded.release()
+
+
+def test_dictionary_encoding_keeps_equal_keys_apart_on_the_wire():
+    columnar = encode_frame(FrameType.SUBMIT_BATCH, RETYPING_ROWS)
+    assert columnar[8] == 0x0B
+    tagged = tagged_frame(FrameType.SUBMIT_BATCH, RETYPING_ROWS)
+    (as_columns, _), (as_tagged, _) = map(
+        try_decode_frame_traced, (columnar, tagged)
+    )
+    assert repr(list(as_columns.payload)) == repr(as_tagged.payload)
+    assert repr(as_tagged.payload) == repr(RETYPING_ROWS)
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        [1, True, 1.0, 1],
+        [0.0, -0.0],
+        [False, 0, "0", b"0", None],
+        [2.5, 2.5, -2.5],
+        [7, 7, 8],
+    ],
+)
+def test_encode_keys_decodes_back_type_exact(keys):
+    distinct, codes = encode_keys(keys)
+    indices = memoryview(codes).cast("I")
+    assert repr([distinct[i] for i in indices]) == repr(keys)
+    assert len(set(map(repr, distinct))) == len(distinct)
+
+
+def test_encode_keys_refuses_what_it_cannot_keep_exact():
+    # A number beside a key whose repr proves nothing, and a key that
+    # does not hash: the envelope falls back (pickled frame / tagged).
+    assert encode_keys([1, ("tuple", 1)]) is None
+    assert encode_keys([["unhashable"], "k"]) is None
+    assert (
+        encode_batch_frame(0, 1, None, [0, 1], [1, ("t", 1)], [1, 2], None)
+        is None
+    )
 
 
 # -- pickled and control frames ------------------------------------------

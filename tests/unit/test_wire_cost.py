@@ -1,0 +1,110 @@
+"""Deterministic cost gate: Python-level calls per tuple on the wire path.
+
+In the manner of ``test_engine_cost.py``: wall-clock per-tuple cost on a
+shared box swings by more than a per-record function call is worth; the
+number of Python function calls one frame makes does not swing at all.
+One 256-row ``SUBMIT_BATCH`` frame is taken through everything the
+server does between the socket and the router's loop — decode
+(``try_decode_frame_traced``), the parse half, ``ServiceGateway``,
+``AggregationService.submit_many`` and ``Router.put_many`` — and every
+``call`` event of a library frame is counted, except inside
+``Router._route`` (the one per-record loop, gated by the pipeline
+benchmark's ``service.partition.route`` rung, whose first-seen
+``_admit`` and per-round ``_frame_round`` calls depend on the stream,
+not on the wire).
+
+With the tagged body the decoder alone makes more than four calls per
+tuple (``_decode_at`` and ``_need`` per row, key and value); with record
+columns the whole path is a fixed handful per *frame*.  A per-record
+function call creeping back in — a row loop in the parse half, a
+``list(records)`` turned into a comprehension — fails this without a
+clock.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+import repro
+from repro import AggregationService, Query, get_operator
+from repro.net.protocol import (
+    SUBMIT_SHAPES,
+    FrameType,
+    RecordColumns,
+    encode_frame,
+    try_decode_frame_traced,
+)
+from repro.service.gateway import ServiceGateway
+from repro.service.partition import Router
+
+from tests.unit.test_net_protocol import tagged_frame
+
+ROWS = 256
+#: Calls per tuple allowed outside ``Router._route``.
+CEILING = 0.1
+#: Only frames of library code count: a ``gc`` callback some other
+#: test's plugin registered must not leak into the total.
+LIBRARY = os.path.dirname(repro.__file__) + os.sep
+ROUTE = Router._route.__code__
+
+
+def calls_outside_the_router(frame: bytes) -> int:
+    """Library ``call`` events from socket bytes to routed records."""
+    service = AggregationService(
+        [Query(64, 16)],
+        get_operator("sum"),
+        num_shards=2,
+        transport="inline",
+        batch_size=ROWS,
+    )
+    shipped = []
+    # Shard folds and merges are the service's cost, not the wire's.
+    service._transport.ship = shipped.append
+    gateway = ServiceGateway(service)
+    shape = SUBMIT_SHAPES[FrameType.SUBMIT_BATCH]
+    calls = 0
+    routing = 0  # depth inside Router._route
+
+    def count(frame, event, arg):
+        nonlocal calls, routing
+        if frame.f_code is ROUTE:
+            routing += {"call": 1, "return": -1}.get(event, 0)
+        elif (
+            event == "call"
+            and not routing
+            and frame.f_code.co_filename.startswith(LIBRARY)
+        ):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        decoded, _ = try_decode_frame_traced(frame)
+        args, count_ = shape.parse(decoded.payload, decoded.event_time)
+        accepted = getattr(gateway, shape.verb)(*args, decoded.trace_id)
+    finally:
+        sys.setprofile(previous)
+    assert accepted == count_ == ROWS
+    assert sum(len(batch) for batch in shipped) + sum(
+        map(len, service._router._positions)
+    ) == ROWS
+    gateway.abort()
+    return calls
+
+
+def rows():
+    return [(f"key-{i % 37}", i * 7 - 300) for i in range(ROWS)]
+
+
+def test_columnar_frame_makes_no_per_record_python_call():
+    frame = encode_frame(FrameType.SUBMIT_BATCH, rows(), trace_id=3)
+    decoded, _ = try_decode_frame_traced(frame)
+    assert type(decoded.payload) is RecordColumns
+    assert calls_outside_the_router(frame) <= CEILING * ROWS
+
+
+def test_the_gate_sees_the_tagged_bodys_per_record_calls():
+    # The same rows from an old client: the ceiling is not vacuous.
+    frame = tagged_frame(FrameType.SUBMIT_BATCH, rows())
+    assert calls_outside_the_router(frame) > 4 * ROWS
