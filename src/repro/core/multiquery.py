@@ -19,11 +19,11 @@ two operations when the plan is uniform.
 from __future__ import annotations
 
 from collections import deque
+from itertools import repeat
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import InvalidOperatorError, WindowStateError
 from repro.operators.base import AggregateOperator
-from repro.structures.circular_buffer import CircularBuffer
 from repro.windows.partial import PartialAggregator
 from repro.windows.plan import PlanCursor, SharedPlan, build_shared_plan
 from repro.windows.query import Query
@@ -39,8 +39,9 @@ class _InvEngine:
         self._op = operator
         # Retain enough history for the largest lookback plus the skew
         # between a query's answer steps (bounded by one cycle).
+        # Partial number ``i`` (0-based) lives in slot ``i % capacity``.
         capacity = plan.w_size + plan.partials_per_cycle
-        self._ring = CircularBuffer(capacity, fill=operator.identity)
+        self._ring: List[Any] = [operator.identity] * capacity
         # Per-query state lives in lists in ``plan.queries`` order,
         # indexed by ``ScheduledQuery.slot`` — hashing the frozen
         # ``Query`` per partial cost more than the ⊕/⊖ themselves.
@@ -53,8 +54,10 @@ class _InvEngine:
     def on_partial(self, value: Any, scheduled, position: int) -> List[Answer]:
         op = self._op
         ring = self._ring
-        ring.push(value)
-        self._count = count = self._count + 1
+        capacity = len(ring)
+        count = self._count
+        ring[count % capacity] = value
+        self._count = count = count + 1
         combine = op.combine
         self._answers = answers = [
             combine(answer, value) for answer in self._answers
@@ -68,12 +71,55 @@ class _InvEngine:
             target_start = count - sq.lookback
             start = starts[slot]
             while start < target_start:
-                # The partial pushed ``count - start`` pushes ago.
-                answer = op.inverse(answer, ring.at_offset(count - start))
+                answer = op.inverse(answer, ring[start % capacity])
                 start += 1
             starts[slot] = start
             answers[slot] = answer
             results.append((position, sq.query, op.lower(answer)))
+        return results
+
+    def on_partials(
+        self, values: List[Any], steps, positions: List[int]
+    ) -> List[Answer]:
+        """:meth:`on_partial` over a run of partials, state in locals.
+
+        Operation order per partial is exactly :meth:`on_partial`'s —
+        every query's running answer takes ``⊕ value``, then each
+        scheduled query retires its expired partials with ⊖, oldest
+        first — so answers are equal by ``repr``.  State is written
+        back once, in a ``finally``: an operator that raises mid-run
+        leaves what the per-partial path would have left.
+        """
+        op = self._op
+        combine = op.combine
+        inverse = op.inverse
+        lower = op.lower
+        ring = self._ring
+        capacity = len(ring)
+        starts = self._starts
+        answers = self._answers
+        count = self._count
+        results: List[Answer] = []
+        emit = results.append
+        try:
+            for value, step, position in zip(values, steps, positions):
+                ring[count % capacity] = value
+                count += 1
+                answers = list(map(combine, answers, repeat(value)))
+                for sq in step.answers:
+                    slot = sq.slot
+                    answer = answers[slot]
+                    target_start = count - sq.lookback
+                    start = starts[slot]
+                    while start < target_start:
+                        answer = inverse(answer, ring[start % capacity])
+                        start += 1
+                    starts[slot] = start
+                    answers[slot] = answer
+                    emit((position, sq.query, lower(answer)))
+        finally:
+            self._count = count
+            self._answers = answers
         return results
 
 
@@ -106,6 +152,44 @@ class _NonInvEngine:
             while pos <= threshold:
                 pos, val = next(nodes)
             results.append((position, sq.query, lower(val)))
+        return results
+
+    def on_partials(
+        self, values: List[Any], steps, positions: List[int]
+    ) -> List[Answer]:
+        """:meth:`on_partial` over a run of partials, state in locals.
+
+        Same deque operations in the same order per partial; the
+        partial count is written back once, in a ``finally``.
+        """
+        op = self._op
+        dominates = op.dominates
+        lower = op.lower
+        nodes_deque = self._deque
+        popleft = nodes_deque.popleft
+        pop = nodes_deque.pop
+        push = nodes_deque.append
+        w_size = self._w_size
+        count = self._count
+        results: List[Answer] = []
+        emit = results.append
+        try:
+            for value, step, position in zip(values, steps, positions):
+                count += 1
+                if nodes_deque and nodes_deque[0][0] <= count - w_size:
+                    popleft()
+                while nodes_deque and dominates(nodes_deque[-1][1], value):
+                    pop()
+                push((count, value))
+                nodes = iter(nodes_deque)
+                pos, val = next(nodes)
+                for sq in step.answers:  # descending lookback
+                    threshold = count - sq.lookback
+                    while pos <= threshold:
+                        pos, val = next(nodes)
+                    emit((position, sq.query, lower(val)))
+        finally:
+            self._count = count
         return results
 
 
@@ -231,22 +315,21 @@ class SharedSlickDeque:
     def feed_many(self, values: Iterable[Any]) -> List[Answer]:
         """Consume a batch of tuples; return every answer released.
 
-        Raw tuples are folded into partials with one kernel call per
-        plan segment (:meth:`PartialAggregator.feed_many`); the final
-        aggregation then advances once per completed partial, exactly
-        as :meth:`feed` would.  Answers — values, order, and reported
-        positions — are byte-identical to feeding tuple by tuple.
+        Raw tuples are folded into partials with one segmented kernel
+        call (:meth:`PartialAggregator.feed_columns`); the final
+        aggregation then advances over the call's whole run of
+        partials in one loop, in exactly the per-partial operation
+        order.  Answers — values, order, and reported positions — are
+        byte-identical to feeding tuple by tuple.
         """
         if self._partial_cursor is not None:
             raise WindowStateError(
                 "feed_many() cannot be mixed with feed_partial() on "
                 "the same SharedSlickDeque instance"
             )
-        answers: List[Answer] = []
-        on_partial = self._engine.on_partial
-        for partial, step, position in self._partials.feed_many(values):
-            answers += on_partial(partial, step.answers, position)
-        return answers
+        return self._engine.on_partials(
+            *self._partials.feed_columns(values)
+        )
 
     def run(self, values: Iterable[Any]) -> Iterator[Answer]:
         """Stream an iterable through the plan, yielding every answer."""

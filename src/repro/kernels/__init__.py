@@ -13,16 +13,19 @@ Two backends exist:
   C-implemented builtins (``sum``, ``len``, ``max``, ``min``,
   ``math.prod``).  Every pure kernel is *exact*: its folds are
   bit-identical to the sequential ``combine(acc, lift(v))`` left fold
-  for every input domain, including floats (builtin ``sum`` *is* a
-  left-to-right fold).
+  for every input domain, including floats (builtin ``sum`` is used
+  only where it is that left fold — see
+  :func:`repro.kernels.pure.left_sum`).
 * **numpy** (:mod:`repro.kernels.numpy_backend`) — registered only when
   numpy imports (the ``repro[fast]`` extra); engages only for ndarray
   inputs, where boxing each element into a Python object would defeat
   the pure kernels.  Float reductions may reassociate (numpy uses
-  pairwise summation), so numpy kernels report ``exact=False`` on float
-  data; callers that require bit-exact equivalence with the per-tuple
-  path (the stream engine, the sharded service) use
-  :func:`exact_fold`, which falls back to an exact path automatically.
+  pairwise summation), so a numpy kernel's :meth:`~BatchKernel.fold`
+  reports ``exact=False`` on float data; callers that require
+  bit-exact equivalence with the per-tuple path (the stream engine, the
+  sharded service) fold through :meth:`BatchKernel.fold_runs` — exact
+  on every kernel, for every container — or :func:`exact_fold`, its
+  one-run case.
 
 Kernel selection happens at operator-registry time
 (:func:`repro.operators.registry.get_operator` calls :func:`attach`) or
@@ -105,6 +108,55 @@ class BatchKernel:
         for agg in _unboxed(aggs):
             acc = combine(acc, agg)
         return acc
+
+    def fold_runs(
+        self, values: Sequence[Any], bounds: Sequence[int], seed: Agg
+    ) -> List[Agg]:
+        """Segmented fold: one exact left fold per run, one dispatch.
+
+        Run ``i`` is ``values[bounds[i]:bounds[i + 1]]``; ``bounds``
+        must ascend strictly (no empty run).  The first run is seeded
+        with ``seed`` — the caller's open accumulator — and every later
+        run with the operator identity, so the result is the list of
+        ``len(bounds) - 1`` partials the per-tuple path would have
+        closed, bit for bit, in *every* domain: unlike :meth:`fold`,
+        no kernel's ``fold_runs`` ever reassociates.  The container is
+        classified once per call, not once per run.
+
+        This generic body unboxes the batch once and loops
+        :meth:`fold` per run; when every run is a single value it is
+        one comprehension of ``identity ⊕ lift(v)`` (⊕ with the
+        identity still runs: ``0 + -0.0`` is ``0.0``).
+        """
+        values = _unboxed(values)
+        first, last = bounds[0], bounds[-1]
+        if first == last:
+            return []
+        if len(bounds) - 1 == last - first:
+            return self.seed_runs(self.lift_many(values[first:last]), seed)
+        fold = self.fold
+        identity = self.operator.identity
+        folded = []
+        start = first
+        for stop in bounds[1:]:
+            folded.append(fold(values[start:stop], seed))
+            seed = identity
+            start = stop
+        return folded
+
+    def seed_runs(self, aggs: Sequence[Agg], seed: Agg) -> List[Agg]:
+        """One ⊕ per run over already-reduced runs (at least one).
+
+        ``seed ⊕ aggs[0]``, then ``identity ⊕ agg`` for every later
+        run — :meth:`fold_runs`' seed rule for bodies that reduce each
+        run to one aggregate first (a single lifted value, a run's
+        extremum).
+        """
+        combine = self._combine
+        identity = self.operator.identity
+        folded = [combine(seed, aggs[0])]
+        folded += [combine(identity, agg) for agg in aggs[1:]]
+        return folded
 
     def is_exact_for(self, values: Sequence[Any]) -> bool:
         """Whether :meth:`fold` is bit-exact for this specific batch.
@@ -194,17 +246,16 @@ def exact_fold(
 ) -> Agg:
     """Fold a batch with the guarantee of bit-exact left-fold answers.
 
-    Uses the operator's kernel when it is exact (every pure kernel is);
-    otherwise — a numpy kernel on float data — falls back to the
-    sequential fold so the result is byte-identical to the per-tuple
-    path in *every* domain.  The stream engine and the sharded service
-    fold through this entry point, which is what keeps their bulk paths
-    answer-equivalent to per-tuple execution even for float streams.
+    The one-run case of :meth:`BatchKernel.fold_runs`, which is where
+    exactness is decided: the result is byte-identical to the per-tuple
+    ``combine(acc, lift(v))`` chain in *every* domain and for every
+    container, float columns included (those fold in the kernel's pure
+    body, never in numpy).
     """
-    kernel = kernel_for(operator)
-    if kernel.exact or kernel.is_exact_for(values):
-        return kernel.fold(values, seed)
-    return BatchKernel(operator).fold(values, seed)
+    total = len(values)
+    if not total:
+        return seed
+    return kernel_for(operator).fold_runs(values, (0, total), seed)[0]
 
 
 def as_sequence(values: Any) -> Sequence[Any]:

@@ -16,18 +16,24 @@ Exactness:
 
 * Float reductions (``np.add.reduce`` et al.) use pairwise summation,
   which reassociates — bulk answers can differ from the per-tuple path
-  in the last ulps.  These kernels therefore report ``exact = False``
-  and :func:`repro.kernels.exact_fold` routes around them wherever
-  bit-exact equivalence is asserted.
+  in the last ulps.  These kernels' ``fold`` therefore reports
+  ``exact = False``; ``fold_runs`` (and
+  :func:`repro.kernels.exact_fold`, its one-run case) never reduces a
+  float column in numpy — it takes the wrapped pure kernel's body.
 * Integer sums reduce in numpy **only behind an overflow proof**:
   ``size * max|x| < 2**63`` bounds every partial sum of any subset, so
   the int64 reduction provably cannot wrap and — integer addition
   being associative and exact — the result is bit-identical to the
-  Python fold.  Arrays that fail the proof (and all integer products,
-  whose bound degrades multiplicatively) take the pure path, which is
-  exact at any magnitude.
-* Selection kernels (Max/Min) return actual stream elements, so they
-  stay ``exact = True`` even on float arrays.
+  Python fold.  ``fold_runs`` takes the proof once over the whole
+  column (it bounds every run) and reduces all runs with one
+  ``np.add.reduceat``.  Arrays that fail the proof (and all integer
+  products, whose bound degrades multiplicatively) take the pure path,
+  which is exact at any magnitude.
+* Selection kernels (Max/Min) return actual stream elements; their
+  segmented fold reduces only int64 columns in numpy, where equal
+  values are indistinguishable and the prefer-newer tie rule therefore
+  holds trivially (a float column has ``0.0``/``-0.0`` ties and NaNs,
+  so it takes the pure body).
 """
 
 from __future__ import annotations
@@ -102,11 +108,16 @@ _MIN_INT_COLUMN = 256
 
 
 def _int_array(values: Any) -> Optional[Any]:
-    """Wide signed-integer ndarray view of ``values``, or ``None``."""
+    """Wide int64 ndarray view of ``values``, or ``None``.
+
+    Narrower integer dtypes take the pure path: their elementwise
+    products and segmented sums would wrap in the narrow type, outside
+    what the int64 overflow proofs below cover.
+    """
     array = as_ndarray(values)
     if (
         array is not None
-        and array.dtype.kind == "i"
+        and array.dtype == _np.int64
         and array.size >= _MIN_INT_COLUMN
     ):
         return array
@@ -123,27 +134,26 @@ def _abs_bound(array: Any) -> int:
     return max(-int(array.min()), int(array.max()))
 
 
-def _exact_int_sum(values: Any) -> Optional[int]:
-    """C-speed exact sum of an int column, or ``None`` when unprovable.
+def _int_sum_terms(values: Any) -> Optional[Any]:
+    """The int column itself when its sums provably cannot wrap.
 
     Any partial sum over any subset is bounded by ``size * max|x|``;
-    when that product stays below ``2**63`` the int64 reduction cannot
-    wrap at any intermediate step, and since integer addition is
-    associative and exact the result is bit-identical to the pure
-    Python fold.
+    when that product stays below ``2**63`` an int64 reduction — of the
+    whole column or of any of its runs — cannot wrap at any
+    intermediate step, and since integer addition is associative and
+    exact the result is bit-identical to the pure Python fold.
+    ``None`` when the column is not a wide int64 one or the proof fails.
     """
     array = _int_array(values)
-    if array is None:
+    if array is None or _abs_bound(array) * array.size >= _I64_LIMIT:
         return None
-    if _abs_bound(array) * array.size >= _I64_LIMIT:
-        return None
-    return int(_np.add.reduce(array))
+    return array
 
 
-def _exact_int_sum_of_squares(values: Any) -> Optional[int]:
-    """C-speed exact sum of squares, or ``None`` when unprovable.
+def _int_square_terms(values: Any) -> Optional[Any]:
+    """The int column's squares when their sums provably cannot wrap.
 
-    Same proof shape as :func:`_exact_int_sum` with the per-term bound
+    Same proof shape as :func:`_int_sum_terms` with the per-term bound
     squared: ``size * max|x|**2 < 2**63`` covers both the elementwise
     squaring and every partial sum of the reduction.
     """
@@ -153,7 +163,7 @@ def _exact_int_sum_of_squares(values: Any) -> Optional[int]:
     bound = _abs_bound(array)
     if bound * bound * array.size >= _I64_LIMIT:
         return None
-    return int(_np.add.reduce(array * array))
+    return array * array
 
 
 class _DelegatingKernel(BatchKernel):
@@ -172,6 +182,11 @@ class _DelegatingKernel(BatchKernel):
     def fold_aggs(self, aggs: Sequence[Agg], seed: Agg) -> Agg:
         return self._pure.fold_aggs(aggs, seed)
 
+    def fold_runs(
+        self, values: Sequence[Any], bounds: Sequence[int], seed: Agg
+    ) -> List[Agg]:
+        return self._pure.fold_runs(values, bounds, seed)
+
     def suffix_chain(
         self, values: Sequence[Any]
     ) -> List[Tuple[int, Agg]]:
@@ -183,6 +198,9 @@ class NumpySumKernel(_DelegatingKernel):
 
     exact = False  # pairwise float summation reassociates
 
+    #: ``values`` → the int64 terms whose sums are proven not to wrap.
+    _int_terms = staticmethod(_int_sum_terms)
+
     def is_exact_for(self, values: Sequence[Any]) -> bool:
         # Everything that is not a float array/column is exact here:
         # the int fast path only engages with its no-overflow proof,
@@ -193,33 +211,50 @@ class NumpySumKernel(_DelegatingKernel):
         floats = _float_array(values)
         if floats is not None:
             return seed + _np.add.reduce(floats).item()
-        total = _exact_int_sum(values)
-        if total is not None:
-            return seed + total
+        terms = self._int_terms(values)
+        if terms is not None:
+            return seed + int(_np.add.reduce(terms))
         return self._pure.fold(values, seed)
 
     fold_aggs = fold
+
+    def fold_runs(
+        self, values: Sequence[Any], bounds: Sequence[int], seed: Agg
+    ) -> List[Agg]:
+        # An int seed only: ``float_seed + total`` is not the chain
+        # ``((float_seed + v₁) + v₂) + …``.
+        if type(seed) is int and len(bounds) > 1:
+            terms = self._int_terms(values)
+            if terms is not None:
+                totals = _np.add.reduceat(
+                    terms[: bounds[-1]], bounds[:-1]
+                ).tolist()
+                totals[0] += seed
+                return totals
+        return self._pure.fold_runs(values, bounds, seed)
 
 
 class NumpySumOfSquaresKernel(NumpySumKernel):
     """Sum of squares: floats always, ints behind the squared proof."""
 
+    _int_terms = staticmethod(_int_square_terms)
+
     def fold(self, values: Sequence[Any], seed: Agg) -> Agg:
         floats = _float_array(values)
         if floats is not None:
             return seed + _np.add.reduce(floats * floats).item()
-        total = _exact_int_sum_of_squares(values)
-        if total is not None:
-            return seed + total
+        terms = self._int_terms(values)
+        if terms is not None:
+            return seed + int(_np.add.reduce(terms))
         return self._pure.fold(values, seed)
 
     def fold_aggs(self, aggs: Sequence[Agg], seed: Agg) -> Agg:
         floats = _float_array(aggs)
         if floats is not None:
             return seed + _np.add.reduce(floats).item()
-        total = _exact_int_sum(aggs)
-        if total is not None:
-            return seed + total
+        terms = _int_sum_terms(aggs)
+        if terms is not None:
+            return seed + int(_np.add.reduce(terms))
         return self._pure.fold_aggs(aggs, seed)
 
 
@@ -268,6 +303,16 @@ class _NumpySelectionKernel(_DelegatingKernel):
 
     def fold_aggs(self, aggs: Sequence[Agg], seed: Agg) -> Agg:
         return self.fold(aggs, seed)
+
+    def fold_runs(
+        self, values: Sequence[Any], bounds: Sequence[int], seed: Agg
+    ) -> List[Agg]:
+        array = _int_array(values) if len(bounds) > 1 else None
+        if array is None:
+            return self._pure.fold_runs(values, bounds, seed)
+        ufunc = getattr(_np, self._reduce_name)
+        best = ufunc.reduceat(array[: bounds[-1]], bounds[:-1])
+        return self.seed_runs(best.tolist(), seed)
 
     def suffix_chain(
         self, values: Sequence[Any]

@@ -3,9 +3,11 @@
 Every kernel here is **exact**: its folds perform the same arithmetic,
 in the same order, as the sequential ``combine(acc, lift(v))`` left
 fold, so bulk answers are bit-identical to per-tuple answers in every
-domain — builtin ``sum`` and ``math.prod`` are left-to-right folds, and
-the selection kernels return actual stream elements, never derived
-values.
+domain — ``math.prod`` is a left-to-right fold, builtin ``sum`` is one
+on integers everywhere and on floats only before CPython 3.12 (which
+made it compensated; :func:`left_sum` is the fold on every
+interpreter), and the selection kernels return actual stream elements,
+never derived values.
 
 Inputs may be lists or ndarrays; ndarrays are converted with
 ``tolist()`` first (one C call) because iterating an ndarray boxes each
@@ -37,13 +39,62 @@ def _as_list(values: Sequence[Any]) -> Sequence[Any]:
     return values
 
 
+def _sequential_sum(values: Sequence[Any], seed: Agg) -> Agg:
+    """``seed + v₁ + … + vₖ`` where builtin ``sum`` is compensated.
+
+    An ``int`` total means no float was met, so the builtin's answer is
+    already the exact left fold and the integer hot path pays no
+    per-element scan; anything else is recomputed as one sequential
+    chain of additions.
+    """
+    total = sum(values, seed)
+    if type(total) is int:
+        return total
+    for value in values:
+        seed = seed + value
+    return seed
+
+
+#: Feature probe, decided once at import: a left fold loses the ``1.0``
+#: (``1e16 + 1.0`` rounds back to ``1e16``), a compensated sum keeps it.
+SUM_IS_LEFT_FOLD = sum([1e16, 1.0, -1e16], 0.0) == (1e16 + 1.0) - 1e16
+
+#: ``left_sum(values, seed)``: the left-to-right fold ``seed + v₁ + … +
+#: vₖ`` over a re-iterable ``values``, bit for bit in every domain —
+#: builtin ``sum`` itself where the interpreter's is one.
+left_sum: Callable[[Sequence[Any], Agg], Agg] = (
+    sum if SUM_IS_LEFT_FOLD else _sequential_sum
+)
+
+
+def _sum_runs(
+    terms: Sequence[Agg], bounds: Sequence[int], seed: Agg, identity: Agg
+) -> List[Agg]:
+    """``left_sum`` of every run of ``terms``: one comprehension."""
+    if len(bounds) < 2:
+        return []
+    totals = [left_sum(terms[bounds[0]:bounds[1]], seed)]
+    totals += [
+        left_sum(terms[start:stop], identity)
+        for start, stop in zip(bounds[1:], bounds[2:])
+    ]
+    return totals
+
+
 class SumKernel(BatchKernel):
-    """Sum/identity-lift addition: builtin ``sum`` is the left fold."""
+    """Sum/identity-lift addition: :func:`left_sum` is the left fold."""
 
     def fold(self, values: Sequence[Any], seed: Agg) -> Agg:
-        return sum(_as_list(values), seed)
+        return left_sum(_as_list(values), seed)
 
     fold_aggs = fold
+
+    def fold_runs(
+        self, values: Sequence[Any], bounds: Sequence[int], seed: Agg
+    ) -> List[Agg]:
+        return _sum_runs(
+            _as_list(values), bounds, seed, self.operator.identity
+        )
 
     def lift_many(self, values: Sequence[Any]) -> Sequence[Agg]:
         return values
@@ -56,20 +107,46 @@ class CountKernel(BatchKernel):
         return seed + len(values)
 
     def fold_aggs(self, aggs: Sequence[Agg], seed: Agg) -> Agg:
-        return sum(_as_list(aggs), seed)
+        return left_sum(_as_list(aggs), seed)
+
+    def fold_runs(
+        self, values: Sequence[Any], bounds: Sequence[int], seed: Agg
+    ) -> List[Agg]:
+        if len(bounds) < 2:
+            return []
+        identity = self.operator.identity
+        counts = [seed + (bounds[1] - bounds[0])]
+        counts += [
+            identity + (stop - start)
+            for start, stop in zip(bounds[1:], bounds[2:])
+        ]
+        return counts
 
     def lift_many(self, values: Sequence[Any]) -> Sequence[Agg]:
         return [1] * len(values)
 
 
 class SumOfSquaresKernel(BatchKernel):
-    """Sum of squares: one generator into builtin ``sum``."""
+    """Sum of squares: one comprehension into :func:`left_sum`."""
 
     def fold(self, values: Sequence[Any], seed: Agg) -> Agg:
-        return sum((value * value for value in _as_list(values)), seed)
+        return left_sum(
+            [value * value for value in _as_list(values)], seed
+        )
 
     def fold_aggs(self, aggs: Sequence[Agg], seed: Agg) -> Agg:
-        return sum(_as_list(aggs), seed)
+        return left_sum(_as_list(aggs), seed)
+
+    def fold_runs(
+        self, values: Sequence[Any], bounds: Sequence[int], seed: Agg
+    ) -> List[Agg]:
+        first = bounds[0]
+        squares = [
+            value * value for value in _as_list(values)[first:bounds[-1]]
+        ]
+        if first:
+            bounds = [bound - first for bound in bounds]
+        return _sum_runs(squares, bounds, seed, self.operator.identity)
 
     def lift_many(self, values: Sequence[Any]) -> Sequence[Agg]:
         return [value * value for value in values]
@@ -125,6 +202,26 @@ class _SelectionKernel(BatchKernel):
 
     def fold_aggs(self, aggs: Sequence[Agg], seed: Agg) -> Agg:
         return self.fold(aggs, seed)
+
+    def fold_runs(
+        self, values: Sequence[Any], bounds: Sequence[int], seed: Agg
+    ) -> List[Agg]:
+        if len(bounds) < 2:
+            return []
+        values = _as_list(values)
+        if len(bounds) - 1 == bounds[-1] - bounds[0]:
+            # One value per run: nothing to reduce.
+            return self.seed_runs(values[bounds[0]:bounds[-1]], seed)
+        # One ⊕ folds each run's newest extremum under its seed, as
+        # ``fold`` does.
+        reduce = self._reduce
+        return self.seed_runs(
+            [
+                reduce(reversed(values[start:stop]))
+                for start, stop in zip(bounds, bounds[1:])
+            ],
+            seed,
+        )
 
     def lift_many(self, values: Sequence[Any]) -> Sequence[Agg]:
         return values

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import PoisonRecordError, ServiceError
-from repro.kernels import exact_fold
+from repro.kernels import exact_fold, kernel_for
 from repro.operators.base import Agg, AggregateOperator
 from repro.service.partition import Batch
 from repro.service.slices import SliceClock
@@ -339,7 +339,7 @@ class ShardState:
         return output
 
     def _fold_slices(self, batch: Batch, output: ShardOutput) -> int:
-        """Global and time mode: fold same-slice runs with one kernel call.
+        """Global and time mode: fold every same-slice run in one kernel call.
 
         The batch's ordering column — its event ``timestamps`` when it
         carries them, its global ``positions`` otherwise — is ascending
@@ -348,62 +348,91 @@ class ShardState:
         order, and replayed batches are the originals), so the records
         of one slice are one contiguous run and the clock's ``cut``
         finds its end with one bisection instead of a per-record
-        ``slice_of`` scan.  Each run folds into its accumulator through
-        :func:`repro.kernels.exact_fold`, which is byte-identical to
-        the per-record combine chain.  A run containing a poison record
-        makes the bulk fold raise *before* any state is touched (folds
-        go through a temporary), and the run is replayed per record —
-        clean records fold exactly as before, poisons are quarantined
-        individually by stream position.
+        ``slice_of`` scan.  The whole batch is cut first, then all its
+        runs fold through one
+        :meth:`repro.kernels.BatchKernel.fold_runs` — byte-identical to
+        the per-record combine chain — into a temporary, and only then
+        are the accumulators written: a batch holding a poison record
+        raises *before* any state is touched and is replayed per record
+        (:meth:`_fold_per_record`).  Only the first run of a batch can
+        continue an accumulator an earlier batch left open; a batch in
+        which a later run's slice already has one (the column ascends
+        across batches, but that is not provable from one batch) takes
+        the per-record replay too, which seeds every run.
         """
         operator = self.config.operator
         accumulators = self._accumulators
         slice_of = self._clock.slice_of
         cut = self._clock.cut
-        identity = operator.identity
-        positions = batch.positions
-        column = positions if batch.timestamps is None else batch.timestamps
-        keys = batch.keys
+        column = batch.timestamps
+        if column is None:
+            column = batch.positions
         values = batch.values
         total = len(values)
-        folded = 0
+        indexes: List[int] = []
+        bounds = [0]
         start = 0
         while start < total:
             index = slice_of(column[start])
-            stop = cut(column, index, start + 1, total)
-            present = index in accumulators
-            seed = accumulators[index] if present else identity
+            start = cut(column, index, start + 1, total)
+            indexes.append(index)
+            bounds.append(start)
+        if not indexes:
+            return 0
+        fresh = accumulators.keys().isdisjoint(indexes[1:])
+        if fresh and len(set(indexes)) == len(indexes):
             try:
-                accumulators[index] = exact_fold(
-                    operator, values[start:stop], seed
+                folded = kernel_for(operator).fold_runs(
+                    values,
+                    bounds,
+                    accumulators.get(indexes[0], operator.identity),
                 )
-                folded += stop - start
             except Exception:
-                # Poisoned run: replay it per record so that exactly
-                # the poison records are quarantined and the clean
-                # ones fold, leaving the accumulator as the per-record
-                # path would.  An all-poison run must not materialise
-                # an accumulator entry the per-record path never made.
-                acc = seed
-                succeeded = False
-                for offset in range(start, stop):
-                    value = values[offset]
-                    try:
-                        acc = operator.combine(acc, operator.lift(value))
-                    except Exception as error:
-                        self._quarantine(
-                            output,
-                            keys[offset],
-                            value,
-                            positions[offset],
-                            error,
-                        )
-                        continue
-                    succeeded = True
-                    folded += 1
-                if present or succeeded:
-                    accumulators[index] = acc
-            start = stop
+                pass  # a poison record somewhere: replay per record
+            else:
+                accumulators.update(zip(indexes, folded))
+                return total
+        return self._fold_per_record(batch, output, indexes, bounds)
+
+    def _fold_per_record(
+        self,
+        batch: Batch,
+        output: ShardOutput,
+        indexes: List[int],
+        bounds: List[int],
+    ) -> int:
+        """Replay a batch's runs one ⊕ at a time, quarantining poisons.
+
+        Exactly the poison records are quarantined, by stream position,
+        and the clean ones fold, leaving each accumulator as the
+        per-record path would.  An all-poison run must not materialise
+        an accumulator entry the per-record path never made.
+        """
+        operator = self.config.operator
+        combine = operator.combine
+        lift = operator.lift
+        accumulators = self._accumulators
+        keys = batch.keys
+        values = batch.values
+        positions = batch.positions
+        folded = 0
+        for run, index in enumerate(indexes):
+            present = index in accumulators
+            acc = accumulators[index] if present else operator.identity
+            succeeded = False
+            for offset in range(bounds[run], bounds[run + 1]):
+                value = values[offset]
+                try:
+                    acc = combine(acc, lift(value))
+                except Exception as error:
+                    self._quarantine(
+                        output, keys[offset], value, positions[offset], error
+                    )
+                    continue
+                succeeded = True
+                folded += 1
+            if present or succeeded:
+                accumulators[index] = acc
         return folded
 
     def _process_per_key(self, batch: Batch, output: ShardOutput) -> int:

@@ -157,7 +157,7 @@ class StreamEngine:
         """Consume a batch of stream values (bulk ingestion).
 
         Shared mode hands the whole batch to the plan's bulk path —
-        partials fold with one kernel call per segment — and delivers
+        partials fold with one segmented kernel call per batch — and delivers
         the batch's answers in one :meth:`Sink.emit_many` per sink.
         Independent mode feeds value by value through :meth:`feed`.
         Either way every sink sees exactly the triples, in exactly the

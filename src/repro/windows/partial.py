@@ -13,9 +13,9 @@ partials — so sources never need to be materialised.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, NamedTuple, Optional
+from typing import Any, Iterable, List, NamedTuple, Optional, Tuple
 
-from repro.kernels import as_sequence, exact_fold
+from repro.kernels import as_sequence, kernel_for
 from repro.operators.base import Agg, AggregateOperator
 from repro.windows.plan import PlanStep, SharedPlan
 
@@ -93,44 +93,62 @@ class PartialAggregator:
     def feed_many(self, values: Iterable[Any]) -> List[CompletedPartial]:
         """Fold a batch, returning every partial it completed.
 
-        The batch is cut at partial boundaries and each segment is
-        folded with one kernel call through
-        :func:`repro.kernels.exact_fold`, seeded with the running
-        accumulator — answers (and the open-partial state left behind)
-        are byte-identical to feeding each tuple through :meth:`feed`,
-        in every domain.  State is stored once, after the last segment:
-        a batch holding a value the operator refuses raises and leaves
-        the aggregator as it was before the call.
+        The row view of :meth:`feed_columns`: same fold, same state
+        left behind, same failure rule.
+        """
+        return list(map(CompletedPartial, *self.feed_columns(values)))
+
+    def feed_columns(
+        self, values: Iterable[Any]
+    ) -> Tuple[List[Agg], List[PlanStep], List[int]]:
+        """Fold a batch into three columns, one entry per closed partial.
+
+        Returns ``(partials, steps, positions)``: each completed
+        partial's value, the plan step that closed it and the 1-based
+        stream position of its last tuple — what :meth:`feed_many`
+        zips into :class:`CompletedPartial` rows, without the row
+        objects (the shared engine's bulk path consumes the columns).
+
+        The call's cut points come from the plan steps alone; the whole
+        batch then folds with one segmented kernel call
+        (:meth:`repro.kernels.BatchKernel.fold_runs`), the first run
+        seeded with the running accumulator — answers (and the
+        open-partial state left behind) are byte-identical to feeding
+        each tuple through :meth:`feed`, in every domain.  State is
+        stored once, after the fold: a batch holding a value the
+        operator refuses raises and leaves the aggregator as it was
+        before the call.
         """
         values = as_sequence(values)
-        operator = self.operator
         steps = self.plan.steps
-        accumulated = self._accumulated
-        count = self._count
-        position = self.position
-        step_index = self.step_index
-        step = steps[step_index]
-        completed: List[CompletedPartial] = []
-        index = 0
+        cycle = len(steps)
         total = len(values)
-        while index < total:
-            take = min(step.length - count, total - index)
-            accumulated = exact_fold(
-                operator, values[index:index + take], accumulated
-            )
-            count += take
-            position += take
-            index += take
-            if count >= step.length:
-                completed.append(
-                    CompletedPartial(accumulated, step, position)
-                )
-                accumulated = self._identity
-                count = 0
-                step_index = (step_index + 1) % len(steps)
-                step = steps[step_index]
-        self._accumulated = accumulated
-        self._count = count
-        self.position = position
+        count = self._count
+        step_index = self.step_index
+        bounds = [0]
+        closed: List[PlanStep] = []
+        step = steps[step_index]
+        end = step.length - count
+        while end <= total:
+            bounds.append(end)
+            closed.append(step)
+            step_index = (step_index + 1) % cycle
+            step = steps[step_index]
+            end += step.length
+        position = self.position
+        positions = [position + cut for cut in bounds[1:]]
+        last = bounds[-1]
+        if last < total:
+            bounds.append(total)  # the tail run: the new open partial
+        partials = kernel_for(self.operator).fold_runs(
+            values, bounds, self._accumulated
+        )
+        if last < total:
+            self._accumulated = partials.pop()
+            self._count = total - last if closed else count + total
+        elif closed:
+            self._accumulated = self._identity
+            self._count = 0
+        self.position = position + total
         self.step_index = step_index
-        return completed
+        return partials, closed, positions

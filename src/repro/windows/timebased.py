@@ -30,7 +30,7 @@ from functools import reduce
 from typing import Any, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.errors import InvalidQueryError, OutOfOrderError
-from repro.kernels import as_sequence, exact_fold
+from repro.kernels import as_sequence, kernel_for
 from repro.operators.base import AggregateOperator
 from repro.operators.views import partial_view
 from repro.windows.query import Query
@@ -268,19 +268,19 @@ class TimeWindowEngine:
 
         Same answers as :meth:`feed` per record, bit for bit, but the
         batch is cut into same-slice runs with
-        :meth:`~repro.stream.watermark.TimeSliceClock.cut` and each run
-        folds into the open accumulator with one
-        :func:`~repro.kernels.exact_fold` — the step the sharded
-        service's shard fold takes.
+        :meth:`~repro.stream.watermark.TimeSliceClock.cut` and all of
+        them fold in one segmented kernel call
+        (:meth:`repro.kernels.BatchKernel.fold_runs`) — the step the
+        sharded service's shard fold takes.
 
-        Every timestamp is checked before anything is folded: they must
-        be finite, non-decreasing within the call and against the
-        newest accepted one, and not before ``origin``; otherwise
-        :class:`OutOfOrderError` is raised and the engine is untouched.
-        A value the operator refuses raises out of its run's fold: the
-        runs before it stay folded (their slices closed), the refused
-        run and every record after it are not consumed, and the answers
-        the earlier runs released are not returned.
+        All or nothing: every timestamp is checked and every run is
+        folded before any state is written.  Timestamps must be
+        finite, non-decreasing within the call and against the newest
+        accepted one, and not before ``origin`` —
+        :class:`OutOfOrderError` otherwise — and a value the operator
+        refuses raises from the fold; either way the engine is exactly
+        as it was before the call, so the batch's clean prefix can be
+        fed again and releases every answer it would have.
         """
         records = as_sequence(records)
         timestamps = [record[0] for record in records]
@@ -290,26 +290,33 @@ class TimeWindowEngine:
             if not (newest <= timestamp < _INF):
                 self._refuse(timestamp, newest)
             newest = timestamp
-        operator = self.operator
+        total = len(values)
+        if not total:
+            return []
         slice_of = self._clock.slice_of
         cut = self._clock.cut
-        answers: List[TimeAnswer] = []
-        total = len(values)
+        indexes: List[int] = []
+        bounds = [0]
         start = 0
         while start < total:
             index = slice_of(timestamps[start])
-            stop = cut(timestamps, index, start + 1, total)
-            closes = index > self._open_index
-            accumulator = exact_fold(
-                operator,
-                values[start:stop],
-                operator.identity if closes else self._accumulator,
-            )
-            if closes:
+            start = cut(timestamps, index, start + 1, total)
+            indexes.append(index)
+            bounds.append(start)
+        # Only the first run can land in the slice already open.
+        operator = self.operator
+        closes = indexes[0] > self._open_index
+        accumulators = kernel_for(operator).fold_runs(
+            values,
+            bounds,
+            operator.identity if closes else self._accumulator,
+        )
+        answers: List[TimeAnswer] = []
+        for index, accumulator in zip(indexes, accumulators):
+            if index > self._open_index:
                 answers += self._close_through(index)
             self._accumulator = accumulator
-            self._newest = timestamps[stop - 1]
-            start = stop
+        self._newest = newest
         return answers
 
     def finish(self) -> List[TimeAnswer]:

@@ -136,11 +136,19 @@ def test_step_many_matches_step_for_every_multi_algorithm(
             assert produced == expected, (algorithm, operator_name)
 
 
-@given(stream=float_streams, plan=chunk_plans)
+@given(
+    stream=st.one_of(
+        float_streams,
+        st.integers(min_value=1, max_value=120).map(lambda n: [0.1] * n),
+    ),
+    plan=chunk_plans,
+)
 @settings(max_examples=25, deadline=None)
 def test_engine_feed_many_is_byte_exact_even_for_floats(stream, plan):
-    """The engine folds through ``exact_fold``: float streams included,
-    every sink triple must match the per-tuple run byte-for-byte."""
+    """The engine folds through the exact segmented fold: float
+    streams included (``[0.1] * n`` is where a compensated builtin
+    ``sum`` would show), every sink triple must match the per-tuple
+    run byte-for-byte."""
     queries = (Query(10, 3), Query(6, 2))
     for mode in ("shared", "independent"):
         for operator_name in ("sum", "mean", "max"):
@@ -157,9 +165,9 @@ def test_engine_feed_many_is_byte_exact_even_for_floats(stream, plan):
                 reference.feed(value)
             for chunk in _chunks(stream, plan):
                 bulk.feed_many(chunk)
-            assert bulk_sink.answers == reference_sink.answers, (
-                mode, operator_name,
-            )
+            assert repr(bulk_sink.answers) == repr(
+                reference_sink.answers
+            ), (mode, operator_name)
             assert bulk.tuples_consumed == reference.tuples_consumed
             assert bulk.answers_emitted == reference.answers_emitted
 
@@ -230,7 +238,12 @@ def _flatten(outputs):
     records=st.lists(
         st.tuples(
             st.sampled_from(KEYS),
-            st.integers(min_value=-50, max_value=50),
+            # Ints, and floats whose sums round at every step: a fold
+            # that is not one left-to-right chain shows in the bits.
+            st.one_of(
+                st.integers(min_value=-50, max_value=50),
+                st.sampled_from([0.1, 0.2, 0.3, 1e16, -1e16, 1.0]),
+            ),
         ),
         min_size=1,
         max_size=80,
@@ -262,4 +275,6 @@ def test_shard_bulk_path_equals_single_record_batches(
     for mode in ("global", "per_key"):
         _, bulk_outputs = _drive(mode, stamped, plan)
         _, tiny_outputs = _drive(mode, stamped, [1] * len(stamped))
-        assert _flatten(bulk_outputs) == _flatten(tiny_outputs), mode
+        assert repr(_flatten(bulk_outputs)) == repr(
+            _flatten(tiny_outputs)
+        ), mode

@@ -11,6 +11,13 @@ Answers are compared bit for bit (``repr``, so ``-0.0`` is not ``0.0``
 and ``3`` is not ``3.0``) for every operator whose arithmetic is exact
 on the drawn values; ``product`` and ``geometric_mean`` invert through
 float division / logarithms and are compared to a tolerance.
+
+On floats whose sums round at every step (``0.1``, ``1e16 + 1.0``) an
+incremental answer is no longer the from-scratch one, so there the
+paths are held to each other instead: any interleaving of ``feed`` and
+``feed_many`` answers exactly what ``feed`` alone answers, by ``repr``,
+for every operator — the bulk path performs the per-tuple path's
+operations in the per-tuple path's order.
 """
 
 from __future__ import annotations
@@ -53,6 +60,16 @@ ints = st.integers(min_value=-200, max_value=200)
 exact_floats = st.one_of(
     st.integers(min_value=-80, max_value=80).map(lambda k: k / 4),
     st.just(-0.0),
+)
+
+
+#: Sums of these round at every step: a fold that is not one strict
+#: left-to-right chain (pairwise, compensated) shows in the last bits.
+rounding_floats = st.one_of(
+    st.floats(
+        min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
+    ),
+    st.sampled_from([0.1, 0.2, 0.3, 1e16, -1e16, 1.0, -0.0]),
 )
 
 
@@ -178,6 +195,46 @@ def test_interleaved_feeds_match_oracle_at_every_sink(
     assert user.seen == first.answers
     assert engine.tuples_consumed == len(stream)
     assert engine.answers_emitted == len(expected)
+
+
+def _numeric(operator_name):
+    """Whether the operator aggregates arbitrary floats at all."""
+    try:
+        op = get_operator(operator_name)
+        op.lower(op.fold([0.1, -2.5, 1e16]))
+    except Exception:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "operator_name", [name for name in OPERATOR_NAMES if _numeric(name)]
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_interleaved_feeds_equal_feed_on_rounding_floats(operator_name, data):
+    queries = data.draw(query_sets)
+    technique = data.draw(st.sampled_from(["panes", "pairs"]))
+    stream = data.draw(
+        st.one_of(
+            st.lists(rounding_floats, min_size=1, max_size=80),
+            st.integers(min_value=1, max_value=80).map(lambda n: [0.1] * n),
+        )
+    )
+    plan = data.draw(call_plans)
+
+    def run(call_plan):
+        sink = CollectSink()
+        engine = StreamEngine(
+            queries,
+            get_operator(operator_name),
+            technique=technique,
+            sinks=[sink],
+        )
+        _drive(engine, stream, call_plan)
+        return sink.answers
+
+    assert repr(run(plan)) == repr(run([]))
 
 
 @pytest.mark.parametrize("operator_name", ["max", "sum", "mean"])

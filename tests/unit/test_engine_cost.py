@@ -66,3 +66,87 @@ def calls_per_feed(operator_name: str) -> float:
 )
 def test_feed_makes_few_python_calls(operator_name, ceiling):
     assert calls_per_feed(operator_name) <= ceiling
+
+
+# ---------------------------------------------------------------------
+# ``feed_many``: library calls per completed partial, not per tuple
+# ---------------------------------------------------------------------
+
+
+def calls_per_feed_many(operator_name, queries, batch, calls_made=8):
+    """Mean library ``call`` events per ``feed_many`` of ``batch`` values.
+
+    Integer stream (the pipeline benchmark's), windows full before the
+    count starts.
+    """
+    rng = random.Random(22)
+    span = max(query.range_size for query in queries)
+    warm = -(-2 * span // batch)  # enough calls to fill every window
+    batches = [
+        [rng.randint(-1000, 1000) for _ in range(batch)]
+        for _ in range(warm + calls_made)
+    ]
+    engine = StreamEngine(
+        queries, get_operator(operator_name), sinks=[CollectSink()]
+    )
+    feed_many = engine.feed_many
+    for values in batches[:warm]:
+        feed_many(values)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(LIBRARY):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        for values in batches[warm:]:
+            feed_many(values)
+    finally:
+        sys.setprofile(previous)
+    return calls / calls_made
+
+
+def test_bulk_sum_pays_per_partial_not_per_slice_walk():
+    """The benchmark's plan: (1024, 32) + (512, 64), 1024-tuple calls.
+
+    32 partials close per call.  Per partial the final stage owes two
+    ⊕ (one per query), two ⊖ (one per retired partial per query) and
+    1.5 ``lower`` (answers); the partial stage owes none — its fold is
+    one segmented kernel call per *batch*.  The parent made 23.75
+    calls per partial (760 per call).
+    """
+    queries = [Query(1024, 32), Query(512, 64)]
+    per_call = calls_per_feed_many("sum", queries, 1024)
+    assert per_call <= 8 * 32 + 16
+
+
+def test_bulk_call_count_does_not_grow_with_tuples_per_slice():
+    """Four times the tuples in every slice, the same partials per
+    call, the same windows in partials: not one more library call."""
+    narrow = calls_per_feed_many(
+        "sum", [Query(1024, 32), Query(512, 64)], 1024
+    )
+    wide = calls_per_feed_many(
+        "sum", [Query(4096, 128), Query(2048, 256)], 4096
+    )
+    assert wide == narrow
+
+
+@pytest.mark.parametrize(
+    "operator_name, ceiling", [("max", 12.0), ("sum", 16.0)]
+)
+def test_slide_one_feed_many_makes_no_more_calls_than_feed(
+    operator_name, ceiling
+):
+    """Slide 1 — an answer per tuple per query — is where ``feed_many``
+    used to lose to ``feed`` (parent: 24.0 calls per tuple for sum, 14.0
+    for max, against ``feed``'s 16.0 / 11.0).  It is held to ``feed``'s
+    own ceilings."""
+    per_call = calls_per_feed_many(
+        operator_name, [Query(256, 1), Query(64, 1)], 500, calls_made=4
+    )
+    assert per_call / 500 <= ceiling
+    assert per_call / 500 <= calls_per_feed(operator_name)

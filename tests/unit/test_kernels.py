@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import operator as operators
 import random
+from array import array
 
 import pytest
 
@@ -16,6 +19,7 @@ from repro.kernels import (
     lift_is_identity,
     numpy_enabled,
 )
+from repro.kernels import pure
 from repro.kernels.pure import (
     CountKernel,
     MaxKernel,
@@ -117,6 +121,120 @@ def test_exact_fold_routes_float_arrays_around_inexact_kernels():
     assert exact_fold(operator, values, 0.0) == _sequential_fold(
         operator, values.tolist(), 0.0
     )
+
+
+@pytest.mark.parametrize(
+    "sum_fold", [pure.left_sum, pure._sequential_sum], ids=["native", "chain"]
+)
+def test_left_sum_is_the_sequential_chain(sum_fold):
+    """Both bodies — builtin ``sum`` where the interpreter's is a left
+    fold, the explicit chain where it is compensated (CPython >= 3.12)
+    — equal ``functools.reduce`` bit for bit."""
+    rng = random.Random(22)
+    columns = [
+        [0.1] * 64,
+        [1e16, 1.0, -1e16],
+        [rng.uniform(-1e6, 1e6) for _ in range(200)],
+        [rng.randint(-(2**70), 2**70) for _ in range(50)],
+        [3, 0.1, True, 2**65 // 3, -0.0],
+        [],
+    ]
+    for column in columns:
+        for seed in (0, 0.0, -0.0, 7, 0.3):
+            assert repr(sum_fold(column, seed)) == repr(
+                functools.reduce(operators.add, column, seed)
+            )
+    # No float met: the builtin's total is already exact, as an int.
+    assert type(sum_fold([True, 2, 2**70], 0)) is int
+
+
+def test_sum_kernels_fold_left_to_right_on_every_interpreter(monkeypatch):
+    """``[0.1] * n`` is where a compensated ``sum`` shows; run the
+    kernels over it with each ``left_sum`` body."""
+    values = [0.1] * 64
+    chain = functools.reduce(operators.add, values, 0.0)
+    squares = functools.reduce(
+        operators.add, [value * value for value in values], 0.0
+    )
+    for body in (pure.left_sum, pure._sequential_sum):
+        monkeypatch.setattr(pure, "left_sum", body)
+        for name, wanted in (("sum", chain), ("sum_of_squares", squares)):
+            kernel = kernel_for(get_operator(name))
+            kernel = getattr(kernel, "_pure", kernel)
+            assert repr(kernel.fold(values, 0.0)) == repr(wanted)
+            halves = kernel.fold_runs(values, [0, 32, 64], 0.0)
+            assert repr(halves) == repr(
+                [kernel.fold(values[:32], 0.0), kernel.fold(values[32:], 0)]
+            )
+        count = kernel_for(get_operator("count"))
+        assert repr(count.fold_aggs(values, 0.0)) == repr(chain)
+
+
+class CombineCountingSum(SumOperator):
+    """A true ``SumOperator`` (so it gets the sum kernels) that counts
+    how often the library falls back to calling ⊕ per element."""
+
+    def __init__(self):
+        self.combines = 0
+
+    def combine(self, older, newer):
+        self.combines += 1
+        return older + newer
+
+
+@pytest.mark.parametrize("box", [lambda a: a, memoryview], ids=["array", "view"])
+def test_exact_fold_on_a_float_column_never_loops_over_combine(box):
+    """The exact path for a packed float column is the pure kernel's
+    one C-level fold, not a per-element ``combine`` loop."""
+    rng = random.Random(23)
+    values = [rng.uniform(-10.0, 10.0) for _ in range(256)] + [0.1] * 64
+    operator = CombineCountingSum()
+    result = exact_fold(operator, box(array("d", values)), 0.25)
+    assert operator.combines == 0
+    assert repr(result) == repr(functools.reduce(operators.add, values, 0.25))
+
+
+def test_fold_runs_seeds_the_first_run_only():
+    operator = get_operator("sum")
+    kernel = kernel_for(operator)
+    values = [1, 2, 3, 4, 5, 6]
+    assert kernel.fold_runs(values, [0, 2, 3, 6], 100) == [103, 3, 15]
+    assert kernel.fold_runs(values, [1, 4], 0.5) == [9.5]  # a sub-range
+    assert kernel.fold_runs(values, [0], 100) == []  # no run
+    assert kernel.fold_runs(values, range(7), 100)[:2] == [101, 2]
+    for name in ("max", "mean", "count", "first", "int_product"):
+        operator = get_operator(name)
+        folded = kernel_for(operator).fold_runs(
+            values, [0, 2, 6], operator.identity
+        )
+        assert folded == [
+            _sequential_fold(operator, values[:2], operator.identity),
+            _sequential_fold(operator, values[2:], operator.identity),
+        ], name
+
+
+def test_fold_runs_reduces_wide_int_columns_behind_the_proof():
+    if not numpy_enabled():
+        pytest.skip("numpy backend not registered")
+    bounds = list(range(0, 513, 64))
+    safe = memoryview(array("q", range(-256, 256)))
+    unsafe = memoryview(array("q", [2**62, -(2**62)] * 256))
+    narrow = np.arange(60_000, 60_512, dtype=np.int32)  # squares wrap i32
+    for name in ("sum", "sum_of_squares", "max", "min"):
+        operator = get_operator(name)
+        kernel = kernel_for(operator)
+        for column in (safe, unsafe, narrow):
+            values = column.tolist()
+            expected = [
+                _sequential_fold(operator, values[lo:hi], operator.identity)
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
+            folded = kernel.fold_runs(column, bounds, operator.identity)
+            assert repr(folded) == repr(expected), name
+            assert all(type(value) is int for value in folded)
+    # ``fold`` shares the proof: a narrow column must not wrap either.
+    squares = kernel_for(get_operator("sum_of_squares"))
+    assert squares.fold(narrow, 0) == sum(v * v for v in narrow.tolist())
 
 
 def test_numpy_selection_kernels_stay_exact_on_float_arrays():

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import PoisonRecordError
 from repro.operators.registry import get_operator
 from repro.service.merge import EventTimeMerger, GlobalMerger
 from repro.service.partition import Batch
@@ -197,3 +198,108 @@ class TestShardSliceFold:
             dead,
             records,
         )
+
+    def test_one_poison_in_the_middle_run_spares_the_rest_of_the_batch(
+        self, timeline
+    ):
+        # One shard, slices of four: runs (1..4), (5..8), (9..12); the
+        # poison sits among clean records of the middle run.
+        values = [1, 2, 3, 4, 10, "x", 30, 40, 100, 200, 300, 400]
+        assert wide_partials(timeline, [values]) == (
+            [(0, 10), (1, 80), (2, 1000)],
+            [(6, "x")],
+            11,
+        )
+        assert wide_partials(timeline, [values]) == wide_partials(
+            timeline, [[value] for value in values]
+        )
+
+    def test_an_all_poison_run_in_a_whole_batch_fold_makes_no_entry(
+        self, timeline
+    ):
+        values = [1, 2, 3, 4, "a", "b", "c", "d", 100, 200, 300, 400]
+        partials, dead, records = wide_partials(timeline, [values])
+        assert partials == [(0, 10), (2, 1000)]  # no entry for slice 1
+        assert [position for position, _ in dead] == [5, 6, 7, 8]
+        assert records == 8
+
+    def test_raise_policy_stops_at_the_poison_with_earlier_runs_folded(
+        self, timeline
+    ):
+        state = make_wide_shard(timeline, poison_policy="raise")
+        values = [1, 2, 3, 4, 10, "x", 30, 40]
+        with pytest.raises(PoisonRecordError, match="position 6"):
+            state.process(wide_batch(timeline, values, first=1, seq=1))
+        assert state._accumulators == {0: 10}
+
+    def test_a_later_run_continuing_an_open_slice_is_seeded(self, timeline):
+        # Not how the router ships batches (the ordering column ascends
+        # across them), but the fold cannot know: a later run whose
+        # slice an earlier batch left open must continue it.
+        state = make_wide_shard(timeline)
+        state.process(
+            wide_batch(timeline, [0.1, 0.1], first=5, seq=1, watermark=0)
+        )
+        out = state.process(
+            wide_batch(
+                timeline, [1, 2, 3, 4, 0.1, 0.1], first=1, seq=2, watermark=2
+            ),
+        )
+        assert repr(out.partials) == repr(
+            [(0, 10), (1, 0 + 0.1 + 0.1 + 0.1 + 0.1)]
+        )
+
+
+def make_wide_shard(timeline, **options):
+    if timeline == "count":
+        config = ShardConfig(
+            0, 1, (Query(4, 4),), get_operator("sum"), **options
+        )
+    else:
+        config = ShardConfig(
+            0,
+            1,
+            (TimeQuery(1.0, 1.0),),
+            get_operator("sum"),
+            mode="time",
+            slice_seconds=1.0,
+            **options,
+        )
+    return ShardState(config)
+
+
+def wide_batch(timeline, values, first, seq, watermark=0):
+    """Consecutive positions from ``first``; four records per slice on
+    either timeline (timestamps 0.0, 0.25, 0.5, 0.75, 1.0, ...)."""
+    positions = list(range(first, first + len(values)))
+    return Batch(
+        shard=0,
+        seq=seq,
+        watermark=watermark,
+        positions=positions,
+        keys=["k"] * len(values),
+        values=values,
+        timestamps=(
+            [(position - 1) * 0.25 for position in positions]
+            if timeline == "time"
+            else None
+        ),
+    )
+
+
+def wide_partials(timeline, chunks):
+    """``(partials, dead letters, records)`` of consecutive batches."""
+    state = make_wide_shard(timeline)
+    partials, dead = [], []
+    first = 1
+    for seq, chunk in enumerate(chunks, start=1):
+        last = seq == len(chunks)
+        out = state.process(
+            wide_batch(
+                timeline, chunk, first, seq, watermark=10**6 if last else 0
+            )
+        )
+        first += len(chunk)
+        partials += out.partials
+        dead += [(letter.position, letter.value) for letter in out.dead_letters]
+    return partials, dead, state.records

@@ -225,11 +225,16 @@ class TestIngressChecks:
         got += engine.feed(1.5, 2) + engine.finish()
         assert got == self.answers_of([(0.5, 1), (1.5, 2)])
 
-    def test_feed_many_keeps_the_runs_before_a_refused_value(self):
+    def test_feed_many_leaves_the_engine_as_it_was_on_a_refused_value(self):
         engine = self.engine()
+        batch = [(0.2, 1), (1.2, 3), (2.2, "x"), (2.7, 4), (3.2, 5)]
         with pytest.raises(TypeError):
-            engine.feed_many([(0.2, 1), (1.2, "x"), (1.7, 4), (2.2, 5)])
-        # Slice 0's run stayed folded; the refused run (both records
-        # of slice 1) and everything after it were not consumed.
-        got = engine.feed_many([(1.2, 7), (2.2, 5)]) + engine.finish()
-        assert [answer for _, _, answer in got] == [1, 8, 12]
+            engine.feed_many(batch)  # the poison is in the third run
+        # All or nothing: no run was folded and no slice closed, so the
+        # clean prefix still releases every answer it is due.
+        got = engine.feed_many(batch[:2])
+        assert [answer for _, _, answer in got] == [1]
+        got += engine.feed_many([(2.2, 7), (3.2, 5)]) + engine.finish()
+        assert got == self.answers_of(
+            [(0.2, 1), (1.2, 3), (2.2, 7), (3.2, 5)]
+        )
