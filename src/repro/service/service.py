@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.multiquery import Answer
-from repro.errors import OutOfOrderError, ServiceError
+from repro.errors import ServiceError
 from repro.metrics import Summary, ThroughputResult, maybe_summary
 from repro.service.merge import EventTimeMerger, GlobalMerger, PerKeyCollator
 from repro.service.partition import Router
@@ -60,7 +60,6 @@ from repro.operators.base import AggregateOperator
 from repro.stream.outoforder import (
     LATE_POLICIES,
     TimestampReorderBuffer,
-    _reject_nonfinite,
 )
 from repro.stream.sink import DeadLetter, DeadLetterSink
 from repro.windows.plan import build_shared_plan
@@ -309,7 +308,10 @@ class AggregationService:
             # sink, ``side_output`` only counts them, and ``raise``
             # never reaches the handler.
             self._ingress = TimestampReorderBuffer(
-                lateness, late_policy, on_late=self._on_late_record
+                lateness,
+                late_policy,
+                on_late=self._on_late_record,
+                origin=origin,
             )
         else:
             # Validate the plan eagerly (same errors as global mode).
@@ -575,8 +577,9 @@ class AggregationService:
         Raises:
             LateRecordError: under the ``"raise"`` policy, when the
                 record's timestamp is behind the watermark.
-            OutOfOrderError: when the timestamp is non-finite
-                (NaN/±inf) or precedes ``origin``.
+            OutOfOrderError: when the timestamp is not a finite real
+                number or precedes ``origin`` — refused by the ingress
+                buffer before any state is touched.
         """
         if self._closed:
             raise ServiceError("cannot submit to a closed service")
@@ -584,19 +587,6 @@ class AggregationService:
         if ingress is None:
             raise ServiceError(
                 f"submit_event requires mode='time', not {self.mode!r}"
-            )
-        # NaN passes the origin check below (NaN comparisons are all
-        # False) and would wedge the reorder buffer's release scan
-        # forever; +inf would mark every later record late.  Reject
-        # both before any state is touched.
-        if not math.isfinite(timestamp):
-            _reject_nonfinite(timestamp, ingress.watermark)
-        if timestamp < self.origin:
-            raise OutOfOrderError(
-                f"timestamp {timestamp} precedes the origin "
-                f"{self.origin}",
-                position=timestamp,
-                watermark=self.origin,
             )
         arrived = (
             time.perf_counter()

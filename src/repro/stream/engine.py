@@ -267,7 +267,9 @@ class EventTimeEngine:
             resolution=DEFAULT_RESOLUTION if resolution is None else resolution,
             technique=technique,
         )
-        self._reorder = TimestampReorderBuffer(lateness, late_policy, on_late)
+        self._reorder = TimestampReorderBuffer(
+            lateness, late_policy, on_late, origin=origin
+        )
         self.queries = self._inner.queries
         self.operator = operator
 
@@ -293,26 +295,25 @@ class EventTimeEngine:
     ) -> List[Tuple[float, Any, Any]]:
         """Consume a batch of ``(timestamp, value)`` pairs at once.
 
-        Semantically identical to calling :meth:`feed` per record (the
-        reorder buffer fixes the release order either way), but what
-        the batch releases — already sorted — goes to
+        The reorder buffer merges the batch with one stable sort and
+        judges every record against the watermark as of the previous
+        call (:meth:`TimestampReorderBuffer.push_many_into
+        <repro.stream.outoforder.TimestampReorderBuffer.push_many_into>`);
+        what it releases — already sorted — goes to
         :meth:`TimeWindowEngine.feed_many
         <repro.windows.timebased.TimeWindowEngine.feed_many>` in one
-        call, which folds it one same-slice run at a time.
+        call, which closes all its slices in one run.  For a stream
+        whose disorder stays within the lateness bound the answers are
+        those of calling :meth:`feed` per record.
 
-        When a mid-batch record raises (late under the ``raise``
-        policy, or a non-finite timestamp), every record the partial
-        batch released has still been fed downstream before the
-        exception propagates — the reorder buffer has already let them
-        go and will not re-release them — so subsequent answers stay
-        correct; the answers those releases produced are not returned.
+        All or nothing on the timestamp side, by the buffer's rule: a
+        malformed row, an invalid timestamp or a late record under
+        ``raise`` raises with buffer, watermark and windows untouched;
+        feed the batch's clean prefix again and no answer is lost.
         """
         released: List[Tuple[float, Any]] = []
-        try:
-            self._reorder.push_many_into(records, released)
-        finally:
-            answers = self._inner.feed_many(released)
-        return answers
+        self._reorder.push_many_into(records, released)
+        return self._inner.feed_many(released)
 
     def finish(self) -> List[Tuple[float, Any, Any]]:
         """Drain the reorder buffer, close the open slice, and answer."""

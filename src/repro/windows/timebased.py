@@ -25,6 +25,7 @@ integers — float durations such as 0.1 s are handled exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from typing import Any, Iterable, Iterator, List, Sequence, Tuple
@@ -38,7 +39,9 @@ from repro.windows.query import Query
 #: Default duration resolution: 1 millisecond.
 DEFAULT_RESOLUTION = 0.001
 
-_INF = math.inf
+#: ``repro.stream.outoforder.STAMP_MAX`` (this package initialises
+#: before ``repro.stream``, so the hot guards keep their own copy).
+_STAMP_MAX = sys.float_info.max
 
 #: One emitted result: (window end timestamp, query, answer).
 TimeAnswer = Tuple[float, "TimeQuery", Any]
@@ -161,14 +164,30 @@ class TimeFinalStage:
 
     def close_slice(self, partial: Any) -> List[TimeAnswer]:
         """Feed the next slice's partial; return the answers it releases."""
+        return self._translate(self._engine.feed(partial))
+
+    def close_slices(self, partials: Sequence[Any]) -> List[TimeAnswer]:
+        """:meth:`close_slice` over a run of consecutive slices.
+
+        One :meth:`SharedSlickDeque.feed_many
+        <repro.core.multiquery.SharedSlickDeque.feed_many>` for the
+        whole run; the answers, by ``repr``, of closing them one by one.
+        """
+        return self._translate(self._engine.feed_many(partials))
+
+    def _translate(self, count_answers) -> List[TimeAnswer]:
+        """Count answers over slices → ``(window end, query, answer)``."""
+        origin = self.origin
+        slice_seconds = self.slice_seconds
+        count_to_time = self._count_to_time
         lower = self.operator.lower
         return [
             (
-                self.origin + position * self.slice_seconds,
-                self._count_to_time[count_query],
+                origin + position * slice_seconds,
+                count_to_time[query],
                 lower(raw),
             )
-            for position, count_query, raw in self._engine.feed(partial)
+            for position, query, raw in count_answers
         ]
 
 
@@ -218,10 +237,9 @@ class TimeWindowEngine:
 
     def _refuse(self, timestamp: float, newest: float) -> None:
         """Raise for a timestamp that failed the ordering check."""
-        if not math.isfinite(timestamp):
-            from repro.stream.outoforder import _reject_nonfinite
+        from repro.stream.outoforder import require_finite_stamp
 
-            _reject_nonfinite(timestamp, newest)
+        require_finite_stamp(timestamp, newest)
         raise OutOfOrderError(
             f"timestamp {timestamp} precedes {newest}",
             position=timestamp,
@@ -247,7 +265,7 @@ class TimeWindowEngine:
         value the operator refuses raises from ``lift``/⊕ — either way
         with the engine exactly as it was.
         """
-        if not (self._newest <= timestamp < _INF):
+        if not (self._newest <= timestamp <= _STAMP_MAX):
             self._refuse(timestamp, self._newest)
         operator = self.operator
         index = self._clock.slice_of(timestamp)
@@ -271,10 +289,13 @@ class TimeWindowEngine:
         :meth:`~repro.stream.watermark.TimeSliceClock.cut` and all of
         them fold in one segmented kernel call
         (:meth:`repro.kernels.BatchKernel.fold_runs`) — the step the
-        sharded service's shard fold takes.
+        sharded service's shard fold takes — and every slice the call
+        closes, empty ones as the identity, is closed by one
+        :meth:`TimeFinalStage.close_slices`.
 
-        All or nothing: every timestamp is checked and every run is
-        folded before any state is written.  Timestamps must be
+        All or nothing: every timestamp is checked (one C-level proof
+        per call; a Python scan only names an offender) and every run
+        is folded before any state is written.  Timestamps must be
         finite, non-decreasing within the call and against the newest
         accepted one, and not before ``origin`` —
         :class:`OutOfOrderError` otherwise — and a value the operator
@@ -283,16 +304,29 @@ class TimeWindowEngine:
         fed again and releases every answer it would have.
         """
         records = as_sequence(records)
-        timestamps = [record[0] for record in records]
-        values = [record[1] for record in records]
-        newest = self._newest
-        for timestamp in timestamps:
-            if not (newest <= timestamp < _INF):
-                self._refuse(timestamp, newest)
-            newest = timestamp
-        total = len(values)
+        total = len(records)
         if not total:
             return []
+        timestamps = [timestamp for timestamp, _ in records]
+        values = [value for _, value in records]
+        newest = self._newest
+        try:
+            # A finite sum rules out NaN and ±inf (``sorted`` is blind
+            # to a NaN: every comparison with it is False); an ordered
+            # column then lies between its two ends.
+            proven = (
+                -_STAMP_MAX <= sum(timestamps) <= _STAMP_MAX
+                and sorted(timestamps) == timestamps
+                and newest <= timestamps[0]
+                and timestamps[-1] <= _STAMP_MAX
+            )
+        except (TypeError, OverflowError):  # mixed types; huge int + float
+            proven = False
+        if not proven:  # the Python scan only names the offender
+            for timestamp in timestamps:
+                if not (newest <= timestamp <= _STAMP_MAX):
+                    self._refuse(timestamp, newest)
+                newest = timestamp
         slice_of = self._clock.slice_of
         cut = self._clock.cut
         indexes: List[int] = []
@@ -305,18 +339,27 @@ class TimeWindowEngine:
             bounds.append(start)
         # Only the first run can land in the slice already open.
         operator = self.operator
-        closes = indexes[0] > self._open_index
-        accumulators = kernel_for(operator).fold_runs(
+        identity = operator.identity
+        open_index = self._open_index
+        accumulator = self._accumulator
+        folded = kernel_for(operator).fold_runs(
             values,
             bounds,
-            operator.identity if closes else self._accumulator,
+            identity if indexes[0] > open_index else accumulator,
         )
-        answers: List[TimeAnswer] = []
-        for index, accumulator in zip(indexes, accumulators):
-            if index > self._open_index:
-                answers += self._close_through(index)
-            self._accumulator = accumulator
-        self._newest = newest
+        # Every slice the call closes, empty ones as the identity, goes
+        # to the final stage in one run.
+        closed: List[Any] = []
+        for index, run in zip(indexes, folded):
+            if index > open_index:
+                closed.append(accumulator)
+                closed += [identity] * (index - open_index - 1)
+                open_index = index
+            accumulator = run
+        answers = self._final.close_slices(closed) if closed else []
+        self._open_index = open_index
+        self._accumulator = accumulator
+        self._newest = timestamps[-1]
         return answers
 
     def finish(self) -> List[TimeAnswer]:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import InvalidOperatorError
+from repro.errors import InvalidOperatorError, LateRecordError
 from repro.operators.registry import available_operators, get_operator
 from repro.service.service import AggregationService
 from repro.stream.checkpoint import CheckpointError, restore, snapshot
@@ -267,13 +267,26 @@ def test_drop_policy_agrees_between_engine_and_service(data):
     _same_answers(got, expected)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(data=st.data())
 def test_feed_many_batches_equal_sorted_oracle(data):
-    gaps = data.draw(arrival_gaps)
+    """Batched disorder equals the sorted stream, ``repr`` for ``repr``.
+
+    On every registry operator (drawn, so the test keeps its one id).
+    Gaps of 0 repeat a timestamp — also across a batch boundary, where
+    the tie must still release in arrival order (``first``/``last``
+    tell) — and gaps above the 0.5 s slice close empty slices in the
+    middle of a call.
+    """
+    operator_name = data.draw(st.sampled_from(OPERATOR_NAMES))
+    gaps = data.draw(
+        st.lists(
+            st.integers(min_value=0, max_value=25), min_size=1, max_size=50
+        )
+    )
     values = data.draw(
         st.lists(
-            st.integers(min_value=-(10**6), max_value=10**6),
+            _value_domain(operator_name),
             min_size=len(gaps),
             max_size=len(gaps),
         )
@@ -285,14 +298,22 @@ def test_feed_many_batches_equal_sorted_oracle(data):
     )
     batch_size = data.draw(st.integers(min_value=1, max_value=7))
     stream = _build_stream(gaps, values)
-    shuffled = _shuffle_within_lateness(stream, jitters)
+    # Arrival order: by jittered timestamp, ties by stream index.
+    shuffled = [
+        stream[index]
+        for index in sorted(
+            range(len(stream)),
+            key=lambda index: stream[index][0] + jitters[index] / 10,
+        )
+    ]
 
     queries = [TimeQuery(2.0, 1.0), TimeQuery(3.0, 1.5)]
-    oracle = TimeWindowEngine(queries, get_operator("sum"))
-    expected = list(oracle.run(stream))
+    oracle = TimeWindowEngine(queries, get_operator(operator_name))
+    # The sorted stream: by timestamp, equal timestamps as they arrived.
+    expected = list(oracle.run(sorted(shuffled, key=lambda r: r[0])))
 
     engine = EventTimeEngine(
-        queries, get_operator("sum"), lateness=LATENESS
+        queries, get_operator(operator_name), lateness=LATENESS
     )
     got = []
     for start in range(0, len(shuffled), batch_size):
@@ -302,7 +323,101 @@ def test_feed_many_batches_equal_sorted_oracle(data):
     got.extend(engine.finish())
 
     assert engine.late_records == 0
-    _same_answers(got, expected)
+    assert repr(got) == repr(expected)
+
+
+class _ReorderModel:
+    """What a bounded-lateness buffer must do, batch by batch."""
+
+    def __init__(self, lateness):
+        self.lateness = lateness
+        self.pending, self.late = [], 0
+        self.high = self.watermark = float("-inf")
+
+    def late_rows(self, rows):
+        return [row for row in rows if row[0] < self.watermark]
+
+    def push_many(self, rows):
+        late = self.late_rows(rows)
+        self.late += len(late)
+        accepted = [row for row in rows if row[0] >= self.watermark]
+        self.pending = sorted(self.pending + accepted, key=lambda r: r[0])
+        for stamp, _ in accepted:
+            self.high = max(self.high, stamp)
+        self.watermark = max(self.watermark, self.high - self.lateness)
+        released = [r for r in self.pending if r[0] < self.watermark]
+        del self.pending[: len(released)]
+        return released, late
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_push_many_into_equals_reference_model(data):
+    lateness = data.draw(st.sampled_from([0, 0.5, 2.0, 10.0]))
+    policy = data.draw(st.sampled_from(["raise", "drop", "side_output"]))
+    # Quarter-second ticks: gap 0 repeats a stamp, a straggle moves a
+    # row back (within the bound, or beyond it: late), and whole ticks
+    # may arrive as ints — equal to, but not the same as, their float.
+    moves = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=6),
+                st.sampled_from([0, 0, 0, 1, 3, 9, 30]),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    rows, tick = [], 0
+    for number, (gap, straggle, as_int) in enumerate(moves):
+        tick += gap
+        late_tick = max(0, tick - straggle)
+        stamp = late_tick / 4
+        if as_int and late_tick % 4 == 0:
+            stamp = late_tick // 4
+        rows.append((stamp, number))
+    cuts = data.draw(
+        st.lists(st.integers(min_value=0, max_value=9), max_size=30)
+    )
+
+    handed = []
+    buffer = TimestampReorderBuffer(
+        lateness, policy, on_late=lambda ts, item: handed.append((ts, item))
+    )
+    model = _ReorderModel(lateness)
+    index = 0
+    for size in cuts + [len(rows)]:
+        batch = rows[index : index + max(size, 1)]
+        index += len(batch)
+        out, before = [], len(handed)
+        refused = policy == "raise" and model.late_rows(batch)
+
+        def call():
+            if size == 0:  # one row, through the per-record entry
+                buffer.push_into(*batch[0], out)
+            else:
+                buffer.push_many_into(batch, out)
+
+        if refused:
+            with pytest.raises(LateRecordError) as info:
+                call()
+            assert info.value.timestamp == refused[0][0]
+            assert info.value.watermark == model.watermark
+            model.late += 1  # the named row is counted, nothing else moves
+            released, late = [], []
+        elif batch:
+            call()
+            released, late = model.push_many(batch)
+        else:
+            released, late = [], []
+        assert repr(out) == repr(released)
+        assert repr(handed[before:]) == repr(late)
+        assert buffer.late_records == model.late
+        assert buffer.high == model.high
+        assert buffer.watermark == model.watermark
+        assert len(buffer) == len(model.pending)
+    assert repr(list(buffer.drain())) == repr(model.pending)
 
 
 @settings(max_examples=40, deadline=None)

@@ -150,3 +150,92 @@ def test_slide_one_feed_many_makes_no_more_calls_than_feed(
     )
     assert per_call / 500 <= ceiling
     assert per_call / 500 <= calls_per_feed(operator_name)
+
+
+# ---------------------------------------------------------------------
+# ``EventTimeEngine.feed_many``: library calls per closed slice and per
+# call — never per record, never per displaced record
+# ---------------------------------------------------------------------
+
+#: Slices each measured call closes: the stream runs at ``batch / 4``
+#: records per second and the windows' slice is one second.
+EVENT_SLICES = 4
+
+
+def calls_per_event_feed_many(batch, displaced_share, calls_made=8):
+    """Mean library ``call`` events per ``EventTimeEngine.feed_many``.
+
+    The pipeline benchmark's event-time shape — ``TimeQuery(2, 1)`` +
+    ``TimeQuery(5, 2)`` over ``sum``, lateness 0.25 s — with
+    ``displaced_share`` of each call's records arriving three places
+    late (behind newer records, inside the bound, never across a call
+    boundary: every call releases and closes the same slices whatever
+    the share).  Windows are full before the count starts.
+    """
+    from repro.stream.engine import EventTimeEngine
+    from repro.windows.timebased import TimeQuery
+
+    rng = random.Random(23)
+    rate = batch // EVENT_SLICES
+    warm = 3
+    batches = []
+    for call in range(warm + calls_made):
+        rows = [
+            ((call * batch + index + 0.5) / rate, rng.randint(-1000, 1000))
+            for index in range(batch)
+        ]
+        for index in rng.sample(
+            range(batch - 8), int(displaced_share * batch)
+        ):
+            rows.insert(index + 3, rows.pop(index))
+        batches.append(rows)
+    engine = EventTimeEngine(
+        [TimeQuery(2, 1), TimeQuery(5, 2)],
+        get_operator("sum"),
+        lateness=0.25,
+    )
+    feed_many = engine.feed_many
+    for rows in batches[:warm]:
+        feed_many(rows)
+    calls = answers = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(LIBRARY):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        for rows in batches[warm:]:
+            answers += len(feed_many(rows))
+    finally:
+        sys.setprofile(previous)
+    # 4 slices closed per call: 4 answers of (2, 1), 2 of (5, 2).
+    assert answers == 6 * calls_made and engine.late_records == 0
+    return calls / calls_made
+
+
+@pytest.mark.parametrize("displaced_share", [0.0, 0.1, 0.3])
+def test_event_feed_many_pays_per_slice_and_per_call(displaced_share):
+    """Per closed slice the call owes its run cut (``slice_of``,
+    ``cut``, ``end_time``), one ``lift``, and per query one ⊕, the ⊖s
+    of what left the window and the answers' ``lower`` — 19 at most;
+    everything else (the reorder buffer's proof, sort and release, the
+    column split, one segmented fold, one ``close_slices``) is a
+    constant per call (108 in all with numpy, 104 without).  The
+    parent made 117, and at least two more (``push_into``,
+    ``_release_into``) per displaced record: 214 per 512-record call
+    at 10 %, 381 at 30 %."""
+    per_call = calls_per_event_feed_many(512, displaced_share)
+    assert per_call <= 19 * EVENT_SLICES + 36
+
+
+def test_event_feed_many_call_count_ignores_disorder_and_batch_size():
+    """Same slices closed per call, so not one more library call: not
+    for three times the displaced records, not for four times the
+    records."""
+    base = calls_per_event_feed_many(512, 0.0)
+    assert calls_per_event_feed_many(512, 0.1) == base
+    assert calls_per_event_feed_many(512, 0.3) == base
+    assert calls_per_event_feed_many(2048, 0.1) == base

@@ -193,23 +193,174 @@ def test_reorder_buffer_rejects_nonfinite_on_empty_buffer():
         assert len(buffer) == 0 and buffer.watermark == -math.inf
 
 
+def _buffer_state(buffer):
+    return (
+        list(buffer._buffer), buffer.high, buffer.watermark, len(buffer)
+    )
+
+
 def test_push_many_rejects_nonfinite_mid_batch_and_keeps_state():
+    # All or nothing: the refused call leaves buffer, high mark and
+    # watermark exactly as they were, and feeding the batch's clean
+    # prefix afterwards releases what the unbroken stream would have.
     buffer = TimestampReorderBuffer(lateness=1.0)
     out = []
+    buffer.push_many_into([(0.5, "z")], out)
+    before = _buffer_state(buffer)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(OutOfOrderError) as info:
+            buffer.push_many_into(
+                [(1.0, "a"), (bad, "bad"), (2.0, "never")], out
+            )
+        assert "finite" in str(info.value)
+        assert out == [] and _buffer_state(buffer) == before
+    assert buffer.late_records == 0
+    buffer.push_many_into([(1.0, "a")], out)  # the clean prefix
+    assert out == [] and buffer.high == 1.0 and buffer.watermark == 0.0
+    buffer.push_many_into([(5.0, "b")], out)
+    assert out == [(0.5, "z"), (1.0, "a")]
+
+
+def test_push_many_names_the_first_offender_in_arrival_order():
+    buffer = TimestampReorderBuffer(lateness=0.5)
+    buffer.push_many_into([(5.0, "x")], [])
+    before = _buffer_state(buffer)
+    # A late row ahead of a non-finite one: the late row is named ...
+    with pytest.raises(LateRecordError) as late:
+        buffer.push_many_into([(6.0, "a"), (1.0, "late"), (math.nan, "n")], [])
+    assert late.value.timestamp == 1.0 and late.value.watermark == 4.5
+    assert buffer.late_records == 1
+    # ... and the other way round, the non-finite one.
+    with pytest.raises(OutOfOrderError) as bad:
+        buffer.push_many_into([(6.0, "a"), (math.nan, "n"), (1.0, "late")], [])
+    assert "finite" in str(bad.value)
+    assert buffer.late_records == 1
+    assert _buffer_state(buffer) == before
+
+
+@pytest.mark.parametrize("policy", ["drop", "side_output"])
+def test_push_many_diverts_late_rows_and_merges_the_rest(policy):
+    seen = []
+    buffer = TimestampReorderBuffer(
+        lateness=0.5, policy=policy,
+        on_late=lambda ts, item: seen.append((ts, item)),
+    )
+    buffer.push_many_into([(5.0, "x")], [])
+    out = []
+    buffer.push_many_into(
+        [(1.0, "l1"), (6.0, "a"), (2.0, "l2"), (4.6, "b"), (7.0, "c")], out
+    )
+    assert seen == [(1.0, "l1"), (2.0, "l2")]  # arrival order
+    assert buffer.late_records == 2
+    assert out == [(4.6, "b"), (5.0, "x"), (6.0, "a")]
+    assert buffer.high == 7.0 and buffer.watermark == 6.5
+    # A non-finite stamp refuses the whole call under these policies
+    # too, before any late row is counted or handed over.
+    before = _buffer_state(buffer)
     with pytest.raises(OutOfOrderError):
-        buffer.push_many_into(
-            [(1.0, "a"), (math.inf, "bad"), (2.0, "never")], out
-        )
-    # The record before the bad one was accepted, the bad one never
-    # touched the high mark, and the record after it was never read.
-    assert buffer.high == 1.0 and buffer.watermark == 0.0
-    assert out == [] and len(buffer) == 1
+        buffer.push_many_into([(1.0, "l3"), (math.inf, "bad")], out)
+    assert len(seen) == 2 and buffer.late_records == 2
+    assert _buffer_state(buffer) == before
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(1.0, "a"), (2.0,)],
+        [(1.0, "a"), (2.0, "b", "c")],
+        [(1.0, "a"), 2.0],
+        [(1.0, "a"), None],
+    ],
+)
+def test_push_many_refuses_a_malformed_row_before_touching_state(rows):
+    buffer = TimestampReorderBuffer(lateness=1.0)
+    buffer.push_many_into([(0.5, "z")], [])
+    before = _buffer_state(buffer)
+    out = []
+    with pytest.raises(OutOfOrderError) as info:
+        buffer.push_many_into(rows, out)
+    assert repr(rows[1]) in str(info.value)
+    assert out == [] and _buffer_state(buffer) == before
+
+
+def test_push_many_accepts_any_pair_rows_and_releases_tuples():
+    buffer = TimestampReorderBuffer(lateness=1.0)
+    out = []
+    buffer.push_many_into(iter([[1.0, "a"], (0.5, "b")]), out)
+    buffer.push_many_into(([3.0, "c"],), out)
+    assert out == [(0.5, "b"), (1.0, "a")]
+    assert all(type(row) is tuple for row in out)
+
+
+def test_push_many_equal_stamps_release_in_arrival_order():
+    # Within a batch, across batches, and against a per-record push.
+    buffer = TimestampReorderBuffer(lateness=1.0)
+    out = []
+    buffer.push_many_into([(2.0, "a"), (1.0, "b"), (2.0, "c")], out)
+    buffer.push_into(2.0, "d", out)
+    buffer.push_many_into([(1.0, "e"), (2.0, "f")], out)
+    out.extend(buffer.drain())
+    assert out == [
+        (1.0, "b"), (1.0, "e"),
+        (2.0, "a"), (2.0, "c"), (2.0, "d"), (2.0, "f"),
+    ]
+
+
+HUGE = 10**400  # an int no float can hold
+
+
+def test_huge_int_timestamp_does_not_wedge_the_reorder_buffer():
+    # At the parent this raised OverflowError *after* setting the high
+    # mark to 10**400, and every later call raised it again.
+    buffer = TimestampReorderBuffer(1.0)
+    out = []
+    with pytest.raises(OutOfOrderError) as info:
+        buffer.push_many_into([(1.0, "a"), (HUGE, "x")], out)
+    assert "finite" in str(info.value)
+    assert out == [] and len(buffer) == 0
+    assert buffer.high == -math.inf and buffer.watermark == -math.inf
+    # Two that cancel in the sum are still refused.
     with pytest.raises(OutOfOrderError):
-        buffer.push_many_into([(math.nan, "bad")], out)
-    assert out == [] and len(buffer) == 1
-    released = []
-    buffer.push_many_into([(5.0, "b")], released)
-    assert [ts for ts, _ in released] == [1.0]
+        buffer.push_many_into([(HUGE, "x"), (-HUGE, "y"), (1.0, "a")], out)
+    for bad in (HUGE, -HUGE):
+        with pytest.raises(OutOfOrderError):
+            buffer.push_into(bad, "x", out)
+    assert out == [] and len(buffer) == 0
+    # The buffer still works after the refused calls.
+    buffer.push_many_into([(1.0, "a"), (3.0, "b")], out)
+    assert out == [(1.0, "a")] and buffer.high == 3.0
+
+
+def test_huge_int_timestamp_is_refused_by_the_time_engine():
+    queries = [TimeQuery(1.0, 1.0)]
+    engine = TimeWindowEngine(queries, get_operator("sum"))
+    engine.feed(0.5, 1)
+    with pytest.raises(OutOfOrderError) as info:
+        engine.feed(HUGE, 2)
+    assert "finite" in str(info.value)
+    with pytest.raises(OutOfOrderError) as info:
+        engine.feed_many([(0.75, 2), (HUGE, 3)])
+    assert "finite" in str(info.value)
+    answers = engine.feed_many([(0.75, 2), (1.5, 3)]) + engine.finish()
+    oracle = TimeWindowEngine(queries, get_operator("sum"))
+    assert answers == list(oracle.run([(0.5, 1), (0.75, 2), (1.5, 3)]))
+
+
+def test_reorder_buffer_refuses_timestamps_before_its_origin():
+    # A record before the first slice boundary can never be folded:
+    # refused at ingress, not when it is released calls later.
+    for policy in LATE_POLICIES:
+        buffer = TimestampReorderBuffer(1.0, policy, origin=10.0)
+        out = []
+        with pytest.raises(OutOfOrderError) as info:
+            buffer.push_into(9.5, "x", out)
+        assert "origin" in str(info.value)
+        with pytest.raises(OutOfOrderError) as info:
+            buffer.push_many_into([(10.0, "a"), (9.5, "x")], out)
+        assert "origin" in str(info.value)
+        assert out == [] and len(buffer) == 0 and buffer.late_records == 0
+        buffer.push_many_into([(10.0, "a"), (12.0, "b")], out)
+        assert out == [(10.0, "a")]
 
 
 def test_push_many_matches_per_record_on_bounded_disorder():
@@ -429,49 +580,79 @@ def test_event_time_engine_raises_on_late_records():
     assert engine.late_records == 1
 
 
+def _engine_state(engine):
+    inner = engine._inner
+    return (
+        _buffer_state(engine._reorder),
+        inner._open_index, inner._accumulator, inner._newest,
+    )
+
+
 def test_feed_many_mid_batch_late_raise_still_feeds_released_records():
-    # A mid-batch late record raises, but the records its batch
-    # *released* have already left the reorder buffer — they must be
-    # fed downstream anyway, or every later answer is silently wrong.
+    # All or nothing: the refused call releases nothing and changes
+    # nothing, so feeding its clean prefix afterwards yields every
+    # answer of the unbroken stream — none is lost to the exception.
     queries = [TimeQuery(1.0, 1.0)]
     engine = EventTimeEngine(
         queries, get_operator("sum"), lateness=0.5
     )
     assert engine.feed_many([(5.0, 1)]) == []
-    with pytest.raises(LateRecordError):
-        # 10.0 advances the watermark to 9.5 and releases (5.0, 1);
-        # 1.0 is behind the previous batch's watermark (4.5) and
-        # raises under the default "raise" policy.
+    before = _engine_state(engine)
+    with pytest.raises(LateRecordError) as info:
+        # 1.0 is behind the previous call's watermark (4.5) and raises
+        # under the default "raise" policy; 10.0 is not admitted.
         engine.feed_many([(10.0, 2), (1.0, 99)])
-    answers = engine.finish()
-    # The oracle mirrors the documented contract: (5.0, 1) WAS fed
-    # downstream before the exception propagated (only the answers
-    # that feed produced are lost), so every later window — including
-    # the one summing the released record — is exact.
+    assert info.value.timestamp == 1.0 and info.value.watermark == 4.5
+    assert engine.late_records == 1
+    assert _engine_state(engine) == before and engine.watermark == 4.5
+    answers = engine.feed_many([(10.0, 2)]) + engine.finish()
     oracle = TimeWindowEngine(queries, get_operator("sum"))
-    oracle.feed(5.0, 1)  # emitted during the raising call, discarded
-    expected = list(oracle.feed(10.0, 2))
-    expected.extend(oracle.finish())
-    assert answers == expected
+    assert answers == list(oracle.run([(5.0, 1), (10.0, 2)]))
     assert (6.0, queries[0], 1) in answers  # the released record counted
 
 
 def test_feed_many_nonfinite_timestamp_raises_and_engine_survives():
     queries = [TimeQuery(1.0, 1.0)]
     engine = EventTimeEngine(queries, get_operator("sum"), lateness=0.5)
-    with pytest.raises(OutOfOrderError):
-        engine.feed_many([(1.0, 1), (math.nan, 7)])
-    answers = list(engine.feed_many([(2.0, 1)]))
-    answers.extend(engine.finish())
+    engine.feed_many([(0.5, 4)])
+    before = _engine_state(engine)
+    for bad in (math.nan, math.inf, -math.inf, HUGE):
+        with pytest.raises(OutOfOrderError):
+            engine.feed_many([(1.0, 1), (3.0, 5), (bad, 7)])
+        assert _engine_state(engine) == before
+    answers = engine.feed_many([(1.0, 1), (3.0, 5)])
+    assert answers  # the clean prefix closes slices the refused call did not
+    answers += engine.finish()
     oracle = TimeWindowEngine(queries, get_operator("sum"))
-    expected = list(oracle.run([(1.0, 1), (2.0, 1)]))
-    assert answers == expected
+    assert answers == list(oracle.run([(0.5, 4), (1.0, 1), (3.0, 5)]))
+
+
+def test_event_time_engine_refuses_records_before_origin_at_ingress():
+    # At the parent the buffer admitted the record and the window stage
+    # refused it when a *later* call released it — with that call's
+    # other releases lost.
+    queries = [TimeQuery(1.0, 1.0)]
+    engine = EventTimeEngine(
+        queries, get_operator("sum"), lateness=0.5, origin=2.0
+    )
+    before = _engine_state(engine)
+    with pytest.raises(OutOfOrderError):
+        engine.feed_many([(2.5, 1), (1.5, 2)])
+    with pytest.raises(OutOfOrderError):
+        engine.feed(1.5, 2)
+    assert _engine_state(engine) == before
+    answers = engine.feed_many([(2.5, 1), (4.0, 2)]) + engine.finish()
+    oracle = TimeWindowEngine(queries, get_operator("sum"), origin=2.0)
+    assert answers == list(oracle.run([(2.5, 1), (4.0, 2)]))
 
 
 # -- non-finite timestamps at the service and wire layers -----------
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "bad",
+    [math.nan, math.inf, -math.inf, pytest.param(HUGE, id="huge-int")],
+)
 def test_service_submit_event_rejects_nonfinite_timestamps(bad):
     from repro.service import AggregationService
 
