@@ -270,43 +270,6 @@ def as_sequence(values: Any) -> Sequence[Any]:
     return list(values)
 
 
-def column_view(buffer: Any, kind: str) -> memoryview:
-    """Zero-copy typed view over a packed value column.
-
-    ``kind`` is ``"q"`` (little-endian int64) or ``"d"`` (float64) —
-    the two wire layouts shared by the shm transport's columnar frames
-    and the network layer's ``SUBMIT_COLUMN`` payloads.  The returned
-    ``memoryview`` aliases ``buffer``; indexing it yields plain Python
-    ``int``/``float`` scalars, so it feeds every kernel entry point
-    (``_unboxed`` materialises it with one C-level ``tolist``).
-    """
-    if kind not in ("q", "d"):
-        raise ValueError(
-            f"column kind must be 'q' (int64) or 'd' (float64), "
-            f"got {kind!r}"
-        )
-    view = memoryview(buffer)
-    if view.format == kind:
-        return view
-    return view.cast("B").cast(kind)
-
-
-def column_ndarray(column: Any) -> Optional[Any]:
-    """Zero-copy ndarray over a typed column, or ``None``.
-
-    Wraps ``numpy.frombuffer`` for the int64/float64 ``memoryview``
-    columns the shm transport decodes out of its rings; ndarrays pass
-    through untouched.  Returns ``None`` when numpy is unavailable or
-    the column is not a typed buffer — callers fall back to the
-    sequence path, which is always correct.
-    """
-    if not numpy_enabled():
-        return None
-    from repro.kernels import numpy_backend
-
-    return numpy_backend.as_ndarray(column)
-
-
 def numpy_enabled() -> bool:
     """Whether the numpy kernel backend registered successfully."""
     from repro.kernels import numpy_backend
@@ -338,8 +301,6 @@ __all__ = [
     "BatchKernel",
     "attach",
     "active_backends",
-    "column_ndarray",
-    "column_view",
     "exact_fold",
     "kernel_for",
     "lift_is_identity",

@@ -59,8 +59,8 @@ def as_ndarray(values: Any) -> Optional[Any]:
     ndarrays pass through; 1-D int64 (``'q'``) and float64 (``'d'``)
     memoryviews — the value columns the shm transport decodes straight
     out of its rings — and the equivalent ``array('q')``/``array('d')``
-    buffers the router frames are wrapped with ``np.frombuffer``, which
-    shares the underlying buffer.  Anything else (lists,
+    buffers are wrapped with ``np.frombuffer``, which shares the
+    underlying buffer.  Anything else (lists,
     sliced-with-step views, other formats) returns ``None`` and takes
     the pure path.
     """
@@ -75,8 +75,7 @@ def as_ndarray(values: Any) -> Optional[Any]:
         except ValueError:  # pragma: no cover - non-contiguous view
             return None
     if type(values) is _stdarray:
-        # The router's typed value buffers (zero-copy via the buffer
-        # protocol, same as the memoryview columns).
+        # Zero-copy via the buffer protocol, same as the memoryviews.
         if values.typecode == "q":
             return _np.frombuffer(values, dtype=_np.int64)
         if values.typecode == "d":

@@ -220,12 +220,11 @@ class _RequestCore:
         """Submit one key's value column in a single packed frame.
 
         Homogeneous int64/float64 columns travel as one packed byte
-        blob (8 bytes per record, no per-record tags or tuples) and
-        decode server-side into a zero-copy typed view feeding the
-        router's single-lookup column path; anything else falls back
-        to the tagged object-column encoding, which is semantically
-        identical.  Returns the accepted count (``0`` for an empty
-        column, without touching the connection).
+        blob (8 bytes per record, no per-record tags or tuples);
+        anything else falls back to the tagged object-column encoding,
+        which is semantically identical.  The server ingests either as
+        the rows of :meth:`submit_batch`.  Returns the accepted count
+        (``0`` for an empty column, without touching the connection).
         """
         return self._exchange(
             build_submit_column(key, values), _accepted, trace_id

@@ -64,7 +64,7 @@ import struct
 import sys
 import zlib
 from array import array
-from itertools import filterfalse
+from itertools import filterfalse, repeat
 from operator import itemgetter
 from typing import (
     Any,
@@ -145,10 +145,8 @@ class FrameType(enum.IntEnum):
     #: One key's value column: payload ``(key, kind, body)`` where
     #: ``kind`` is ``"q"`` (body = packed little-endian int64s),
     #: ``"d"`` (packed float64s), or ``"o"`` (body = a list of tagged
-    #: values, the fallback for non-numeric columns).  Packed columns
-    #: decode server-side into a zero-copy typed view that feeds the
-    #: router's single-lookup column path — no per-record tuples on
-    #: the wire, no per-record decode loop on the server.
+    #: values, the fallback for non-numeric columns).  The server
+    #: ingests it as the rows ``(key, value)`` of ``SUBMIT_BATCH``.
     SUBMIT_COLUMN = 0x07
     #: One event-timestamped record: payload ``(key, value)``, with
     #: the event timestamp in the v3 header field.
@@ -298,7 +296,8 @@ def _need(payload: bytes, offset: int, count: int) -> None:
 
 
 def _decode_at(payload: bytes, offset: int) -> Tuple[Any, int]:
-    _need(payload, offset, 1)
+    if offset >= len(payload):  # checked inline: once per value decoded
+        _need(payload, offset, 1)
     tag = payload[offset]
     offset += 1
     if tag == _TAG_NONE:
@@ -733,8 +732,9 @@ def build_submit_column(
 
 
 def _parse_column(payload: Any, event_time: Optional[float]):
-    """Packed kinds come back as a zero-copy typed ``memoryview`` over
-    the payload bytes (no per-record decode loop); ``"o"`` as a list."""
+    """The column as ``SUBMIT_BATCH`` rows of its one key, paired in
+    one C-level pass over a typed view of a packed body (or over the
+    list of an ``"o"`` body)."""
     if not isinstance(payload, (list, tuple)) or len(payload) != 3:
         raise ProtocolError(
             "SUBMIT_COLUMN payload must be a (key, kind, body) "
@@ -743,19 +743,20 @@ def _parse_column(payload: Any, event_time: Optional[float]):
     key, kind, body = payload
     _require_routable("SUBMIT_COLUMN", (key,))
     if kind in ("q", "d"):
-        column: Any = _unpack_column(body, kind)
+        column = _unpack_column(body, kind)
     elif kind == "o":
         if not isinstance(body, (list, tuple)):
             raise ProtocolError(
                 f"object column body must be a sequence, got "
                 f"{type(body).__name__}"
             )
-        column = list(body)
+        column = body
     else:
         raise ProtocolError(
             f"unknown column kind {kind!r} (expected 'q', 'd', or 'o')"
         )
-    return (key, column), len(column)
+    records = list(zip(repeat(key), column))
+    return (records,), len(records)
 
 
 def build_submit_event(
@@ -829,7 +830,7 @@ SUBMIT_SHAPES = {
         "submit_many", build_submit_batch, _parse_batch
     ),
     FrameType.SUBMIT_COLUMN: SubmitShape(
-        "submit_column", build_submit_column, _parse_column
+        "submit_many", build_submit_column, _parse_column
     ),
     FrameType.SUBMIT_EVENT: SubmitShape(
         "submit_event", build_submit_event, _parse_event

@@ -63,8 +63,8 @@ class ServiceGateway:
         while the service's own backpressure blocks; callers that must
         not stall (event loops) should invoke this from an executor
         thread.  ``trace_id`` attributes the whole batch to one
-        telemetry trace.  A sized input (a list, the wire's column
-        view) is counted and handed on as it is; only an unsized
+        telemetry trace.  A sized input (a list, the wire's parsed
+        rows) is counted and handed on as it is; only an unsized
         iterable is materialised first.
         """
         batch = records if isinstance(records, Sized) else list(records)
@@ -98,25 +98,6 @@ class ServiceGateway:
         batch = records if isinstance(records, Sized) else list(records)
         return self._ingest(
             self._service.submit_events, len(batch), batch, trace_id
-        )
-
-    def submit_column(
-        self,
-        key: Any,
-        values: Iterable[Any],
-        trace_id: Optional[int] = None,
-    ) -> int:
-        """Ingest a column of values for one key (bulk fast path).
-
-        Returns the number of records handed to the service.  The
-        column rides the router's single-lookup path end to end, so a
-        ``SUBMIT_COLUMN`` wire request never pays per-record routing.
-        """
-        column = list(values)
-        if not column:
-            return 0
-        return self._ingest(
-            self._service.submit_column, len(column), key, column, trace_id
         )
 
     def _ingest(self, submit, count: int, *args) -> int:

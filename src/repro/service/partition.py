@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ServiceError
 from repro.service.slices import SliceClock
@@ -70,11 +70,8 @@ class Batch:
             shm plane encodes it with a plain buffer copy), though any
             integer sequence is accepted.
         keys: Record keys, parallel to ``positions``.
-        values: Record payloads, parallel to ``positions``.  A column
-            that entered typed (``array('q')``/``array('d')``, e.g.
-            from the wire's packed ``SUBMIT_COLUMN`` body) stays typed
-            through the router, which makes the columnar encode a
-            buffer copy with no per-value capability scan.
+        values: Record payloads, parallel to ``positions`` — a plain
+            list from the router, whatever shape the records arrived in.
         traces: Per-record trace ids, parallel to ``positions`` — or
             ``None`` (the common case) when no record of the batch is
             traced, so untraced batches pay nothing for the field.
@@ -137,87 +134,6 @@ def thin_batch(batch: Batch, keep_every: int = 2) -> Tuple[Batch, int]:
     return thinned, len(batch) - len(thinned)
 
 
-#: A per-shard value buffer: a plain list (heterogeneous records) or a
-#: typed array when every buffered value arrived through a typed column.
-ValueBuffer = Union[List[Any], array]
-
-
-def typed_column(values: Any) -> Optional[array]:
-    """``array('q'|'d')`` view-copy of an already-typed numeric column.
-
-    Accepts ``array('q')``/``array('d')``, 1-D i64/f64 memoryviews
-    (what :func:`repro.net.server` hands the router for packed
-    ``SUBMIT_COLUMN`` bodies), and any other object exposing an
-    equivalent 8-byte numeric buffer (e.g. an int64/float64 ndarray).
-    Returns ``None`` for plain sequences — those keep the per-record
-    list path, where the shm encoder's capability scan decides.
-
-    The container itself proves the element type, so downstream
-    consumers (the router's buffers, the columnar encoder) can skip
-    per-value type checks without giving up exactness.
-    """
-    if type(values) is array and values.typecode in ("q", "d"):
-        return values
-    if type(values) is memoryview:
-        view = values
-    elif isinstance(values, (list, tuple, str, bytes, bytearray, range)):
-        return None
-    else:
-        try:
-            view = memoryview(values)
-        except TypeError:
-            return None
-    if view.ndim != 1 or view.itemsize != 8:
-        return None
-    if view.format in ("q", "l"):  # 'l' is i64 on LP64 platforms
-        typecode = "q"
-    elif view.format == "d":
-        typecode = "d"
-    else:
-        return None
-    column = array(typecode)
-    column.frombytes(view.cast("B"))
-    return column
-
-
-def _append_value(buffer: array, value: Any) -> ValueBuffer:
-    """Append one record to a typed value buffer, demoting it to a
-    list the moment the value would not round-trip exactly.
-
-    The type checks are exact on purpose: a ``bool`` (or any int
-    subclass) appended to an i64 buffer would silently re-type through
-    the column, so it demotes instead.
-    """
-    kind = type(value)
-    if (buffer.typecode == "q" and kind is int) or (
-        buffer.typecode == "d" and kind is float
-    ):
-        try:
-            buffer.append(value)
-            return buffer
-        except OverflowError:
-            pass  # int outside i64: fall through to the list demotion
-    demoted = list(buffer)
-    demoted.append(value)
-    return demoted
-
-
-def _extend_values(buffer: ValueBuffer, chunk: Any) -> ValueBuffer:
-    """Extend a value buffer with a column chunk, staying typed when
-    both sides agree on a typecode (a C ``memcpy``) and demoting to a
-    list otherwise."""
-    if type(chunk) is array:
-        if type(buffer) is array and buffer.typecode == chunk.typecode:
-            buffer.extend(chunk)
-            return buffer
-        if type(buffer) is list and not buffer:
-            return chunk  # fresh slice copy: adopt it as the buffer
-    if type(buffer) is array:
-        buffer = list(buffer)
-    buffer.extend(chunk)
-    return buffer
-
-
 class Router:
     """Assign global positions and frame per-shard micro-batches.
 
@@ -265,13 +181,13 @@ class Router:
             [array("d") for _ in range(num_shards)] if event_time else None
         )
         # Positions are always i64-typed (they are stream indices), so
-        # the shm encoder ships them with one buffer copy; values stay
-        # lists unless a typed column lands on the buffer.
+        # the shm encoder ships them with one buffer copy; values are
+        # lists, which that encoder type-checks in one C-level pass.
         self._positions: List[array] = [
             array("q") for _ in range(num_shards)
         ]
         self._keys: List[List[Any]] = [[] for _ in range(num_shards)]
-        self._values: List[ValueBuffer] = [[] for _ in range(num_shards)]
+        self._values: List[List[Any]] = [[] for _ in range(num_shards)]
         # Per-shard trace columns exist only once a traced record has
         # been routed; until then a record pays a single flag check.
         self._traces: Optional[List[List[Optional[int]]]] = None
@@ -358,11 +274,7 @@ class Router:
                 column = positions[shard]
                 column.append(position)
                 keys[shard].append(key)
-                buffer = values[shard]
-                if type(buffer) is list:
-                    buffer.append(value)
-                else:
-                    values[shard] = _append_value(buffer, value)
+                values[shard].append(value)
                 if len(column) >= batch_size:
                     self.position = position
                     self._frame_round()
@@ -409,61 +321,13 @@ class Router:
         Any iterable of pairs is one pass of the same loop — a row
         list, or the wire's :class:`~repro.net.protocol.RecordColumns`
         view, which iterates as its rows (a C-level ``zip`` of the key
-        and value columns).  There is deliberately no second,
-        column-wise routing core behind it: pre-resolving a batch's
-        distinct keys and starting typed buffers measured no faster
-        than this loop over the view, and a vectorised partition
-        slower (``docs/performance.md``).
+        and value columns); a ``SUBMIT_COLUMN`` frame arrives as rows
+        of its one key.  There is deliberately no second, column-wise
+        routing core behind it: pre-resolving a batch's distinct keys
+        and typed value buffers measured no faster than this loop, and
+        a vectorised partition slower (``docs/performance.md``).
         """
         return self._route(records, trace)
-
-    def put_column(
-        self,
-        key: Any,
-        values: Sequence[Any],
-        trace: Optional[int] = None,
-    ) -> List[Batch]:
-        """Route a column of records sharing one key; one shard lookup.
-
-        The column path of the ingestion front: positions are assigned
-        as a range and the shard's buffers grow by ``extend`` a
-        batch-sized chunk at a time, framing exactly the batches the
-        equivalent :meth:`put` calls would.  A column that arrives
-        typed (see :func:`typed_column` — packed wire bodies, arrays,
-        numeric ndarrays) is buffered typed, so its batches carry
-        ``array``-backed value columns the shm plane encodes without a
-        capability scan.
-        """
-        column = typed_column(values)
-        if column is not None:
-            values = column
-        elif type(values) is not list:
-            values = list(values)
-        if not values:
-            return self._take_framed()
-        shard = self._shard_cache.get(key)
-        if shard is None:
-            shard = self._admit(key)
-        traced = trace is not None or self._traces is not None
-        if traced:
-            self._trace_columns()
-        total = len(values)
-        start = 0
-        while start < total:
-            positions = self._positions[shard]
-            take = min(self.batch_size - len(positions), total - start)
-            last = self.position = self.position + take
-            positions.extend(range(last - take + 1, last + 1))
-            self._keys[shard].extend([key] * take)
-            self._values[shard] = _extend_values(
-                self._values[shard], values[start : start + take]
-            )
-            if traced:
-                self._traces[shard].extend([trace] * take)
-            start += take
-            if len(positions) >= self.batch_size:
-                self._frame_round()
-        return self._take_framed()
 
     def flush(self) -> List[Batch]:
         """Frame every shard's buffer into batches (one flush round).

@@ -50,7 +50,6 @@ from repro.metrics import Summary, ThroughputResult, maybe_summary
 from repro.service.merge import EventTimeMerger, GlobalMerger, PerKeyCollator
 from repro.service.partition import Router
 from repro.service.shard import SHARD_MODES, ShardConfig
-from repro.service.slices import SliceClock
 from repro.service.supervisor import (
     DEFAULT_RING_CAPACITY,
     InlineTransport,
@@ -520,21 +519,6 @@ class AggregationService:
         before it ingested and none after it consumed.
         """
         self._ingest(self._router.put_many, trace_id, records)
-
-    def submit_column(
-        self,
-        key: Any,
-        values: Sequence[Any],
-        trace_id: Optional[int] = None,
-    ) -> None:
-        """Ingest a column of values for one key (bulk fast path).
-
-        Equivalent to ``submit(key, v)`` per value but pays the shard
-        lookup once and frames the column straight into per-shard
-        buffers; the network layer's ``SUBMIT_COLUMN`` request lands
-        here.
-        """
-        self._ingest(self._router.put_column, trace_id, key, values)
 
     def _ingest(self, route, trace_id: Optional[int], *args) -> None:
         """The one count-mode ingest body: route, ship, note the trace."""

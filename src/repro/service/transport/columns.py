@@ -70,22 +70,7 @@ def encode_values(values: Sequence[Any]) -> Optional[Tuple[bytes, bool]]:
     batch must take its envelope's fallback.  The ``type`` check is
     deliberately exact — ``bool`` and int subclasses would change
     type through an i64 column.
-
-    Already-typed columns (``array('q')``/``array('d')``, plus the 1-D
-    typed memoryviews a decoded columnar batch carries) skip the scan
-    entirely: the container proves the element type, so the column is
-    just its bytes.
     """
-    if type(values) is array:
-        if values.typecode == "q":
-            return values.tobytes(), False
-        if values.typecode == "d":
-            return values.tobytes(), True
-    elif type(values) is memoryview and values.ndim == 1:
-        if values.format == "q":
-            return bytes(values), False
-        if values.format == "d":
-            return bytes(values), True
     kinds = set(map(type, values))
     if not kinds:
         # Empty batches (watermark carriers) are trivially columnar.
@@ -102,15 +87,10 @@ def encode_values(values: Sequence[Any]) -> Optional[Tuple[bytes, bool]]:
 
 def column_bytes(column: Sequence[Any], typecode: str) -> bytes:
     """A position (``"q"``) or timestamp (``"d"``) column as raw
-    native-order bytes — a buffer copy when it is already typed."""
+    native-order bytes — a buffer copy for the router's typed
+    ``array`` columns."""
     if type(column) is array and column.typecode == typecode:
         return column.tobytes()
-    if (
-        type(column) is memoryview
-        and column.ndim == 1
-        and column.format == typecode
-    ):
-        return bytes(column)
     return array(typecode, column).tobytes()
 
 

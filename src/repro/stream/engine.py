@@ -12,14 +12,15 @@ pipelines:
   the no-sharing baseline of the sharing ablation bench.
 * **Cutty** — single-query Cutty slicing: partials start only at
   window starts and the answer combines the completed partials with
-  the running open partial (Section 2.1, Figure 3).
+  the running open partial (Section 2.1, Figure 3), executed by the
+  punctuation-driven pipeline of :mod:`repro.stream.punctuation`.
 """
 
 from __future__ import annotations
 
 from itertools import islice
 from time import perf_counter as _perf_counter
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.multiquery import SharedSlickDeque
 from repro.kernels import as_sequence
@@ -27,6 +28,7 @@ from repro.errors import PlanError
 from repro.operators.base import AggregateOperator
 from repro.operators.views import partial_view, raw_view
 from repro.registry import get_algorithm
+from repro.stream.punctuation import PunctuatedCuttyPipeline, Punctuation
 from repro.stream.sink import Sink
 from repro.telemetry import runtime as _telemetry_runtime
 from repro.windows.partial import PartialAggregator
@@ -334,9 +336,11 @@ class CuttyPipeline:
     Partials begin only at window starts; at reporting positions the
     final aggregation "execute[s] in the middle of the partial
     aggregation calculation by accessing the current value in the
-    partial".  The inner aggregator holds the ``⌊r/s⌋`` completed
-    partials of the current window; the answer combines its raw window
-    aggregate with the open partial's running value.
+    partial".  The execution is a
+    :class:`~repro.stream.punctuation.PunctuatedCuttyPipeline`; this
+    pipeline is its optimizer side, feeding it each value and, after
+    every window start, the :class:`~repro.stream.punctuation.Punctuation`
+    that :func:`~repro.stream.punctuation.punctuate` would emit there.
     """
 
     def __init__(
@@ -347,46 +351,25 @@ class CuttyPipeline:
     ):
         self.query = query
         self.operator = operator
-        self._raw = raw_view(operator)
-        self._completed_per_window = query.range_size // query.slide
-        spec = get_algorithm(algorithm)
-        if self._completed_per_window > 0:
-            self._final = spec.single(
-                partial_view(operator), self._completed_per_window
-            )
-        else:
-            self._final = None
-        self._open = self._raw.identity
-        self._position = 0
+        self._execution = PunctuatedCuttyPipeline(query, operator, algorithm)
         # Edge phase: partial boundaries fall after positions ≡ -r (mod s).
         self._edge_phase = (-query.range_size) % query.slide
-        #: Punctuations consumed (edges signalled on the stream).
-        self.punctuations = 0
+
+    @property
+    def punctuations(self) -> int:
+        """Punctuations consumed (edges signalled on the stream)."""
+        return self._execution.punctuations
 
     def feed(self, value: Any) -> Optional[Tuple[int, Any]]:
         """Consume one tuple; return ``(position, answer)`` when due."""
-        self._position += 1
-        self._open = self._raw.combine(self._open, self._raw.lift(value))
-        if self._position % self.query.slide == self._edge_phase:
-            # A punctuation marks the beginning of a new window's
-            # partial (the Cutty cost discussed in Section 2.1).
-            self.punctuations += 1
-            if self._final is not None:
-                self._final.push(self._open)
-            self._open = self._raw.identity
-        if self._position % self.query.slide == 0:
-            if self._final is not None:
-                agg = self._raw.combine(self._final.query(), self._open)
-            else:
-                agg = self._open
-            return (self._position, self.operator.lower(agg))
-        return None
+        execution = self._execution
+        answer = execution.feed(value)
+        position = execution._position
+        if position % self.query.slide == self._edge_phase:
+            execution.feed(Punctuation(position))
+        return answer
 
     def run(self, values: Iterable[Any]) -> List[Tuple[int, Any]]:
         """Consume a stream, returning every emitted answer."""
-        answers = []
-        for value in values:
-            produced = self.feed(value)
-            if produced is not None:
-                answers.append(produced)
-        return answers
+        answers = map(self.feed, values)
+        return [answer for answer in answers if answer is not None]

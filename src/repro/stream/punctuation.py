@@ -85,10 +85,11 @@ def bandwidth_overhead(
 class PunctuatedCuttyPipeline:
     """Cutty execution driven purely by stream punctuations.
 
-    Unlike :class:`~repro.stream.engine.CuttyPipeline` (which computes
-    edge phases locally), this pipeline closes a partial exactly when
-    a :class:`Punctuation` arrives — the division of labour the paper
-    describes between the optimizer and the execution module.
+    The pipeline closes a partial exactly when a :class:`Punctuation`
+    arrives and owns no window arithmetic — the division of labour the
+    paper describes between the optimizer and the execution module.
+    :class:`~repro.stream.engine.CuttyPipeline` is the same execution
+    with the punctuations computed locally.
     """
 
     def __init__(

@@ -134,22 +134,6 @@ def test_mixed_numeric_batches_fall_back_and_match():
     assert shm.answers == pickled.answers
 
 
-@needs_shm
-def test_submit_column_matches_submit_many():
-    values = [(i * 37 + 5) % 211 - 105 for i in range(200)]
-    columnar = AggregationService(
-        QUERIES, get_operator("sum"), num_shards=2, batch_size=16,
-        transport="process", data_plane="shm",
-    )
-    columnar.submit_column("k", values)
-    rowwise = AggregationService(
-        QUERIES, get_operator("sum"), num_shards=2, batch_size=16,
-        transport="process", data_plane="shm",
-    )
-    rowwise.submit_many([("k", v) for v in values])
-    assert columnar.close().answers == rowwise.close().answers
-
-
 def test_explicit_shm_errors_when_unsupported(monkeypatch):
     monkeypatch.setattr(
         "repro.service.transport.shm_supported", lambda: False

@@ -243,7 +243,7 @@ shape_cases = {
         st.tuples(keys, scalars), max_size=8
     ).map(lambda rows: ((rows,), (rows,))),
     FrameType.SUBMIT_COLUMN: st.tuples(keys, columns).map(
-        lambda kc: (kc, kc)
+        lambda kc: (kc, ([(kc[0], value) for value in kc[1]],))
     ),
     FrameType.SUBMIT_EVENT: st.tuples(keys, scalars, timestamps).map(
         lambda kvt: (kvt, (kvt[0], kvt[1], float(kvt[2])))
@@ -287,16 +287,11 @@ def test_submit_build_parse_round_trip(frame_type, data, trace_id):
     frame = _over_the_wire(request, trace_id)
     assert frame.frame_type is frame_type and frame.trace_id == trace_id
     args, count = shape.parse(frame.payload, frame.event_time)
-    if frame_type is FrameType.SUBMIT_COLUMN:
-        # Packed columns come back as typed views: compare by value.
-        key, column = args
-        assert (key, list(column)) == expected
-        assert count == len(expected[1])
-    else:
-        assert args == expected
-        assert count == (
-            len(expected[0]) if "BATCH" in frame_type.name else 1
-        )
+    assert args == expected
+    assert count == (
+        1 if frame_type in (FrameType.SUBMIT, FrameType.SUBMIT_EVENT)
+        else len(expected[0])
+    )
 
 
 def _gateway(timed: bool) -> ServiceGateway:

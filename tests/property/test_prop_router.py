@@ -2,63 +2,54 @@
 
 ``Router.put_many`` must release exactly the batches that per-record
 ``Router.put`` releases for the same records — same shard, sequence
-number, watermark, positions, keys, values *and value container type*,
-traces — at the same points of the stream, however the stream is cut
-into calls.  The sweep covers what can make the two diverge: shard
-count and batch size (where flush rounds fall), key skew (how unevenly
-buffers fill), call sizes, values that demote a typed buffer (``bool``,
-ints outside i64, floats on an i64 column), a trace id first appearing
-mid-stream (trace columns materialise with a backfill), and typed
-``put_column`` calls interleaved on both sides (typed buffers to land
-on).
+number, watermark, positions, keys, values (types included), traces —
+at the same points of the stream, however the stream is cut into
+calls.  The sweep covers what can make the two diverge: shard count and
+batch size (where flush rounds fall), key skew (how unevenly buffers
+fill), call sizes, values of every kind (``bool``, ints outside i64,
+floats), and a trace id first appearing mid-stream (trace columns
+materialise with a backfill).
+
+Every wire shape lands in that one loop.  A ``SUBMIT_COLUMN`` frame —
+one key, a packed int64/float64 column or a tagged object column —
+taken through its parse half, :class:`ServiceGateway` and an inline
+:class:`AggregationService` must frame the same batches and release the
+same answers as the same records sent as ``SUBMIT_BATCH`` rows.
 """
 
 from __future__ import annotations
 
-from array import array
-
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import AggregationService, Query, get_operator
+from repro.net.protocol import (
+    SUBMIT_SHAPES,
+    FrameType,
+    build_submit_batch,
+    build_submit_column,
+    encode_frame,
+    try_decode_frame_traced,
+)
+from repro.service.gateway import ServiceGateway
 from repro.service.partition import Router
 from repro.service.slices import SliceClock
 from repro.windows.plan import build_shared_plan
-from repro.windows.query import Query
 
 PLAN = build_shared_plan((Query(8, 4), Query(6, 2)), "pairs")
 
 #: Skewed key draw: squaring a uniform index piles mass on ``k0``.
 KEYS = st.integers(0, 5).map(lambda index: f"k{index * index // 5}")
 SMALL_INTS = st.integers(-1000, 1000)
-#: Mostly plain ints (listed twice), so typed buffers survive long
-#: enough for the demoting kinds to land on one.
-VALUES = st.one_of(
-    SMALL_INTS,
-    SMALL_INTS,
-    st.booleans(),
-    st.integers(1 << 63, 1 << 70),
-    st.floats(allow_nan=False),
-)
+I64 = st.integers(-(1 << 63), (1 << 63) - 1)
+FLOATS = st.floats(allow_nan=False)
+BIGINTS = st.integers(1 << 63, 1 << 70)
+VALUES = st.one_of(SMALL_INTS, SMALL_INTS, st.booleans(), BIGINTS, FLOATS)
 #: ``None`` several times over: most calls are untraced, and the first
 #: traced one usually arrives with records already buffered.
 TRACES = st.sampled_from([None, None, None, 7, 8])
-COLUMNS = st.one_of(
-    st.lists(st.integers(-(1 << 63), (1 << 63) - 1), max_size=12).map(
-        lambda values: array("q", values)
-    ),
-    st.lists(st.floats(allow_nan=False), max_size=12).map(
-        lambda values: array("d", values)
-    ),
-)
 CALLS = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("many"),
-            st.lists(st.tuples(KEYS, VALUES), max_size=20),
-            TRACES,
-        ),
-        st.tuples(st.just("column"), KEYS, COLUMNS, TRACES),
-    ),
+    st.tuples(st.lists(st.tuples(KEYS, VALUES), max_size=20), TRACES),
     max_size=12,
 )
 
@@ -74,7 +65,6 @@ def _frames(batches):
             list(batch.positions),
             batch.keys,
             type(batch.values),
-            getattr(batch.values, "typecode", None),
             [(type(value), value) for value in batch.values],
             batch.traces,
         )
@@ -97,19 +87,137 @@ def test_put_many_frames_exactly_what_per_record_put_frames(
         return Router(num_shards, batch_size, clock)
 
     bulk, single = router(), router()
-    for call in calls:
-        if call[0] == "column":
-            _, key, column, trace = call
-            released = bulk.put_column(key, column, trace)
-            expected = single.put_column(key, column, trace)
-        else:
-            _, records, trace = call
-            released = bulk.put_many(records, trace)
-            expected = []
-            for key, value in records:
-                expected.extend(single.put(key, value, trace))
+    for records, trace in calls:
+        released = bulk.put_many(records, trace)
+        expected = []
+        for key, value in records:
+            expected.extend(single.put(key, value, trace))
         assert _frames(released) == _frames(expected)
+        assert all(type(batch.values) is list for batch in released)
         assert bulk.position == single.position
     assert _frames(bulk.flush()) == _frames(single.flush())
     assert bulk.flush_rounds == single.flush_rounds
     assert bulk.seen_keys == single.seen_keys
+
+
+# -- SUBMIT_COLUMN rides the row path ---------------------------------
+
+#: One key's column: packed int64 / float64 (infinities included), or
+#: tagged object columns (bools, ints outside i64, mixed kinds) — and
+#: empty.
+COLUMNS = st.one_of(
+    st.lists(I64, max_size=12),
+    st.lists(FLOATS, max_size=12),
+    st.lists(st.booleans(), max_size=6),
+    st.lists(st.one_of(BIGINTS, SMALL_INTS), max_size=6),
+    st.lists(st.one_of(SMALL_INTS, FLOATS, st.booleans()), max_size=6),
+)
+WIRE_CALLS = st.lists(
+    st.one_of(
+        st.tuples(st.just("column"), KEYS, COLUMNS, TRACES),
+        st.tuples(
+            st.just("batch"),
+            st.lists(st.tuples(KEYS, VALUES), max_size=12),
+            TRACES,
+        ),
+    ),
+    max_size=10,
+)
+
+
+def _request(call):
+    """The call's ``(frame type, payload)`` as a client sends it, and
+    as ``SUBMIT_BATCH`` rows; an empty column, which a client never
+    sends, as the packed empty body another peer may."""
+    if call[0] == "batch":
+        _, records, trace = call
+        batch = build_submit_batch(records)[:2]
+        return batch, batch, trace
+    _, key, column, trace = call
+    request = build_submit_column(key, column)
+    as_column = (
+        request[:2] if request else (FrameType.SUBMIT_COLUMN, (key, "q", b""))
+    )
+    rows = build_submit_batch([(key, value) for value in column])[:2]
+    return as_column, rows, trace
+
+
+class _Served:
+    """An inline service behind a gateway that logs every framed batch."""
+
+    def __init__(self, num_shards, batch_size):
+        service = AggregationService(
+            [Query(4, 2), Query(6, 3)],
+            get_operator("sum"),
+            num_shards=num_shards,
+            batch_size=batch_size,
+            transport="inline",
+        )
+        self.shipped = []
+        ship = service._transport.ship
+
+        def logged(batch):
+            self.shipped.append(
+                (
+                    batch.shard,
+                    batch.seq,
+                    batch.watermark,
+                    list(batch.positions),
+                    repr(batch.keys),
+                    type(batch.values),
+                    repr(list(batch.values)),
+                    batch.traces,
+                )
+            )
+            ship(batch)
+
+        service._transport.ship = logged
+        self.gateway = ServiceGateway(service)
+
+    def send(self, frame_type, payload, trace):
+        """Socket bytes -> decode -> parse half -> the row's verb."""
+        frame, _ = try_decode_frame_traced(
+            encode_frame(frame_type, payload, trace)
+        )
+        shape = SUBMIT_SHAPES[frame.frame_type]
+        args, count = shape.parse(frame.payload, frame.event_time)
+        assert getattr(self.gateway, shape.verb)(*args, frame.trace_id) == count
+        return count, repr(self.gateway.poll_traced())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    num_shards=st.integers(1, 3),
+    batch_size=st.integers(1, 7),
+    calls=WIRE_CALLS,
+)
+#: A packed float64 column holding both infinities (a running sum
+#: turns to nan), next to rows carrying one.
+@example(
+    num_shards=2,
+    batch_size=3,
+    calls=[
+        ("column", "k0", [float("inf"), 1.5, float("-inf"), 2.0], None),
+        ("batch", [("k1", float("inf")), ("k0", 3)], 7),
+        ("column", "k1", [float("-inf")], 8),
+    ],
+)
+def test_submit_column_frames_and_answers_like_its_rows(
+    num_shards, batch_size, calls
+):
+    columns, rows = _Served(num_shards, batch_size), _Served(
+        num_shards, batch_size
+    )
+    try:
+        for call in calls:
+            as_column, as_rows, trace = _request(call)
+            assert columns.send(*as_column, trace) == rows.send(*as_rows, trace)
+            assert columns.shipped == rows.shipped
+        assert all(logged[5] is list for logged in columns.shipped)
+        assert repr(columns.gateway.close().answers) == repr(
+            rows.gateway.close().answers
+        )
+        assert columns.shipped == rows.shipped
+    finally:
+        columns.gateway.abort()
+        rows.gateway.abort()

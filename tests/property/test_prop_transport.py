@@ -23,7 +23,6 @@ semantics rather than just container equality.
 from __future__ import annotations
 
 import pickle
-from array import array as _array_module
 
 import pytest
 from hypothesis import given, settings
@@ -146,38 +145,6 @@ def test_capability_check_accepts_exactly_uniform_numeric(values):
         assert len(body) == 8 * len(values)
     else:
         assert encoded is None
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    values=st.lists(
-        st.one_of(
-            st.integers(min_value=_I64_MIN, max_value=_I64_MAX),
-            st.floats(allow_nan=False),
-        ),
-        min_size=1,
-        max_size=40,
-    ),
-    use_memoryview=st.booleans(),
-)
-def test_typed_columns_encode_identically_to_boxed_lists(
-    values, use_memoryview
-):
-    """The router's typed buffers are a pure fast path: an ``array``
-    (or memoryview of one) must produce byte-identical frame bodies to
-    the equivalent boxed list, for both value kinds."""
-    kinds = set(map(type, values))
-    if kinds == {int}:
-        column = _array_module("q", values)
-    elif kinds == {float}:
-        column = _array_module("d", values)
-    else:
-        return  # mixed draws have no typed representation
-    typed_input = memoryview(column) if use_memoryview else column
-    typed = encode_values(typed_input)
-    boxed = encode_values(list(values))
-    assert typed is not None and boxed is not None
-    assert typed == boxed
 
 
 @settings(max_examples=60, deadline=None)

@@ -412,12 +412,15 @@ class TestSubmitTable:
             1,
         )
 
-    def test_packed_column_parses_to_a_typed_view(self):
-        (key, column), count = parse(
-            FrameType.SUBMIT_COLUMN, ("k", "q", (7).to_bytes(8, "little"))
-        )
-        assert key == "k" and count == 1
-        assert column.format == "q" and list(column) == [7]
+    def test_packed_column_parses_to_rows_of_its_key(self):
+        assert SUBMIT_SHAPES[FrameType.SUBMIT_COLUMN].verb == "submit_many"
+        packed = struct.pack("<2d", 0.5, -0.0)
+        parsed = parse(FrameType.SUBMIT_COLUMN, ("k", "d", packed))
+        assert repr(parsed) == repr((([("k", 0.5), ("k", -0.0)],), 2))
+        (rows,), count = parse(FrameType.SUBMIT_COLUMN, ("k", "o", [True, 7]))
+        assert rows == [("k", True), ("k", 7)] and count == 2
+        assert type(rows[0][1]) is bool
+        assert parse(FrameType.SUBMIT_COLUMN, ("k", "q", b"")) == (([],), 0)
 
     @pytest.mark.parametrize(
         "frame_type, payload, event_time, message",

@@ -3,8 +3,6 @@ load-shedding helpers, and the cross-shard merge capability check."""
 
 from __future__ import annotations
 
-from array import array
-
 import pytest
 
 from repro.errors import MergeCapabilityError, ServiceError
@@ -19,7 +17,6 @@ from repro.service.partition import (
     shard_of,
     stable_hash,
     thin_batch,
-    typed_column,
 )
 from repro.service.shard import ShardConfig
 from repro.service.slices import SliceClock
@@ -115,90 +112,6 @@ def test_router_rejects_bad_configuration():
         Router(num_shards=0, batch_size=4)
     with pytest.raises(ServiceError):
         Router(num_shards=2, batch_size=0)
-
-
-# -- typed value columns --------------------------------------------
-
-
-def test_typed_column_accepts_arrays_and_i64_f64_memoryviews():
-    ints = array("q", [1, -2, 3])
-    floats = array("d", [0.5, -1.25])
-    assert typed_column(ints) is ints
-    assert typed_column(floats) is floats
-    assert typed_column(memoryview(ints)) == ints
-    assert typed_column(memoryview(floats)) == floats
-
-
-def test_typed_column_rejects_plain_sequences_and_narrow_buffers():
-    assert typed_column([1, 2, 3]) is None
-    assert typed_column((1.0, 2.0)) is None
-    assert typed_column(range(4)) is None
-    assert typed_column(b"\x00" * 16) is None
-    assert typed_column("abcdefgh") is None
-    assert typed_column(array("i", [1, 2])) is None  # 32-bit: not i64
-    assert typed_column(array("B", b"\x00" * 8)) is None
-
-
-def test_put_column_keeps_typed_buffers_typed_through_framing():
-    router = Router(num_shards=2, batch_size=4, clock=_clock())
-    batches = router.put_column("k", array("q", range(8)))
-    batches.extend(router.flush())
-    data = [b for b in batches if len(b)]
-    assert data
-    for batch in data:
-        assert type(batch.values) is array and batch.values.typecode == "q"
-        assert type(batch.positions) is array
-        assert batch.positions.typecode == "q"
-    assert [v for b in data for v in b.values] == list(range(8))
-
-
-def test_put_column_typed_path_matches_per_record_puts():
-    values = [(-1) ** i * i * 7 for i in range(23)]
-    typed = Router(num_shards=3, batch_size=4, clock=_clock())
-    boxed = Router(num_shards=3, batch_size=4, clock=_clock())
-    shipped_typed = typed.put_column("sensor", array("q", values))
-    shipped_typed.extend(typed.flush())
-    shipped_boxed = []
-    for value in values:
-        shipped_boxed.extend(boxed.put("sensor", value))
-    shipped_boxed.extend(boxed.flush())
-    assert len(shipped_typed) == len(shipped_boxed)
-    for a, b in zip(shipped_typed, shipped_boxed):
-        assert (a.shard, a.seq, a.watermark) == (b.shard, b.seq, b.watermark)
-        assert list(a.positions) == list(b.positions)
-        assert a.keys == b.keys
-        assert list(a.values) == list(b.values)
-
-
-def test_bool_append_demotes_typed_buffer_exactly():
-    # A bool is an int subclass; letting it through an i64 buffer would
-    # silently re-type it, so the buffer demotes to a list instead.
-    router = Router(num_shards=1, batch_size=64, clock=_clock())
-    router.put_column("k", array("q", [1, 2, 3]))
-    router.put("k", True)
-    [batch] = router.flush()
-    assert type(batch.values) is list
-    assert batch.values == [1, 2, 3, True]
-    assert type(batch.values[3]) is bool
-
-
-def test_out_of_range_int_demotes_typed_buffer_exactly():
-    router = Router(num_shards=1, batch_size=64, clock=_clock())
-    router.put_column("k", array("q", [5]))
-    router.put("k", 2**70)
-    [batch] = router.flush()
-    assert type(batch.values) is list
-    assert batch.values == [5, 2**70]
-
-
-def test_mixed_typecode_columns_demote_to_exact_list():
-    router = Router(num_shards=1, batch_size=64, clock=_clock())
-    router.put_column("k", array("q", [1, 2]))
-    router.put_column("k", array("d", [0.5]))
-    [batch] = router.flush()
-    assert type(batch.values) is list
-    assert batch.values == [1, 2, 0.5]
-    assert [type(v) for v in batch.values] == [int, int, float]
 
 
 # -- the routing core: partial-batch failures ------------------------
@@ -306,6 +219,24 @@ def test_event_time_router_takes_put_event_and_nothing_else():
     with pytest.raises(TypeError):
         timed.put_event("k", 2, "noon")
     assert timed.position == 1 and timed.flush() == []
+
+
+def test_event_time_router_refuses_rows_before_touching_anything():
+    timed = Router(2, 4, event_time=True)
+    timed.put_event("k", 1, 0.5)
+    for refused in (
+        lambda: timed.put("j", 2),
+        lambda: timed.put("j", 2, trace=9),
+        lambda: timed.put_many([("j", 2), ("k", 3)]),
+        lambda: timed.put_many(iter([("j", 2)]), trace=9),
+    ):
+        with pytest.raises(ServiceError, match="event-time"):
+            refused()
+    assert timed.position == 1
+    assert all("j" not in seen for seen in timed.seen_keys)
+    [batch] = [b for b in timed.flush() if len(b)]
+    assert (list(batch.positions), batch.keys, batch.values) == ([1], ["k"], [1])
+    assert list(batch.timestamps) == [0.5] and batch.traces is None
 
 
 # -- load-shedding helpers ------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.errors import PlanError
@@ -164,3 +166,21 @@ class TestCuttyPipeline:
             for t, _, a in brute_answers([query], "sum", self.STREAM)
         ]
         assert got == expected
+
+
+@pytest.mark.parametrize(
+    "range_size,slide", [(4, 4), (6, 2), (9, 3), (7, 3), (3, 5)]
+)
+def test_cutty_float_sum_matches_brute_force(range_size, slide):
+    # When r % s == 0 the answer is (r/s - 1) closed partials combined
+    # with the open one, not r/s closed partials: the grouping differs
+    # from the oracle's left fold, so floats agree to rounding.
+    rng = random.Random(83)
+    stream = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-3, 3)
+              for _ in range(300)]
+    query = Query(range_size, slide)
+    got = CuttyPipeline(query, get_operator("sum")).run(stream)
+    expected = brute_answers([query], "sum", stream)
+    assert [t for t, _ in got] == [t for t, _, _ in expected]
+    for (_, answer), (_, _, oracle) in zip(got, expected):
+        assert answer == pytest.approx(oracle, rel=1e-9, abs=1e-9)

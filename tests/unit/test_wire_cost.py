@@ -11,7 +11,8 @@ server does between the socket and the router's loop — decode
 ``Router._route`` (the one per-record loop, gated by the pipeline
 benchmark's ``service.partition.route`` rung, whose first-seen
 ``_admit`` and per-round ``_frame_round`` calls depend on the stream,
-not on the wire).
+not on the wire).  A 256-value packed ``SUBMIT_COLUMN`` frame is held
+to the same ceiling: its parse half hands ``submit_many`` the same rows.
 
 With the tagged body the decoder alone makes more than four calls per
 tuple (``_decode_at`` and ``_need`` per row, key and value); with record
@@ -32,6 +33,7 @@ from repro.net.protocol import (
     SUBMIT_SHAPES,
     FrameType,
     RecordColumns,
+    build_submit_column,
     encode_frame,
     try_decode_frame_traced,
 )
@@ -62,7 +64,6 @@ def calls_outside_the_router(frame: bytes) -> int:
     # Shard folds and merges are the service's cost, not the wire's.
     service._transport.ship = shipped.append
     gateway = ServiceGateway(service)
-    shape = SUBMIT_SHAPES[FrameType.SUBMIT_BATCH]
     calls = 0
     routing = 0  # depth inside Router._route
 
@@ -81,6 +82,7 @@ def calls_outside_the_router(frame: bytes) -> int:
     sys.setprofile(count)
     try:
         decoded, _ = try_decode_frame_traced(frame)
+        shape = SUBMIT_SHAPES[decoded.frame_type]
         args, count_ = shape.parse(decoded.payload, decoded.event_time)
         accepted = getattr(gateway, shape.verb)(*args, decoded.trace_id)
     finally:
@@ -101,6 +103,16 @@ def test_columnar_frame_makes_no_per_record_python_call():
     frame = encode_frame(FrameType.SUBMIT_BATCH, rows(), trace_id=3)
     decoded, _ = try_decode_frame_traced(frame)
     assert type(decoded.payload) is RecordColumns
+    assert calls_outside_the_router(frame) <= CEILING * ROWS
+
+
+def test_packed_column_frame_makes_no_per_record_python_call():
+    # SUBMIT_COLUMN rides the same row path: its parse half pairs the
+    # packed column with its key in one C-level pass.
+    column = [value for _, value in rows()]
+    request = build_submit_column("key-0", column)
+    assert request[1][1] == "q"
+    frame = encode_frame(*request[:2], trace_id=3)
     assert calls_outside_the_router(frame) <= CEILING * ROWS
 
 
