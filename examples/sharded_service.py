@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Scaling out: the sharded multi-process aggregation service.
 
-Keyed sensor readings are hash-partitioned across four worker
-processes, each running the shard-local half of a shared SlickDeque
-pipeline; a cross-shard merger recombines slice partials into answers
-identical to a single-process run.  Midway through the stream one
+Keyed sensor readings are cut into contiguous frames dealt
+round-robin across four worker processes, each running the
+shard-local half of a shared SlickDeque pipeline; a cross-shard
+merger recombines slice partials into answers identical to a
+single-process run.  Midway through the stream one
 worker is killed with SIGKILL — the supervisor restores it from its
 checkpoint, replays the in-flight batches, and the final answers still
 match the single-process reference exactly.

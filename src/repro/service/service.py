@@ -1,8 +1,9 @@
 """The sharded aggregation service facade.
 
 :class:`AggregationService` glues the subsystem together: a
-:class:`~repro.service.partition.Router` frames keyed records into
-micro-batches, a transport (process-backed
+:class:`~repro.service.partition.Router` frames records into
+micro-batches (contiguous frames dealt round-robin in global and time
+mode, hash-partitioned by key in per-key mode), a transport (process-backed
 :class:`~repro.service.supervisor.Supervisor` or in-process
 :class:`~repro.service.supervisor.InlineTransport`) runs the shard
 pipelines, and a merge layer turns shard outputs into answers —
@@ -32,8 +33,9 @@ poison records are quarantined to the service's
 :class:`~repro.stream.sink.DeadLetterSink`; crashed workers are
 restored from CRC-verified checkpoints within a per-shard restart
 budget; a shard that exhausts the budget is reported in
-``stats.failed_shards`` with its keys in ``stats.degraded_keys``,
-and the rest of the service keeps answering.
+``stats.failed_shards``, the records it had not acknowledged are
+dead-lettered with their keys in ``stats.degraded_keys``, and the rest
+of the service keeps answering.
 """
 
 from __future__ import annotations
@@ -110,8 +112,9 @@ class ServiceStats:
     dead_letters: int = 0
     #: Shards that exhausted their restart budget, ascending.
     failed_shards: Tuple[int, ...] = ()
-    #: Keys whose answers are degraded/stale: every key routed to a
-    #: failed shard, plus per-key-mode keys poisoned mid-stream.
+    #: Keys whose answers are degraded/stale: the keys of the records
+    #: a failed shard had not acknowledged (per-key mode: every key
+    #: routed to it), plus per-key-mode keys poisoned mid-stream.
     degraded_keys: Tuple[Any, ...] = ()
     #: Data-plane accounting (plane name, columnar/pickled/spilled
     #: frame counts, encode/ring-wait/decode seconds); ``None`` only
@@ -166,7 +169,9 @@ class AggregationService:
         technique: Partial-aggregation technique (``panes``/``pairs``).
         mode: ``"global"`` for merged whole-stream answers,
             ``"per_key"`` for independent per-key windows.
-        batch_size: Records per shard buffered before a flush round.
+        batch_size: Records per frame in global and ``"time"`` mode;
+            records per shard buffered before a flush round in per-key
+            mode.
         queue_capacity: Inbound queue bound per shard, in batches.
         backpressure: ``"block"`` (lossless), ``"drop"`` or
             ``"sample"`` (load shedding with exact drop counts).
@@ -276,15 +281,11 @@ class AggregationService:
         self._ingress: Optional[TimestampReorderBuffer] = None
         self._late_policy = late_policy
         self._late_seq = 0
-        self._late_by_shard = [0] * num_shards
-        clock = None
-        event_time = False
         slice_seconds = 0.0
         if mode == "global":
             self._merger = GlobalMerger(
                 self.queries, operator, technique, num_shards
             )
-            clock = self._merger.clock
         elif mode == "time":
             for query in self.queries:
                 if not isinstance(query, TimeQuery):
@@ -301,7 +302,6 @@ class AggregationService:
                 resolution=resolution,
             )
             slice_seconds = self._merger.slice_seconds
-            event_time = True
             # The ingress reorder buffer releases records in timestamp
             # order; ``drop`` diverts late records to the dead-letter
             # sink, ``side_output`` only counts them, and ``raise``
@@ -319,7 +319,9 @@ class AggregationService:
         self.origin = origin
         self.slice_seconds = slice_seconds
         self._router = Router(
-            num_shards, batch_size, clock, event_time=event_time
+            num_shards,
+            batch_size,
+            None if self._merger is None else self._merger.clock,
         )
         configs = [
             ShardConfig(
@@ -339,7 +341,9 @@ class AggregationService:
             for shard in range(num_shards)
         ]
         self._failed_shards: Dict[int, str] = {}
-        self._degraded_keys: List[Any] = []
+        # Degraded keys by ``repr``: marked in order, each once, and an
+        # unhashable key (global mode never hashes one) is fine.
+        self._degraded_keys: Dict[str, Any] = {}
         self._letter_positions: set = set()
         if transport == "process":
             self._transport: Any = Supervisor(
@@ -379,7 +383,7 @@ class AggregationService:
         self._transport_hists: Dict[str, Any] = {}
         self._ring_gauges: List[Any] = []
         self._watermark_gauges: List[Any] = []
-        self._late_counters: List[Any] = []
+        self._late_counter: Optional[Any] = None
         # (first_position, last_position, trace_id) per traced submit
         # call, consumed ascending as answers pass their positions.
         self._trace_intervals: deque = deque()
@@ -452,14 +456,10 @@ class AggregationService:
                 )
                 for shard in range(self.num_shards)
             ]
-            self._late_counters = [
-                registry.counter(
-                    "repro_late_records_total",
-                    "Event-time records rejected behind the watermark",
-                    labels={"shard": str(shard)},
-                )
-                for shard in range(self.num_shards)
-            ]
+            self._late_counter = registry.counter(
+                "repro_late_records_total",
+                "Event-time records rejected behind the watermark",
+            )
         self._transport.transport_observer = self._observe_transport
 
     def _observe_transport(self, stage: str, seconds: float) -> None:
@@ -512,9 +512,10 @@ class AggregationService:
     ) -> None:
         """Ingest ``(key, value)`` pairs, optionally under one trace.
 
-        One pass of the router's core over the records — a row list
-        or any other iterable of pairs, such as the column view the
-        network layer decodes a batch into.  A record that cannot be
+        A row list or any other iterable of pairs, such as the column
+        view the network layer decodes a batch into.  In global mode
+        the call is all or nothing: a record that is not a pair raises
+        with nothing ingested.  In per-key mode a record that cannot be
         routed (not a pair, unhashable key) raises with every record
         before it ingested and none after it consumed.
         """
@@ -550,13 +551,11 @@ class AggregationService:
     ) -> None:
         """Ingest one event-timestamped record (``"time"`` mode).
 
-        The record enters the bounded-lateness reorder buffer; records
-        the arrival *releases* (their timestamps are final — nothing
-        older can be admitted any more) are routed to their shards in
-        timestamp order, after which the router's slice watermark
-        advances to the slices the event watermark has closed.  A
-        record behind the watermark is handled per the configured late
-        policy (raise / drop / side-output).
+        The record enters the bounded-lateness reorder buffer; the
+        records the arrival *releases* (their timestamps are final —
+        nothing older can be admitted any more) are one splitter call,
+        in timestamp order.  A record behind the watermark is handled
+        per the configured late policy (raise / drop / side-output).
 
         Raises:
             LateRecordError: under the ``"raise"`` policy, when the
@@ -577,30 +576,41 @@ class AggregationService:
             if trace_id is not None and self._telemetry is not None
             else None
         )
-        self._route_released(
-            ingress.push(timestamp, (key, value, trace_id, arrived))
-        )
-        # Advance the slice watermark only after every released record
-        # is routed: a flush racing mid-release then stamps the older
-        # (conservative) watermark, never one promising records that
-        # are still in flight.
-        self._router.watermark.advance(
-            self._merger.clock.slices_closed_by(ingress.watermark)
-        )
+        released: List[Tuple[float, Any]] = []
+        item = (key, value, trace_id, arrived)
+        ingress.push_into(timestamp, item, released)
+        self._split_released(released)
 
-    def _route_released(self, released: Iterable[Tuple[float, Any]]) -> None:
-        """Route records the reorder buffer let go, in timestamp order."""
-        router = self._router
-        for released_ts, (key, value, trace, waited_since) in released:
-            if waited_since is not None:
-                # Attribute the record's reorder-buffer residence to
-                # its trace: the gap between submission and release is
-                # exactly the wait the lateness bound imposes.
-                self._telemetry.tracer.record(
-                    trace, "reorder", time.perf_counter() - waited_since
-                )
-            for batch in router.put_event(key, value, released_ts, trace):
-                self._transport.ship(batch)
+    def _split_released(self, released: List[Tuple[float, Any]]) -> None:
+        """Frame what the reorder buffer let go as one splitter call.
+
+        The slice watermark advances first: the splitter caps what a
+        frame claims by the records it still holds, so the call's
+        carriers already announce the slices this release closed.
+        """
+        advanced = self._router.watermark.advance(
+            self._merger.clock.slices_closed_by(self._ingress.watermark)
+        )
+        if not (released or advanced):
+            return
+        stamps, keys, values, traces, arrivals = list(
+            zip(*((stamp, *item) for stamp, item in released))
+        ) or [()] * 5
+        if self._telemetry is not None:
+            # Attribute each traced record's reorder-buffer residence:
+            # the gap between submission and release is exactly the
+            # wait the lateness bound imposes.
+            now = time.perf_counter()
+            for trace, arrived in zip(traces, arrivals):
+                if arrived is not None:
+                    self._telemetry.tracer.record(
+                        trace, "reorder", now - arrived
+                    )
+        untraced = traces.count(None) == len(traces)
+        for batch in self._router.split(
+            keys, values, None if untraced else traces, stamps
+        ):
+            self._transport.ship(batch)
 
     def submit_events(
         self,
@@ -614,17 +624,15 @@ class AggregationService:
     def _on_late_record(self, timestamp: float, item: Any) -> None:
         """Reorder-buffer callback for a late record (drop/side-output).
 
-        Counts the drop against the record's would-be shard and, under
-        the ``"drop"`` policy, quarantines it to the dead-letter sink
-        with a synthetic (negative) position — late records never
-        receive a stream position, and the unique negative keeps the
+        Counts the drop and, under the ``"drop"`` policy, quarantines
+        it to the dead-letter sink with a synthetic (negative) position
+        and shard ``-1`` — a late record never receives a stream
+        position or reaches a shard, and the unique negative keeps the
         sink's per-position deduplication intact.
         """
         key, value, _trace, _arrived = item
-        shard = self._router.shard_for(key)
-        self._late_by_shard[shard] += 1
-        if self._late_counters:
-            self._late_counters[shard].inc(1)
+        if self._late_counter is not None:
+            self._late_counter.inc(1)
         if self._late_policy == "drop":
             self._late_seq -= 1
             self._quarantine(
@@ -633,7 +641,7 @@ class AggregationService:
                         key=key,
                         value=value,
                         position=self._late_seq,
-                        shard_id=shard,
+                        shard_id=-1,
                         error=(
                             f"LateRecordError: timestamp {timestamp!r} "
                             f"behind watermark "
@@ -647,20 +655,24 @@ class AggregationService:
     # -- failure reporting ------------------------------------------
 
     def _on_shard_failed(self, shard_id: int, reason: str) -> None:
-        """Supervisor callback: record the failure, unwedge the merge."""
+        """Supervisor callback: record the failure, unwedge the merge.
+
+        Global and time mode deal no more frames to the shard; the keys
+        of the records it held are marked degraded as their dead
+        letters arrive.  Per-key mode degrades every key routed to it.
+        """
         self._failed_shards[shard_id] = reason
-        for key in sorted(
-            self._router.seen_keys[shard_id], key=repr
-        ):
-            self._mark_degraded(key)
-        if self._merger is not None:
+        self._router.retire(shard_id)
+        if self._merger is None:
+            for key in sorted(self._router.seen_keys[shard_id], key=repr):
+                self._mark_degraded(key)
+        else:
             released = self._merger.mark_failed(shard_id)
             self._answers.extend(released)
             self._fresh_answers.extend(released)
 
     def _mark_degraded(self, key: Any) -> None:
-        if key not in self._degraded_keys:
-            self._degraded_keys.append(key)
+        self._degraded_keys.setdefault(repr(key), key)
 
     def _quarantine(self, letters: Iterable[DeadLetter]) -> None:
         """Deduplicate (replays re-emit letters) and sink dead letters."""
@@ -673,7 +685,11 @@ class AggregationService:
     # -- answers ----------------------------------------------------
 
     def _absorb(self, outputs) -> None:
-        self._quarantine(self._transport.take_dead_letters())
+        # The transport's letters are the records of failed shards.
+        letters = self._transport.take_dead_letters()
+        self._quarantine(letters)
+        for letter in letters:
+            self._mark_degraded(letter.key)
         telemetry = self._telemetry
         for output in outputs:
             if output.dead_letters:
@@ -813,7 +829,6 @@ class AggregationService:
             "lateness": ingress.lateness,
             "late_policy": self._late_policy,
             "late_records": ingress.late_records,
-            "late_by_shard": list(self._late_by_shard),
             "pending_reorder": len(ingress),
             "slice_seconds": self.slice_seconds,
             "closed_slices": self._router.watermark.value,
@@ -832,7 +847,7 @@ class AggregationService:
             # final — release them in order, then close through the
             # last occupied slice (the event-time analogue of
             # TimeWindowEngine.finish closing its open slice).
-            self._route_released(ingress.drain())
+            self._split_released(list(ingress.drain()))
             if ingress.high != -math.inf:
                 self._router.watermark.advance(
                     self._merger.clock.slice_of(ingress.high) + 1
@@ -851,11 +866,9 @@ class AggregationService:
                 checkpoints=handle.checkpoints,
                 restores=handle.restores,
                 dropped=handle.dropped,
-                stalls=getattr(handle, "stalls", 0),
-                corrupt_checkpoints=getattr(
-                    handle, "corrupt_checkpoints", 0
-                ),
-                failed=getattr(handle, "failed", False),
+                stalls=handle.stalls,
+                corrupt_checkpoints=handle.corrupt_checkpoints,
+                failed=handle.failed,
             )
             for handle in self._transport.handles
         )
@@ -880,7 +893,7 @@ class AggregationService:
             batch_latency=maybe_summary(latencies),
             dead_letters=len(self.dead_letters),
             failed_shards=tuple(sorted(self._failed_shards)),
-            degraded_keys=tuple(self._degraded_keys),
+            degraded_keys=tuple(self._degraded_keys.values()),
             transport=self._transport.transport_stats(),
             late_records=self.late_records,
         )

@@ -1,9 +1,10 @@
 """Shard worker: the per-partition computation and its process loop.
 
-A shard owns the records of the keys hashed to it and runs one of two
-pipelines over them:
+A shard runs one of two pipelines over the records it is sent:
 
-* **global mode** — fold each record into the partial of its slice on
+* **global mode** — the frames dealt to it, each a contiguous run of
+  stream positions whose keys it never sees: fold each record into the
+  partial of its slice on
   the stream's slice timeline (the shard-local half of the engine's
   partial aggregation): the slice of its global position, or — in
   ``"time"`` mode, where records carry event timestamps — of its
@@ -11,9 +12,10 @@ pipelines over them:
   differs.  Completed partials are shipped to the parent, where the
   cross-shard merger recombines them and drives the shared SlickDeque
   final aggregation.
-* **per-key mode** — one full :class:`~repro.stream.engine.StreamEngine`
-  pipeline per key (shared SlickDeque plan each), emitting exact
-  per-key answers for any operator, mergeable or not.
+* **per-key mode** — the records of the keys hashed to it, one full
+  :class:`~repro.stream.engine.StreamEngine` pipeline per key (shared
+  SlickDeque plan each), emitting exact per-key answers for any
+  operator, mergeable or not.
 
 Failure hardening lives at the record level: a value that raises inside
 the operator (a *poison record*) is caught per record, quarantined as a
@@ -343,9 +345,9 @@ class ShardState:
 
         The batch's ordering column — its event ``timestamps`` when it
         carries them, its global ``positions`` otherwise — is ascending
-        (the router ships each shard's records in stream order, the
-        ingress reorder buffer releases event records in timestamp
-        order, and replayed batches are the originals), so the records
+        (a frame is a contiguous run of the stream, the ingress
+        reorder buffer releases event records in timestamp order, and
+        replayed batches are the originals), so the records
         of one slice are one contiguous run and the clock's ``cut``
         finds its end with one bisection instead of a per-record
         ``slice_of`` scan.  The whole batch is cut first, then all its
@@ -403,7 +405,8 @@ class ShardState:
     ) -> int:
         """Replay a batch's runs one ⊕ at a time, quarantining poisons.
 
-        Exactly the poison records are quarantined, by stream position,
+        Exactly the poison records are quarantined, by stream position
+        alone — the batch carries no keys here; the parent names them —
         and the clean ones fold, leaving each accumulator as the
         per-record path would.  An all-poison run must not materialise
         an accumulator entry the per-record path never made.
@@ -412,7 +415,6 @@ class ShardState:
         combine = operator.combine
         lift = operator.lift
         accumulators = self._accumulators
-        keys = batch.keys
         values = batch.values
         positions = batch.positions
         folded = 0
@@ -426,7 +428,7 @@ class ShardState:
                     acc = combine(acc, lift(value))
                 except Exception as error:
                     self._quarantine(
-                        output, keys[offset], value, positions[offset], error
+                        output, None, value, positions[offset], error
                     )
                     continue
                 succeeded = True

@@ -36,9 +36,10 @@ backlog.  Its responsibilities:
 * **Restart budget** — each recovery consumes one unit of
   ``max_restarts`` and is preceded by an exponential backoff.  A shard
   that exhausts the budget becomes **failed**: its worker is torn
-  down for good, records routed to it are shed to the dead-letter
-  queue, and the failure is reported upward (the service marks the
-  shard's keys degraded) instead of being retried forever.
+  down for good, the records it had not acknowledged — and any shipped
+  to it later — are shed to the dead-letter queue, and the failure is
+  reported upward (the service deals it no more frames and marks the
+  shed records' keys degraded) instead of being retried forever.
 
 Fault injection threads through the optional ``injector``
 (:class:`~repro.service.chaos.FaultInjector`): kills after chosen
@@ -55,6 +56,7 @@ from __future__ import annotations
 import multiprocessing
 import queue as queue_module
 import time
+from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import (
@@ -118,6 +120,21 @@ def _context():
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return multiprocessing.get_context()
+
+
+def _name_letters(batch: Batch, output: ShardOutput) -> None:
+    """Fill in the keys of ``output``'s poison letters from ``batch``.
+
+    A global- or time-mode shard never sees keys and names a poison
+    record by position alone; the parent's copy of the batch holds its
+    key at the same offset, so callers get the same letter on every
+    transport.
+    """
+    index = batch.positions.index
+    output.dead_letters = [
+        replace(letter, key=batch.keys[index(letter.position)])
+        for letter in output.dead_letters
+    ]
 
 
 class WorkerHandle:
@@ -499,7 +516,9 @@ class Supervisor:
     def _encode_batch(self, handle: WorkerHandle, batch: Batch) -> bytes:
         """Encode one batch on the handle's channel, with accounting."""
         started = time.perf_counter()
-        frame, columnar = handle.channel.encode_batch(batch)
+        frame, columnar = handle.channel.encode_batch(
+            batch, handle.config.mode == "per_key"
+        )
         elapsed = time.perf_counter() - started
         handle.encode_seconds += elapsed
         if columnar:
@@ -683,6 +702,12 @@ class Supervisor:
             # recovers the worker once the process object reports dead.
             return
         output: ShardOutput = message
+        if output.dead_letters:
+            # Before a checkpoint below trims the batch from retention.
+            for batch in handle.retained:
+                if batch.seq == output.seq:
+                    _name_letters(batch, output)
+                    break
         self._pending_outputs.append(output)
         if output.watermark > handle.watermark:
             handle.watermark = output.watermark
@@ -950,6 +975,8 @@ class InlineTransport:
         started = time.perf_counter()
         output = self._states[batch.shard].process(batch)
         output.busy_seconds = time.perf_counter() - started
+        if output.dead_letters:
+            _name_letters(batch, output)
         handle.acked_seq = output.seq
         if output.watermark > handle.watermark:
             handle.watermark = output.watermark

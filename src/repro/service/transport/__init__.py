@@ -10,11 +10,13 @@ This package replaces that hop with per-shard **SPSC ring buffers**
 backed by :mod:`multiprocessing.shared_memory`:
 
 * :mod:`~repro.service.transport.frame` — the columnar frame codec.
-  A numeric batch is encoded *once* into a flat frame (header +
-  contiguous native ``int64``/``float64`` position and value arrays +
-  a dictionary-encoded key table), CRC32-protected and sequence
-  numbered.  Non-numeric payloads (string values, poison records,
-  arbitrary objects) fall back to a pickled frame on the same ring,
+  A numeric batch is encoded *once* into a flat frame (header + a
+  contiguous native ``int64``/``float64`` value array; a global- or
+  time-mode frame adds only its first position and stride, a per-key
+  frame its position array and dictionary-encoded keys),
+  CRC32-protected and sequence numbered.  Non-numeric payloads
+  (string values, poison records, arbitrary objects) fall back to a
+  pickled frame on the same ring,
   chosen per batch by a capability check, so ordering is never split
   across channels.
 * :mod:`~repro.service.transport.ring` — the byte-level SPSC ring.

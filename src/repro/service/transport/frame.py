@@ -21,19 +21,29 @@ Header layout (little-endian)::
 
 Columnar body (``FrameKind.COLUMNAR``), all columns contiguous::
 
-    positions   count * 8 bytes, native i64
+    positions   count * 8 bytes, native i64 — or, with ``_FLAG_RANGE``,
+                16 bytes: the first position and the stride (native
+                i64 each) of an arithmetic run of positions
     values      count * 8 bytes, native i64 or f64 (``_FLAG_FLOAT``)
-    key_index   count * 4 bytes, native u32 into the key table
+    key_index   count * 4 bytes, native u32 into the key table; absent
+                with ``_FLAG_KEYLESS``
     traces      count * 8 bytes, native u64, present iff
                 ``_FLAG_TRACES`` (0 encodes "no trace id")
     timestamps  count * 8 bytes, native f64, present iff
                 ``_FLAG_TIMES`` (event-time seconds)
-    key table   ``key_table`` bytes (distinct keys, first-seen order)
+    key table   ``key_table`` bytes (distinct keys, first-seen order);
+                absent (``key_table`` = 0) with ``_FLAG_KEYLESS``
 
-The decoder returns the position and value columns as
+Global- and time-mode frames are ranged and keyless: a shard there
+folds values by slice and never reads a key, so such a frame is 8
+bytes per record of values plus the trace or timestamp column when
+present.  Per-key frames carry their position column and keys.
+
+The decoder returns the value column (and a position column) as
 ``memoryview.cast`` typed views **aliasing the ring** — no copy, no
-unpickle.  Values deliberately decode through ``memoryview`` rather
-than ``numpy.frombuffer``: iterating a ``'q'`` view yields Python
+unpickle; ranged positions decode as a ``range``.  Values
+deliberately decode through ``memoryview`` rather than
+``numpy.frombuffer``: iterating a ``'q'`` view yields Python
 ints, so integer aggregation keeps arbitrary precision and the
 columnar path is bit-for-bit equivalent to the pickle transport.
 (The numpy kernels wrap the same view with ``numpy.frombuffer``,
@@ -54,7 +64,7 @@ import struct
 import zlib
 from array import array
 from enum import IntEnum
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence, Union
 
 from repro.errors import TornFrameError
 from repro.service.transport.columns import (
@@ -77,6 +87,11 @@ _U32 = struct.Struct("<I")
 # Beside the shared FLAG_FLOAT (0x01) and FLAG_TIMES (0x08):
 _FLAG_TRACES = 0x02  # trace-id column present
 _FLAG_KEYS_PICKLED = 0x04  # key table is a pickled tuple (ring only)
+_FLAG_RANGE = 0x10  # positions are (first, stride), not a column
+_FLAG_KEYLESS = 0x20  # no key index column and no key table
+
+#: A ranged frame's positions: first position and stride.
+_RANGE = struct.Struct("=qq")
 
 
 class FrameKind(IntEnum):
@@ -110,7 +125,7 @@ def encode_batch_frame(
     seq: int,
     watermark: Optional[int],
     positions: Sequence[int],
-    keys: Sequence[Any],
+    keys: Optional[Sequence[Any]],
     values: Sequence[Any],
     traces: Optional[Sequence[Optional[int]]],
     timestamps: Optional[Sequence[float]] = None,
@@ -120,31 +135,37 @@ def encode_batch_frame(
     Returns ``None`` when the value column fails the capability check
     (mixed/unsupported types, out-of-range ints) so the caller can emit
     a :func:`encode_pickled_frame` instead.  Positions must be
-    i64-representable (they are stream indices, so always are).
-    ``timestamps`` (event-time seconds, f64) travels as an extra
-    column when present; frames without it decode exactly as before.
+    i64-representable (they are stream indices, so always are); a
+    ``range`` travels as its first position and stride.  ``keys`` is
+    ``None`` for a keyless frame.  ``timestamps`` (event-time seconds,
+    f64) travels as an extra column when present.
     """
     encoded = encode_values(values)
     if encoded is None:
         return None
     value_bytes, is_float = encoded
     count = len(values)
-    key_column = encode_keys(keys)
-    if key_column is None:
-        return None
-    distinct, key_index = key_column
     flags = _FLAG_FLOAT if is_float else 0
-    key_table = encode_key_table(distinct)
-    if key_table is None:
-        # Keys the compact table cannot carry: pickle the distinct
-        # tuple (never the per-record column).
-        key_table = pickle.dumps(tuple(distinct), protocol=5)
-        flags |= _FLAG_KEYS_PICKLED
-    parts = [
-        column_bytes(positions, "q"),
-        value_bytes,
-        key_index,
-    ]
+    if type(positions) is range:
+        flags |= _FLAG_RANGE
+        parts = [_RANGE.pack(positions.start, positions.step), value_bytes]
+    else:
+        parts = [column_bytes(positions, "q"), value_bytes]
+    key_table = b""
+    if keys is None:
+        flags |= _FLAG_KEYLESS
+    else:
+        key_column = encode_keys(keys)
+        if key_column is None:
+            return None
+        distinct, key_index = key_column
+        key_table = encode_key_table(distinct)
+        if key_table is None:
+            # Keys the compact table cannot carry: pickle the distinct
+            # tuple (never the per-record column).
+            key_table = pickle.dumps(tuple(distinct), protocol=5)
+            flags |= _FLAG_KEYS_PICKLED
+        parts.append(key_index)
     if traces is not None and any(t is not None for t in traces):
         flags |= _FLAG_TRACES
         parts.append(array("Q", (t or 0 for t in traces)).tobytes())
@@ -183,12 +204,13 @@ def encode_control_frame(kind: FrameKind, shard: int, seq: int = 0) -> bytes:
 class DecodedFrame:
     """One validated frame, with zero-copy columns where applicable.
 
-    For ``COLUMNAR`` frames, :attr:`positions` and :attr:`values` are
-    typed ``memoryview``s aliasing the ring buffer — iterate or hand
-    them to batch kernels, then release before the ring commits.  Keys
-    and traces are decoded eagerly (small, and must outlive the view).
-    For ``PICKLED``/``OUTPUT`` frames, :attr:`payload` holds the
-    unpickled object.
+    For ``COLUMNAR`` frames, :attr:`values` (and :attr:`positions`,
+    unless the frame is ranged and they are a ``range``) are typed
+    ``memoryview``s aliasing the ring buffer — iterate or hand them to
+    batch kernels, then release before the ring commits.  Keys
+    (``None`` for a keyless frame) and traces are decoded eagerly
+    (small, and must outlive the view).  For ``PICKLED``/``OUTPUT``
+    frames, :attr:`payload` holds the unpickled object.
     """
 
     __slots__ = (
@@ -211,7 +233,7 @@ class DecodedFrame:
         self.seq = seq
         self.watermark: Optional[int] = None
         self.count = 0
-        self.positions: Optional[memoryview] = None
+        self.positions: Union[memoryview, range, None] = None
         self.values: Optional[memoryview] = None
         self.keys: Optional[List[Any]] = None
         self.traces: Optional[List[Optional[int]]] = None
@@ -220,22 +242,18 @@ class DecodedFrame:
 
     def release(self) -> None:
         """Release ring-aliasing views so the ring can commit/close."""
-        if self.positions is not None:
-            self.positions.release()
-            self.positions = None
-        if self.values is not None:
-            self.values.release()
-            self.values = None
-        if self.timestamps is not None:
-            self.timestamps.release()
-            self.timestamps = None
+        for view in (self.positions, self.values, self.timestamps):
+            if type(view) is memoryview:
+                view.release()
+        self.positions = self.values = self.timestamps = None
 
 
 def decode_frame(frame: memoryview) -> DecodedFrame:
     """Validate and decode one frame read off a ring.
 
     Raises :class:`~repro.errors.TornFrameError` on bad magic, an
-    impossible length, or a CRC mismatch — the torn-write signature.
+    impossible length, a CRC mismatch — the torn-write signature — or
+    a ranged frame whose stride is not positive.
     """
     if len(frame) < HEADER_BYTES:
         raise TornFrameError(
@@ -279,37 +297,69 @@ def decode_frame(frame: memoryview) -> DecodedFrame:
     # COLUMNAR: carve typed views out of the body without copying.
     decoded.watermark = None if watermark_raw == 0 else watermark_raw - 1
     decoded.count = count
-    has_traces = bool(flags & _FLAG_TRACES)
-    has_times = bool(flags & _FLAG_TIMES)
-    expected = 8 * count + 8 * count + 4 * count
-    if has_traces:
-        expected += 8 * count
-    if has_times:
-        expected += 8 * count
-    expected += key_table_len
-    if len(body) != expected:
+    width = 8 * count
+    ranged = flags & _FLAG_RANGE
+    keyed = not flags & _FLAG_KEYLESS
+    expected = (_RANGE.size if ranged else width) + width
+    if keyed:
+        expected += 4 * count + key_table_len
+    if flags & _FLAG_TRACES:
+        expected += width
+    if flags & _FLAG_TIMES:
+        expected += width
+    size = len(body)
+    if size != expected or (key_table_len and not keyed):
         body.release()
         raise TornFrameError(
-            f"columnar frame body is {len(body)} bytes, expected "
-            f"{expected} for {count} records"
+            f"columnar frame body is {size} bytes and declares a "
+            f"{key_table_len}-byte key table; expected {expected} bytes "
+            f"for {count} records" + ("" if keyed else " and no table")
         )
-    offset = 0
-    decoded.positions = body[offset : offset + 8 * count].cast("q")
-    offset += 8 * count
+    if ranged:
+        first, stride = _RANGE.unpack_from(body)
+        if stride < 1:
+            body.release()
+            raise TornFrameError(
+                f"ranged frame has position stride {stride}; "
+                "positions ascend"
+            )
+        decoded.positions = range(first, first + stride * count, stride)
+        offset = _RANGE.size
+    else:
+        decoded.positions = body[:width].cast("q")
+        offset = width
     value_fmt = "d" if flags & _FLAG_FLOAT else "q"
-    decoded.values = body[offset : offset + 8 * count].cast(value_fmt)
-    offset += 8 * count
-    key_index = body[offset : offset + 4 * count].cast("I")
-    offset += 4 * count
-    if has_traces:
-        trace_view = body[offset : offset + 8 * count].cast("Q")
+    decoded.values = body[offset : offset + width].cast(value_fmt)
+    offset += width
+    key_index = body[offset : offset + 4 * count] if keyed else None
+    if keyed:
+        offset += 4 * count
+    if flags & _FLAG_TRACES:
+        trace_view = body[offset : offset + width].cast("Q")
         decoded.traces = [t or None for t in trace_view]
         trace_view.release()
-        offset += 8 * count
-    if has_times:
-        decoded.timestamps = body[offset : offset + 8 * count].cast("d")
-        offset += 8 * count
-    table_view = body[offset : offset + key_table_len]
+        offset += width
+    if flags & _FLAG_TIMES:
+        decoded.timestamps = body[offset : offset + width].cast("d")
+        offset += width
+    try:
+        if key_index is not None:
+            decoded.keys = _decode_keys(
+                body[offset:], key_index, flags, count
+            )
+    except TornFrameError:
+        decoded.release()
+        raise
+    finally:
+        body.release()
+    return decoded
+
+
+def _decode_keys(
+    table_view: memoryview, key_index: memoryview, flags: int, count: int
+) -> List[Any]:
+    """A keyed frame's key column, from its key table and u32 index."""
+    codes = key_index.cast("I")
     try:
         if flags & _FLAG_KEYS_PICKLED:
             distinct = list(pickle.loads(table_view))
@@ -318,26 +368,21 @@ def decode_frame(frame: memoryview) -> DecodedFrame:
         if len(distinct) == 1:
             # Mirror of the encoder's single-key fast path: a sealed
             # frame with one distinct key has an all-zero index column.
-            decoded.keys = distinct * count
-        elif count and not distinct:
+            return distinct * count
+        if count and not distinct:
             raise TornFrameError(
                 "columnar frame has records but no key table"
             )
-        else:
-            try:
-                # The u32 cast guarantees non-negative indices, so a
-                # plain IndexError is exactly the out-of-range check —
-                # no separate max() pass over the column.
-                decoded.keys = list(map(distinct.__getitem__, key_index))
-            except IndexError:
-                raise TornFrameError(
-                    "key index out of range for key table"
-                ) from None
-    except TornFrameError:
-        decoded.release()
-        raise
+        try:
+            # The u32 cast guarantees non-negative indices, so a plain
+            # IndexError is exactly the out-of-range check — no
+            # separate max() pass over the column.
+            return list(map(distinct.__getitem__, codes))
+        except IndexError:
+            raise TornFrameError(
+                "key index out of range for key table"
+            ) from None
     finally:
-        table_view.release()
+        codes.release()
         key_index.release()
-        body.release()
-    return decoded
+        table_view.release()

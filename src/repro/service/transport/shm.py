@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import queue as queue_module
 import time
+from dataclasses import replace
 from typing import Any, Optional, Tuple
 
 from repro.service.partition import Batch
@@ -85,28 +86,34 @@ class ShardChannel:
         self.data_ring = SpscRing(ring_capacity)
         self.result_ring = SpscRing(ring_capacity)
 
-    def encode_batch(self, batch: Batch) -> Tuple[bytes, bool]:
+    def encode_batch(
+        self, batch: Batch, keyed: bool = True
+    ) -> Tuple[bytes, bool]:
         """Encode one batch; returns ``(frame, columnar)``.
 
         Columnar when the value column passes the capability check,
         otherwise a CRC-protected pickled frame on the same ring (the
         per-batch fallback that keeps ArgMax keys, poison records, and
-        arbitrary payloads working with unchanged ordering).
+        arbitrary payloads working with unchanged ordering).  Unless
+        ``keyed`` (per-key mode), neither frame carries the keys: the
+        parent keeps them in its retained batch.
         """
+        keys = batch.keys if keyed else None
         frame = encode_batch_frame(
             batch.shard,
             batch.seq,
             batch.watermark,
             batch.positions,
-            batch.keys,
+            keys,
             batch.values,
             batch.traces,
             batch.timestamps,
         )
         if frame is None:
+            payload = batch if keyed else replace(batch, keys=None)
             return (
                 encode_pickled_frame(
-                    FrameKind.PICKLED, batch.shard, batch.seq, batch
+                    FrameKind.PICKLED, batch.shard, batch.seq, payload
                 ),
                 False,
             )
@@ -162,9 +169,10 @@ class WorkerEndpoint:
         Blocks up to ``timeout`` seconds (``None`` blocks forever) and
         raises :class:`queue.Empty` on expiry so the caller's idle
         heartbeat fires exactly as it does on the queue plane.  A
-        columnar batch is returned with ``memoryview``-backed position
-        and value columns aliasing the ring; the caller must finish
-        with them and call :meth:`commit` before the next receive.
+        columnar batch is returned with a ``memoryview``-backed value
+        column (and position column, unless ranged) aliasing the ring;
+        the caller must finish with them and call :meth:`commit`
+        before the next receive.
 
         Raises:
             TornFrameError: The ring held a corrupt frame.  The caller

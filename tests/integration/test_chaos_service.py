@@ -419,3 +419,84 @@ def test_global_mode_poison_folds_through_a_temporary():
     assert result.dead_letters[0].key == "sensor-3"
     assert "mid-slice" in result.dead_letters[0].error
     assert result.stats.records_processed == len(records)
+
+
+def test_global_failed_shard_dead_letters_exactly_its_unacked_frames():
+    """Global mode: a failed shard degrades only the frames it held.
+
+    Shard 1 acknowledges a few frames, then crash-loops through its
+    restart budget.  Exactly the records of the frames it had not
+    acknowledged are dead-lettered, with their keys; later frames skip
+    it, and shard 0's answers keep flowing.
+    """
+    records = _records(400)
+    injector = FaultInjector()
+    service = AggregationService(
+        QUERIES,
+        get_operator("sum"),
+        num_shards=2,
+        batch_size=10,
+        checkpoint_interval=2,
+        max_restarts=2,
+        restart_backoff=0.0,
+        injector=injector,
+    )
+    shipped = []
+    ship = service._transport.ship
+
+    def logged(batch):
+        shipped.append(batch)
+        ship(batch)
+
+    service._transport.ship = logged
+    handle = service._transport.handles[1]
+    try:
+        service.submit_many(records[:100])
+        deadline = time.monotonic() + 10.0
+        while handle.acked_seq < 3:
+            service.poll()
+            assert time.monotonic() < deadline, "shard 1 never acked"
+            time.sleep(0.01)
+        injector.crash_loop(1)
+        victim = service.shard_pids()[1]
+        os.kill(victim, signal.SIGKILL)
+        _wait_pid_dead(victim)
+        service.submit_many(records[100:250])
+        flowing = []
+        while not flowing or flowing[-1][0] < 240:
+            flowing += service.poll()
+            assert time.monotonic() < deadline + 30.0, "answers stalled"
+            time.sleep(0.01)
+        failed_at = len(shipped)
+        service.submit_many(records[250:])
+        result = service.close(timeout=60.0)
+    except BaseException:
+        service.abort()
+        raise
+
+    assert result.stats.failed_shards == (1,)
+    held = {
+        position
+        for batch in shipped
+        if batch.shard == 1 and batch.seq > handle.acked_seq
+        for position in batch.positions
+    }
+    letters = result.dead_letters
+    assert held and sorted(letter.position for letter in letters) == sorted(held)
+    for letter in letters:
+        assert "ShardFailedError" in letter.error and letter.shard_id == 1
+        assert (letter.key, letter.value) == records[letter.position - 1]
+    assert set(result.stats.degraded_keys) == {l.key for l in letters}
+    assert all(batch.shard == 0 for batch in shipped[failed_at:])
+    assert (
+        result.stats.records_processed + result.stats.dead_letters
+        == result.stats.records_submitted
+    )
+    # Slices are 2 positions wide and frames 10, so each acknowledged
+    # frame's slices closed with it: the answers are the stream's with
+    # every dead-lettered record counted as the identity.
+    neutralised = [
+        (key, 0 if index + 1 in held else value)
+        for index, (key, value) in enumerate(records)
+    ]
+    assert result.answers == _expected_global(neutralised)

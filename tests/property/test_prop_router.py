@@ -1,14 +1,22 @@
-"""Property-based tests: the router's one core frames one stream one way.
+"""Property-based tests: the router frames one stream one way.
 
-``Router.put_many`` must release exactly the batches that per-record
-``Router.put`` releases for the same records — same shard, sequence
-number, watermark, positions, keys, values (types included), traces —
-at the same points of the stream, however the stream is cut into
-calls.  The sweep covers what can make the two diverge: shard count and
-batch size (where flush rounds fall), key skew (how unevenly buffers
-fill), call sizes, values of every kind (``bool``, ints outside i64,
-floats), and a trace id first appearing mid-stream (trace columns
-materialise with a backfill).
+Per-key mode: ``Router.put_many`` must release exactly the batches that
+per-record ``Router.put`` releases for the same records — same shard,
+sequence number, watermark, positions, keys, values (types included),
+traces — at the same points of the stream, however the stream is cut
+into calls.  Global mode: the frame splitter must cut and deal the
+same data frames whatever the call cut; only its watermark carriers
+follow the calls.  The sweep covers what can make the two diverge:
+shard count and batch size (where frames and flush rounds fall), key
+skew (how unevenly buffers fill), call sizes, values of every kind
+(``bool``, ints outside i64, floats), and a trace id first appearing
+mid-stream (trace columns materialise with a backfill).
+
+A global-mode inline service equals :class:`StreamEngine` by ``repr``
+on int streams, whatever the call cut, shard count and batch size, with
+traced calls, slices straddling frames on different shards, and frames
+thinned by the ``sample`` policy (a thinned record contributes
+nothing, so the engine is fed the identity at its position).
 
 Every wire shape lands in that one loop.  A ``SUBMIT_COLUMN`` frame —
 one key, a packed int64/float64 column or a tagged object column —
@@ -32,8 +40,10 @@ from repro.net.protocol import (
     try_decode_frame_traced,
 )
 from repro.service.gateway import ServiceGateway
-from repro.service.partition import Router
+from repro.service.partition import Router, thin_batch
 from repro.service.slices import SliceClock
+from repro.stream.engine import StreamEngine
+from repro.stream.sink import CollectSink
 from repro.windows.plan import build_shared_plan
 
 PLAN = build_shared_plan((Query(8, 4), Query(6, 2)), "pairs")
@@ -54,21 +64,29 @@ CALLS = st.lists(
 )
 
 
-def _frames(batches):
-    """Everything observable about a batch list, types included."""
+def _frames(batches, dealt=False):
+    """Everything observable about a batch list, types included.
+
+    ``dealt``: only the splitter's data frames, without the sequence
+    numbers and watermarks its per-call carriers move, and an all-None
+    trace column read as none.
+    """
     return [
-        (
-            batch.shard,
-            batch.seq,
-            batch.watermark,
+        (batch.shard,)
+        + (() if dealt else (batch.seq, batch.watermark))
+        + (
             type(batch.positions),
             list(batch.positions),
             batch.keys,
             type(batch.values),
             [(type(value), value) for value in batch.values],
-            batch.traces,
+            batch.traces
+            if not dealt
+            or any(trace is not None for trace in batch.traces or ())
+            else None,
         )
         for batch in batches
+        if len(batch) or not dealt
     ]
 
 
@@ -87,17 +105,21 @@ def test_put_many_frames_exactly_what_per_record_put_frames(
         return Router(num_shards, batch_size, clock)
 
     bulk, single = router(), router()
+    released, expected = [], []
     for records, trace in calls:
-        released = bulk.put_many(records, trace)
-        expected = []
+        released += bulk.put_many(records, trace)
         for key, value in records:
             expected.extend(single.put(key, value, trace))
-        assert _frames(released) == _frames(expected)
         assert all(type(batch.values) is list for batch in released)
         assert bulk.position == single.position
-    assert _frames(bulk.flush()) == _frames(single.flush())
-    assert bulk.flush_rounds == single.flush_rounds
-    assert bulk.seen_keys == single.seen_keys
+        if not global_merge:
+            assert _frames(released) == _frames(expected)
+            released, expected = [], []
+    released += bulk.flush()
+    expected += single.flush()
+    assert _frames(released, global_merge) == _frames(expected, global_merge)
+    if not global_merge:
+        assert bulk.seen_keys == single.seen_keys
 
 
 # -- SUBMIT_COLUMN rides the row path ---------------------------------
@@ -221,3 +243,62 @@ def test_submit_column_frames_and_answers_like_its_rows(
     finally:
         columns.gateway.abort()
         rows.gateway.abort()
+
+
+# -- the global-mode service equals the engine ------------------------
+
+ENGINE_QUERIES = (Query(8, 4), Query(6, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_shards=st.integers(1, 4),
+    batch_size=st.integers(1, 300),
+    calls=st.lists(
+        st.tuples(st.lists(SMALL_INTS, max_size=400), TRACES), max_size=8
+    ),
+    thinned=st.sets(st.integers(0, 30), max_size=4),
+)
+#: 3-record frames dealt over two shards: most 2-record slices
+#: straddle two frames on different shards, and frame 1 is thinned.
+@example(
+    num_shards=2,
+    batch_size=3,
+    calls=[(list(range(1, 20)), None), (list(range(20, 31)), 7)],
+    thinned={1},
+)
+def test_global_inline_service_equals_the_engine(
+    num_shards, batch_size, calls, thinned
+):
+    service = AggregationService(
+        ENGINE_QUERIES,
+        get_operator("sum"),
+        num_shards=num_shards,
+        batch_size=batch_size,
+        transport="inline",
+        backpressure="sample",
+    )
+    stream = [value for values, _ in calls for value in values]
+    ship = service._transport.ship
+    dealt = 0
+
+    def sampled(batch):
+        # The sample policy under pressure, on the chosen data frames:
+        # every other record goes, and contributes the identity.
+        nonlocal dealt
+        if len(batch):
+            if dealt in thinned:
+                kept, _ = thin_batch(batch)
+                for position in set(batch.positions) - set(kept.positions):
+                    stream[position - 1] = 0
+                batch = kept
+            dealt += 1
+        ship(batch)
+
+    service._transport.ship = sampled
+    for values, trace in calls:
+        service.submit_many([(f"k{v % 3}", v) for v in values], trace)
+    answers = service.close().answers
+    sink = CollectSink()
+    StreamEngine(ENGINE_QUERIES, get_operator("sum"), sinks=[sink]).run(stream)
+    assert repr(answers) == repr(sink.answers)

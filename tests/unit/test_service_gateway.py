@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro import AggregationService, Query, get_operator
-from repro.errors import ServiceError
+from repro.errors import ProtocolError, ServiceError
 from repro.net.protocol import (
     FrameType,
     RecordColumns,
@@ -172,13 +172,14 @@ def test_column_view_ingests_like_its_rows_and_carries_its_trace():
 
 
 def test_partial_batch_rule_holds_for_a_column_view():
-    # The wire never produces a key that cannot be routed (decoded
-    # keys are scalars), so build the view by hand: record 41's key
-    # does not hash.  Every record before it is ingested under the
-    # call's trace, none after it, exactly as for a row list.
+    # Per-key mode hashes keys.  The wire never produces a key that
+    # cannot be routed (decoded keys are scalars), so build the view by
+    # hand: record 41's key does not hash.  Every record before it is
+    # ingested under the call's trace, none after it, exactly as for a
+    # row list.
     codes = [0] * 41 + [1] + [0] * 3
     values = list(range(45))
-    gateway = make_gateway()
+    gateway = make_gateway(mode="per_key")
     service = gateway._service
     view = RecordColumns(codes, ["k", ["unhashable"]], values)
     with pytest.raises(TypeError):
@@ -187,6 +188,19 @@ def test_partial_batch_rule_holds_for_a_column_view():
     assert list(service._trace_intervals) == [(1, 41, 5)]
     assert gateway.snapshot()["records_submitted"] == 0  # refused call
     gateway.submit_many([("k", v) for v in values[41:]], 6)
-    reference = make_gateway()
+    reference = make_gateway(mode="per_key")
     reference.submit_many([("k", v) for v in values])
-    assert gateway.close().answers == reference.close().answers
+    assert gateway.close().per_key == reference.close().per_key
+
+
+def test_global_mode_takes_a_column_view_all_or_nothing():
+    # No key is hashed in global mode; a key code outside the table is
+    # what a column view can get wrong, and it refuses the whole call.
+    gateway = make_gateway()
+    service = gateway._service
+    view = RecordColumns([0] * 41 + [7] + [0] * 3, ["k"], list(range(45)))
+    with pytest.raises(ProtocolError):
+        gateway.submit_many(view, 5)
+    assert service._router.position == 0
+    assert not service._trace_intervals
+    assert gateway.snapshot()["records_submitted"] == 0

@@ -1,5 +1,6 @@
-"""Unit tests: hash partitioning, batch framing, slice arithmetic,
-load-shedding helpers, and the cross-shard merge capability check."""
+"""Unit tests: hash partitioning, the global-mode frame splitter,
+per-key batch framing, slice arithmetic, load-shedding helpers, and
+the cross-shard merge capability check."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from repro.service.partition import (
 )
 from repro.service.shard import ShardConfig
 from repro.service.slices import SliceClock
+from repro.stream.watermark import TimeSliceClock
 from repro.windows.partial import PartialAggregator
 from repro.windows.plan import build_shared_plan
 from repro.windows.query import Query
@@ -91,7 +93,8 @@ def test_router_flush_round_carries_uniform_watermark_to_all_shards():
     rounds = {}
     for batch in shipped:
         rounds.setdefault(batch.watermark, set()).add(batch.shard)
-    # Every flush round reached all three shards (empty frames count).
+    # Every watermark reached all three shards by the end of its call
+    # (watermark-only carriers count).
     for watermark, shards in rounds.items():
         assert shards == {0, 1, 2}, (watermark, shards)
 
@@ -114,7 +117,87 @@ def test_router_rejects_bad_configuration():
         Router(num_shards=2, batch_size=0)
 
 
-# -- the routing core: partial-batch failures ------------------------
+# -- the frame splitter (global and time mode) -----------------------
+
+
+def test_splitter_deals_contiguous_frames_round_robin():
+    router = Router(num_shards=3, batch_size=4, clock=_clock())
+    shipped = router.put_many([(f"k{i}", i) for i in range(10)])
+    shipped += router.put_many([(f"k{i}", i) for i in range(10, 21)])
+    frames = [batch for batch in shipped if len(batch)]
+    # Framing ignores the call cut: 4-record runs, shards in turn.
+    assert [(b.shard, b.positions) for b in frames] == [
+        (0, range(1, 5)),
+        (1, range(5, 9)),
+        (2, range(9, 13)),
+        (0, range(13, 17)),
+        (1, range(17, 21)),
+    ]
+    assert frames[3].keys == ["k12", "k13", "k14", "k15"]
+    assert frames[3].values == [12, 13, 14, 15]
+    assert router.position == 21
+    [last] = [b for b in router.flush() if len(b)]
+    assert (last.shard, last.positions) == (2, range(21, 22))
+
+
+def test_splitter_watermarks_are_sound_and_reach_every_live_shard():
+    clock = _clock()
+    router = Router(num_shards=3, batch_size=4, clock=clock)
+    sent = {}
+    for call in range(12):
+        records = [("k", call)] * (call % 7)
+        for batch in router.put_many(records):
+            # A shard's watermark never claims a slice it may still be
+            # sent records of: its later frames start past the slice.
+            sent.setdefault(batch.shard, []).append(batch)
+        # After every call each shard has the framed-stream watermark.
+        framed = router.position - len(router._held_values)
+        assert {
+            sent[shard][-1].watermark if shard in sent else 0
+            for shard in range(3)
+        } == {clock.slices_closed_by(framed)}
+    for frames in sent.values():
+        for earlier, later in zip(frames, frames[1:]):
+            if len(later):
+                assert clock.slice_of(later.positions[0]) >= earlier.watermark
+        assert [b.seq for b in frames] == list(range(1, len(frames) + 1))
+
+
+def test_retired_shard_gets_no_more_frames():
+    router = Router(num_shards=3, batch_size=2, clock=_clock())
+    router.put_many([("k", 1), ("k", 2)])
+    router.retire(1)
+    shipped = router.put_many([("k", v) for v in range(3, 9)])
+    # Shard 1's turn passes to shard 2.
+    assert [b.shard for b in shipped if len(b)] == [2, 0, 2]
+    assert 1 not in {b.shard for b in shipped}
+    router.retire(0)
+    router.retire(2)  # the last live shard stays
+    assert {b.shard for b in router.put_many([("k", 9)] * 4)} == {2}
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [("only-a-key",), ("k", 1, "extra"), 7],
+    ids=["1-tuple", "3-tuple", "not-a-tuple"],
+)
+def test_put_many_is_all_or_nothing_in_global_mode(bad):
+    good = [(f"k{i % 5}", i) for i in range(60)]
+    router = Router(num_shards=3, batch_size=4, clock=_clock())
+    router.put_many(good[:30])
+    with pytest.raises((TypeError, ValueError, IndexError)):
+        router.put_many(good[30:41] + [bad] + good[41:])
+    # Nothing of the refused call was positioned or framed: resending
+    # it without the bad record frames exactly the clean stream.
+    assert router.position == 30
+    shipped = router.put_many(good[30:]) + router.flush()
+    clean = Router(num_shards=3, batch_size=4, clock=_clock())
+    expected = clean.put_many(good[:30])
+    expected = clean.put_many(good[30:]) + clean.flush()
+    assert _frames(shipped) == _frames(expected)
+
+
+# -- the per-key routing core: partial-batch failures ----------------
 # (put_many == per-record put is tests/property/test_prop_router.py)
 
 
@@ -134,7 +217,7 @@ def _frames(batches):
 
 
 def _per_record(records, num_shards=3, batch_size=4):
-    router = Router(num_shards, batch_size, clock=_clock())
+    router = Router(num_shards, batch_size)
     shipped = []
     for key, value in records:
         shipped.extend(router.put(key, value))
@@ -148,9 +231,11 @@ def _per_record(records, num_shards=3, batch_size=4):
     ids=["1-tuple", "3-tuple", "not-a-tuple", "unhashable-key"],
 )
 def test_put_many_routes_the_prefix_of_a_malformed_call(bad):
+    # Per-key mode: a key's answers are its own, so the routed prefix
+    # of a malformed call is a valid stream on its own.
     good = [(f"k{i % 5}", i) for i in range(60)]
     never = [("never", -1)] * 3
-    router = Router(num_shards=3, batch_size=4, clock=_clock())
+    router = Router(num_shards=3, batch_size=4)
     consumed = iter(good[:41] + [bad] + never)
     with pytest.raises((TypeError, ValueError)):
         router.put_many(consumed)
@@ -187,7 +272,7 @@ def test_put_many_frames_a_wire_column_view_like_its_rows():
 
 
 def test_failed_call_keeps_its_framed_rounds_for_flush():
-    router = Router(num_shards=1, batch_size=2, clock=_clock())
+    router = Router(num_shards=1, batch_size=2)
     with pytest.raises(ValueError):
         router.put_many([("k", 1), ("k", 2), ("k", 3), ()])
     first, second = router.flush()
@@ -197,7 +282,7 @@ def test_failed_call_keeps_its_framed_rounds_for_flush():
 
 
 def test_shard_for_agrees_with_routing_and_does_not_mark_seen():
-    router = Router(num_shards=5, batch_size=4, clock=_clock())
+    router = Router(num_shards=5, batch_size=4)
     assert router.shard_for("unrouted") == shard_of("unrouted", 5)
     assert all("unrouted" not in seen for seen in router.seen_keys)
     [batch] = [b for b in router.put("k", 1) + router.flush() if len(b)]
@@ -205,38 +290,56 @@ def test_shard_for_agrees_with_routing_and_does_not_mark_seen():
     assert "k" in router.seen_keys[batch.shard]
 
 
-def test_event_time_router_takes_put_event_and_nothing_else():
-    with pytest.raises(ServiceError, match="event-time"):
-        Router(2, 4).put_event("k", 1, 0.5)
-    timed = Router(2, 4, event_time=True)
-    with pytest.raises(ServiceError, match="event-time"):
-        timed.put("k", 1)
-    timed.put_event("k", 1, 0.5)
+def _timed_router():
+    return Router(2, 4, TimeSliceClock(1.0))
+
+
+def test_event_time_router_takes_timestamped_columns_and_nothing_else():
+    with pytest.raises(ServiceError, match="timestamps"):
+        Router(2, 4, _clock()).split(["k"], [1], None, [0.5])
+    timed = _timed_router()
+    timed.watermark.advance(5)
+    timed.split(["k"], [1], None, [0.5])
     [batch] = [b for b in timed.flush() if len(b)]
-    assert list(batch.timestamps) == [0.5]
-    # A timestamp the f64 column cannot hold is refused before any
-    # other column grows, so the columns never go ragged.
+    assert list(batch.timestamps) == [0.5] and batch.positions == range(1, 2)
+    # A timestamp the f64 column cannot hold, or ragged columns, are
+    # refused before anything is held, so the columns never go ragged.
     with pytest.raises(TypeError):
-        timed.put_event("k", 2, "noon")
+        timed.split(["k"], [2], None, ["noon"])
+    with pytest.raises(ServiceError, match="one length"):
+        timed.split(["k", "j"], [2], None, [1.5])
     assert timed.position == 1 and timed.flush() == []
 
 
 def test_event_time_router_refuses_rows_before_touching_anything():
-    timed = Router(2, 4, event_time=True)
-    timed.put_event("k", 1, 0.5)
+    timed = _timed_router()
+    timed.split(["k"], [1], None, [0.5])
     for refused in (
         lambda: timed.put("j", 2),
         lambda: timed.put("j", 2, trace=9),
         lambda: timed.put_many([("j", 2), ("k", 3)]),
         lambda: timed.put_many(iter([("j", 2)]), trace=9),
+        lambda: timed.split(["j"], [2]),
     ):
-        with pytest.raises(ServiceError, match="event-time"):
+        with pytest.raises(ServiceError, match="timestamps"):
             refused()
     assert timed.position == 1
-    assert all("j" not in seen for seen in timed.seen_keys)
+    timed.watermark.advance(1)
     [batch] = [b for b in timed.flush() if len(b)]
     assert (list(batch.positions), batch.keys, batch.values) == ([1], ["k"], [1])
     assert list(batch.timestamps) == [0.5] and batch.traces is None
+
+
+def test_time_mode_watermark_is_capped_by_the_records_held():
+    timed = _timed_router()
+    timed.watermark.advance(9)  # the service's event watermark
+    shipped = timed.split(["k"] * 6, list(range(6)), None, [0.5, 1.5, 2.5, 3.5, 4.5, 5.5])
+    # Records at 4.5 and 5.5 are held: slice 4 cannot close yet.
+    assert [(b.shard, b.watermark, len(b)) for b in shipped] == [
+        (0, 4, 4),
+        (1, 4, 0),
+    ]
+    assert {b.watermark for b in timed.flush()} == {9}
 
 
 # -- load-shedding helpers ------------------------------------------
@@ -259,6 +362,10 @@ def test_thin_batch_keeps_every_other_record_deterministically():
     assert thinned.positions == [1, 3, 5]
     assert thinned.keys == ["a", "c", "e"]
     assert thinned.values == [10, 30, 50]
+    # A splitter frame's range thins to an exact stride-2 range.
+    ranged = Batch(0, 7, 3, range(11, 16), list("abcde"), [1, 2, 3, 4, 5])
+    thinned, dropped = thin_batch(ranged)
+    assert (thinned.positions, dropped) == (range(11, 16, 2), 2)
     with pytest.raises(ServiceError):
         thin_batch(_batch(), keep_every=1)
 

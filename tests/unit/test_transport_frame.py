@@ -201,6 +201,80 @@ def test_key_table_huge_int_keys_pickle():
     decoded.release()
 
 
+# -- ranged and keyless frames (global and time mode) --------------------
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_ranged_positions_round_trip(stride):
+    positions = range(41, 41 + 6 * stride, stride)
+    frame = encode_batch_frame(2, 5, 9, positions, ["a"] * 6, [*range(6)], None)
+    decoded = _decode(frame)
+    assert type(decoded.positions) is range and decoded.positions == positions
+    assert (decoded.keys, list(decoded.values)) == (["a"] * 6, [*range(6)])
+    decoded.release()
+
+
+def test_keyless_frames_decode_with_keys_none():
+    positions = range(1, 257)
+    frame = encode_batch_frame(0, 1, 3, positions, None, [*range(256)], None)
+    assert len(frame) == HEADER_BYTES + 16 + 8 * 256
+    decoded = _decode(frame)
+    assert (decoded.keys, decoded.positions) == (None, positions)
+    assert list(decoded.values) == [*range(256)]
+    decoded.release()
+    frame = encode_batch_frame(
+        0, 1, 3, range(5, 9, 2), None, [1.5, 2.5], [4, None], [0.5, 0.75]
+    )
+    decoded = _decode(frame)
+    assert (decoded.keys, decoded.traces) == (None, [4, None])
+    assert list(decoded.timestamps) == [0.5, 0.75]
+    decoded.release()
+
+
+def test_keyed_frames_with_a_position_column_decode_as_before():
+    keys, values = ["a", "b", "a"], [1, 2, 3]
+    frame = encode_batch_frame(0, 1, 2, [3, 4, 9], keys, values, None)
+    assert frame[5] == 0  # no flag: neither ranged nor keyless
+    table = encode_key_table(["a", "b"])
+    assert len(frame) == HEADER_BYTES + 3 * (8 + 8 + 4) + len(table)
+    decoded = _decode(frame)
+    assert (list(decoded.positions), decoded.keys) == ([3, 4, 9], keys)
+    decoded.release()
+
+
+#: The flag byte of a ranged keyless frame, and of a ranged keyed one.
+RANGED_KEYLESS = encode_batch_frame(0, 1, 0, range(1, 2), None, [7], None)[5]
+RANGED = encode_batch_frame(0, 1, 0, range(1, 2), ["k"], [7], None)[5]
+
+
+def sealed_columnar(flags: int, count: int, body: bytes, table: int = 0):
+    """A CRC-valid columnar ring frame around a hand-built body."""
+    head = struct.pack(
+        "<4sBBHQQII", MAGIC, int(FrameKind.COLUMNAR), flags, 0, 1, 0,
+        count, table,
+    )
+    crc = zlib.crc32(body, zlib.crc32(head))
+    return head + struct.pack("<I", crc) + body
+
+
+TORN_RANGED_FRAMES = {
+    "zero-stride": (RANGED_KEYLESS, 3, struct.pack("=qq3q", 1, 0, 1, 2, 3)),
+    "negative-stride": (RANGED_KEYLESS, 1, struct.pack("=qqq", 9, -1, 1)),
+    "keyless-body-short": (RANGED_KEYLESS, 3, struct.pack("=qq2q", 1, 1, 1, 2)),
+    "keyless-body-long": (RANGED_KEYLESS, 1, struct.pack("=qq2q", 1, 1, 1, 2)),
+    "keyless-with-key-table": (
+        RANGED_KEYLESS, 1, struct.pack("=qqq", 1, 1, 7) + b"\x00" * 4, 4,
+    ),
+    "ranged-keyed-no-index": (RANGED, 1, struct.pack("=qqq", 1, 1, 7)),
+}
+
+
+@pytest.mark.parametrize("case", TORN_RANGED_FRAMES)
+def test_ranged_and_keyless_frames_refuse_a_torn_layout(case):
+    with pytest.raises(TornFrameError):
+        _decode(sealed_columnar(*TORN_RANGED_FRAMES[case]))
+
+
 # -- the shared key column, through both envelopes -----------------------
 
 

@@ -4,15 +4,16 @@ In the manner of ``test_engine_cost.py``: wall-clock per-tuple cost on a
 shared box swings by more than a per-record function call is worth; the
 number of Python function calls one frame makes does not swing at all.
 One 256-row ``SUBMIT_BATCH`` frame is taken through everything the
-server does between the socket and the router's loop — decode
+server does between the socket and the frames it ships — decode
 (``try_decode_frame_traced``), the parse half, ``ServiceGateway``,
-``AggregationService.submit_many`` and ``Router.put_many`` — and every
-``call`` event of a library frame is counted, except inside
-``Router._route`` (the one per-record loop, gated by the pipeline
-benchmark's ``service.partition.route`` rung, whose first-seen
-``_admit`` and per-round ``_frame_round`` calls depend on the stream,
-not on the wire).  A 256-value packed ``SUBMIT_COLUMN`` frame is held
-to the same ceiling: its parse half hands ``submit_many`` the same rows.
+``AggregationService.submit_many`` and the global-mode frame splitter
+behind ``Router.put_many`` — and every ``call`` event of a library
+frame is counted, except inside ``Router._deal``, which frames and
+deals the records held so far: its calls depend on how the stream
+filled frames, not on the wire, and ``test_service_cost.py`` holds
+them to a few per frame.  A
+256-value packed ``SUBMIT_COLUMN`` frame is held to the same ceiling:
+its parse half hands ``submit_many`` the same rows.
 
 With the tagged body the decoder alone makes more than four calls per
 tuple (``_decode_at`` and ``_need`` per row, key and value); with record
@@ -43,15 +44,15 @@ from repro.service.partition import Router
 from tests.unit.test_net_protocol import tagged_frame
 
 ROWS = 256
-#: Calls per tuple allowed outside ``Router._route``.
+#: Calls per tuple allowed outside ``Router._deal``.
 CEILING = 0.1
 #: Only frames of library code count: a ``gc`` callback some other
 #: test's plugin registered must not leak into the total.
 LIBRARY = os.path.dirname(repro.__file__) + os.sep
-ROUTE = Router._route.__code__
+DEAL = Router._deal.__code__
 
 
-def calls_outside_the_router(frame: bytes) -> int:
+def calls_outside_the_dealer(frame: bytes) -> int:
     """Library ``call`` events from socket bytes to routed records."""
     service = AggregationService(
         [Query(64, 16)],
@@ -65,15 +66,15 @@ def calls_outside_the_router(frame: bytes) -> int:
     service._transport.ship = shipped.append
     gateway = ServiceGateway(service)
     calls = 0
-    routing = 0  # depth inside Router._route
+    dealing = 0  # depth inside Router._deal
 
     def count(frame, event, arg):
-        nonlocal calls, routing
-        if frame.f_code is ROUTE:
-            routing += {"call": 1, "return": -1}.get(event, 0)
+        nonlocal calls, dealing
+        if frame.f_code is DEAL:
+            dealing += {"call": 1, "return": -1}.get(event, 0)
         elif (
             event == "call"
-            and not routing
+            and not dealing
             and frame.f_code.co_filename.startswith(LIBRARY)
         ):
             calls += 1
@@ -88,9 +89,7 @@ def calls_outside_the_router(frame: bytes) -> int:
     finally:
         sys.setprofile(previous)
     assert accepted == count_ == ROWS
-    assert sum(len(batch) for batch in shipped) + sum(
-        map(len, service._router._positions)
-    ) == ROWS
+    assert sum(map(len, shipped)) + len(service._router._held_values) == ROWS
     gateway.abort()
     return calls
 
@@ -103,7 +102,7 @@ def test_columnar_frame_makes_no_per_record_python_call():
     frame = encode_frame(FrameType.SUBMIT_BATCH, rows(), trace_id=3)
     decoded, _ = try_decode_frame_traced(frame)
     assert type(decoded.payload) is RecordColumns
-    assert calls_outside_the_router(frame) <= CEILING * ROWS
+    assert calls_outside_the_dealer(frame) <= CEILING * ROWS
 
 
 def test_packed_column_frame_makes_no_per_record_python_call():
@@ -113,10 +112,10 @@ def test_packed_column_frame_makes_no_per_record_python_call():
     request = build_submit_column("key-0", column)
     assert request[1][1] == "q"
     frame = encode_frame(*request[:2], trace_id=3)
-    assert calls_outside_the_router(frame) <= CEILING * ROWS
+    assert calls_outside_the_dealer(frame) <= CEILING * ROWS
 
 
 def test_the_gate_sees_the_tagged_bodys_per_record_calls():
     # The same rows from an old client: the ceiling is not vacuous.
     frame = tagged_frame(FrameType.SUBMIT_BATCH, rows())
-    assert calls_outside_the_router(frame) > 4 * ROWS
+    assert calls_outside_the_dealer(frame) > 4 * ROWS
