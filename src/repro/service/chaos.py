@@ -13,7 +13,7 @@ points:
 * **checkpoint corruption** — a deterministic bit-flip in the *n*-th
   checkpoint a shard produces, exercising the CRC32 verification and
   the last-known-good fallback;
-* **queue-put delays**, simulating a slow transport into a shard;
+* **send delays**, simulating a slow transport into a shard;
 * **worker-side stalls and wedges** via a picklable
   :class:`WorkerFaultPlan` carried in the shard config: a *stall*
   sleeps a bounded number of seconds mid-batch (a slow shard the
@@ -180,7 +180,7 @@ class FaultInjector:
         return self
 
     def delay_puts(self, shard_id: int, seconds: float) -> "FaultInjector":
-        """Sleep ``seconds`` before every queue put toward the shard."""
+        """Sleep ``seconds`` before every blocking send toward the shard."""
         self._put_delays[shard_id] = seconds
         return self
 
@@ -207,8 +207,7 @@ class FaultInjector:
         One seeded bit-flip anywhere in the frame, simulating a torn
         shared-memory write.  The worker's CRC32 check must reject the
         frame, the worker exits nonzero, and crash recovery replays
-        the batch from the supervisor's retained history.  Only fires
-        on the shm data plane (the pickle plane has no frames).
+        the batch from the supervisor's retained history.
         """
         self._tear_nth.setdefault(shard_id, set()).add(nth)
         return self
@@ -293,7 +292,7 @@ class FaultInjector:
             process.kill()
 
     def put_delay(self, shard_id: int) -> float:
-        """Seconds to sleep before a queue put toward ``shard_id``."""
+        """Seconds to sleep before a blocking send toward ``shard_id``."""
         return self._put_delays.get(shard_id, 0.0)
 
     def on_checkpoint(self, shard_id: int, data: bytes) -> bytes:

@@ -172,7 +172,8 @@ class AggregationService:
         batch_size: Records per frame in global and ``"time"`` mode;
             records per shard buffered before a flush round in per-key
             mode.
-        queue_capacity: Inbound queue bound per shard, in batches.
+        queue_capacity: Unacknowledged batches in flight per shard
+            (process transport).
         backpressure: ``"block"`` (lossless), ``"drop"`` or
             ``"sample"`` (load shedding with exact drop counts).
         checkpoint_interval: Shard checkpoint period in batches
@@ -205,10 +206,9 @@ class AggregationService:
             shard-fold and merge latencies into the hub's registry and
             attributes them to submission traces; when ``None`` every
             hot path pays only a ``None`` check.
-        data_plane: Process-transport data plane: ``"auto"`` (columnar
-            shared-memory rings where the platform supports them, else
-            the pickle queue transport), ``"shm"``, or ``"pickle"``.
-            Ignored by the inline transport.
+        data_plane: ``"auto"`` or ``"shm"``: both name the shared-memory
+            ring plane, the only process data plane; anything else
+            raises.  Kept only for callers that still pass it.
         ring_capacity: Per-ring byte capacity of the shm data plane.
         lateness: ``"time"`` mode — bounded-lateness allowance in
             seconds: a record may arrive this far behind the newest
@@ -265,6 +265,12 @@ class AggregationService:
             raise ServiceError(
                 f"unknown late-record policy {late_policy!r}; "
                 f"expected one of {LATE_POLICIES}"
+            )
+        if data_plane not in ("auto", "shm"):
+            raise ServiceError(
+                f"data_plane={data_plane!r} is not supported: the pickle "
+                "queue plane was removed, and the shared-memory ring plane "
+                "('auto' or 'shm') is the only process data plane"
             )
         self.queries = tuple(queries)
         self.operator = operator
@@ -355,13 +361,10 @@ class AggregationService:
                 restart_backoff=restart_backoff,
                 stall_timeout=stall_timeout,
                 on_shard_failed=self._on_shard_failed,
-                data_plane=data_plane,
                 ring_capacity=ring_capacity,
             )
         elif transport == "inline":
-            self._transport = InlineTransport(
-                configs, queue_capacity, backpressure
-            )
+            self._transport = InlineTransport(configs, backpressure)
         else:
             raise ServiceError(
                 f"unknown transport {transport!r}; expected 'process' "
@@ -551,18 +554,11 @@ class AggregationService:
     ) -> None:
         """Ingest one event-timestamped record (``"time"`` mode).
 
-        The record enters the bounded-lateness reorder buffer; the
-        records the arrival *releases* (their timestamps are final —
-        nothing older can be admitted any more) are one splitter call,
-        in timestamp order.  A record behind the watermark is handled
-        per the configured late policy (raise / drop / side-output).
-
-        Raises:
-            LateRecordError: under the ``"raise"`` policy, when the
-                record's timestamp is behind the watermark.
-            OutOfOrderError: when the timestamp is not a finite real
-                number or precedes ``origin`` — refused by the ingress
-                buffer before any state is touched.
+        The one-record call of :meth:`submit_events`, with its rules;
+        one record needs no batch proof, so it takes the reorder
+        buffer's per-record :meth:`push_into
+        <repro.stream.outoforder.TimestampReorderBuffer.push_into>`,
+        which is all or nothing for one record.
         """
         if self._closed:
             raise ServiceError("cannot submit to a closed service")
@@ -579,6 +575,53 @@ class AggregationService:
         released: List[Tuple[float, Any]] = []
         item = (key, value, trace_id, arrived)
         ingress.push_into(timestamp, item, released)
+        self._split_released(released)
+
+    def submit_events(
+        self,
+        records: Iterable[Tuple[Any, float, Any]],
+        trace_id: Optional[int] = None,
+    ) -> None:
+        """Ingest ``(key, timestamp, value)`` triples (``"time"`` mode).
+
+        The batch enters the bounded-lateness reorder buffer in one
+        call, judged against the watermark as of the previous call
+        (:meth:`TimestampReorderBuffer.push_many_into
+        <repro.stream.outoforder.TimestampReorderBuffer.push_many_into>`);
+        the records it *releases* (their timestamps are final —
+        nothing older can be admitted any more) are one splitter call,
+        in timestamp order.  A record behind the watermark is handled
+        per the configured late policy (raise / drop / side-output).
+
+        All or nothing: a record that is not a triple, an invalid
+        timestamp, or a late record under ``"raise"`` raises with
+        nothing ingested, so a client may retry the batch's clean
+        records without counting any twice.
+
+        Raises:
+            LateRecordError: under the ``"raise"`` policy, when a
+                record's timestamp is behind the watermark.
+            OutOfOrderError: when a timestamp is not a finite real
+                number or precedes ``origin``.
+        """
+        if self._closed:
+            raise ServiceError("cannot submit to a closed service")
+        ingress = self._ingress
+        if ingress is None:
+            raise ServiceError(
+                f"submit_event requires mode='time', not {self.mode!r}"
+            )
+        arrived = (
+            time.perf_counter()
+            if trace_id is not None and self._telemetry is not None
+            else None
+        )
+        rows = [
+            (timestamp, (key, value, trace_id, arrived))
+            for key, timestamp, value in records
+        ]
+        released: List[Tuple[float, Any]] = []
+        ingress.push_many_into(rows, released)
         self._split_released(released)
 
     def _split_released(self, released: List[Tuple[float, Any]]) -> None:
@@ -611,15 +654,6 @@ class AggregationService:
             keys, values, None if untraced else traces, stamps
         ):
             self._transport.ship(batch)
-
-    def submit_events(
-        self,
-        records: Iterable[Tuple[Any, float, Any]],
-        trace_id: Optional[int] = None,
-    ) -> None:
-        """Ingest ``(key, timestamp, value)`` triples (``"time"`` mode)."""
-        for key, timestamp, value in records:
-            self.submit_event(key, value, timestamp, trace_id)
 
     def _on_late_record(self, timestamp: float, item: Any) -> None:
         """Reorder-buffer callback for a late record (drop/side-output).
@@ -929,9 +963,10 @@ class AggregationService:
     def transport_stats(self) -> Dict[str, Any]:
         """Live data-plane accounting (also on ``close().stats``).
 
-        Keys: ``data_plane`` (the resolved plane actually running),
-        ``frames_columnar`` / ``frames_pickled`` / ``frames_spilled``
-        frame counts, and cumulative ``encode_seconds`` /
+        Keys: ``data_plane`` (``"shm"`` on the process transport,
+        ``"inline"`` on the inline one), ``frames_columnar`` /
+        ``frames_pickled`` / ``frames_spilled`` frame counts, and
+        cumulative ``encode_seconds`` /
         ``ring_wait_seconds`` / ``decode_seconds``.
         """
         return self._transport.transport_stats()

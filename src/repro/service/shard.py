@@ -30,8 +30,9 @@ longer be trusted) and subsequent records for it are quarantined too.
 object, so :mod:`repro.stream.checkpoint` snapshots it byte-for-byte and
 the supervisor can restore a killed worker and replay its un-checkpointed
 batches.  :func:`shard_main` is the process entry point wrapping that
-state in a queue-driven loop that heartbeats while idle and before each
-batch, so the supervisor can tell a slow worker from a wedged one.
+state in a loop over the shard's shared-memory rings that heartbeats
+while idle and before each batch, so the supervisor can tell a slow
+worker from a wedged one.
 """
 
 from __future__ import annotations
@@ -171,7 +172,8 @@ class ShardOutput:
             fold's ``busy_seconds`` to the traces it served without the
             worker knowing anything about telemetry.
         transport_seconds: Worker-side time spent decoding the batch
-            off the shared-memory ring (``0.0`` on the queue plane).
+            off the shared-memory ring (``0.0`` on the inline
+            transport).
     """
 
     shard_id: int
@@ -573,29 +575,28 @@ class ShardState:
 
 def shard_main(
     config: ShardConfig,
+    endpoint: Any,
     in_queue: Any,
     out_queue: Any,
     initial_snapshot: Optional[bytes] = None,
-    endpoint: Optional[Any] = None,
 ) -> None:
     """Worker-process entry point: restore, then loop over batches.
 
     Args:
         config: The shard's pipeline configuration.
-        in_queue: Bounded queue of :class:`Batch` messages and the
-            :data:`STOP` sentinel (on the shm plane it carries only
-            ring-spilled payloads; ordering is anchored in the ring).
+        endpoint: The shard's
+            :class:`~repro.service.transport.shm.WorkerEndpoint`:
+            batches arrive as zero-copy columnar views off its data
+            ring, outputs return on its result ring.  Closed when the
+            loop ends.
+        in_queue: Bounded queue of ring-spilled :class:`Batch`
+            payloads, each taken when its ``SPILL`` marker is read
+            (ordering is anchored in the ring).
         out_queue: Bounded queue of :class:`ShardHeartbeat` /
-            :class:`ShardStopped` liveness messages — and, on the
-            queue plane, :class:`ShardOutput` results.
+            :class:`ShardStopped` liveness messages and ring-spilled
+            :class:`ShardOutput` results.
         initial_snapshot: Checkpoint bytes to resume from (recovery);
             ``None`` starts from a fresh state.
-        endpoint: Shared-memory
-            :class:`~repro.service.transport.shm.WorkerEndpoint`
-            inherited through ``fork``; ``None`` runs the original
-            queue transport.  With an endpoint, batches arrive as
-            zero-copy columnar views off the data ring and outputs
-            return on the result ring.
 
     A torn ring frame (CRC mismatch — the producer died mid-write or
     chaos corrupted the bytes) raises out of the receive path: the
@@ -613,11 +614,7 @@ def shard_main(
         batches_since_checkpoint = 0
         while True:
             try:
-                timeout = heartbeat if heartbeat else None
-                if endpoint is not None:
-                    message = endpoint.receive(in_queue, timeout)
-                else:
-                    message = in_queue.get(timeout=timeout)
+                message = endpoint.receive(in_queue, heartbeat or None)
             except queue_module.Empty:
                 out_queue.put(
                     ShardHeartbeat(
@@ -648,17 +645,19 @@ def shard_main(
             ):
                 output.snapshot = snapshot(state)
                 batches_since_checkpoint = 0
-            if endpoint is not None:
-                # Release the batch's ring views and consume the frame
-                # before shipping the output: the fold is complete, so
-                # the producer may reuse the bytes.
-                endpoint.commit()
-                output.transport_seconds = endpoint.take_decode_seconds()
-                endpoint.send_output(output, out_queue, heartbeat)
-            else:
-                out_queue.put(output)
+            # Release the batch's ring views and consume the frame
+            # before shipping the output: the fold is complete, so the
+            # producer may reuse the bytes.
+            endpoint.commit()
+            output.transport_seconds = endpoint.take_decode_seconds()
+            endpoint.send_output(output, out_queue, heartbeat)
     except (KeyboardInterrupt, SystemExit):  # pragma: no cover - signals
         raise
     except BaseException as error:  # pragma: no cover - crash reporting
         out_queue.put(ShardStopped(config.shard_id, error=repr(error)))
         raise
+    finally:
+        # A mapping still open at interpreter exit fails to close with
+        # a BufferError traceback (a forked worker skips that cleanup,
+        # a spawned one does not).
+        endpoint.close()

@@ -1,17 +1,18 @@
 """Worker lifecycle: spawning, backpressure, failure detection, recovery.
 
-The supervisor owns one worker process per shard.  On the ``shm`` data
-plane (the default where supported) batches travel as columnar frames
-over per-shard shared-memory rings
-(:mod:`repro.service.transport`), with bounded queues kept for control
-traffic, oversized spills, and platforms without shared memory; on the
-``pickle`` plane everything travels on the queues, as it originally
-did.  Either way both directions are bounded — a slow merger
-backpressures the workers instead of growing an unbounded outbound
-backlog.  Its responsibilities:
+The supervisor owns one worker process per shard.  Batches and the
+stop request travel as frames over the shard's pair of shared-memory
+rings (:mod:`repro.service.transport`); the worker's bounded queues
+carry only ring-spilled payloads, heartbeats and its stop notice.  Both
+directions are bounded — a slow merger backpressures the workers
+instead of growing an unbounded outbound backlog.  Workers start with
+``fork`` where the platform has it and ``spawn`` otherwise; under
+``spawn`` they attach to their rings by segment name.  Its
+responsibilities:
 
-* **Backpressure** — a full inbound queue triggers the configured
-  policy: ``block`` (lossless, waits for capacity), ``drop`` (sheds the
+* **Backpressure** — a shard with ``queue_capacity`` unacknowledged
+  batches, or a full data ring, triggers the configured policy:
+  ``block`` (lossless, waits for capacity), ``drop`` (sheds the
   batch's records, ships the empty frame so watermarks and sequence
   numbers stay intact), or ``sample`` (ships a deterministically
   thinned batch).  Dropped records are counted exactly, per shard.
@@ -43,8 +44,8 @@ backlog.  Its responsibilities:
 
 Fault injection threads through the optional ``injector``
 (:class:`~repro.service.chaos.FaultInjector`): kills after chosen
-batches, kills at spawn, checkpoint bit-flips, and queue-put delays
-all fire from the hooks here.
+batches, kills at spawn, checkpoint bit-flips, send delays, and torn or
+duplicated ring frames all fire from the hooks here.
 
 :class:`InlineTransport` is the process-free twin used by fast
 deterministic tests: same interface, shards run in the caller's
@@ -57,6 +58,7 @@ import multiprocessing
 import queue as queue_module
 import time
 from dataclasses import replace
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import (
@@ -81,7 +83,7 @@ from repro.service.shard import (
     ShardStopped,
     shard_main,
 )
-from repro.service.transport import resolve_data_plane
+from repro.service.transport import shm_supported
 from repro.service.transport.frame import (
     FrameKind,
     decode_frame,
@@ -91,12 +93,12 @@ from repro.service.transport.shm import ShardChannel
 from repro.stream.checkpoint import CheckpointError, verify
 from repro.stream.sink import DeadLetter
 
-#: Seconds between liveness checks while waiting on a full queue.
-_PUT_TIMEOUT = 0.05
+#: Seconds a spilled output may take to arrive on the out queue
+#: between liveness checks of its worker.
+_SPILL_TIMEOUT = 0.05
 
-#: Sleep between liveness checks while waiting on a full ring (rings
-#: drain in sub-millisecond strides, so the wait polls much hotter
-#: than the queue path).
+#: Sleep between liveness checks while a send waits for ring space or
+#: acknowledgements (rings drain in sub-millisecond strides).
 _RING_WAIT_SLEEP = 0.001
 
 #: Retained batch-latency samples per shard (reservoir capacity).
@@ -114,12 +116,21 @@ def _context():
 
     Fork keeps worker startup cheap and lets non-picklable operators
     run (checkpointing still requires picklability); platforms without
-    it (Windows) fall back to the default start method.
+    it (Windows) fall back to the default start method, ``spawn``.
     """
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return multiprocessing.get_context()
+
+
+def _offer(queue: Any, item: Any) -> bool:
+    """Non-blocking put; ``False`` while the queue is full."""
+    try:
+        queue.put_nowait(item)
+    except queue_module.Full:
+        return False
+    return True
 
 
 def _name_letters(batch: Batch, output: ShardOutput) -> None:
@@ -137,6 +148,21 @@ def _name_letters(batch: Batch, output: ShardOutput) -> None:
     ]
 
 
+def _transport_stats(
+    data_plane: str, handles: List["WorkerHandle"]
+) -> Dict[str, Any]:
+    """A transport's data-plane accounting, summed over its shards."""
+    return {
+        "data_plane": data_plane,
+        "frames_columnar": sum(h.frames_columnar for h in handles),
+        "frames_pickled": sum(h.frames_pickled for h in handles),
+        "frames_spilled": sum(h.frames_spilled for h in handles),
+        "encode_seconds": sum(h.encode_seconds for h in handles),
+        "ring_wait_seconds": sum(h.ring_wait_seconds for h in handles),
+        "decode_seconds": sum(h.decode_seconds for h in handles),
+    }
+
+
 class WorkerHandle:
     """Bookkeeping for one shard worker."""
 
@@ -145,7 +171,7 @@ class WorkerHandle:
         self.process: Optional[Any] = None
         self.in_queue: Optional[Any] = None
         self.out_queue: Optional[Any] = None
-        #: Shared-memory ring pair (``None`` on the pickle plane).
+        #: Shared-memory ring pair (``None`` once discarded).
         self.channel: Optional[ShardChannel] = None
         #: Batches shipped but not yet covered by two checkpoint
         #: generations (the fallback generation must stay replayable).
@@ -181,7 +207,7 @@ class WorkerHandle:
         self.dropped = 0
         self.stalls = 0
         self.corrupt_checkpoints = 0
-        # Transport accounting (shm plane; zero on the pickle plane).
+        # Transport accounting (zero on the inline transport).
         self.frames_columnar = 0
         self.frames_pickled = 0
         self.frames_spilled = 0
@@ -200,8 +226,8 @@ class Supervisor:
 
     Args:
         configs: One :class:`ShardConfig` per shard, index-aligned.
-        queue_capacity: Bound of each shard's inbound queue, in
-            batches; this is where backpressure originates.
+        queue_capacity: Unacknowledged batches allowed in flight per
+            shard; this is where backpressure originates.
         backpressure: ``"block"``, ``"drop"`` or ``"sample"``.
         injector: Optional fault injector (tests only); its hooks fire
             at spawn, ship, and checkpoint-absorb time.
@@ -216,11 +242,13 @@ class Supervisor:
         on_shard_failed: Callback ``(shard_id, reason)`` invoked once
             when a shard exhausts its budget (or loses both checkpoint
             generations).
-        data_plane: ``"auto"`` (shm where supported, else pickle),
-            ``"shm"`` (require the shared-memory plane), or
-            ``"pickle"`` (force the legacy queue transport).
-        ring_capacity: Per-ring byte capacity of the shm plane; larger
-            rings absorb deeper bursts before backpressure engages.
+        ring_capacity: Per-ring byte capacity; larger rings absorb
+            deeper bursts before backpressure engages.
+
+    Raises:
+        ServiceError: for an invalid argument, or where
+            :mod:`multiprocessing.shared_memory` is unavailable (run
+            ``transport="inline"`` there).
     """
 
     def __init__(
@@ -233,7 +261,6 @@ class Supervisor:
         restart_backoff: float = 0.05,
         stall_timeout: float = 10.0,
         on_shard_failed: Optional[Callable[[int, str], None]] = None,
-        data_plane: str = "auto",
         ring_capacity: int = DEFAULT_RING_CAPACITY,
     ):
         if backpressure not in BACKPRESSURE_POLICIES:
@@ -253,14 +280,17 @@ class Supervisor:
             raise ServiceError(
                 f"ring_capacity must be >= 64 bytes, got {ring_capacity}"
             )
+        if not shm_supported():
+            raise ServiceError(
+                "transport='process' needs multiprocessing.shared_memory, "
+                "which this platform lacks; use transport='inline'"
+            )
         self._ctx = _context()
         self._queue_capacity = queue_capacity
-        #: Outbound queues are bounded too (a slow merger backpressures
-        #: workers instead of growing an unbounded backlog), but looser
-        #: than inbound: outputs are smaller than batches, and the
-        #: supervisor drains them while it waits for inbound capacity.
+        #: The out queue is bounded too, but looser than the spill
+        #: queue: it also carries heartbeats, and the supervisor drains
+        #: it while it waits to send.
         self._out_capacity = max(16, queue_capacity * 4)
-        self.data_plane = resolve_data_plane(data_plane)
         self._ring_capacity = ring_capacity
         self._backpressure = backpressure
         self._injector = injector
@@ -285,22 +315,19 @@ class Supervisor:
             config = self._injector.worker_config(config)
         handle.in_queue = self._ctx.Queue(maxsize=self._queue_capacity)
         handle.out_queue = self._ctx.Queue(maxsize=self._out_capacity)
-        endpoint = None
-        if self.data_plane == "shm":
-            # Fresh rings every (re)spawn: a crashed worker's rings may
-            # hold a half-consumed frame and are never reused.
-            handle.channel = ShardChannel(
-                handle.config.shard_id, self._ring_capacity
-            )
-            endpoint = handle.channel.endpoint()
+        # Fresh rings every (re)spawn: a crashed worker's rings may hold
+        # a half-consumed frame and are never reused.
+        handle.channel = ShardChannel(
+            handle.config.shard_id, self._ring_capacity
+        )
         handle.process = self._ctx.Process(
             target=shard_main,
             args=(
                 config,
+                handle.channel.endpoint(),
                 handle.in_queue,
                 handle.out_queue,
                 initial_snapshot,
-                endpoint,
             ),
             daemon=True,
             name=f"repro-shard-{handle.config.shard_id}",
@@ -314,9 +341,9 @@ class Supervisor:
         for batch in replay:
             if handle.failed:  # budget exhausted mid-replay
                 return
-            self._put(handle, batch)
+            self._send(handle, batch)
         if handle.stop_sent and not handle.failed:
-            self._put(handle, STOP)
+            self._send(handle, STOP)
 
     def _recover(self, handle: WorkerHandle) -> None:
         """Respawn a dead worker from its checkpoint and replay.
@@ -396,24 +423,25 @@ class Supervisor:
             process.kill()
             process.join(timeout=5.0)
         self._discard_queues(handle)
-        error = ShardFailedError(
-            f"shard {handle.config.shard_id} failed: {reason}"
-        )
         # Un-acknowledged records will never be processed: quarantine
         # them so accounting stays exact and callers can inspect them.
         for batch in handle.retained:
             if batch.seq <= handle.acked_seq:
                 continue
-            self._shed_batch(handle, batch, error)
+            self._shed_batch(handle, batch)
         handle.retained = []
         handle.enqueue_times.clear()
         if self._on_shard_failed is not None:
             self._on_shard_failed(handle.config.shard_id, reason)
 
-    def _shed_batch(
-        self, handle: WorkerHandle, batch: Batch, error: ShardFailedError
-    ) -> None:
-        reason = repr(error)
+    def _shed_batch(self, handle: WorkerHandle, batch: Batch) -> None:
+        """Dead-letter a batch of a failed shard, record by record."""
+        reason = repr(
+            ShardFailedError(
+                f"shard {handle.config.shard_id} failed: "
+                f"{handle.failure_reason}"
+            )
+        )
         self._pending_letters.extend(
             DeadLetter(
                 key=key,
@@ -473,46 +501,6 @@ class Supervisor:
 
     # -- shipping with backpressure --------------------------------
 
-    def _put(self, handle: WorkerHandle, message: Any) -> None:
-        """Blocking put that survives (and triggers) worker recovery.
-
-        While waiting for inbound capacity the supervisor keeps
-        draining the worker's outputs — with both directions bounded,
-        a worker blocked on a full outbound path and a supervisor
-        blocked on a full inbound one would otherwise deadlock.
-        """
-        if self._injector is not None:
-            delay = self._injector.put_delay(handle.config.shard_id)
-            if delay:
-                time.sleep(delay)
-        while True:
-            if handle.failed:
-                if isinstance(message, Batch):
-                    self._shed_batch(
-                        handle,
-                        message,
-                        ShardFailedError(
-                            f"shard {handle.config.shard_id} failed: "
-                            f"{handle.failure_reason}"
-                        ),
-                    )
-                return
-            if handle.channel is not None:
-                if self._shm_send(handle, message):
-                    return
-                # Ring torn down mid-send (worker recovery replaced the
-                # channel, or the shard failed): retry wholesale
-                # against the fresh incarnation.
-                continue
-            try:
-                handle.in_queue.put(message, timeout=_PUT_TIMEOUT)
-                return
-            except queue_module.Full:
-                self._drain_handle(handle)
-                self._check(handle)
-
-    # -- shm plane ---------------------------------------------------
-
     def _encode_batch(self, handle: WorkerHandle, batch: Batch) -> bytes:
         """Encode one batch on the handle's channel, with accounting."""
         started = time.perf_counter()
@@ -538,140 +526,134 @@ class Supervisor:
         """
         if self._injector is None:
             return [frame]
-        on_data_frame = getattr(self._injector, "on_data_frame", None)
-        if on_data_frame is None:
-            return [frame]
-        return on_data_frame(handle.config.shard_id, frame)
+        return self._injector.on_data_frame(handle.config.shard_id, frame)
 
-    def _shm_send(self, handle: WorkerHandle, message: Any) -> bool:
-        """Deliver one message over the shm plane, blocking on space.
+    def _wait(
+        self,
+        handle: WorkerHandle,
+        channel: ShardChannel,
+        ready: Callable[[], bool],
+    ) -> bool:
+        """Block until ``ready()``; ``False`` if ``channel`` went first.
 
-        Returns ``False`` when the channel was replaced (worker
-        recovery) or the shard failed mid-send; the caller restarts
-        against the handle's current state.
+        Every round drains the worker's outputs — its acknowledgements
+        free in-flight slots, and with both directions bounded a
+        supervisor that stopped draining could deadlock against a
+        worker blocked on its result ring — and recovers a dead
+        worker.  Gives up once recovery has replaced ``channel`` or the
+        shard failed.  The time waited is charged to ``ring_wait``.
         """
-        channel = handle.channel
-        shard_id = handle.config.shard_id
-        if isinstance(message, Batch):
-            # Respect the per-shard in-flight batch bound (see
-            # ``_shm_try_ship``) before committing ring space: the
-            # block policy waits here, draining so acks can arrive.
-            waited_since = None
-            while (
-                message.seq - handle.acked_seq > self._queue_capacity
-            ):
-                if waited_since is None:
-                    waited_since = time.perf_counter()
-                self._drain_handle(handle)
-                self._check(handle)
-                if handle.failed or handle.channel is not channel:
-                    return False
-                time.sleep(_RING_WAIT_SLEEP)
-            if waited_since is not None:
-                waited = time.perf_counter() - waited_since
-                handle.ring_wait_seconds += waited
-                if self.transport_observer is not None:
-                    self.transport_observer("ring_wait", waited)
-            frame = self._encode_batch(handle, message)
-            if len(frame) > channel.data_ring.max_payload:
-                # Too large for the ring: the payload travels on the
-                # queue, a SPILL marker holds its place in ring order.
-                handle.frames_spilled += 1
-                while True:
-                    try:
-                        handle.in_queue.put(message, timeout=_PUT_TIMEOUT)
-                        break
-                    except queue_module.Full:
-                        self._drain_handle(handle)
-                        self._check(handle)
-                        if handle.failed or handle.channel is not channel:
-                            return False
-                frames = [
-                    encode_control_frame(
-                        FrameKind.SPILL, shard_id, message.seq
-                    )
-                ]
-            else:
-                frames = self._data_frames(handle, frame)
-        else:  # STOP
-            frames = [encode_control_frame(FrameKind.STOP, shard_id)]
-        ring = channel.data_ring
-        for frame in frames:
-            started = None
-            while not ring.try_write(frame):
-                if started is None:
-                    started = time.perf_counter()
-                self._drain_handle(handle)
-                self._check(handle)
-                if handle.failed or handle.channel is not channel:
-                    return False
-                time.sleep(_RING_WAIT_SLEEP)
-            if started is not None:
-                waited = time.perf_counter() - started
-                handle.ring_wait_seconds += waited
-                if self.transport_observer is not None:
-                    self.transport_observer("ring_wait", waited)
+        if ready():
+            return True
+        started = time.perf_counter()
+        while True:
+            self._drain_handle(handle)
+            self._check(handle)
+            if handle.failed or handle.channel is not channel:
+                return False
+            if ready():
+                break
+            time.sleep(_RING_WAIT_SLEEP)
+        waited = time.perf_counter() - started
+        handle.ring_wait_seconds += waited
+        if self.transport_observer is not None:
+            self.transport_observer("ring_wait", waited)
         return True
 
-    def _shm_try_ship(self, handle: WorkerHandle, batch: Batch) -> bool:
-        """Non-blocking shm delivery; ``False`` signals backpressure."""
-        if self._injector is not None and getattr(
-            self._injector, "has_data_frame_fault", lambda _s: False
-        )(handle.config.shard_id):
+    def _send(self, handle: WorkerHandle, message: Any) -> None:
+        """Blocking send of a batch or :data:`STOP` over the data ring.
+
+        A batch first waits for its in-flight slot (see
+        :meth:`_try_ship`), then for ring space; one too large for the
+        ring travels on the spill queue while a ``SPILL`` marker holds
+        its place in ring order.  When recovery replaces the rings
+        mid-send, the send starts over on the fresh ones; when the
+        shard fails, a batch is dead-lettered instead.
+        """
+        shard_id = handle.config.shard_id
+        if self._injector is not None:
+            delay = self._injector.put_delay(shard_id)
+            if delay:
+                time.sleep(delay)
+        queue_capacity = self._queue_capacity
+        while not handle.failed:
+            channel = handle.channel
+            ring = channel.data_ring
+            if not isinstance(message, Batch):
+                frames = [encode_control_frame(FrameKind.STOP, shard_id)]
+            else:
+                if not self._wait(
+                    handle,
+                    channel,
+                    lambda: message.seq - handle.acked_seq <= queue_capacity,
+                ):
+                    continue
+                frame = self._encode_batch(handle, message)
+                if len(frame) <= ring.max_payload:
+                    frames = self._data_frames(handle, frame)
+                elif self._wait(
+                    handle, channel, partial(_offer, handle.in_queue, message)
+                ):
+                    handle.frames_spilled += 1
+                    frames = [
+                        encode_control_frame(
+                            FrameKind.SPILL, shard_id, message.seq
+                        )
+                    ]
+                else:
+                    continue
+            if all(
+                self._wait(handle, channel, partial(ring.try_write, frame))
+                for frame in frames
+            ):
+                return
+        if isinstance(message, Batch):
+            self._shed_batch(handle, message)
+
+    def _try_ship(self, handle: WorkerHandle, batch: Batch) -> bool:
+        """Non-blocking delivery; ``False`` signals backpressure."""
+        if self._injector is not None and self._injector.has_data_frame_fault(
+            handle.config.shard_id
+        ):
             # A torn/stale frame is scheduled for this shard: take the
             # blocking writer so the injected frame group lands (and
             # survives any recovery it provokes) atomically.
-            self._put(handle, batch)
+            self._send(handle, batch)
             return True
-        # ``queue_capacity`` bounds in-flight *batches* per shard on
-        # both planes — the ring's byte capacity alone would let a
-        # fast producer run thousands of batches ahead of a slow
-        # worker, which is exactly the situation the drop/sample
-        # policies exist to surface.  The bound is phrased per-seq
-        # (ship N only once N - capacity is acked) so replayed batches
-        # at or below the ack horizon always pass.
+        # ``queue_capacity`` bounds in-flight *batches* per shard — the
+        # ring's byte capacity alone would let a fast producer run
+        # thousands of batches ahead of a slow worker, which is exactly
+        # the situation the drop/sample policies exist to surface.  The
+        # bound is phrased per-seq (ship N only once N - capacity is
+        # acked) so replayed batches at or below the ack horizon always
+        # pass.
         self._drain_result_ring(handle)
         if batch.seq - handle.acked_seq > self._queue_capacity:
             return False
-        channel = handle.channel
+        ring = handle.channel.data_ring
         frame = self._encode_batch(handle, batch)
-        if len(frame) > channel.data_ring.max_payload:
+        if len(frame) > ring.max_payload:
             # Oversized batches take the blocking spill path directly:
             # shedding a batch for being large (rather than for the
             # worker being behind) is not what drop/sample mean.
-            self._put(handle, batch)
+            self._send(handle, batch)
             return True
-        return channel.data_ring.try_write(frame)
+        return ring.try_write(frame)
 
     def ship(self, batch: Batch) -> None:
         """Deliver one batch under the configured backpressure policy."""
         handle = self.handles[batch.shard]
         if handle.failed:
-            self._shed_batch(
-                handle,
-                batch,
-                ShardFailedError(
-                    f"shard {batch.shard} failed: "
-                    f"{handle.failure_reason}"
-                ),
-            )
+            self._shed_batch(handle, batch)
             return
-        if handle.channel is not None:
-            delivered = self._shm_try_ship(handle, batch)
-        else:
-            try:
-                handle.in_queue.put_nowait(batch)
-                delivered = True
-            except queue_module.Full:
-                delivered = False
-        if not delivered:
+        if not self._try_ship(handle, batch):
             if self._backpressure == "drop":
                 batch, dropped = drop_records(batch)
                 handle.dropped += dropped
             elif self._backpressure == "sample":
                 batch, dropped = thin_batch(batch)
                 handle.dropped += dropped
-            self._put(handle, batch)
+            self._send(handle, batch)
         if handle.failed:
             return
         # Retain exactly what was shipped so replays are identical.
@@ -716,7 +698,7 @@ class Supervisor:
             handle.records += output.records
             handle.batches += 1
             handle.busy_seconds += output.busy_seconds
-            decode_seconds = getattr(output, "transport_seconds", 0.0)
+            decode_seconds = output.transport_seconds
             if decode_seconds:
                 handle.decode_seconds += decode_seconds
                 if self.transport_observer is not None:
@@ -808,7 +790,7 @@ class Supervisor:
         out_queue = handle.out_queue
         while True:
             try:
-                message = out_queue.get(timeout=_PUT_TIMEOUT)
+                message = out_queue.get(timeout=_SPILL_TIMEOUT)
             except queue_module.Empty:
                 process = handle.process
                 if process is None or not process.is_alive():
@@ -842,10 +824,10 @@ class Supervisor:
     # -- transport introspection -------------------------------------
 
     def ring_occupancy(self) -> List[float]:
-        """Per-shard ring occupancy as a capacity fraction (shm plane).
+        """Per-shard ring occupancy as a capacity fraction.
 
         The fuller of a shard's two rings; ``0.0`` for discarded
-        channels and on the pickle plane.
+        channels.
         """
         return [
             handle.channel.occupancy_ratio()
@@ -856,37 +838,17 @@ class Supervisor:
 
     def transport_stats(self) -> Dict[str, Any]:
         """Aggregate data-plane accounting across every shard."""
-        return {
-            "data_plane": self.data_plane,
-            "frames_columnar": sum(
-                h.frames_columnar for h in self.handles
-            ),
-            "frames_pickled": sum(
-                h.frames_pickled for h in self.handles
-            ),
-            "frames_spilled": sum(
-                h.frames_spilled for h in self.handles
-            ),
-            "encode_seconds": sum(
-                h.encode_seconds for h in self.handles
-            ),
-            "ring_wait_seconds": sum(
-                h.ring_wait_seconds for h in self.handles
-            ),
-            "decode_seconds": sum(
-                h.decode_seconds for h in self.handles
-            ),
-        }
+        return _transport_stats("shm", self.handles)
 
     # -- shutdown ---------------------------------------------------
 
     def stop(self) -> None:
-        """Ask every worker to finish its queue and exit."""
+        """Ask every worker to finish its ring and exit."""
         for handle in self.handles:
             if not handle.stop_sent:
                 handle.stop_sent = True
                 if not handle.failed:
-                    self._put(handle, STOP)
+                    self._send(handle, STOP)
 
     def drain_until_stopped(self, timeout: float = 60.0) -> List[ShardOutput]:
         """Collect outputs until every worker confirmed its stop.
@@ -943,25 +905,12 @@ class InlineTransport:
     itself).
     """
 
-    def __init__(
-        self,
-        configs: List[ShardConfig],
-        queue_capacity: int = 8,
-        backpressure: str = "block",
-        injector: Optional[Any] = None,
-        max_restarts: int = 5,
-        restart_backoff: float = 0.05,
-        stall_timeout: float = 10.0,
-        on_shard_failed: Optional[Callable[[int, str], None]] = None,
-        data_plane: str = "auto",
-        ring_capacity: int = DEFAULT_RING_CAPACITY,
-    ):
+    def __init__(self, configs: List[ShardConfig], backpressure: str):
         if backpressure not in BACKPRESSURE_POLICIES:
             raise ServiceError(
                 f"unknown backpressure policy {backpressure!r}; "
                 f"expected one of {BACKPRESSURE_POLICIES}"
             )
-        self.data_plane = "inline"
         self.transport_observer: Optional[
             Callable[[str, float], None]
         ] = None
@@ -1001,15 +950,7 @@ class InlineTransport:
 
     def transport_stats(self) -> Dict[str, Any]:
         """Zeroed accounting (no process transport in play)."""
-        return {
-            "data_plane": "inline",
-            "frames_columnar": 0,
-            "frames_pickled": 0,
-            "frames_spilled": 0,
-            "encode_seconds": 0.0,
-            "ring_wait_seconds": 0.0,
-            "decode_seconds": 0.0,
-        }
+        return _transport_stats("inline", self.handles)
 
     def stop(self) -> None:
         """Mark every (synchronous) shard as stopped."""

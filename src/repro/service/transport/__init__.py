@@ -1,13 +1,8 @@
 """Zero-copy shared-memory data plane for the sharded service.
 
-The process transport originally shipped every micro-batch through a
-pickle-based ``multiprocessing.Queue``: each batch was pickled in the
-parent's feeder thread, pushed through a pipe, and unpickled in the
-worker — three copies and two object materialisations per batch, which
-after the PR 3 batch kernels became the dominant end-to-end cost.
-
-This package replaces that hop with per-shard **SPSC ring buffers**
-backed by :mod:`multiprocessing.shared_memory`:
+Every process shard is fed through per-shard **SPSC ring buffers**
+backed by :mod:`multiprocessing.shared_memory` — the only process data
+plane, under both the ``fork`` and ``spawn`` start methods:
 
 * :mod:`~repro.service.transport.frame` — the columnar frame codec.
   A numeric batch is encoded *once* into a flat frame (header + a
@@ -31,64 +26,26 @@ backed by :mod:`multiprocessing.shared_memory`:
   ``memoryview``-backed columns to the batch kernels with no copy and
   no unpickle.
 
-Control signals (STOP, checkpoints riding on outputs, fault plans)
-stay on the existing queues; frames too large for the ring spill to
-the queue behind an in-band marker so per-shard ordering is preserved.
-Platforms without ``shared_memory`` or a ``fork`` start method fall
-back to the original pickle-queue plane transparently under
-``data_plane="auto"``.
+The worker's queues carry only what the rings anchor or do not order:
+payloads too large for a ring (each behind an in-band ``SPILL``
+marker, so per-shard ordering is preserved), heartbeats, and the
+worker's stop notice.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-
-from repro.errors import ServiceError
-
-#: The data planes the process transport can run on.  ``shm`` is the
-#: zero-copy shared-memory plane; ``pickle`` is the original
-#: pickled-``Queue`` transport kept as the universal fallback.
-DATA_PLANES = ("auto", "shm", "pickle")
-
 
 def shm_supported() -> bool:
-    """Whether this platform can run the shared-memory data plane.
+    """Whether :mod:`multiprocessing.shared_memory` imports here.
 
-    Requires :mod:`multiprocessing.shared_memory` (Python 3.8+, and a
-    platform that actually provides POSIX/Windows shared memory) and
-    the ``fork`` start method — ring endpoints hold mmap'd segments
-    that child processes inherit by address, which ``spawn`` cannot
-    replicate without re-attaching by name.
+    Where it does not, the process transport cannot run and the
+    service refuses ``transport="process"``.
     """
     try:
         from multiprocessing import shared_memory  # noqa: F401
     except ImportError:  # pragma: no cover - platform-dependent
         return False
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def resolve_data_plane(requested: str) -> str:
-    """Resolve a requested plane to the one that will actually run.
-
-    ``auto`` selects ``shm`` when the platform supports it and
-    ``pickle`` otherwise; asking for ``shm`` explicitly on a platform
-    without it is an error (tests and benchmarks want the failure to
-    be loud, not a silent downgrade).
-    """
-    if requested not in DATA_PLANES:
-        raise ServiceError(
-            f"unknown data plane {requested!r}; expected one of "
-            f"{DATA_PLANES}"
-        )
-    if requested == "auto":
-        return "shm" if shm_supported() else "pickle"
-    if requested == "shm" and not shm_supported():
-        raise ServiceError(
-            "data_plane='shm' requires multiprocessing.shared_memory "
-            "and the fork start method; use 'auto' to fall back to "
-            "the pickle queue plane on this platform"
-        )
-    return requested
+    return True
 
 
 from repro.service.transport.frame import (  # noqa: E402
@@ -105,7 +62,6 @@ from repro.service.transport.shm import (  # noqa: E402
 )
 
 __all__ = [
-    "DATA_PLANES",
     "FrameKind",
     "ShardChannel",
     "SpscRing",
@@ -114,6 +70,5 @@ __all__ = [
     "encode_batch_frame",
     "encode_control_frame",
     "encode_pickled_frame",
-    "resolve_data_plane",
     "shm_supported",
 ]

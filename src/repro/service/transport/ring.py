@@ -37,13 +37,21 @@ The consumer protocol is read-then-commit: :meth:`try_read` returns a
 processes the frame and then calls :meth:`commit`.  A consumer killed
 mid-frame therefore leaves the frame on the ring, where the recovering
 supervisor can see (via :meth:`occupancy`) that data was in flight.
+
+A ring pickles as its segment name: the unpickled copy attaches to the
+same segment, which is how a worker started with ``spawn`` reaches the
+rings its parent created (under ``fork`` the mapping is inherited).
 """
 
 from __future__ import annotations
 
 import struct
-from multiprocessing import shared_memory
 from typing import Optional
+
+try:
+    from multiprocessing import shared_memory
+except ImportError:  # pragma: no cover - platform-dependent
+    shared_memory = None
 
 from repro.errors import TornFrameError, TransportError
 
@@ -68,12 +76,11 @@ class SpscRing:
             possible wrap marker); larger payloads must take the
             caller's spill path.
         name: Attach to an existing segment by name instead of
-            creating one.  Used only for diagnostics/tests — the
-            service inherits ring objects through ``fork``, which
-            carries the mapping itself.
+            creating one (what unpickling a ring does).
 
     The creating side owns the segment: call :meth:`unlink` exactly
-    once (from the creator) after both sides have :meth:`close`-d.
+    once (from the creator) after both sides have :meth:`close`-d; an
+    attached copy's :meth:`unlink` leaves the segment alive.
     """
 
     def __init__(self, capacity: int = 1 << 20, name: Optional[str] = None):
@@ -229,7 +236,4 @@ class SpscRing:
             pass
 
     def __reduce__(self):
-        raise TransportError(
-            "SpscRing endpoints cannot be pickled; the shm data plane "
-            "requires the fork start method"
-        )
+        return (SpscRing, (self.capacity, self.name))

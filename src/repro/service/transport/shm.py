@@ -1,11 +1,10 @@
 """Parent/worker endpoints of the shared-memory data plane.
 
 :class:`ShardChannel` lives in the supervisor: it owns one shard's pair
-of rings (data toward the worker, results back) plus the transport
-counters the service surfaces in stats.  :class:`WorkerEndpoint` is the
-worker-side view of the same rings; both sides hold the *same* ring
-objects, shared across the ``fork`` boundary (the endpoints are not
-picklable, which is what restricts this plane to fork platforms).
+of rings (data toward the worker, results back).
+:class:`WorkerEndpoint` is the worker-side view of the same segments:
+inherited through ``fork``, or re-attached by segment name when the
+worker starts with ``spawn`` (an endpoint pickles as its rings' names).
 
 Ordering is the invariant both sides protect.  Everything a shard must
 see in order — batches, the stop request, spilled payloads — travels
@@ -13,12 +12,11 @@ through (or is *anchored* in) the data ring:
 
 * a batch that encodes columnar or pickles small enough rides the ring
   directly;
-* a payload too large for the ring goes on the legacy queue, with a
+* a payload too large for the ring goes on the spill queue, with a
   ``SPILL`` marker frame in the ring holding its place — the worker
   consumes one queue item when it reaches the marker;
 * ``STOP`` is a control frame in the ring, so it cannot overtake
-  still-queued batches the way a queue sentinel could overtake ring
-  frames.
+  the batches shipped before it.
 
 Results mirror the scheme on the result ring (``OUTPUT`` frames,
 ``SPILL`` markers for oversized outputs).  Heartbeats and the final
@@ -120,7 +118,7 @@ class ShardChannel:
         return frame, True
 
     def endpoint(self) -> "WorkerEndpoint":
-        """The worker-side view of these rings (pass through fork)."""
+        """The worker-side view of these rings (a worker process arg)."""
         return WorkerEndpoint(
             self.shard_id, self.data_ring, self.result_ring
         )
@@ -146,8 +144,9 @@ class ShardChannel:
 class WorkerEndpoint:
     """Worker-side receive/send loop helpers over one shard's rings.
 
-    Not picklable (the rings are not); a worker gets its endpoint by
-    inheriting it through ``fork``.
+    Pickles as its shard id and rings, so the copy a ``spawn`` worker
+    unpickles attaches to the same segments; the worker must
+    :meth:`close` it before exiting.
     """
 
     def __init__(
@@ -167,9 +166,8 @@ class WorkerEndpoint:
         """Next in-order message: a :class:`Batch` or :data:`STOP`.
 
         Blocks up to ``timeout`` seconds (``None`` blocks forever) and
-        raises :class:`queue.Empty` on expiry so the caller's idle
-        heartbeat fires exactly as it does on the queue plane.  A
-        columnar batch is returned with a ``memoryview``-backed value
+        raises :class:`queue.Empty` on expiry so the caller can send
+        its idle heartbeat.  A columnar batch is returned with a ``memoryview``-backed value
         column (and position column, unless ranged) aliasing the ring;
         the caller must finish with them and call :meth:`commit`
         before the next receive.
@@ -289,9 +287,7 @@ class WorkerEndpoint:
         self.result_ring.close()
 
     def __reduce__(self):
-        from repro.errors import TransportError
-
-        raise TransportError(
-            "WorkerEndpoint cannot be pickled; the shm data plane "
-            "requires the fork start method"
+        return (
+            WorkerEndpoint,
+            (self.shard_id, self.data_ring, self.result_ring),
         )

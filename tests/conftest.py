@@ -9,6 +9,7 @@ multiprocess test into a failure in seconds instead of a hung run.
 from __future__ import annotations
 
 import importlib.util
+import multiprocessing
 import random
 import signal
 
@@ -56,6 +57,23 @@ def pytest_runtest_call(item):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(params=["fork", "spawn"])
+def start_method(request, monkeypatch):
+    """Start the process transport's workers with this method.
+
+    ``fork`` is what the supervisor picks wherever it exists; ``spawn``
+    is what platforms without it use, and makes every worker attach to
+    its rings by segment name.
+    """
+    if request.param not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {request.param!r} start method here")
+    context = multiprocessing.get_context(request.param)
+    monkeypatch.setattr(
+        "repro.service.supervisor._context", lambda: context
+    )
+    return request.param
 
 
 @pytest.fixture

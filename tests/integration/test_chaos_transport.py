@@ -6,7 +6,9 @@ death, and checkpoint + retained-batch replay reconstructs state —
 so a torn write, a duplicated (stale) frame, or a SIGKILL while the
 ring is full must all end with answers byte-identical to a fault-free
 run.  These tests drive each of those faults against real worker
-processes with the shm plane active.
+processes; the torn-frame and kill cases also run with ``spawn``-started
+workers, which attach to their (fresh, after a respawn) rings by
+segment name.
 
 Marked ``chaos``: spawns and kills real processes, so CI runs it in
 the dedicated ``pytest -m chaos`` job.
@@ -23,7 +25,7 @@ import pytest
 from repro.operators.registry import get_operator
 from repro.service import AggregationService, FaultInjector, poison
 from repro.service.partition import shard_of
-from repro.service.transport import shm_supported
+from repro.service.transport import ShardChannel, shm_supported
 from repro.stream.engine import StreamEngine
 from repro.stream.sink import CollectSink
 from repro.windows.query import Query
@@ -33,7 +35,7 @@ pytestmark = [
     pytest.mark.timeout(120),
     pytest.mark.skipif(
         not shm_supported(),
-        reason="multiprocessing.shared_memory or fork unavailable",
+        reason="multiprocessing.shared_memory unavailable",
     ),
 ]
 
@@ -96,8 +98,44 @@ def _run(service, records):
         raise
 
 
+@pytest.fixture
+def channels(monkeypatch):
+    """Every ring pair the supervisor builds, in creation order."""
+    built = []
+
+    class Recorded(ShardChannel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr("repro.service.supervisor.ShardChannel", Recorded)
+    return built
+
+
+def _assert_respawned_on_fresh_rings(channels, shard_id):
+    names = [
+        ring.name
+        for channel in channels
+        if channel.shard_id == shard_id
+        for ring in (channel.data_ring, channel.result_ring)
+    ]
+    assert len(names) >= 4  # the first pair and at least one respawn's
+    assert len(set(names)) == len(names)
+
+
 def test_torn_frame_recovers_with_exact_answers():
     """A CRC-corrupted data frame kills and respawns the worker."""
+    _check_torn_frame_recovery()
+
+
+@pytest.mark.parametrize("start_method", ["spawn"], indirect=True)
+def test_torn_frame_recovers_under_spawn(start_method, channels):
+    """The same with spawned workers: the respawn attaches by name."""
+    _check_torn_frame_recovery()
+    _assert_respawned_on_fresh_rings(channels, 0)
+
+
+def _check_torn_frame_recovery():
     records = _records(300)
     injector = FaultInjector(seed=3).tear_frame(0, nth=3)
     result = _run(_service(injector), records)
@@ -129,6 +167,17 @@ def test_sigkill_while_ring_full_replays_exactly():
     torn-ring teardown plus checkpoint/replay path must reconstruct
     every batch without loss or duplication.
     """
+    _check_sigkill_while_ring_full()
+
+
+@pytest.mark.parametrize("start_method", ["spawn"], indirect=True)
+def test_sigkill_while_ring_full_under_spawn(start_method, channels):
+    """The same with spawned workers: the respawn attaches by name."""
+    _check_sigkill_while_ring_full()
+    _assert_respawned_on_fresh_rings(channels, 0)
+
+
+def _check_sigkill_while_ring_full():
     records = _records(280)
     injector = FaultInjector(seed=7).kill_worker(0, after_seq=4)
     service = _service(

@@ -1,14 +1,15 @@
-"""Integration tests: the shm data plane is answer-identical to pickle.
+"""Integration tests: the shm data plane answers like one process.
 
-The zero-copy transport swaps the wire representation underneath the
-sharded service without touching aggregation logic, so its acceptance
-test is blunt: the same stream through ``data_plane="shm"``,
-``data_plane="pickle"``, and the inline transport must produce the
-same answers, for both the columnar fast path and every fallback
-(mixed numerics, non-numeric values).  Alongside equivalence, these
-tests pin the observability surface (per-plane frame counters, gateway
-snapshots, the wire ``SUBMIT_COLUMN`` path) that the benchmarks and
-docs rely on.
+The shared-memory rings swap the representation underneath the sharded
+service without touching aggregation logic, so their acceptance test
+is blunt: the same stream through the process transport, the inline
+transport and a single-process ``StreamEngine`` must produce the same
+answers, for both the columnar fast path and every fallback (mixed
+numerics, non-numeric values), under the ``fork`` and the ``spawn``
+start methods, and a service must leave no shared-memory segment
+behind.  Alongside equivalence, these tests pin the observability
+surface (frame counters, gateway snapshots, the wire ``SUBMIT_COLUMN``
+path) that the benchmarks and docs rely on.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from repro.windows.query import Query
 pytestmark = pytest.mark.timeout(120)
 
 needs_shm = pytest.mark.skipif(
-    not shm_supported(),
-    reason="multiprocessing.shared_memory or fork unavailable",
+    not shm_supported(), reason="multiprocessing.shared_memory unavailable"
 )
 
 QUERIES = [Query(16, 8), Query(12, 4)]
@@ -60,17 +60,59 @@ def run_service(records, operator_name="sum", **kwargs):
 
 
 @needs_shm
-def test_shm_pickle_and_inline_answers_identical():
+def test_shm_and_inline_answers_identical():
     records = keyed_records(300)
     expected = reference_answers(records)
     shm = run_service(records, transport="process", data_plane="shm")
-    pickled = run_service(records, transport="process", data_plane="pickle")
     inline = run_service(records, transport="inline")
     assert shm.answers == expected
-    assert pickled.answers == expected
     assert inline.answers == expected
     assert shm.stats.records_processed == len(records)
     assert shm.stats.dead_letters == 0
+
+
+def _segment_exists(name):
+    from multiprocessing import shared_memory
+
+    try:
+        segment = shared_memory.SharedMemory(name=name)
+    except FileNotFoundError:
+        return False
+    segment.close()
+    return True
+
+
+@needs_shm
+@pytest.mark.parametrize("ending", ["close", "abort"])
+def test_no_segment_or_stderr_leak(start_method, ending, capfd):
+    """Both start methods answer like one process and clean up after.
+
+    Under ``spawn`` each worker attaches to its rings by name, so this
+    is the path that needs the worker to close its endpoint: a mapping
+    left open at exit prints a ``BufferError`` traceback.
+    """
+    records = keyed_records(3000)
+    service = AggregationService(
+        QUERIES, get_operator("sum"), num_shards=2, batch_size=64,
+        transport="process",
+    )
+    segments = [
+        ring.name
+        for handle in service._transport.handles
+        for ring in (handle.channel.data_ring, handle.channel.result_ring)
+    ]
+    service.submit_many(records)
+    if ending == "close":
+        result = service.close()
+        assert result.answers == reference_answers(records)
+        assert result.stats.transport["data_plane"] == "shm"
+        assert [shard.restores for shard in result.stats.shards] == [0, 0]
+    else:
+        service.abort()
+    assert [name for name in segments if _segment_exists(name)] == []
+    err = capfd.readouterr().err
+    assert "BufferError" not in err
+    assert "leaked shared_memory" not in err
 
 
 @needs_shm
@@ -123,42 +165,34 @@ def test_non_numeric_values_fall_back_to_pickle_frames():
 @needs_shm
 def test_mixed_numeric_batches_fall_back_and_match():
     # Alternating int/float values defeat the capability check batch
-    # by batch; answers still match the pickle plane bit for bit.
+    # by batch; answers still match the inline transport bit for bit.
     records = keyed_records(
         240, value=lambda i: i if i % 2 else i * 0.25
     )
     shm = run_service(records, transport="process", data_plane="shm")
-    pickled = run_service(
-        records, transport="process", data_plane="pickle"
-    )
-    assert shm.answers == pickled.answers
+    inline = run_service(records, transport="inline")
+    assert shm.stats.transport["frames_pickled"] > 0
+    assert shm.answers == inline.answers
 
 
-def test_explicit_shm_errors_when_unsupported(monkeypatch):
+def test_process_transport_requires_shared_memory(monkeypatch):
     monkeypatch.setattr(
-        "repro.service.transport.shm_supported", lambda: False
+        "repro.service.supervisor.shm_supported", lambda: False
     )
-    with pytest.raises(ServiceError):
+    with pytest.raises(ServiceError, match="transport='inline'"):
         AggregationService(
             QUERIES, get_operator("sum"), num_shards=2,
-            transport="process", data_plane="shm",
+            transport="process",
         )
 
 
-def test_auto_downgrades_to_pickle_when_unsupported(monkeypatch):
-    monkeypatch.setattr(
-        "repro.service.transport.shm_supported", lambda: False
-    )
-    records = keyed_records(120)
-    service = AggregationService(
-        QUERIES, get_operator("sum"), num_shards=2, batch_size=16,
-        transport="process", data_plane="auto",
-    )
-    service.submit_many(records)
-    stats = service.transport_stats()
-    result = service.close()
-    assert stats["data_plane"] == "pickle"
-    assert result.answers == reference_answers(records)
+@pytest.mark.parametrize("transport", ["process", "inline"])
+def test_pickle_plane_is_refused(transport):
+    with pytest.raises(ServiceError, match="pickle queue plane was removed"):
+        AggregationService(
+            QUERIES, get_operator("sum"), transport=transport,
+            data_plane="pickle",
+        )
 
 
 def test_unknown_data_plane_rejected():

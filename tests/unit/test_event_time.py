@@ -688,6 +688,36 @@ def test_service_submit_event_rejects_nonfinite_timestamps(bad):
         raise
 
 
+def test_service_event_batch_is_all_or_nothing():
+    # Records before a refused one used to be ingested anyway: the
+    # gateway counted 1 record while the service held 3, and a client
+    # retrying the batch's clean records counted two of them twice.
+    from repro.service import AggregationService, ServiceGateway
+
+    queries = [TimeQuery(1.0, 1.0)]
+    gateway = ServiceGateway(
+        AggregationService(
+            queries,
+            get_operator("sum"),
+            num_shards=2,
+            mode="time",
+            transport="inline",
+            lateness=0.5,
+        )
+    )
+    gateway.submit_events([("k", 10.0, 1)])
+    with pytest.raises(LateRecordError):
+        gateway.submit_events([("k", 10.1, 2), ("k", 10.2, 3), ("k", 8.0, 4)])
+    with pytest.raises(ValueError):
+        gateway.submit_events([("k", 10.3, 5), ("k", 10.4)])
+    assert gateway.snapshot()["event_time"]["pending_reorder"] == 1
+    result = gateway.close()
+    assert result.stats.records_submitted == 1
+    assert gateway.snapshot()["records_submitted"] == 1
+    oracle = EventTimeEngine(queries, get_operator("sum"), lateness=0.5)
+    assert result.answers == oracle.feed_many([(10.0, 1)]) + oracle.finish()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_wire_normalize_rejects_nonfinite_event_header(bad):
     from repro.net.protocol import SUBMIT_SHAPES

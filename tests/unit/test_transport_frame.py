@@ -342,7 +342,7 @@ RETYPING_ROWS = [(1, 1), (True, 2), (1.0, 3), (-0.0, 4), (0.0, 5)]
 
 def test_dictionary_encoding_keeps_equal_keys_apart_on_the_ring():
     # 1 == True == 1.0 and 0.0 == -0.0, but they are five keys: the
-    # pickle plane keeps each one's type, and so must the columns.
+    # pickled frame keeps each one's type, and so must the columns.
     keys = [key for key, _ in RETYPING_ROWS]
     frame = encode_batch_frame(0, 1, None, range(5), keys, range(5), None)
     decoded = _decode(frame)

@@ -17,10 +17,10 @@ import pytest
 from repro.errors import TornFrameError, TransportError
 from repro.service.transport import shm_supported
 from repro.service.transport.ring import SpscRing
+from repro.service.transport.shm import ShardChannel
 
 pytestmark = pytest.mark.skipif(
-    not shm_supported(),
-    reason="multiprocessing.shared_memory or fork unavailable",
+    not shm_supported(), reason="multiprocessing.shared_memory unavailable"
 )
 
 
@@ -138,9 +138,55 @@ def test_capacity_floor_enforced():
         SpscRing(capacity=32)
 
 
-def test_ring_is_not_picklable(ring):
-    with pytest.raises(TransportError):
-        pickle.dumps(ring)
+def test_pickled_ring_attaches_to_the_same_segment(ring):
+    # What a ``spawn`` worker receives: a copy attached by segment name.
+    copy = pickle.loads(pickle.dumps(ring))
+    try:
+        assert (copy.name, copy.capacity) == (ring.name, ring.capacity)
+        assert ring.try_write(b"parent to worker")
+        view = copy.try_read()
+        assert bytes(view) == b"parent to worker"
+        view.release()
+        copy.commit()
+        assert ring.occupancy() == 0  # the consumer's commit is shared
+        assert copy.try_write(b"worker to parent")
+        view = ring.try_read()
+        assert bytes(view) == b"worker to parent"
+        view.release()
+        ring.commit()
+    finally:
+        copy.close()
+
+
+def test_only_the_owner_unlinks_the_segment(ring):
+    copy = pickle.loads(pickle.dumps(ring))
+    copy.close()
+    copy.unlink()  # not the creator: the segment must survive
+    again = SpscRing(ring.capacity, name=ring.name)
+    assert ring.try_write(b"still here")
+    view = again.try_read()
+    assert bytes(view) == b"still here"
+    view.release()
+    again.commit()
+    again.close()
+
+
+def test_worker_endpoint_round_trips_through_pickle():
+    channel = ShardChannel(3, 1024)
+    endpoint = pickle.loads(pickle.dumps(channel.endpoint()))
+    try:
+        assert endpoint.shard_id == 3
+        assert endpoint.data_ring.name == channel.data_ring.name
+        assert endpoint.result_ring.name == channel.result_ring.name
+        assert channel.data_ring.try_write(b"frame")
+        view = endpoint.data_ring.try_read()
+        assert bytes(view) == b"frame"
+        view.release()
+        endpoint.data_ring.commit()
+    finally:
+        endpoint.close()
+        channel.close()
+        channel.unlink()
 
 
 def test_corrupt_length_prefix_raises_torn_frame(ring):
@@ -162,6 +208,7 @@ def test_occupancy_ratio_is_monotone(ring):
     assert 0.0 < ratios[-1] <= 1.0
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_two_process_cursors_never_read_backwards_or_torn():
     # A forked producer publishes as fast as it can while this process
     # consumes and, between reads, polls the published-byte count.  The
