@@ -9,10 +9,12 @@ runs two coroutines:
 * a **reader** that decodes frames off the socket and makes the
   admission decision the moment a submit is decoded (its shape is a
   row of :data:`repro.net.protocol.SUBMIT_SHAPES`, not a branch here), and
-* a **processor** that executes the admitted requests strictly in
-  arrival order (service calls run on a thread-pool executor, since
-  ``block`` backpressure may sleep) and writes one reply per request —
-  so clients can pipeline requests and still match replies by order.
+* a **processor** that answers the queued requests in *bursts* —
+  everything queued when it wakes: the burst's service calls run in
+  request order in one job on a one-thread executor (``block``
+  backpressure may sleep), then one reply per request, in order, goes
+  out in one write and one drain.  Clients can pipeline requests and
+  still match replies by order; a failing call gets its own ERROR.
 
 Admission control bounds the records and bytes that have been decoded
 but not yet acknowledged, globally and optionally per connection.
@@ -21,7 +23,8 @@ TCP flow control then pushes back on the client, mirroring the
 service's own lossless ``block`` backpressure.  Under ``shed`` the
 request's records are dropped immediately and the client gets a
 ``RETRY`` reply (in order), mirroring ``drop``-style load shedding
-with exact shed counts.
+with exact shed counts.  Admission never waits on the gateway's lock,
+so a saturated server keeps shedding while a service call runs.
 
 STATS replies carry throughput, a submit-latency summary read off the
 ``repro_net_submit_seconds`` histogram, and accepted/shed/poison
@@ -31,7 +34,7 @@ counters next to the service's own live snapshot; see
 Observability: every server owns a :class:`~repro.telemetry.Telemetry`
 hub (or shares one passed in) and attaches it to the wrapped service,
 so one registry collects per-stage latency histograms across the whole
-path — decode, admission, submit (the executor-side fold), shard fold,
+path — decode, admission, submit (the gateway call), shard fold,
 merge, and reply.  Requests whose frames carry a protocol-v2 trace id
 additionally get per-stage span records under that id; the id is
 echoed on replies, propagated into the service (router → shard →
@@ -48,7 +51,7 @@ import asyncio
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import ProtocolError, ReproError, ServiceError
 from repro.net.protocol import (
@@ -69,6 +72,23 @@ from repro.telemetry import Telemetry
 ADMISSION_POLICIES = ("block", "shed")
 
 _READ_CHUNK = 64 * 1024
+
+#: Queue kind and value of the non-submit requests.  POLL and STATS
+#: carry a ``(gateway verb, args, records)`` call, as a submit does,
+#: and ride in a burst; DRAIN and CLOSE end one.
+_REQUESTS = {
+    FrameType.POLL: ("poll", ("poll_traced", (), 0)),
+    FrameType.STATS: ("stats", ("snapshot", (), 0)),
+    FrameType.DRAIN: ("drain", None),
+    FrameType.CLOSE: ("close", None),
+}
+_CALLS = ("submit", "poll", "stats")
+_ENDS_BURST = ("drain", "close", "eof", "protocol_error")
+
+#: A queued work item: ``(kind, value, admitted bytes, trace id)``.
+_Item = Tuple[str, Any, int, Optional[int]]
+#: ``(frame type, payload, trace id, trace ids the reply finishes)``.
+_Reply = Tuple[FrameType, Any, Optional[int], Tuple[Optional[int], ...]]
 
 
 class AdmissionBudget:
@@ -175,8 +195,6 @@ class AggregationServer:
         admission_policy: ``"block"`` (pause reads, lossless) or
             ``"shed"`` (drop + RETRY reply).
         retry_after: Backoff hint, in seconds, carried in RETRY replies.
-        executor_workers: Thread-pool size for (possibly blocking)
-            service calls.
         telemetry: The :class:`~repro.telemetry.Telemetry` hub to
             observe into; a fresh hub is created when ``None``.  The
             hub is attached to the wrapped service, so one registry
@@ -197,7 +215,6 @@ class AggregationServer:
         per_connection_bytes: Optional[int] = None,
         admission_policy: str = "shed",
         retry_after: float = 0.05,
-        executor_workers: int = 4,
         telemetry: Optional[Telemetry] = None,
         slow_threshold: float = 0.050,
     ):
@@ -222,10 +239,8 @@ class AggregationServer:
         self._budget = AdmissionBudget(
             max_inflight_records, max_inflight_bytes
         )
-        self._executor = ThreadPoolExecutor(
-            max_workers=executor_workers,
-            thread_name_prefix="repro-net",
-        )
+        # One worker: every gateway call serialises on the gateway's lock.
+        self._executor = ThreadPoolExecutor(1, thread_name_prefix="repro-net")
         self._server: Optional[asyncio.AbstractServer] = None
         self._connection_tasks: set = set()
         self._next_connection_id = 0
@@ -259,11 +274,11 @@ class AggregationServer:
         )
         self._submit_hist = registry.histogram(
             "repro_net_submit_seconds",
-            "Executor-side service submit latency per request",
+            "Per-request gateway submit call, timed inside the executor job",
         )
         self._reply_hist = registry.histogram(
             "repro_net_reply_seconds",
-            "Reply encode-and-flush latency per request",
+            "Per request: reply encode plus its burst's write and drain",
         )
         self._frames_counter = registry.counter(
             "repro_net_frames_total", "Frames decoded off the wire"
@@ -442,7 +457,7 @@ class AggregationServer:
 
     async def _admit(
         self, connection: _Connection, frame: Frame, nbytes: int
-    ) -> Tuple[str, Any, int, Optional[int]]:
+    ) -> _Item:
         """Turn one decoded frame into a queued work item.
 
         Admission control runs here, at decode time, so a pipelined
@@ -452,7 +467,13 @@ class AggregationServer:
         trace_id = frame.trace_id
         shape = SUBMIT_SHAPES.get(frame.frame_type)
         if shape is None:
-            return ("request", frame.frame_type, 0, trace_id)
+            request = _REQUESTS.get(frame.frame_type)
+            if request is not None:
+                return (*request, 0, trace_id)
+            # A reply-typed frame from a client is a protocol violation.
+            name = frame.frame_type.name
+            message = f"unexpected frame type {name} from client"
+            return ("refused", message, 0, trace_id)
         try:
             args, count = shape.parse(frame.payload, frame.event_time)
         except ProtocolError as error:
@@ -471,14 +492,15 @@ class AggregationServer:
             await self._budget.release(count, nbytes)
             return self._shed(connection, count, trace_id)
         self._inflight_gauge.set(self._budget.records)
-        return ("submit", (shape.verb, args, count), nbytes, trace_id)
+        call = (shape.verb, (*args, trace_id), count)
+        return ("submit", call, nbytes, trace_id)
 
     def _shed(
         self,
         connection: _Connection,
         count: int,
         trace_id: Optional[int],
-    ) -> Tuple[str, Any, int, Optional[int]]:
+    ) -> _Item:
         self.shed_requests += 1
         self.shed_records += count
         connection.shed_records += count
@@ -490,194 +512,147 @@ class AggregationServer:
         writer: asyncio.StreamWriter,
         connection: _Connection,
     ) -> None:
-        """Execute queued requests in order, one reply per request."""
-        loop = asyncio.get_running_loop()
+        """Answer queued requests in bursts, in order, one reply each.
+
+        A burst is every submit, POLL, STATS, shed and refusal already
+        queued when the processor wakes.  DRAIN, CLOSE, EOF and a
+        protocol error end a burst and are answered after its replies.
+        """
         while True:
-            kind, value, nbytes, trace_id = await queue.get()
+            burst = [await queue.get()]
+            while burst[-1][0] not in _ENDS_BURST and not queue.empty():
+                burst.append(queue.get_nowait())
+            end = burst.pop() if burst[-1][0] in _ENDS_BURST else None
+            if burst:
+                await self._answer_burst(burst, writer, connection)
+            if end is None:
+                continue
+            kind, message, _, trace_id = end
             if kind == "eof":
                 return
             if kind == "protocol_error":
-                await self._reply_error(writer, "ProtocolError", value)
+                reply = _error_reply("ProtocolError", message, None)
+            elif kind == "close":
+                reply = (FrameType.OK, {"closed": True}, trace_id, ())
+            else:
+                reply = await self._drain_reply(trace_id)
+            await self._flush(writer, [reply])
+            if kind != "drain":
                 return
-            if kind == "shed":
-                await self._reply(
-                    writer,
-                    FrameType.RETRY,
-                    {
-                        "reason": "admission budget exhausted",
-                        "retry_after": self.retry_after,
-                        "shed_records": value,
-                    },
-                    trace_id,
-                )
-                self.telemetry.tracer.finish(trace_id)
-                continue
-            if kind == "refused":
-                await self._reply_error(
-                    writer, "ServiceError", value, trace_id
-                )
-                self.telemetry.tracer.finish(trace_id)
-                continue
-            if kind == "submit":
-                await self._handle_submit(
-                    loop, writer, connection, value, nbytes, trace_id
-                )
-                continue
-            if value is FrameType.CLOSE:
-                await self._reply(
-                    writer, FrameType.OK, {"closed": True}, trace_id
-                )
-                return
-            try:
-                await self._handle_request(
-                    loop, writer, value, trace_id
-                )
-            except ReproError as error:
-                await self._reply_error(
-                    writer, type(error).__name__, str(error), trace_id
-                )
 
-    async def _handle_submit(
+    async def _answer_burst(
         self,
-        loop: asyncio.AbstractEventLoop,
+        burst: List[_Item],
         writer: asyncio.StreamWriter,
         connection: _Connection,
-        call: Tuple[str, Tuple[Any, ...], int],
-        nbytes: int,
-        trace_id: Optional[int],
     ) -> None:
-        """Run ``gateway.<verb>(*args, trace_id)`` for ``count`` records."""
-        verb, args, count = call
-        started = time.perf_counter()
+        """Run a burst's service calls in one executor job, release its
+        admission budget once, then flush one reply per item."""
+        calls = [value for kind, value, _, _ in burst if kind in _CALLS]
+        outcomes = []
+        if calls:
+            records = sum(count for _, _, count in calls)
+            nbytes = sum(size for _, _, size, _ in burst)
+            try:
+                outcomes = await asyncio.get_running_loop().run_in_executor(
+                    self._executor, _run_calls, self.gateway, calls
+                )
+            finally:
+                await self._budget.release(records, nbytes)
+                if connection.budget is not None:
+                    await connection.budget.release(records, nbytes)
+                self._inflight_gauge.set(self._budget.records)
+        results = iter(outcomes)
+        replies = [self._reply_to(item, results, connection) for item in burst]
+        await self._flush(writer, replies)
+
+    def _reply_to(
+        self, item: _Item, results: Iterator, connection: _Connection
+    ) -> _Reply:
+        """One burst item's reply; a service call takes the next result."""
+        kind, value, _, trace_id = item
+        if kind == "shed":
+            payload = {
+                "reason": "admission budget exhausted",
+                "retry_after": self.retry_after,
+                "shed_records": value,
+            }
+            return (FrameType.RETRY, payload, trace_id, (trace_id,))
+        if kind == "refused":
+            return _error_reply("ServiceError", value, trace_id, (trace_id,))
+        result, error, seconds = next(results)
+        if error is not None:
+            return _error_reply(type(error).__name__, str(error), trace_id)
+        if kind == "submit":
+            count = value[2]
+            self._submit_hist.observe(seconds)
+            self.telemetry.tracer.record(trace_id, "submit", seconds)
+            self.accepted_records += count
+            self.accepted_batches += 1
+            connection.accepted_records += count
+            return (FrameType.OK, {"accepted": count}, trace_id, ())
+        if kind == "stats":
+            payload = self.stats_payload(result)
+            return (FrameType.STATS_REPLY, payload, trace_id, (trace_id,))
+        answers = [answer for answer, _ in result]
+        self.answers_served += len(answers)
+        # The reply carries the trace of the submission whose record
+        # closed the newest answer's window, falling back to the POLL's
+        # own trace id for empty/untraced results.  Answer traces end
+        # with it: the answers they caused have been handed back.
+        answer_traces = [trace for _, trace in result if trace is not None]
+        finishes = tuple(dict.fromkeys(answer_traces))
+        if trace_id not in finishes:
+            finishes += (trace_id,)
+        reply_trace = answer_traces[-1] if answer_traces else trace_id
+        payload = encode_answers(answers)
+        return (FrameType.ANSWERS, payload, reply_trace, finishes)
+
+    async def _drain_reply(self, trace_id: Optional[int]) -> _Reply:
         try:
-            await loop.run_in_executor(
-                self._executor, getattr(self.gateway, verb), *args, trace_id
-            )
-        except Exception as error:
-            # Whatever the service raises, the request still gets its
-            # in-order reply and the connection's processor lives on.
-            await self._reply_error(
-                writer, type(error).__name__, str(error), trace_id
-            )
-            return
-        finally:
-            await self._budget.release(count, nbytes)
-            if connection.budget is not None:
-                await connection.budget.release(count, nbytes)
-            self._inflight_gauge.set(self._budget.records)
-        submit_seconds = time.perf_counter() - started
-        self._submit_hist.observe(submit_seconds)
-        self.telemetry.tracer.record(
-            trace_id, "submit", submit_seconds
-        )
-        self.accepted_records += count
-        self.accepted_batches += 1
-        connection.accepted_records += count
-        await self._reply(
-            writer, FrameType.OK, {"accepted": count}, trace_id
-        )
-
-    async def _handle_request(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        writer: asyncio.StreamWriter,
-        frame_type: FrameType,
-        trace_id: Optional[int],
-    ) -> None:
-        tracer = self.telemetry.tracer
-        if frame_type is FrameType.POLL:
-            traced = await loop.run_in_executor(
-                self._executor, self.gateway.poll_traced
-            )
-            answers = [answer for answer, _ in traced]
-            self.answers_served += len(answers)
-            # The reply carries the trace of the submission whose
-            # record closed the newest answer's window, falling back
-            # to the POLL's own trace id for empty/untraced results.
-            answer_traces = [
-                trace for _, trace in traced if trace is not None
-            ]
-            reply_trace = (
-                answer_traces[-1] if answer_traces else trace_id
-            )
-            await self._reply(
-                writer,
-                FrameType.ANSWERS,
-                encode_answers(answers),
-                reply_trace,
-            )
-            # Answer traces end here: the answers they caused have
-            # been handed back, closing the submit → reply loop.
-            for finished in dict.fromkeys(answer_traces):
-                tracer.finish(finished)
-            if trace_id is not None and trace_id not in answer_traces:
-                tracer.finish(trace_id)
-            return
-        if frame_type is FrameType.STATS:
-            snapshot = await loop.run_in_executor(
-                self._executor, self.gateway.snapshot
-            )
-            await self._reply(
-                writer,
-                FrameType.STATS_REPLY,
-                self.stats_payload(snapshot),
-                trace_id,
-            )
-            tracer.finish(trace_id)
-            return
-        if frame_type is FrameType.DRAIN:
             result = await self.drain()
-            self.answers_served += len(result.answers)
-            await self._reply(
-                writer,
-                FrameType.OK,
-                {
-                    "answers": encode_answers(result.answers),
-                    "per_key": {
-                        key: encode_answers(rows)
-                        for key, rows in result.per_key.items()
-                    },
-                    "stats": _final_stats(result),
-                },
-                trace_id,
-            )
-            tracer.finish(trace_id)
-            return
-        # A reply-typed frame from a client is a protocol violation.
-        raise ServiceError(
-            f"unexpected frame type {frame_type.name} from client"
-        )
+        except ReproError as error:
+            return _error_reply(type(error).__name__, str(error), trace_id)
+        self.answers_served += len(result.answers)
+        payload = {
+            "answers": encode_answers(result.answers),
+            "per_key": {
+                key: encode_answers(rows)
+                for key, rows in result.per_key.items()
+            },
+            "stats": _final_stats(result),
+        }
+        return (FrameType.OK, payload, trace_id, (trace_id,))
 
-    async def _reply(
-        self,
-        writer: asyncio.StreamWriter,
-        frame_type: FrameType,
-        payload: Any,
-        trace_id: Optional[int] = None,
+    async def _flush(
+        self, writer: asyncio.StreamWriter, replies: List[_Reply]
     ) -> None:
-        # Replies carry a trace id only when the request did: a v2
-        # reply to a v1 request would break old decoders.
+        """Send ``replies`` in order with one write and one drain.
+
+        Each reply's ``repro_net_reply_seconds`` sample and ``reply``
+        span is its own encode plus the whole write and drain, which it
+        waited for; the traces it ends are finished after that.
+        """
+        frames, encodes = [], []
+        for frame_type, payload, trace_id, _ in replies:
+            # Replies carry a trace id only when the request did: a v2
+            # reply to a v1 request would break old decoders.
+            started = time.perf_counter()
+            frames.append(encode_frame(frame_type, payload, trace_id))
+            encodes.append(time.perf_counter() - started)
         started = time.perf_counter()
-        writer.write(encode_frame(frame_type, payload, trace_id))
+        writer.write(b"".join(frames))
         try:
             await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             pass
-        reply_seconds = time.perf_counter() - started
-        self._reply_hist.observe(reply_seconds)
-        self.telemetry.tracer.record(
-            trace_id, "reply", reply_seconds
-        )
-
-    async def _reply_error(
-        self,
-        writer: asyncio.StreamWriter,
-        name: str,
-        message: str,
-        trace_id: Optional[int] = None,
-    ) -> None:
-        payload = {"error": name, "message": message}
-        await self._reply(writer, FrameType.ERROR, payload, trace_id)
+        flushed = time.perf_counter() - started
+        tracer = self.telemetry.tracer
+        for (_, _, trace_id, finishes), encoded in zip(replies, encodes):
+            self._reply_hist.observe(encoded + flushed)
+            tracer.record(trace_id, "reply", encoded + flushed)
+            for finished in finishes:
+                tracer.finish(finished)
 
     # -- stats ------------------------------------------------------
 
@@ -738,6 +713,30 @@ class AggregationServer:
         """
         self._inflight_gauge.set(self._budget.records)
         return self.telemetry.render_text()
+
+
+def _run_calls(
+    gateway: ServiceGateway, calls: List[Tuple[str, Tuple[Any, ...], int]]
+) -> List[Tuple[Any, Optional[Exception], float]]:
+    """Run a burst's gateway calls in order (on the executor thread).
+
+    Returns ``(result, error, seconds)`` per call.  Whatever a call
+    raises is its own request's ERROR reply; the calls after it run.
+    """
+    outcomes = []
+    for verb, args, _ in calls:
+        started = time.perf_counter()
+        try:
+            outcome = (getattr(gateway, verb)(*args), None)
+        except Exception as error:
+            outcome = (None, error)
+        outcomes.append((*outcome, time.perf_counter() - started))
+    return outcomes
+
+
+def _error_reply(name, message, trace_id, finishes=()) -> _Reply:
+    payload = {"error": name, "message": message}
+    return (FrameType.ERROR, payload, trace_id, finishes)
 
 
 def _final_stats(result: ServiceResult) -> Dict[str, Any]:

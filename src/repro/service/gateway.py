@@ -160,9 +160,12 @@ class ServiceGateway:
 
     @property
     def closed(self) -> bool:
-        """Whether the underlying service has been closed or aborted."""
-        with self._lock:
-            return self._closed
+        """Whether the underlying service has been closed or aborted.
+
+        Reads the flag without the lock: one attribute read needs none,
+        and an event loop asking never waits behind a running call.
+        """
+        return self._closed
 
     # -- shutdown ---------------------------------------------------
 

@@ -34,6 +34,7 @@ from repro.net.protocol import (
     HEADER,
     FrameDecoder,
     FrameType,
+    decode_answers,
     encode_frame,
 )
 from repro.net.server import AggregationServer, ServerThread
@@ -82,6 +83,30 @@ class SlowGateway(ServiceGateway):
         """Sleep, then delegate — simulates a busy backend."""
         time.sleep(self._delay)
         return super().submit_many(records, trace_id)
+
+
+class LockedSlowGateway(SlowGateway):
+    """Sleeps holding the gateway's lock, as a busy service call does."""
+
+    def submit_many(self, records, trace_id=None):
+        """Take the lock, then sleep and delegate inside it."""
+        with self._lock:
+            return super().submit_many(records, trace_id)
+
+
+class CountingExecutor:
+    """Wraps the server's executor and counts the jobs handed to it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.jobs = 0
+
+    def submit(self, *args, **kwargs):
+        self.jobs += 1
+        return self.inner.submit(*args, **kwargs)
+
+    def shutdown(self, *args, **kwargs):
+        self.inner.shutdown(*args, **kwargs)
 
 
 @pytest.mark.timeout(120)
@@ -231,8 +256,18 @@ class TestAdmissionControl:
                 assert accepted == [8] * 20
 
     def test_exhausted_retries_raise_server_overloaded(self):
+        self._victim_is_shed(SlowGateway(make_service(), delay=0.5))
+
+    def test_admission_never_waits_on_the_service_lock(self):
+        # A service call holding the gateway's lock must not stall the
+        # event loop: the victim is shed at once, not admitted after
+        # the call and its own slow submit.
+        self._victim_is_shed(LockedSlowGateway(make_service(), delay=0.5))
+
+    @staticmethod
+    def _victim_is_shed(gateway):
         server = AggregationServer(
-            SlowGateway(make_service(), delay=0.5),
+            gateway,
             max_inflight_records=8,
             admission_policy="shed",
             retry_after=0.001,
@@ -420,8 +455,12 @@ class RawConnection:
         self._decoder = FrameDecoder()
 
     def request(self, frame: bytes):
-        """Send one request frame; return its reply (``None`` on EOF)."""
+        """Send request frame(s); return the first reply (``None`` on EOF)."""
         self._sock.sendall(frame)
+        return self.reply()
+
+    def reply(self):
+        """The next reply frame (``None`` on EOF)."""
         while True:
             for reply in self._decoder.frames_traced():
                 return reply
@@ -571,3 +610,68 @@ class TestRecordColumnsOnTheServer:
                 assert ok.payload == {"accepted": 2}
                 stats = raw.request(encode_frame(FrameType.STATS)).payload
                 assert stats["service"]["records_submitted"] == 2
+
+
+@pytest.mark.timeout(120)
+class TestBursts:
+    """Requests pipelined before any reply is read are answered as one
+    burst: one executor job, replies in request order, and a failing
+    call's ERROR leaves its neighbours accepted."""
+
+    def test_pipelined_burst_is_one_job_with_in_order_replies(self):
+        class FailingGateway(ServiceGateway):
+            def submit_many(self, records, trace_id=None):
+                """Fail on a batch keyed "boom" the way no ReproError does."""
+                if any(key == "boom" for key, _ in records):
+                    raise RuntimeError("backend exploded")
+                return super().submit_many(records, trace_id)
+
+        records = keyed_records(100)
+        chunks = [records[i : i + 25] for i in range(0, 100, 25)]
+        server = AggregationServer(FailingGateway(make_service()))
+        executor = server._executor = CountingExecutor(server._executor)
+        burst = [
+            encode_frame(FrameType.SUBMIT_BATCH, chunks[0]),
+            encode_frame(FrameType.SUBMIT_BATCH, chunks[1]),
+            encode_frame(FrameType.SUBMIT_BATCH, chunks[2]),
+            encode_frame(FrameType.SUBMIT, "not-a-pair"),
+            encode_frame(FrameType.SUBMIT_BATCH, [("boom", 1)]),
+            encode_frame(FrameType.POLL),
+            encode_frame(FrameType.STATS),
+            encode_frame(FrameType.SUBMIT_BATCH, chunks[3]),
+        ]
+        service_calls = 7  # every frame but the malformed SUBMIT
+        with ServerThread(server) as thread:
+            with RawConnection(thread.port) as raw:
+                # The whole burst is on the wire before any reply is read.
+                replies = [raw.request(b"".join(burst))]
+                replies += [raw.reply() for _ in burst[1:]]
+                jobs = executor.jobs
+                final = raw.request(encode_frame(FrameType.DRAIN)).payload
+        assert [reply.frame_type for reply in replies] == [
+            FrameType.OK,
+            FrameType.OK,
+            FrameType.OK,
+            FrameType.ERROR,
+            FrameType.ERROR,
+            FrameType.ANSWERS,
+            FrameType.STATS_REPLY,
+            FrameType.OK,
+        ]
+        assert [replies[i].payload for i in (0, 1, 2, 7)] == [
+            {"accepted": 25}
+        ] * 4
+        assert replies[3].payload["error"] == "ServiceError"
+        assert replies[4].payload == {
+            "error": "RuntimeError",
+            "message": "backend exploded",
+        }
+        # STATS counts exactly the submits answered before it.
+        assert replies[6].payload["server"]["accepted_records"] == 75
+        assert replies[6].payload["server"]["accepted_batches"] == 3
+        reference = reference_answers(records)
+        polled = decode_answers(replies[5].payload)
+        assert polled and polled == reference[: len(polled)]
+        assert decode_answers(final["answers"]) == reference
+        assert final["stats"]["records_submitted"] == 100
+        assert jobs < service_calls
