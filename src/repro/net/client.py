@@ -33,6 +33,14 @@ readable from ``last_reply_trace_id`` — for an ANSWERS reply that is
 the trace of the submission whose record closed the newest answer's
 window.  Untraced requests keep emitting v1 frames, so tracing is
 strictly opt-in on the wire.
+
+Both clients open every connection with the :data:`PREFACE` (one
+``HELLO`` frame, never answered), declaring that they read answer
+columns: the server then sends each POLL's eligible answers as one
+columnar envelope, which :func:`~repro.net.protocol.decode_answers`
+turns into the same ``(position, query, value)`` list as the tagged
+rows.  A server older than ``HELLO`` refuses the preface (ERROR, then
+close) at the first request — upgrade servers first.
 """
 
 from __future__ import annotations
@@ -72,6 +80,11 @@ from repro.net.protocol import (
 )
 
 _RECV_CHUNK = 64 * 1024
+
+#: What both clients write first on every connection: ``HELLO``, so
+#: the server sends this connection's eligible answers as columns.
+#: It gets no reply, so request/reply pairing starts after it.
+PREFACE = encode_frame(FrameType.HELLO)
 
 _REQUEST_TIMED_OUT = (
     "request timed out waiting for a reply; the connection is "
@@ -116,6 +129,10 @@ def _whole(reply: Any) -> Any:
 
 
 def _drained(reply: Any) -> Tuple[List[Tuple[Any, ...]], Dict[str, Any]]:
+    if reply.get("per_key"):
+        reply["per_key"] = {
+            key: decode_answers(rows) for key, rows in reply["per_key"].items()
+        }
     return decode_answers(reply.get("answers", [])), reply
 
 
@@ -281,7 +298,11 @@ class _RequestCore:
         return self._exchange((FrameType.STATS, None, None), _whole)
 
     def drain(self):
-        """Flush the service; returns (remaining answers, final stats)."""
+        """Flush the service; returns (remaining answers, final stats).
+
+        The second element is the whole reply dict; its ``"per_key"``
+        rows (per-key mode) are decoded like the answers.
+        """
         return self._exchange((FrameType.DRAIN, None, None), _drained)
 
 
@@ -321,6 +342,7 @@ class AggregationClient(_RequestCore):
                 f"{connect_timeout} seconds"
             ) from exc
         self._sock.settimeout(request_timeout)
+        self._sock.sendall(PREFACE)
 
     def send_frame(
         self,
@@ -461,6 +483,7 @@ class AsyncAggregationClient(_RequestCore):
                 f"connecting to {host}:{port} exceeded "
                 f"{connect_timeout} seconds"
             ) from exc
+        writer.write(PREFACE)
         return cls(
             reader,
             writer,

@@ -37,7 +37,12 @@ a CRC'd little-endian value column, key-code column, optional
 timestamp column and key table — see "record columns" below) whenever
 they are eligible, and as the tagged list of row tuples otherwise;
 :func:`encode_frame` chooses, the decoder and the parse half take
-either, and an old client's tagged batches keep working.  The v2
+either, and an old client's tagged batches keep working.  ``ANSWERS``
+has the same pair: eligible answers travel as *answer columns* (tag
+``0x0C``: position, query-slot and value columns and a spec table —
+see "answer columns" below), but only to a client that opened its
+connection with ``HELLO``; the server chooses, and a connection
+without ``HELLO`` gets the tagged rows, byte for byte.  The v2
 trace id correlates a request with the work it causes downstream (see
 :mod:`repro.telemetry.trace`); 0 means "no trace" and decodes as
 ``None``.  :func:`encode_frame` emits the *minimal* version for what
@@ -88,6 +93,8 @@ from repro.service.transport.columns import (
     encode_keys,
     encode_values,
 )
+from repro.windows.query import Query
+from repro.windows.timebased import TimeQuery
 
 #: Frame preamble identifying this protocol on the wire.
 MAGIC = b"SD"
@@ -156,10 +163,15 @@ class FrameType(enum.IntEnum):
     #: v3 header field is unused and the frame may travel as v1/v2),
     #: as record columns when eligible like ``SUBMIT_BATCH``.
     SUBMIT_EVENT_BATCH = 0x09
+    #: Connection preface: payload ``None``, legal only as the first
+    #: frame, never answered.  The client reads answer columns, so
+    #: this connection's eligible ``ANSWERS`` travel as them.
+    HELLO = 0x0A
 
     #: Success without answers: payload ``{"accepted": n}``-style dict.
     OK = 0x81
-    #: Answers released: payload ``[(position, (range, slide), value)]``.
+    #: Answers released: payload ``[(position, (range, slide, name),
+    #: value)]`` — as answer columns when eligible on a HELLO connection.
     ANSWERS = 0x82
     #: Stats snapshot: payload dict (see ``docs/serving.md``).
     STATS_REPLY = 0x83
@@ -196,6 +208,9 @@ _TAG_DICT = 0x0A
 #: SUBMIT_EVENT_BATCH (see "record columns" below), so the value codec
 #: itself refuses it as an unknown tag anywhere else.
 _TAG_RECORD_COLUMNS = 0x0B
+#: Answer columns: legal only as the whole payload of ANSWERS (see
+#: "answer columns" below), an unknown tag anywhere else.
+_TAG_ANSWER_COLUMNS = 0x0C
 
 _INT64 = struct.Struct(">q")
 _FLOAT64 = struct.Struct(">d")
@@ -434,11 +449,51 @@ def _unpack_column(body: Any, kind: str) -> Any:
 # positions) and never a pickled key table.
 
 _COLUMNS_SEAL = struct.Struct("<BI")  # tag, crc32
-_COLUMNS_FIELDS = struct.Struct("<IIB")  # records, key-table bytes, flags
+_COLUMNS_FIELDS = struct.Struct("<IIB")  # rows, table bytes, flags
 _COLUMNS_HEADER_BYTES = _COLUMNS_SEAL.size + _COLUMNS_FIELDS.size
 
 #: Frame types whose payload may travel as record columns -> row arity.
 _ROW_ARITY = {FrameType.SUBMIT_BATCH: 2, FrameType.SUBMIT_EVENT_BATCH: 3}
+
+
+def _seal(tag: int, count: int, flags: int, columns: Sequence[Any]) -> bytes:
+    """A column envelope: tag, CRC, header fields, then ``columns``,
+    whose last one is the table (its length is a header field)."""
+    fields = _COLUMNS_FIELDS.pack(count, len(columns[-1]), flags)
+    crc = zlib.crc32(fields)
+    for column in columns:
+        crc = zlib.crc32(column, crc)
+    return b"".join((_COLUMNS_SEAL.pack(tag, crc), fields, *columns))
+
+
+def _open_seal(payload: bytes, noun: str) -> Tuple[int, int, int, int]:
+    """``(crc, rows, table bytes, flags)`` of a column envelope,
+    refusing a payload shorter than its header."""
+    if len(payload) < _COLUMNS_HEADER_BYTES:
+        raise ProtocolError(
+            f"{noun} payload of {len(payload)} bytes is shorter than "
+            f"its {_COLUMNS_HEADER_BYTES}-byte header"
+        )
+    _, crc = _COLUMNS_SEAL.unpack_from(payload)
+    return (crc, *_COLUMNS_FIELDS.unpack_from(payload, _COLUMNS_SEAL.size))
+
+
+def _check_seal(
+    payload: bytes, crc: int, expected: int, noun: str
+) -> memoryview:
+    """The envelope's body once its length is ``expected`` — checked by
+    arithmetic, before anything is sized from the row count — and its
+    CRC matches."""
+    view = memoryview(payload)
+    body = view[_COLUMNS_HEADER_BYTES:]
+    if len(body) != expected:
+        raise ProtocolError(
+            f"{noun} body is {len(body)} bytes, expected {expected} "
+            "for its row count and table length"
+        )
+    if zlib.crc32(view[_COLUMNS_SEAL.size :]) != crc:
+        raise ProtocolError(f"{noun} CRC mismatch")
+    return body
 
 
 class RecordColumns:
@@ -548,12 +603,7 @@ def _encode_record_columns(rows: Any, arity: int) -> Optional[bytes]:
             return None
         flags |= FLAG_TIMES
     columns.append(table)
-    fields = _COLUMNS_FIELDS.pack(len(rows), len(table), flags)
-    crc = zlib.crc32(fields)
-    for column in columns:
-        crc = zlib.crc32(column, crc)
-    seal = _COLUMNS_SEAL.pack(_TAG_RECORD_COLUMNS, crc)
-    return b"".join((seal, fields, *columns))
+    return _seal(_TAG_RECORD_COLUMNS, len(rows), flags, columns)
 
 
 def _decode_record_columns(payload: bytes, arity: int) -> RecordColumns:
@@ -567,15 +617,7 @@ def _decode_record_columns(payload: bytes, arity: int) -> RecordColumns:
     key table.  What the columns *say* — key codes, timestamps — is
     the parse half's to refuse.
     """
-    if len(payload) < _COLUMNS_HEADER_BYTES:
-        raise ProtocolError(
-            f"record-columns payload of {len(payload)} bytes is "
-            f"shorter than its {_COLUMNS_HEADER_BYTES}-byte header"
-        )
-    _, crc = _COLUMNS_SEAL.unpack_from(payload)
-    count, table_bytes, flags = _COLUMNS_FIELDS.unpack_from(
-        payload, _COLUMNS_SEAL.size
-    )
+    crc, count, table_bytes, flags = _open_seal(payload, "record-columns")
     unknown = flags & ~(FLAG_FLOAT | FLAG_TIMES)
     if unknown:
         raise ProtocolError(
@@ -588,17 +630,8 @@ def _decode_record_columns(payload: bytes, arity: int) -> RecordColumns:
             "record columns carry a timestamp column exactly when the "
             "frame is SUBMIT_EVENT_BATCH"
         )
-    view = memoryview(payload)
-    body = view[_COLUMNS_HEADER_BYTES:]
     expected = (8 + 4 + (8 if arity == 3 else 0)) * count + table_bytes
-    if len(body) != expected:
-        raise ProtocolError(
-            f"record-columns body is {len(body)} bytes, expected "
-            f"{expected} for {count} records and a {table_bytes}-byte "
-            "key table"
-        )
-    if zlib.crc32(view[_COLUMNS_SEAL.size :]) != crc:
-        raise ProtocolError("record-columns CRC mismatch")
+    body = _check_seal(payload, crc, expected, "record-columns")
     values_end = 8 * count
     codes_end = values_end + 4 * count
     table_start = len(body) - table_bytes
@@ -872,6 +905,8 @@ def encode_frame(
     body = None
     if frame_type in _ROW_ARITY:
         body = _encode_record_columns(payload, _ROW_ARITY[frame_type])
+    elif frame_type is FrameType.ANSWERS and type(payload) is AnswerColumns:
+        body = _encode_answer_columns(payload)
     if body is None:
         body = encode_value(payload)
     if len(body) > MAX_PAYLOAD_BYTES:
@@ -955,6 +990,8 @@ def try_decode_frame_traced(
     body = bytes(buffer[start : start + length])
     if frame_type in _ROW_ARITY and body[:1] == b"\x0b":
         payload = _decode_record_columns(body, _ROW_ARITY[frame_type])
+    elif frame_type is FrameType.ANSWERS and body[:1] == b"\x0c":
+        payload = _decode_answer_columns(body)
     else:
         payload = decode_value(body)
     return (
@@ -1039,6 +1076,30 @@ class FrameDecoder:
 # not travel on the wire, its (range, slide, name) does.
 
 
+def _spec_of(query: Any) -> Tuple[Any, ...]:
+    """A query's wire spec: ``(range_size, slide, name)``, or
+    ``("time", range_seconds, slide_seconds, name)`` for a time query."""
+    if hasattr(query, "range_seconds"):
+        return ("time", query.range_seconds, query.slide_seconds, query.name)
+    return (query.range_size, query.slide, query.name)
+
+
+def _query_of(spec: Any) -> Any:
+    """The :class:`~repro.windows.query.Query` (or
+    :class:`~repro.windows.timebased.TimeQuery`) a wire spec names.  A
+    spec of the wrong shape, or one the query refuses, raises
+    :class:`~repro.errors.ProtocolError`."""
+    try:
+        if isinstance(spec, tuple) and len(spec) == 4 and spec[0] == "time":
+            return TimeQuery(spec[1], spec[2], name=spec[3])
+        range_size, slide, name = spec
+        return Query(range_size, slide, name=name)
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(
+            f"malformed query spec in answer row: {spec!r}"
+        ) from exc
+
+
 def encode_answers(answers) -> List[Tuple[Any, ...]]:
     """Marshal engine/service answers into wire-friendly tuples.
 
@@ -1056,16 +1117,7 @@ def encode_answers(answers) -> List[Tuple[Any, ...]]:
         *prefix, query, value = answer
         spec = specs.get(id(query))
         if spec is None:
-            if hasattr(query, "range_seconds"):
-                spec = (
-                    "time",
-                    query.range_seconds,
-                    query.slide_seconds,
-                    query.name,
-                )
-            else:
-                spec = (query.range_size, query.slide, query.name)
-            specs[id(query)] = spec
+            spec = specs[id(query)] = _spec_of(query)
         marshalled.append((*prefix, spec, value))
     return marshalled
 
@@ -1074,10 +1126,16 @@ def decode_answers(rows) -> List[Tuple[Any, ...]]:
     """Rebuild :class:`~repro.windows.query.Query` (or
     :class:`~repro.windows.timebased.TimeQuery`) objects client-side,
     one per distinct spec of the call (queries are immutable, so the
-    answers of one reply share them)."""
-    from repro.windows.query import Query
-    from repro.windows.timebased import TimeQuery
+    answers of one reply share them).
 
+    ``rows`` is either body of ``ANSWERS``: the tagged row list, or an
+    :class:`AnswerColumns` view, whose answers are built in one C-level
+    ``zip`` of its columns.
+    """
+    if type(rows) is AnswerColumns:
+        by_slot = list(map(_query_of, rows.specs))
+        slotted = map(by_slot.__getitem__, rows.slots)
+        return list(zip(rows.positions, slotted, rows.values))
     queries: dict = {}
     rebuilt = []
     for row in rows:
@@ -1089,20 +1147,163 @@ def decode_answers(rows) -> List[Tuple[Any, ...]]:
         except TypeError:
             query = None  # an unhashable field: rebuilt (and refused) below
         if query is None:
-            if (
-                isinstance(spec, tuple)
-                and len(spec) == 4
-                and spec[0] == "time"
-            ):
-                query = TimeQuery(spec[1], spec[2], name=spec[3])
-            else:
-                try:
-                    range_size, slide, name = spec
-                except (TypeError, ValueError) as exc:
-                    raise ProtocolError(
-                        f"malformed query spec in answer row: {spec!r}"
-                    ) from exc
-                query = Query(range_size, slide, name=name)
-            queries[spec] = query
+            query = queries[spec] = _query_of(spec)
         rebuilt.append((*prefix, query, value))
     return rebuilt
+
+
+# -- answer columns -------------------------------------------------
+#
+# The columnar encoding of ANSWERS, sent only on a connection that
+# opened with HELLO: one value tagged ``_TAG_ANSWER_COLUMNS``, legal
+# only as the *whole* payload of ANSWERS (nested, or on any other frame
+# type, it is an unknown tag).  The record columns' envelope — seal,
+# header fields, columns, table — with other columns::
+#
+#     crc32 u32 | answers u32 | spec-table bytes u32 | flags u8
+#     positions   answers * 8   i64, or f64 window ends with
+#                               _FLAG_FLOAT_POSITIONS
+#     slots       answers * 4   u32 indices into the spec table
+#     values      answers * 8   i64, or f64 with FLAG_FLOAT
+#     spec table  the reply's distinct query specs, a tagged list
+
+#: Position column is f64 (time-mode window ends), else i64.
+_FLAG_FLOAT_POSITIONS = 0x02
+
+
+class AnswerColumns:
+    """The answers of one columnar ``ANSWERS`` payload, as columns.
+
+    What the decoder returns for an answer-columns body (typed views
+    over the frame's one ``bytes`` copy), and what the server hands
+    :func:`encode_frame` to send one (:func:`encode_answer_columns`).
+    Like :class:`RecordColumns` it is sized, *iterates as the rows the
+    tagged body decodes to* — ``(position, spec, value)`` — and
+    compares equal to that row list; :func:`decode_answers` takes
+    either body.
+
+    Attributes:
+        positions: ``memoryview('q')``, or ``memoryview('d')`` of window
+            ends for time queries.
+        slots: ``memoryview('I')`` — per answer, an index into
+            :attr:`specs`.
+        values: ``memoryview('q')`` or ``memoryview('d')``.
+        specs: The reply's distinct query specs (see :func:`_spec_of`).
+    """
+
+    __slots__ = ("positions", "slots", "values", "specs")
+
+    def __init__(
+        self,
+        positions: Sequence[Any],
+        slots: Sequence[int],
+        values: Sequence[Any],
+        specs: List[Any],
+    ):
+        self.positions = positions
+        self.slots = slots
+        self.values = values
+        self.specs = specs
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self) -> Iterator[Tuple[Any, Any, Any]]:
+        slotted = map(self.specs.__getitem__, self.slots)
+        return zip(self.positions, slotted, self.values)
+
+    def __eq__(self, other: Any) -> bool:
+        if isinstance(other, (list, AnswerColumns)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"AnswerColumns({list(self)!r})"
+
+
+def encode_answer_columns(answers: Any) -> Optional[AnswerColumns]:
+    """Engine/service answers as :class:`AnswerColumns`, or ``None``
+    when they must travel as the tagged :func:`encode_answers` rows.
+
+    Eligibility is a property of the answers and nothing else: a
+    non-empty list of exactly 3-tuples whose positions are all exactly
+    ``int`` within i64 or all exactly ``float``, and whose values are
+    too (:func:`pack_column`'s check).  Per-key 4-tuples, bigints,
+    strings and mixed types travel tagged.  Queries get their slot by
+    ``id`` — one C-level pass, no query hashed — and their spec once.
+    """
+    if (
+        type(answers) is not list
+        or set(map(type, answers)) != {tuple}
+        or set(map(len, answers)) != {3}
+    ):
+        return None
+    positions, queries, values = zip(*answers)
+    packed_positions = pack_column(positions)
+    packed_values = pack_column(values)
+    if packed_positions is None or packed_values is None:
+        return None
+    position_kind, position_bytes = packed_positions
+    value_kind, value_bytes = packed_values
+    ids = list(map(id, queries))
+    by_id = dict(zip(ids, queries))
+    slot_of = dict(zip(by_id, range(len(by_id))))
+    return AnswerColumns(
+        memoryview(position_bytes).cast(position_kind),
+        memoryview(array("I", map(slot_of.__getitem__, ids))),
+        memoryview(value_bytes).cast(value_kind),
+        list(map(_spec_of, by_id.values())),
+    )
+
+
+def _encode_answer_columns(columns: AnswerColumns) -> bytes:
+    flags = (FLAG_FLOAT if columns.values.format == "d" else 0) | (
+        _FLAG_FLOAT_POSITIONS if columns.positions.format == "d" else 0
+    )
+    table = encode_value(columns.specs)
+    parts = (columns.positions, columns.slots, columns.values, table)
+    return _seal(_TAG_ANSWER_COLUMNS, len(columns), flags, parts)
+
+
+def _decode_answer_columns(payload: bytes) -> AnswerColumns:
+    """Decode an answer-columns payload into views over ``payload``.
+
+    Damage is a framing error, raised here: a short header, flag bits
+    this side does not know, a body whose length is not what the count
+    and table length imply, a CRC mismatch, a spec table that is not a
+    tagged list, a slot outside it.  A spec the query classes refuse is
+    :func:`decode_answers`' :class:`~repro.errors.ProtocolError`.
+    """
+    crc, count, table_bytes, flags = _open_seal(payload, "answer-columns")
+    unknown = flags & ~(FLAG_FLOAT | _FLAG_FLOAT_POSITIONS)
+    if unknown:
+        raise ProtocolError(
+            f"answer columns carry unsupported flag bits {unknown:#04x}"
+        )
+    slots_start, values_start, table_start = 8 * count, 12 * count, 20 * count
+    body = _check_seal(
+        payload, crc, table_start + table_bytes, "answer-columns"
+    )
+    specs = decode_value(bytes(body[table_start:]))
+    if type(specs) is not list:
+        raise ProtocolError(
+            f"answer-columns spec table must be a list, got "
+            f"{type(specs).__name__}"
+        )
+    slots = _unpack_column(body[slots_start:values_start], "I")
+    if count and max(slots) >= len(specs):
+        raise ProtocolError(
+            f"answer columns hold a query slot outside their "
+            f"{len(specs)}-entry spec table"
+        )
+    return AnswerColumns(
+        _unpack_column(
+            body[:slots_start],
+            "d" if flags & _FLAG_FLOAT_POSITIONS else "q",
+        ),
+        slots,
+        _unpack_column(
+            body[values_start:table_start], "d" if flags & FLAG_FLOAT else "q"
+        ),
+        specs,
+    )

@@ -16,6 +16,11 @@ runs two coroutines:
   out in one write and one drain.  Clients can pipeline requests and
   still match replies by order; a failing call gets its own ERROR.
 
+A connection whose first frame is ``HELLO`` (both clients send it; it
+gets no reply) receives each POLL's eligible answers as answer columns
+(:func:`repro.net.protocol.encode_answer_columns`); every other
+connection gets the tagged answer rows, byte for byte.
+
 Admission control bounds the records and bytes that have been decoded
 but not yet acknowledged, globally and optionally per connection.
 Under the ``block`` policy an exhausted budget pauses the reader —
@@ -58,6 +63,7 @@ from repro.net.protocol import (
     SUBMIT_SHAPES,
     Frame,
     FrameType,
+    encode_answer_columns,
     encode_answers,
     encode_frame,
     try_decode_frame_traced,
@@ -175,6 +181,8 @@ class _Connection:
         self.budget = budget
         self.accepted_records = 0
         self.shed_records = 0
+        #: The client opened with HELLO: it reads answer columns.
+        self.answer_columns = False
 
 
 class AggregationServer:
@@ -409,6 +417,7 @@ class AggregationServer:
     ) -> None:
         tracer = self.telemetry.tracer
         buffer = bytearray()
+        first = True
         while True:
             data = await reader.read(_READ_CHUNK)
             if not data:
@@ -419,6 +428,9 @@ class AggregationServer:
                 decode_started = time.perf_counter()
                 try:
                     decoded = try_decode_frame_traced(buffer, offset)
+                    hello = decoded is not None and _is_hello(
+                        decoded[0], first
+                    )
                 except ProtocolError as error:
                     self.protocol_errors += 1
                     await queue.put(
@@ -428,17 +440,21 @@ class AggregationServer:
                 if decoded is None:
                     break
                 frame, next_offset = decoded
+                first = False
                 decode_seconds = (
                     time.perf_counter() - decode_started
                 )
                 self._decode_hist.observe(decode_seconds)
                 self._frames_counter.inc()
+                nbytes = next_offset - offset
+                offset = next_offset
+                if hello:
+                    connection.answer_columns = True
+                    continue
                 trace_id = frame.trace_id
                 if trace_id is not None:
                     self._traced_counter.inc()
                     tracer.record(trace_id, "decode", decode_seconds)
-                nbytes = next_offset - offset
-                offset = next_offset
                 admit_started = time.perf_counter()
                 item = await self._admit(connection, frame, nbytes)
                 admission_seconds = (
@@ -605,7 +621,11 @@ class AggregationServer:
         if trace_id not in finishes:
             finishes += (trace_id,)
         reply_trace = answer_traces[-1] if answer_traces else trace_id
-        payload = encode_answers(answers)
+        payload = None
+        if connection.answer_columns:
+            payload = encode_answer_columns(answers)
+        if payload is None:
+            payload = encode_answers(answers)
         return (FrameType.ANSWERS, payload, reply_trace, finishes)
 
     async def _drain_reply(self, trace_id: Optional[int]) -> _Reply:
@@ -732,6 +752,20 @@ def _run_calls(
             outcome = (None, error)
         outcomes.append((*outcome, time.perf_counter() - started))
     return outcomes
+
+
+def _is_hello(frame: Frame, first: bool) -> bool:
+    """Whether ``frame`` is the connection's ``HELLO`` preface.  A
+    ``HELLO`` after the first frame, or with a payload, is a framing
+    error: the connection gets ERROR and is closed."""
+    if frame.frame_type is not FrameType.HELLO:
+        return False
+    if not first or frame.payload is not None:
+        raise ProtocolError(
+            "HELLO is legal only as a connection's first frame, with "
+            "payload None"
+        )
+    return True
 
 
 def _error_reply(name, message, trace_id, finishes=()) -> _Reply:

@@ -12,7 +12,10 @@ results awaitable).  Also pinned here:
   (record columns), and the old client's tagged bytes still get the
   same replies;
 * a key that cannot be routed refuses its whole frame, for all five
-  submit shapes, with nothing ingested and the connection still usable.
+  submit shapes, with nothing ingested and the connection still usable;
+* both clients open with the ``HELLO`` preface, and a HELLO connection's
+  answer columns decode to exactly the answers (by ``repr``) a
+  connection without it gets as tagged rows.
 """
 
 from __future__ import annotations
@@ -30,10 +33,16 @@ from repro.errors import (
     ServerOverloadedError,
     ServiceError,
 )
-from repro.net.client import AggregationClient, AsyncAggregationClient
+from repro.net.client import (
+    PREFACE,
+    AggregationClient,
+    AsyncAggregationClient,
+)
 from repro.net.protocol import (
+    AnswerColumns,
     FrameDecoder,
     FrameType,
+    decode_answers,
     encode_frame,
     try_decode_frame_traced,
 )
@@ -48,7 +57,8 @@ from tests.integration.net_golden import (
     GOLDEN_REQUESTS,
     GOLDEN_TIME_REPLIES,
 )
-from tests.integration.test_net_server import SlowGateway
+from tests.integration.test_net_server import RawConnection, SlowGateway
+from tests.unit.test_net_protocol import decode_one
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -136,13 +146,16 @@ class ScriptedServer:
 
     Every request frame gets the next scripted ``(type, payload)``
     reply, or a plausible success once the script runs out; the raw
-    request bytes are kept per frame.  It isolates the clients from
-    the real server, which is what lets a test fix the exact sequence
-    of RETRY / ERROR replies a client sees.
+    request bytes are kept per frame.  The connection's ``HELLO``
+    preface gets no reply, as from the real server, and is kept apart
+    in :attr:`preface`.  It isolates the clients from the real server,
+    which is what lets a test fix the exact sequence of RETRY / ERROR
+    replies a client sees.
     """
 
     def __init__(self, script=()):
         self._script = list(script)
+        self.preface = None
         self.requests = []
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.bind(("127.0.0.1", 0))
@@ -178,8 +191,12 @@ class ScriptedServer:
                     if decoded is None:
                         break
                     frame, end = decoded
-                    self.requests.append(bytes(received[offset:end]))
+                    raw = bytes(received[offset:end])
                     offset = end
+                    if frame.frame_type is FrameType.HELLO:
+                        self.preface = raw
+                        continue
+                    self.requests.append(raw)
                     connection.sendall(self._reply(frame))
         self._listener.close()
 
@@ -402,6 +419,8 @@ def test_request_bytes_are_unchanged(kind, method, args, kwargs, expected):
 
     converse(kind, server.port, body)
     server.join()
+    # The preface is kept apart (see test_both_clients_open_with_hello).
+    assert server.preface == PREFACE
     # The conversation ends with the CLOSE that `converse` sends
     # (`close` itself is idempotent, so it is on the wire only once).
     assert server.requests[0].hex() == expected
@@ -553,3 +572,173 @@ def test_any_gateway_exception_gets_an_in_order_error_reply(kind):
     server = AggregationServer(BrokenGateway(count_service()))
     with ServerThread(server) as thread:
         converse(kind, thread.port, body, request_timeout=5.0)
+
+
+# -- per-key DRAIN ----------------------------------------------------
+
+
+def test_drain_decodes_per_key_answers(kind):
+    """DRAIN's per-key rows come back with their queries rebuilt, like
+    POLL's (they used to come back as wire rows with tuple specs)."""
+    service = AggregationService(
+        [Query(4, 2)],
+        get_operator("sum"),
+        num_shards=2,
+        mode="per_key",
+        transport="inline",
+        batch_size=4,
+    )
+    records = [(key, i) for i in range(8) for key in "ab"]
+
+    async def body(client):
+        assert await client.submit_batch(records) == 16
+        polled = await client.poll()
+        _, final = await client.drain()
+        return polled, final["per_key"]
+
+    with ServerThread(AggregationServer(service)) as thread:
+        polled, per_key = converse(kind, thread.port, body)
+    assert polled and set(per_key) == {"a", "b"}
+    for key in "ab":
+        mine = [tuple(answer[1:]) for answer in polled if answer[0] == key]
+        assert per_key[key][: len(mine)] == mine
+        assert all(type(row[1]) is Query for row in per_key[key])
+
+
+# -- HELLO and answer columns -----------------------------------------
+
+
+def test_both_clients_open_with_hello(kind):
+    server = ScriptedServer()
+
+    async def body(client):
+        assert await client.poll() == []
+
+    converse(kind, server.port, body)
+    server.join()
+    # HELLO (0x0a), protocol v1, payload None: never answered.
+    assert server.preface.hex() == "5344010a0000000100"
+    assert PREFACE == encode_frame(FrameType.HELLO, None)
+    poll, close = server.requests
+    assert poll == encode_frame(FrameType.POLL, None)
+
+
+def raw_poll(service, submit: bytes, hello: bool) -> bytes:
+    """The bytes of the POLL reply after ``submit`` on a raw connection,
+    opened with the preface when ``hello``."""
+    with ServerThread(AggregationServer(service)) as thread:
+        raw = socket.create_connection(("127.0.0.1", thread.port), timeout=10)
+        try:
+            raw.sendall((PREFACE if hello else b"") + submit)
+            assert decode_one(_read_frame(raw)).frame_type is FrameType.OK
+            raw.sendall(encode_frame(FrameType.POLL))
+            return _read_frame(raw)
+        finally:
+            raw.close()
+
+
+def _count_stream(values):
+    rows = [("k", value) for value in values]
+    reference = reference_answers(values)
+    return count_service, FrameType.SUBMIT_BATCH, rows, reference
+
+
+def _time_stream():
+    records = [
+        (f"s{i % 3}", i / 10 + 0.011, (i * 7) % 23 - 11) for i in range(90)
+    ]
+    oracle = EventTimeEngine(
+        TIME_QUERIES, get_operator("sum"), lateness=LATENESS
+    )
+    reference = [
+        answer
+        for _, stamp, value in records
+        for answer in oracle.feed(stamp, value)
+    ]
+    return time_service, FrameType.SUBMIT_EVENT_BATCH, records, reference
+
+
+STREAMS = {
+    "count-int": lambda: _count_stream(
+        [(i * 37 + 5) % 211 - 105 for i in range(120)]
+    ),
+    "count-float": lambda: _count_stream(
+        [((i * 37 + 5) % 211 - 105) / 4 for i in range(120)]
+    ),
+    "time": _time_stream,
+}
+
+
+@pytest.mark.parametrize("stream", sorted(STREAMS))
+def test_hello_answers_are_the_tagged_answers(kind, stream):
+    """Same stream, same POLL: columns to a HELLO connection, tagged rows
+    to one without, and the same answers by ``repr`` — int vs float and
+    Query vs TimeQuery kept — as the engine's."""
+    service, frame_type, rows, reference = STREAMS[stream]()
+    submit = encode_frame(frame_type, rows)
+    columnar = decode_one(raw_poll(service(), submit, hello=True)).payload
+    tagged = decode_one(raw_poll(service(), submit, hello=False)).payload
+    assert type(columnar) is AnswerColumns and type(tagged) is list
+    assert columnar == tagged
+    want = repr(decode_answers(tagged))
+    assert tagged and want == repr(reference[: len(tagged)])
+    assert repr(decode_answers(columnar)) == want
+
+    async def body(client):
+        await client.send_frame(frame_type, rows)
+        assert (await client.read_reply())[0] is FrameType.OK
+        return await client.poll()
+
+    with ServerThread(AggregationServer(service())) as thread:
+        assert repr(converse(kind, thread.port, body)) == want
+
+
+def _service(operator, **kwargs):
+    return lambda: AggregationService(
+        [Query(4, 2)],
+        get_operator(operator),
+        num_shards=2,
+        transport="inline",
+        batch_size=4,
+        **kwargs,
+    )
+
+
+INELIGIBLE = {
+    "per-key": (_service("sum", mode="per_key"), [("a", 1), ("b", 2)] * 4),
+    "max-over-strings": (_service("max"), [("k", c) for c in "hello world"]),
+    "bigint": (_service("sum"), [("k", 2**62)] * 8),
+    "mixed-types": (_service("sum"), [("k", 1)] * 4 + [("k", 0.5)] * 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INELIGIBLE))
+def test_ineligible_answers_get_the_tagged_bytes(case):
+    service, rows = INELIGIBLE[case]
+    submit = encode_frame(FrameType.SUBMIT_BATCH, rows)
+    columnar = raw_poll(service(), submit, hello=True)
+    assert columnar == raw_poll(service(), submit, hello=False)
+    assert decode_one(columnar).payload  # a non-empty tagged row list
+
+
+@pytest.mark.parametrize(
+    "opening, answered",
+    [
+        (encode_frame(FrameType.POLL) + PREFACE, [FrameType.ANSWERS]),
+        (PREFACE + PREFACE, []),
+        (encode_frame(FrameType.HELLO, {"columns": True}), []),
+    ],
+    ids=["after-poll", "twice", "with-payload"],
+)
+def test_a_misplaced_hello_is_a_protocol_error(opening, answered):
+    with ServerThread(AggregationServer(count_service())) as thread:
+        with RawConnection(thread.port) as raw:
+            replies = [raw.request(opening)]
+            while replies[-1] is not None:
+                replies.append(raw.reply())
+    *before, error, eof = replies
+    assert [reply.frame_type for reply in before] == answered
+    assert error.frame_type is FrameType.ERROR
+    assert error.payload["error"] == "ProtocolError"
+    assert "first frame" in error.payload["message"]
+    assert eof is None  # the server closed the connection

@@ -16,7 +16,8 @@ Three properties the serving layer leans on:
 * **one meaning, two bodies** — whichever body ``encode_frame`` picks
   for a batch (record columns or the tagged rows), the parse half
   yields the rows the tagged body yields, equal and type-equal, and a
-  service fed either way gives the same answers.
+  service fed either way gives the same answers; likewise eligible
+  answers decode from answer columns to what the tagged rows decode to.
 """
 
 from __future__ import annotations
@@ -35,7 +36,10 @@ from repro.net.protocol import (
     SUBMIT_SHAPES,
     FrameDecoder,
     FrameType,
+    decode_answers,
     decode_value,
+    encode_answer_columns,
+    encode_answers,
     encode_frame,
     encode_value,
     try_decode_frame,
@@ -494,3 +498,38 @@ def test_a_service_fed_either_body_gives_the_same_answers(chunks):
             gateway.abort()
 
     assert answers(encode_frame) == answers(tagged_frame)
+
+
+# -- answers: one meaning, two bodies -------------------------------
+
+_NUMBERS = {
+    "q": st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    "d": st.floats(allow_nan=False),
+}
+_QUERIES = st.sampled_from(
+    [Query(8, 4), Query(16, 2, name="w"), TimeQuery(2.0, 1.0)]
+)
+eligible_answers = st.tuples(
+    st.sampled_from("qd"), st.sampled_from("qd")
+).flatmap(
+    lambda kinds: st.lists(
+        st.tuples(_NUMBERS[kinds[0]], _QUERIES, _NUMBERS[kinds[1]]),
+        min_size=1,
+        max_size=40,
+    )
+)
+
+
+@given(eligible_answers)
+def test_answer_columns_decode_to_the_tagged_answers(answers):
+    rows = encode_answers(answers)
+    columns = encode_answer_columns(answers)
+    assert columns is not None
+    (frame, _), (tagged, _) = (
+        try_decode_frame_traced(encode_frame(FrameType.ANSWERS, payload))
+        for payload in (columns, rows)
+    )
+    assert frame.payload == tagged.payload == rows
+    decoded = decode_answers(frame.payload)
+    assert repr(decoded) == repr(decode_answers(tagged.payload))
+    assert repr(decoded) == repr(answers)

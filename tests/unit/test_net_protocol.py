@@ -23,10 +23,12 @@ from repro.net.protocol import (
     SUBMIT_SHAPES,
     SUPPORTED_VERSIONS,
     FrameDecoder,
+    AnswerColumns,
     FrameType,
     RecordColumns,
     decode_answers,
     decode_value,
+    encode_answer_columns,
     encode_answers,
     encode_frame,
     encode_value,
@@ -767,3 +769,215 @@ class TestRecordColumns:
             with pytest.raises(ProtocolError):
                 try_decode_frame_traced(framed(frame_type, payload[:size]))
             assert try_decode_frame_traced(frame[: HEADER.size + size]) is None
+
+
+# -- answer columns -------------------------------------------------
+
+COUNT_Q, WIDE_Q = Query(8, 4), Query(16, 2, name="wide")
+SPECS = encode_value([(8, 4, "q8/4"), (16, 2, "wide")])
+
+
+def answer_payload(count, table, flags, columns, crc=None):
+    """An answer-columns payload with a valid (or the given) CRC."""
+    covered = struct.pack("<IIB", count, len(table), flags) + columns + table
+    if crc is None:
+        crc = zlib.crc32(covered)
+    return b"\x0c" + struct.pack("<I", crc) + covered
+
+
+def answers_frame(payload):
+    return framed(FrameType.ANSWERS, payload)
+
+
+#: Two answers, (4, COUNT_Q, 10) and (8, WIDE_Q, 20), as columns.
+TWO_ANSWERS = struct.pack("<qq", 4, 8) + CODES_01 + TWO_INTS
+
+
+class TestAnswerColumns:
+    """ANSWERS travels as columns when the server chooses (a HELLO
+    connection) and the answers are eligible; the decoder takes either
+    body, and every damaged byte is a ProtocolError."""
+
+    def test_eligible_answers_encode_to_the_documented_layout(self):
+        answers = [(4, COUNT_Q, 10), (8, WIDE_Q, 20)]
+        columns = encode_answer_columns(answers)
+        assert type(columns) is AnswerColumns
+        frame = encode_frame(FrameType.ANSWERS, columns, trace_id=9)
+        assert frame[HEADER.size + 8 :] == answer_payload(
+            2, SPECS, 0, TWO_ANSWERS
+        )
+        decoded = decode_one(frame)
+        assert decoded.trace_id == 9
+        assert decoded.payload == encode_answers(answers)
+        # What was decoded encodes back to the same bytes.
+        assert encode_frame(FrameType.ANSWERS, decoded.payload, 9) == frame
+
+    def test_float_positions_and_values_are_flagged(self):
+        timed = TimeQuery(2.0, 1.0)
+        answers = [(3.0, timed, 0.5), (4.0, timed, -0.0)]
+        frame = encode_frame(FrameType.ANSWERS, encode_answer_columns(answers))
+        assert frame[HEADER.size + 13] == 0x01 | 0x02
+        payload = decode_one(frame).payload
+        assert payload.positions.format == "d"
+        assert payload.values.format == "d"
+        assert repr(decode_answers(payload)) == repr(answers)
+
+    def test_the_view_is_sized_iterates_as_rows_and_equals_them(self):
+        answers = [(4, COUNT_Q, 10), (8, WIDE_Q, 20), (8, COUNT_Q, -3)]
+        rows = encode_answers(answers)
+        columns = encode_answer_columns(answers)
+        payload = decode_one(encode_frame(FrameType.ANSWERS, columns)).payload
+        for view in (columns, payload):
+            assert len(view) == 3
+            assert list(view) == rows and list(view) == rows  # re-iterable
+            assert view == rows and rows == view
+            assert view != rows[:-1] and view != tuple(rows)
+            assert repr(view) == f"AnswerColumns({rows!r})"
+        assert payload.slots.format == "I"
+        assert payload.specs == [(8, 4, "q8/4"), (16, 2, "wide")]
+
+    def test_decode_answers_takes_either_body(self):
+        count, timed = Query(8, 4), TimeQuery(2.0, 1.0, name="w")
+        for answers in (
+            [(4, count, 1), (8, count, 2**62), (8, WIDE_Q, -7)],
+            [(4, count, 1.5), (8, count, float("inf")), (8, WIDE_Q, 0.5)],
+            [(1.0, timed, 3), (2.0, timed, 4)],
+        ):
+            columnar = decode_one(
+                encode_frame(FrameType.ANSWERS, encode_answer_columns(answers))
+            ).payload
+            tagged = decode_one(
+                encode_frame(FrameType.ANSWERS, encode_answers(answers))
+            ).payload
+            assert type(columnar) is AnswerColumns and type(tagged) is list
+            got, want = decode_answers(columnar), decode_answers(tagged)
+            assert repr(got) == repr(want) == repr(answers)
+            # One query object per spec per reply.
+            assert got[0][1] is got[1][1]
+
+    @pytest.mark.parametrize(
+        "answers",
+        [
+            [],
+            [("k", 4, COUNT_Q, 1)],  # per-key four-tuples
+            [(4, COUNT_Q, "max")],  # max over strings
+            [(4, COUNT_Q, 2**63)],  # a bigint value
+            [(2**63, COUNT_Q, 1)],  # a bigint position
+            [(4, COUNT_Q, 1), (8, COUNT_Q, 1.5)],  # mixed value types
+            [(4, COUNT_Q, 1), (8.0, COUNT_Q, 2)],  # mixed position types
+            [(4, COUNT_Q, True)],  # bools are not i64s
+            [(4, COUNT_Q, None)],
+            [[4, COUNT_Q, 1]],  # a list answer
+            [(4, COUNT_Q)],  # a short answer
+        ],
+    )
+    def test_ineligible_answers_stay_tagged(self, answers):
+        assert encode_answer_columns(answers) is None
+        assert encode_answer_columns(tuple(answers)) is None
+
+    def test_only_answers_frames_carry_columns(self):
+        columns = encode_answer_columns([(4, COUNT_Q, 10)])
+        for frame_type in set(FrameType) - {FrameType.ANSWERS}:
+            with pytest.raises(ProtocolError, match="cannot encode"):
+                encode_frame(frame_type, columns)
+        with pytest.raises(ProtocolError, match="cannot encode"):
+            encode_frame(FrameType.ANSWERS, [columns])
+        # A tagged row list on ANSWERS stays the tagged body.
+        rows = encode_answers([(4, COUNT_Q, 10)])
+        assert encode_frame(FrameType.ANSWERS, rows) == tagged_frame(
+            FrameType.ANSWERS, rows
+        )
+
+    # -- damage: ProtocolError and nothing else ------------------------
+
+    def test_short_header_is_refused(self):
+        payload = answer_payload(2, SPECS, 0, TWO_ANSWERS)
+        for size in range(1, 14):
+            with pytest.raises(ProtocolError, match="header"):
+                decode_one(answers_frame(payload[:size]))
+
+    def test_crc_mismatch_is_refused(self):
+        bad_crc = answer_payload(2, SPECS, 0, TWO_ANSWERS, crc=0)
+        with pytest.raises(ProtocolError, match="CRC"):
+            decode_one(answers_frame(bad_crc))
+        damaged = bytearray(answer_payload(2, SPECS, 0, TWO_ANSWERS))
+        damaged[14] ^= 0x01  # one position byte: still a plausible i64
+        with pytest.raises(ProtocolError, match="CRC"):
+            decode_one(answers_frame(bytes(damaged)))
+
+    def test_length_must_be_count_times_widths_plus_table(self):
+        for count, columns in [
+            (0xFFFFFFFF, TWO_ANSWERS),  # refused by arithmetic
+            (3, TWO_ANSWERS),
+            (2, TWO_ANSWERS[:-1]),
+            (2, TWO_ANSWERS + b"\0"),
+        ]:
+            payload = answer_payload(count, SPECS, 0, columns)
+            with pytest.raises(ProtocolError, match="expected"):
+                decode_one(answers_frame(payload))
+
+    @pytest.mark.parametrize("flags", [0x04, 0x08, 0x10, 0x80, 0x01 | 0x40])
+    def test_unknown_flag_bits_are_refused(self, flags):
+        payload = answer_payload(2, SPECS, flags, TWO_ANSWERS)
+        with pytest.raises(ProtocolError, match="flag bits"):
+            decode_one(answers_frame(payload))
+
+    def test_slot_outside_the_spec_table_is_refused(self):
+        columns = struct.pack("<qqII", 4, 8, 0, 2) + TWO_INTS
+        with pytest.raises(ProtocolError, match="slot outside"):
+            decode_one(answers_frame(answer_payload(2, SPECS, 0, columns)))
+        no_specs = answer_payload(2, encode_value([]), 0, TWO_ANSWERS)
+        with pytest.raises(ProtocolError, match="slot outside"):
+            decode_one(answers_frame(no_specs))
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            encode_value((8, 4, "q8/4")),  # not a list
+            encode_value({"a": 1}),
+            SPECS[:-1],  # truncated
+            SPECS + b"\0",  # trailing bytes
+            b"\x0c" + SPECS,  # the envelope's own tag, nested
+            encode_value(["q8/4", (16, 2, "wide")]),  # a spec of wrong shape
+            encode_value([(8, 4), (16, 2, "wide")]),
+            encode_value([(0, 4, "q"), (16, 2, "wide")]),  # refused range
+            encode_value([("8", 4, "q"), (16, 2, "wide")]),
+            encode_value([("time", -1.0, 1.0, "t"), (16, 2, "wide")]),
+        ],
+    )
+    def test_malformed_spec_table_is_refused(self, table):
+        frame = answers_frame(answer_payload(2, table, 0, TWO_ANSWERS))
+        with pytest.raises(ProtocolError):
+            decode_answers(decode_one(frame).payload)
+
+    def test_tag_is_refused_anywhere_but_a_whole_answers_payload(self):
+        payload = answer_payload(2, SPECS, 0, TWO_ANSWERS)
+        assert decode_one(answers_frame(payload)).payload
+        for frame_type in set(FrameType) - {FrameType.ANSWERS}:
+            with pytest.raises(ProtocolError, match="unknown value tag 0x0c"):
+                decode_one(framed(frame_type, payload))
+        nested = b"\x08" + struct.pack(">I", 1) + payload
+        with pytest.raises(ProtocolError, match="unknown value tag 0x0c"):
+            decode_one(answers_frame(nested))
+        with pytest.raises(ProtocolError, match="unknown value tag 0x0c"):
+            decode_value(payload)
+
+    def test_no_flipped_byte_or_truncation_escapes_as_another_error(self):
+        answers = [(4, COUNT_Q, 10), (8, WIDE_Q, 20), (12, COUNT_Q, -1)]
+        frame = encode_frame(FrameType.ANSWERS, encode_answer_columns(answers))
+        for index in range(len(frame)):
+            for mask in (0x01, 0x80, 0xFF):
+                damaged = bytearray(frame)
+                damaged[index] ^= mask
+                try:
+                    decoded = try_decode_frame_traced(bytes(damaged))
+                    if decoded is not None:
+                        decode_answers(decoded[0].payload)
+                except ProtocolError:
+                    continue
+                # What still decodes did not touch the columns.
+                assert index < HEADER.size or decoded is None, index
+        payload = frame[HEADER.size :]
+        for size in range(len(payload)):
+            with pytest.raises(ProtocolError):
+                decode_one(answers_frame(payload[:size]))

@@ -15,6 +15,12 @@ them to a few per frame.  A
 256-value packed ``SUBMIT_COLUMN`` frame is held to the same ceiling:
 its parse half hands ``submit_many`` the same rows.
 
+The reply direction is gated the same way: a 48-answer ``ANSWERS``
+frame — one reply of the benchmark's closed loop — is encoded and
+decoded (``encode_answer_columns``, ``encode_frame``,
+``try_decode_frame_traced``, ``decode_answers``) in a number of calls
+that does not grow with the answer count.
+
 With the tagged body the decoder alone makes more than four calls per
 tuple (``_decode_at`` and ``_need`` per row, key and value); with record
 columns the whole path is a fixed handful per *frame*.  A per-record
@@ -32,9 +38,13 @@ import repro
 from repro import AggregationService, Query, get_operator
 from repro.net.protocol import (
     SUBMIT_SHAPES,
+    AnswerColumns,
     FrameType,
     RecordColumns,
     build_submit_column,
+    decode_answers,
+    encode_answer_columns,
+    encode_answers,
     encode_frame,
     try_decode_frame_traced,
 )
@@ -119,3 +129,62 @@ def test_the_gate_sees_the_tagged_bodys_per_record_calls():
     # The same rows from an old client: the ceiling is not vacuous.
     frame = tagged_frame(FrameType.SUBMIT_BATCH, rows())
     assert calls_outside_the_dealer(frame) > 4 * ROWS
+
+
+# -- the reply direction: ANSWERS -----------------------------------
+
+ANSWERS = 48
+#: Calls per columnar round trip, whatever the answer count (58 at
+#: this writing: the spec table's tagged codec and one query object
+#: per spec account for most of them).
+ANSWER_CALLS_CEILING = 64
+
+
+def library_calls(work) -> int:
+    """Library ``call`` events while ``work()`` runs."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(LIBRARY):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        work()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def answers(count: int):
+    """``count`` answers of two queries, as one POLL releases them."""
+    queries = [Query(64, 16), Query(16, 4, name="short")]
+    return [(16 * (i + 1), queries[i % 2], i * 3 - 40) for i in range(count)]
+
+
+def answer_round_trip(released, marshal) -> int:
+    """Calls to encode one ANSWERS frame and decode its answers."""
+
+    def work():
+        frame = encode_frame(FrameType.ANSWERS, marshal(released))
+        decoded, _ = try_decode_frame_traced(frame)
+        assert decode_answers(decoded.payload) == released
+
+    return library_calls(work)
+
+
+def test_answer_columns_make_no_per_answer_python_call():
+    assert type(encode_answer_columns(answers(ANSWERS))) is AnswerColumns
+    calls = answer_round_trip(answers(ANSWERS), encode_answer_columns)
+    assert calls == answer_round_trip(
+        answers(10 * ANSWERS), encode_answer_columns
+    )
+    assert calls <= ANSWER_CALLS_CEILING
+
+
+def test_the_gate_sees_the_tagged_bodys_per_answer_calls():
+    # The same answers to a connection without HELLO: the gate above
+    # is not vacuous.
+    assert answer_round_trip(answers(ANSWERS), encode_answers) > 8 * ANSWERS
