@@ -138,8 +138,8 @@ class TransportError(ReproError, RuntimeError):
     """The shared-memory data plane was misused or misconfigured.
 
     Raised for lifecycle violations on a ring endpoint (reading before
-    committing the previous frame, writing a payload larger than the
-    ring can ever hold without the spill path) and for frame-codec
+    committing the previous frame, starting a new payload while one of
+    several pieces is part-written) and for frame-codec
     misuse (encoding a batch the columnar codec declared unsupported).
     Corrupt bytes on the ring raise the more specific
     :class:`TornFrameError` instead.

@@ -57,10 +57,8 @@ from repro.service.shard import (
     POISON_POLICIES,
     SHARD_MODES,
     ShardConfig,
-    ShardHeartbeat,
     ShardOutput,
     ShardState,
-    ShardStopped,
     shard_main,
 )
 from repro.service.slices import SliceClock
@@ -83,8 +81,6 @@ __all__ = [
     "ShardConfig",
     "ShardState",
     "ShardOutput",
-    "ShardHeartbeat",
-    "ShardStopped",
     "shard_main",
     "SHARD_MODES",
     "POISON_POLICIES",

@@ -17,7 +17,7 @@ points:
 * **worker-side stalls and wedges** via a picklable
   :class:`WorkerFaultPlan` carried in the shard config: a *stall*
   sleeps a bounded number of seconds mid-batch (a slow shard the
-  heartbeat logic must tolerate), a *wedge* sleeps effectively forever
+  stall detector must tolerate), a *wedge* sleeps effectively forever
   (a dead shard the stall detector must kill and recover);
 * **poison records** — :func:`poison` wraps a value in a
   :class:`PoisonValue` whose every arithmetic/comparison raises, so the
@@ -87,12 +87,12 @@ class WorkerFaultPlan:
 
     Travels inside :class:`~repro.service.shard.ShardConfig` to the
     worker process; :meth:`apply` is called by the worker loop right
-    before it processes each batch (after its start-of-batch
-    heartbeat, so the supervisor has seen signs of life first).
+    before it processes each batch, so a wedge there stills the shard's
+    rings: no output comes back, and the supervisor sees no progress.
 
     Attributes:
         stall_at: ``{seq: seconds}`` — bounded sleeps, simulating a
-            slow shard that heartbeat-based detection must *not* kill.
+            slow shard that stall detection must *not* kill.
         wedge_at: Sequence numbers at which the worker sleeps
             :data:`WEDGE_SECONDS`, simulating a shard that is alive as
             a process but will never make progress.

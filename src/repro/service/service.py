@@ -187,11 +187,11 @@ class AggregationService:
             shard is declared failed and its keys degraded.
         restart_backoff: Base seconds of the exponential pre-respawn
             backoff (doubles per consecutive restore, capped).
-        stall_timeout: Seconds of worker silence (with work
-            outstanding) before the stall detector kills and recovers
-            it; ``0`` disables stall detection.
-        heartbeat_interval: Worker idle-heartbeat period feeding the
-            stall detector; ``0`` disables heartbeats.
+        stall_timeout: Seconds a worker with work outstanding may go
+            without visible progress (taking a frame off its data ring,
+            or an output of its read off the result ring) before the
+            stall detector kills and recovers it; ``0`` disables stall
+            detection.
         poison_policy: ``"quarantine"`` (default) routes poison
             records to the dead-letter sink; ``"raise"`` lets them
             kill the worker (debugging only).
@@ -240,7 +240,6 @@ class AggregationService:
         max_restarts: int = 5,
         restart_backoff: float = 0.05,
         stall_timeout: float = 10.0,
-        heartbeat_interval: float = 0.25,
         poison_policy: str = "quarantine",
         dead_letter_sink: Optional[DeadLetterSink] = None,
         injector: Optional[Any] = None,
@@ -339,7 +338,6 @@ class AggregationService:
                 mode=mode,
                 checkpoint_interval=checkpoint_interval,
                 throttle_seconds=shard_delay_seconds,
-                heartbeat_interval=heartbeat_interval,
                 poison_policy=poison_policy,
                 slice_seconds=slice_seconds,
                 origin=origin,
@@ -965,7 +963,8 @@ class AggregationService:
 
         Keys: ``data_plane`` (``"shm"`` on the process transport,
         ``"inline"`` on the inline one), ``frames_columnar`` /
-        ``frames_pickled`` / ``frames_spilled`` frame counts, and
+        ``frames_pickled`` frame counts, ``frames_spilled`` (data
+        frames sent as more than one ring piece), and
         cumulative ``encode_seconds`` /
         ``ring_wait_seconds`` / ``decode_seconds``.
         """

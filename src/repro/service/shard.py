@@ -30,14 +30,15 @@ longer be trusted) and subsequent records for it are quarantined too.
 object, so :mod:`repro.stream.checkpoint` snapshots it byte-for-byte and
 the supervisor can restore a killed worker and replay its un-checkpointed
 batches.  :func:`shard_main` is the process entry point wrapping that
-state in a loop over the shard's shared-memory rings that heartbeats
-while idle and before each batch, so the supervisor can tell a slow
-worker from a wedged one.
+state in a loop over the shard's two shared-memory rings, its only
+channel to the supervisor: batches and ``STOP`` in, one output per
+batch and a ``STOP`` acknowledgement out.  The supervisor tells a slow
+worker from a wedged one by the rings moving, so the worker sends
+nothing just to look alive.
 """
 
 from __future__ import annotations
 
-import queue as queue_module
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -84,10 +85,6 @@ class ShardConfig:
         throttle_seconds: Artificial per-batch delay — a test/benchmark
             knob that makes backpressure deterministic by simulating a
             slow consumer.  ``0.0`` in production use.
-        heartbeat_interval: Seconds between idle heartbeats from the
-            worker loop; also bounds how long the loop blocks on its
-            inbound queue.  ``0`` disables heartbeats (the worker
-            blocks indefinitely while idle).
         poison_policy: ``"quarantine"`` (default) dead-letters poison
             records; ``"raise"`` re-raises them as
             :class:`~repro.errors.PoisonRecordError` (killing the
@@ -110,7 +107,6 @@ class ShardConfig:
     mode: str = "global"
     checkpoint_interval: int = 16
     throttle_seconds: float = 0.0
-    heartbeat_interval: float = 0.25
     poison_policy: str = "quarantine"
     chaos: Optional[Any] = None
     slice_seconds: float = 0.0
@@ -136,11 +132,6 @@ class ShardConfig:
             raise ServiceError(
                 f"unknown poison policy {self.poison_policy!r}; "
                 f"expected one of {POISON_POLICIES}"
-            )
-        if self.heartbeat_interval < 0:
-            raise ServiceError(
-                "heartbeat_interval must be >= 0, got "
-                f"{self.heartbeat_interval}"
             )
 
 
@@ -190,41 +181,6 @@ class ShardOutput:
     snapshot: Optional[bytes] = None
     trace_ids: Tuple[int, ...] = ()
     transport_seconds: float = 0.0
-
-
-@dataclass
-class ShardStopped:
-    """A worker's final message before exiting its loop.
-
-    ``error`` carries the repr of an unexpected exception; the
-    supervisor treats such an exit like a crash and recovers.
-    """
-
-    shard_id: int
-    error: Optional[str] = None
-
-
-@dataclass
-class ShardHeartbeat:
-    """Liveness signal from the worker loop.
-
-    Sent while idle (every ``heartbeat_interval`` seconds with no
-    inbound batch) and immediately before each batch is processed.
-    The supervisor uses the *absence* of these — together with absent
-    outputs — to distinguish a wedged worker from a merely slow one:
-    a slow shard keeps heartbeating between batches, a wedged one goes
-    silent.
-
-    Attributes:
-        shard_id: Originating shard.
-        seq: The batch about to be processed (``busy=True``) or the
-            last processed batch (``busy=False``, idle heartbeat).
-        busy: Whether the worker is entering a batch fold.
-    """
-
-    shard_id: int
-    seq: int
-    busy: bool = False
 
 
 class ShardState:
@@ -576,8 +532,6 @@ class ShardState:
 def shard_main(
     config: ShardConfig,
     endpoint: Any,
-    in_queue: Any,
-    out_queue: Any,
     initial_snapshot: Optional[bytes] = None,
 ) -> None:
     """Worker-process entry point: restore, then loop over batches.
@@ -587,22 +541,15 @@ def shard_main(
         endpoint: The shard's
             :class:`~repro.service.transport.shm.WorkerEndpoint`:
             batches arrive as zero-copy columnar views off its data
-            ring, outputs return on its result ring.  Closed when the
-            loop ends.
-        in_queue: Bounded queue of ring-spilled :class:`Batch`
-            payloads, each taken when its ``SPILL`` marker is read
-            (ordering is anchored in the ring).
-        out_queue: Bounded queue of :class:`ShardHeartbeat` /
-            :class:`ShardStopped` liveness messages and ring-spilled
-            :class:`ShardOutput` results.
+            ring, outputs and the ``STOP`` acknowledgement return on
+            its result ring.  Closed when the loop ends.
         initial_snapshot: Checkpoint bytes to resume from (recovery);
             ``None`` starts from a fresh state.
 
     A torn ring frame (CRC mismatch — the producer died mid-write or
-    chaos corrupted the bytes) raises out of the receive path: the
-    worker reports it via :class:`ShardStopped` and exits nonzero, and
-    the supervisor's crash recovery respawns it with fresh rings and a
-    checkpoint replay.
+    chaos corrupted the bytes) raises out of the receive path and the
+    worker exits nonzero; the supervisor's crash recovery respawns it
+    with fresh rings and a checkpoint replay.
     """
     try:
         if initial_snapshot is not None:
@@ -610,27 +557,12 @@ def shard_main(
         else:
             state = ShardState(config)
         fault_plan = config.chaos
-        heartbeat = config.heartbeat_interval
         batches_since_checkpoint = 0
         while True:
-            try:
-                message = endpoint.receive(in_queue, heartbeat or None)
-            except queue_module.Empty:
-                out_queue.put(
-                    ShardHeartbeat(
-                        config.shard_id, state.processed_seq, busy=False
-                    )
-                )
-                continue
+            message = endpoint.receive()
             if message == STOP:
-                out_queue.put(ShardStopped(config.shard_id))
+                endpoint.acknowledge_stop()
                 return
-            if heartbeat:
-                # Announce the fold *before* starting it, so the
-                # supervisor can date any subsequent silence.
-                out_queue.put(
-                    ShardHeartbeat(config.shard_id, message.seq, busy=True)
-                )
             if fault_plan is not None:
                 fault_plan.apply(message.seq)
             if config.throttle_seconds:
@@ -650,12 +582,7 @@ def shard_main(
             # producer may reuse the bytes.
             endpoint.commit()
             output.transport_seconds = endpoint.take_decode_seconds()
-            endpoint.send_output(output, out_queue, heartbeat)
-    except (KeyboardInterrupt, SystemExit):  # pragma: no cover - signals
-        raise
-    except BaseException as error:  # pragma: no cover - crash reporting
-        out_queue.put(ShardStopped(config.shard_id, error=repr(error)))
-        raise
+            endpoint.send_output(output)
     finally:
         # A mapping still open at interpreter exit fails to close with
         # a BufferError traceback (a forked worker skips that cleanup,

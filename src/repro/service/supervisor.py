@@ -1,13 +1,13 @@
 """Worker lifecycle: spawning, backpressure, failure detection, recovery.
 
-The supervisor owns one worker process per shard.  Batches and the
-stop request travel as frames over the shard's pair of shared-memory
-rings (:mod:`repro.service.transport`); the worker's bounded queues
-carry only ring-spilled payloads, heartbeats and its stop notice.  Both
-directions are bounded — a slow merger backpressures the workers
-instead of growing an unbounded outbound backlog.  Workers start with
-``fork`` where the platform has it and ``spawn`` otherwise; under
-``spawn`` they attach to their rings by segment name.  Its
+The supervisor owns one worker process per shard.  Everything it
+exchanges with a worker — batches and the stop request out, outputs
+and the stop acknowledgement back — travels as frames over the shard's
+pair of shared-memory rings (:mod:`repro.service.transport`), its only
+channel.  Both directions are bounded — a slow merger backpressures
+the workers instead of growing an unbounded outbound backlog.  Workers
+start with ``fork`` where the platform has it and ``spawn`` otherwise;
+under ``spawn`` they attach to their rings by segment name.  Its
 responsibilities:
 
 * **Backpressure** — a shard with ``queue_capacity`` unacknowledged
@@ -29,11 +29,13 @@ responsibilities:
   previous one (retention keeps exactly enough batches to replay from
   there); when both generations are corrupt the shard is failed rather
   than silently restarted with missing history.
-* **Stall detection** — workers heartbeat while idle and before each
-  batch.  A shard with outstanding work that has been silent longer
-  than ``stall_timeout`` is wedged (as opposed to slow — slow shards
-  keep heartbeating between batches): its process is killed and
-  recovered like a crash.
+* **Stall detection** — progress is what the supervisor can see move:
+  the worker taking frames off the data ring, or outputs read off the
+  result ring; a send to a shard with nothing outstanding restarts
+  its clock.  A shard with outstanding work and no progress for longer
+  than ``stall_timeout`` is wedged (as opposed to slow — a slow shard
+  still finishes batches): its process is killed and recovered like a
+  crash.
 * **Restart budget** — each recovery consumes one unit of
   ``max_restarts`` and is preceded by an exponential backoff.  A shard
   that exhausts the budget becomes **failed**: its worker is torn
@@ -55,7 +57,6 @@ process.
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_module
 import time
 from dataclasses import replace
 from functools import partial
@@ -77,10 +78,8 @@ from repro.service.partition import (
 from repro.service.shard import (
     STOP,
     ShardConfig,
-    ShardHeartbeat,
     ShardOutput,
     ShardState,
-    ShardStopped,
     shard_main,
 )
 from repro.service.transport import shm_supported
@@ -92,10 +91,6 @@ from repro.service.transport.frame import (
 from repro.service.transport.shm import ShardChannel
 from repro.stream.checkpoint import CheckpointError, verify
 from repro.stream.sink import DeadLetter
-
-#: Seconds a spilled output may take to arrive on the out queue
-#: between liveness checks of its worker.
-_SPILL_TIMEOUT = 0.05
 
 #: Sleep between liveness checks while a send waits for ring space or
 #: acknowledgements (rings drain in sub-millisecond strides).
@@ -122,15 +117,6 @@ def _context():
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return multiprocessing.get_context()
-
-
-def _offer(queue: Any, item: Any) -> bool:
-    """Non-blocking put; ``False`` while the queue is full."""
-    try:
-        queue.put_nowait(item)
-    except queue_module.Full:
-        return False
-    return True
 
 
 def _name_letters(batch: Batch, output: ShardOutput) -> None:
@@ -169,8 +155,6 @@ class WorkerHandle:
     def __init__(self, config: ShardConfig):
         self.config = config
         self.process: Optional[Any] = None
-        self.in_queue: Optional[Any] = None
-        self.out_queue: Optional[Any] = None
         #: Shared-memory ring pair (``None`` once discarded).
         self.channel: Optional[ShardChannel] = None
         #: Batches shipped but not yet covered by two checkpoint
@@ -194,8 +178,10 @@ class WorkerHandle:
         self.failed = False
         #: Human-readable reason the shard failed, when it did.
         self.failure_reason = ""
-        #: Monotonic time of the last message (output/heartbeat) seen.
-        self.last_message = time.monotonic()
+        #: The channel's :meth:`~ShardChannel.consumed` count when
+        #: last looked at, and the monotonic time it last moved.
+        self.progress = 0
+        self.last_progress = time.monotonic()
         #: Ship timestamps per in-flight sequence number.
         self.enqueue_times: Dict[int, float] = {}
         # Stats accumulators (fresh acknowledgements only).
@@ -210,6 +196,7 @@ class WorkerHandle:
         # Transport accounting (zero on the inline transport).
         self.frames_columnar = 0
         self.frames_pickled = 0
+        #: Data frames sent as more than one ring piece.
         self.frames_spilled = 0
         self.encode_seconds = 0.0
         self.ring_wait_seconds = 0.0
@@ -287,10 +274,6 @@ class Supervisor:
             )
         self._ctx = _context()
         self._queue_capacity = queue_capacity
-        #: The out queue is bounded too, but looser than the spill
-        #: queue: it also carries heartbeats, and the supervisor drains
-        #: it while it waits to send.
-        self._out_capacity = max(16, queue_capacity * 4)
         self._ring_capacity = ring_capacity
         self._backpressure = backpressure
         self._injector = injector
@@ -313,8 +296,6 @@ class Supervisor:
         config = handle.config
         if self._injector is not None:
             config = self._injector.worker_config(config)
-        handle.in_queue = self._ctx.Queue(maxsize=self._queue_capacity)
-        handle.out_queue = self._ctx.Queue(maxsize=self._out_capacity)
         # Fresh rings every (re)spawn: a crashed worker's rings may hold
         # a half-consumed frame and are never reused.
         handle.channel = ShardChannel(
@@ -322,18 +303,13 @@ class Supervisor:
         )
         handle.process = self._ctx.Process(
             target=shard_main,
-            args=(
-                config,
-                handle.channel.endpoint(),
-                handle.in_queue,
-                handle.out_queue,
-                initial_snapshot,
-            ),
+            args=(config, handle.channel.endpoint(), initial_snapshot),
             daemon=True,
             name=f"repro-shard-{handle.config.shard_id}",
         )
         handle.process.start()
-        handle.last_message = time.monotonic()
+        handle.progress = 0
+        handle.last_progress = time.monotonic()
         if self._injector is not None:
             self._injector.on_spawned(
                 handle.process, handle.config.shard_id
@@ -352,8 +328,8 @@ class Supervisor:
         losing both checkpoint generations to corruption) fails the
         shard instead of respawning.
         """
-        self._drain_handle(handle)  # salvage outputs already produced
-        self._discard_queues(handle)
+        self._drain(handle)  # salvage outputs already produced
+        self._discard_channel(handle)
         if handle.restores >= self._max_restarts:
             self._fail(
                 handle,
@@ -422,7 +398,7 @@ class Supervisor:
         if process is not None and process.is_alive():
             process.kill()
             process.join(timeout=5.0)
-        self._discard_queues(handle)
+        self._discard_channel(handle)
         # Un-acknowledged records will never be processed: quarantine
         # them so accounting stays exact and callers can inspect them.
         for batch in handle.retained:
@@ -455,13 +431,7 @@ class Supervisor:
             )
         )
 
-    def _discard_queues(self, handle: WorkerHandle) -> None:
-        for q in (handle.in_queue, handle.out_queue):
-            if q is not None:
-                q.close()
-                q.cancel_join_thread()
-        handle.in_queue = None
-        handle.out_queue = None
+    def _discard_channel(self, handle: WorkerHandle) -> None:
         channel = handle.channel
         if channel is not None:
             handle.channel = None
@@ -475,15 +445,19 @@ class Supervisor:
             return
         if not process.is_alive():
             if handle.stop_sent and process.exitcode == 0:
-                # Clean exit; ShardStopped may still be queued.
+                # Clean exit; its STOP echo may still be on the ring.
                 return
             self._recover(handle)
             return
         if self._stall_timeout and self._expecting_progress(handle):
-            silent_for = time.monotonic() - handle.last_message
-            if silent_for > self._stall_timeout:
-                # Alive but silent with work outstanding: wedged.  A
-                # slow shard would have heartbeat within the timeout.
+            progress = handle.channel.consumed()
+            now = time.monotonic()
+            if progress != handle.progress:
+                handle.progress = progress
+                handle.last_progress = now
+            elif now - handle.last_progress > self._stall_timeout:
+                # Alive, with work outstanding, and neither ring has
+                # moved within the timeout: wedged, not slow.
                 handle.stalls += 1
                 if self._injector is not None:
                     self._injector.on_stall_killed(
@@ -504,7 +478,8 @@ class Supervisor:
     def _encode_batch(self, handle: WorkerHandle, batch: Batch) -> bytes:
         """Encode one batch on the handle's channel, with accounting."""
         started = time.perf_counter()
-        frame, columnar = handle.channel.encode_batch(
+        channel = handle.channel
+        frame, columnar = channel.encode_batch(
             batch, handle.config.mode == "per_key"
         )
         elapsed = time.perf_counter() - started
@@ -513,6 +488,8 @@ class Supervisor:
             handle.frames_columnar += 1
         else:
             handle.frames_pickled += 1
+        if len(frame) > channel.data_ring.max_piece:
+            handle.frames_spilled += 1
         if self.transport_observer is not None:
             self.transport_observer("encode", elapsed)
         return frame
@@ -547,7 +524,7 @@ class Supervisor:
             return True
         started = time.perf_counter()
         while True:
-            self._drain_handle(handle)
+            self._drain(handle)
             self._check(handle)
             if handle.failed or handle.channel is not channel:
                 return False
@@ -560,13 +537,18 @@ class Supervisor:
             self.transport_observer("ring_wait", waited)
         return True
 
-    def _send(self, handle: WorkerHandle, message: Any) -> None:
+    def _send(
+        self,
+        handle: WorkerHandle,
+        message: Any,
+        frame: Optional[bytes] = None,
+    ) -> None:
         """Blocking send of a batch or :data:`STOP` over the data ring.
 
         A batch first waits for its in-flight slot (see
-        :meth:`_try_ship`), then for ring space; one too large for the
-        ring travels on the spill queue while a ``SPILL`` marker holds
-        its place in ring order.  When recovery replaces the rings
+        :meth:`_try_ship`), then for ring space, piece by piece when
+        its frame (``frame``, if the caller already encoded it) is
+        larger than one ring piece.  When recovery replaces the rings
         mid-send, the send starts over on the fresh ones; when the
         shard fails, a batch is dead-lettered instead.
         """
@@ -588,23 +570,12 @@ class Supervisor:
                     lambda: message.seq - handle.acked_seq <= queue_capacity,
                 ):
                     continue
-                frame = self._encode_batch(handle, message)
-                if len(frame) <= ring.max_payload:
-                    frames = self._data_frames(handle, frame)
-                elif self._wait(
-                    handle, channel, partial(_offer, handle.in_queue, message)
-                ):
-                    handle.frames_spilled += 1
-                    frames = [
-                        encode_control_frame(
-                            FrameKind.SPILL, shard_id, message.seq
-                        )
-                    ]
-                else:
-                    continue
+                if frame is None:
+                    frame = self._encode_batch(handle, message)
+                frames = self._data_frames(handle, frame)
             if all(
-                self._wait(handle, channel, partial(ring.try_write, frame))
-                for frame in frames
+                self._wait(handle, channel, partial(ring.try_write, each))
+                for each in frames
             ):
                 return
         if isinstance(message, Batch):
@@ -627,16 +598,17 @@ class Supervisor:
         # bound is phrased per-seq (ship N only once N - capacity is
         # acked) so replayed batches at or below the ack horizon always
         # pass.
-        self._drain_result_ring(handle)
+        self._drain(handle)
         if batch.seq - handle.acked_seq > self._queue_capacity:
             return False
         ring = handle.channel.data_ring
         frame = self._encode_batch(handle, batch)
-        if len(frame) > ring.max_payload:
-            # Oversized batches take the blocking spill path directly:
-            # shedding a batch for being large (rather than for the
-            # worker being behind) is not what drop/sample mean.
-            self._send(handle, batch)
+        if len(frame) > ring.max_piece:
+            # A frame of several pieces takes the blocking writer: once
+            # its first piece is out the rest must follow, and shedding
+            # a batch for being large (rather than for the worker being
+            # behind) is not what drop/sample mean.
+            self._send(handle, batch, frame)
             return True
         return ring.try_write(frame)
 
@@ -646,6 +618,9 @@ class Supervisor:
         if handle.failed:
             self._shed_batch(handle, batch)
             return
+        if not self._expecting_progress(handle):
+            # The shard was idle: its silence so far was not a stall.
+            handle.last_progress = time.monotonic()
         if not self._try_ship(handle, batch):
             if self._backpressure == "drop":
                 batch, dropped = drop_records(batch)
@@ -667,23 +642,7 @@ class Supervisor:
 
     # -- draining outputs ------------------------------------------
 
-    def _absorb(self, handle: WorkerHandle, message: Any) -> None:
-        handle.last_message = time.monotonic()
-        if isinstance(message, ShardHeartbeat):
-            return
-        if isinstance(message, ShardStopped):
-            if message.error is None and handle.stop_sent:
-                # Every result-ring write happened-before the worker
-                # queued this stop message, but this poll's ring pass
-                # ran before the queue pass — drain once more so a
-                # final output that landed in between is not stranded
-                # when drain_until_stopped breaks.
-                self._drain_result_ring(handle)
-                handle.stopped = True
-            # An errored stop is followed by a nonzero exit; _check
-            # recovers the worker once the process object reports dead.
-            return
-        output: ShardOutput = message
+    def _absorb(self, handle: WorkerHandle, output: ShardOutput) -> None:
         if output.dead_letters:
             # Before a checkpoint below trims the batch from retention.
             for batch in handle.retained:
@@ -729,26 +688,13 @@ class Supervisor:
             ]
             output.snapshot = None  # merged layers never need the bytes
 
-    def _drain_handle(self, handle: WorkerHandle) -> None:
-        self._drain_result_ring(handle)
-        out_queue = handle.out_queue
-        if out_queue is None:
-            return
-        while True:
-            try:
-                message = out_queue.get_nowait()
-            except queue_module.Empty:
-                return
-            except (EOFError, OSError):  # pragma: no cover - torn pipe
-                return
-            self._absorb(handle, message)
-
-    def _drain_result_ring(self, handle: WorkerHandle) -> None:
+    def _drain(self, handle: WorkerHandle) -> None:
         """Absorb every output currently on the shard's result ring.
 
-        A torn frame here means the worker died mid-write: draining
-        stops (the rest of the ring cannot be trusted) and the regular
-        liveness check recovers the shard with fresh rings.
+        The worker's ``STOP`` echo, behind its last output, marks it
+        stopped.  A torn frame here means the worker died mid-write:
+        draining stops (the rest of the ring cannot be trusted) and
+        the regular liveness check recovers the shard with fresh rings.
         """
         channel = handle.channel
         if channel is None:
@@ -760,7 +706,7 @@ class Supervisor:
             except TransportError:
                 # Torn record, or a frame left uncommitted by an
                 # earlier torn decode: the ring is done for.
-                break
+                return
             if view is None:
                 return
             try:
@@ -768,44 +714,18 @@ class Supervisor:
             except TornFrameError:
                 # Leave the frame uncommitted; the ring is discarded
                 # wholesale when the worker is recovered.
-                break
-            if decoded.kind is FrameKind.SPILL:
-                ring.commit()
-                if not self._absorb_spilled_output(handle):
-                    break
-            else:
-                payload = decoded.payload
-                ring.commit()
-                self._absorb(handle, payload)
-
-    def _absorb_spilled_output(self, handle: WorkerHandle) -> bool:
-        """Wait out the queue delivery of one ring-spilled output.
-
-        The worker queued the output *before* writing its SPILL marker,
-        but the queue's feeder thread may still be flushing it when the
-        marker becomes visible in shared memory; block briefly until it
-        lands, giving up only if the worker died (recovery replays the
-        batch anyway).
-        """
-        out_queue = handle.out_queue
-        while True:
-            try:
-                message = out_queue.get(timeout=_SPILL_TIMEOUT)
-            except queue_module.Empty:
-                process = handle.process
-                if process is None or not process.is_alive():
-                    return False
-                continue
-            except (EOFError, OSError):  # pragma: no cover - torn pipe
-                return False
-            self._absorb(handle, message)
-            if isinstance(message, ShardOutput):
-                return True
+                return
+            payload = decoded.payload
+            ring.commit()
+            if decoded.kind is FrameKind.STOP:
+                handle.stopped = True
+                return
+            self._absorb(handle, payload)
 
     def poll(self) -> List[ShardOutput]:
         """Drain worker outputs, recovering any dead workers en route."""
         for handle in self.handles:
-            self._drain_handle(handle)
+            self._drain(handle)
             self._check(handle)
         outputs = self._pending_outputs
         self._pending_outputs = []
@@ -846,6 +766,8 @@ class Supervisor:
         """Ask every worker to finish its ring and exit."""
         for handle in self.handles:
             if not handle.stop_sent:
+                if not self._expecting_progress(handle):
+                    handle.last_progress = time.monotonic()
                 handle.stop_sent = True
                 if not handle.failed:
                     self._send(handle, STOP)
@@ -880,7 +802,7 @@ class Supervisor:
                 if process.is_alive():  # pragma: no cover - stuck
                     process.terminate()
                     process.join(timeout=5.0)
-            self._discard_queues(handle)
+            self._discard_channel(handle)
         return outputs
 
     def terminate(self) -> None:
@@ -890,7 +812,7 @@ class Supervisor:
             if process is not None and process.is_alive():
                 process.terminate()
                 process.join(timeout=5.0)
-            self._discard_queues(handle)
+            self._discard_channel(handle)
             handle.stopped = True
 
 
@@ -899,7 +821,7 @@ class InlineTransport:
 
     The deterministic twin of :class:`Supervisor` used by property
     tests and debugging: identical interface and identical results for
-    the partition/merge math, with no queues, processes, checkpoints or
+    the partition/merge math, with no rings, processes, checkpoints or
     backpressure (nothing is ever dropped, no shard can crash — though
     poison records are still quarantined by the shard computation
     itself).

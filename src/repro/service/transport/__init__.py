@@ -26,10 +26,9 @@ plane, under both the ``fork`` and ``spawn`` start methods:
   ``memoryview``-backed columns to the batch kernels with no copy and
   no unpickle.
 
-The worker's queues carry only what the rings anchor or do not order:
-payloads too large for a ring (each behind an in-band ``SPILL``
-marker, so per-shard ordering is preserved), heartbeats, and the
-worker's stop notice.
+The ring pair is a shard's only channel: a frame larger than half a
+ring crosses as a run of pieces, and the worker acknowledges ``STOP``
+on its result ring.
 """
 
 from __future__ import annotations

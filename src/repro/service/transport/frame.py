@@ -95,16 +95,14 @@ _RANGE = struct.Struct("=qq")
 
 
 class FrameKind(IntEnum):
-    """What a ring frame carries."""
+    """What a ring frame carries (kind 3 is unassigned)."""
 
     #: A numeric batch as flat columns (the zero-copy fast path).
     COLUMNAR = 1
     #: A pickled :class:`~repro.service.partition.Batch` (fallback).
     PICKLED = 2
-    #: Marker: the payload was too large for the ring and travels on
-    #: the queue instead; consume one queue item to stay ordered.
-    SPILL = 3
-    #: Shutdown request (replaces the queue STOP sentinel in-band).
+    #: Shutdown request on the data ring; the worker echoes it on the
+    #: result ring, after its last output, as its acknowledgement.
     STOP = 4
     #: A pickled :class:`~repro.service.shard.ShardOutput` (result ring).
     OUTPUT = 5
@@ -197,7 +195,7 @@ def encode_pickled_frame(
 
 
 def encode_control_frame(kind: FrameKind, shard: int, seq: int = 0) -> bytes:
-    """Encode a bodyless control frame (STOP / SPILL marker)."""
+    """Encode a bodyless control frame (``STOP`` or its echo)."""
     return _seal((MAGIC, int(kind), 0, shard, seq, 0, 0, 0), b"")
 
 
@@ -287,7 +285,7 @@ def decode_frame(frame: memoryview) -> DecodedFrame:
         body.release()
         raise TornFrameError(f"unknown frame kind {kind_raw}") from None
     decoded = DecodedFrame(kind, shard, seq)
-    if kind in (FrameKind.STOP, FrameKind.SPILL):
+    if kind is FrameKind.STOP:
         body.release()
         return decoded
     if kind in (FrameKind.PICKLED, FrameKind.OUTPUT):

@@ -6,33 +6,29 @@ of rings (data toward the worker, results back).
 inherited through ``fork``, or re-attached by segment name when the
 worker starts with ``spawn`` (an endpoint pickles as its rings' names).
 
-Ordering is the invariant both sides protect.  Everything a shard must
-see in order — batches, the stop request, spilled payloads — travels
-through (or is *anchored* in) the data ring:
+The two rings are the shard's only channel, and ordering is the
+invariant both sides protect:
 
-* a batch that encodes columnar or pickles small enough rides the ring
-  directly;
-* a payload too large for the ring goes on the spill queue, with a
-  ``SPILL`` marker frame in the ring holding its place — the worker
-  consumes one queue item when it reaches the marker;
-* ``STOP`` is a control frame in the ring, so it cannot overtake
-  the batches shipped before it.
+* the data ring carries batches — columnar, or pickled where the
+  capability check fails — and finally the ``STOP`` request, so the
+  stop cannot overtake the batches shipped before it;
+* the result ring carries one ``OUTPUT`` frame per batch and, after the
+  last of them, the worker's echo of ``STOP`` as its acknowledgement.
 
-Results mirror the scheme on the result ring (``OUTPUT`` frames,
-``SPILL`` markers for oversized outputs).  Heartbeats and the final
-:class:`~repro.service.shard.ShardStopped` notice stay on the out
-queue: they are liveness metadata, not ordered data.
+A frame larger than a ring piece (about half the ring) crosses as a
+run of pieces that the reading side joins back into one frame
+(:mod:`~repro.service.transport.ring`), so no payload needs another
+path.  A crash needs no message either: the worker exits nonzero.
 """
 
 from __future__ import annotations
 
-import queue as queue_module
 import time
 from dataclasses import replace
 from typing import Any, Optional, Tuple
 
 from repro.service.partition import Batch
-from repro.service.shard import STOP, ShardHeartbeat
+from repro.service.shard import STOP
 from repro.service.transport.frame import (
     DecodedFrame,
     FrameKind,
@@ -66,9 +62,6 @@ class _AdaptivePause:
             self._pause = min(
                 self._pause + _POLL_SLEEP_STEP, _POLL_SLEEP_MAX
             )
-
-    def reset(self) -> None:
-        self._pause = 0.0
 
 
 class ShardChannel:
@@ -130,6 +123,15 @@ class ShardChannel:
             self.result_ring.occupancy_ratio(),
         )
 
+    def consumed(self) -> int:
+        """Bytes ever consumed off both rings: moves iff either side does.
+
+        The worker advances the data ring's count as it takes batches,
+        the supervisor the result ring's as it reads outputs, so the
+        sum is the shard's progress as the supervisor can see it.
+        """
+        return self.data_ring.consumed() + self.result_ring.consumed()
+
     def close(self) -> None:
         """Close this process's mapping of both rings."""
         self.data_ring.close()
@@ -162,15 +164,13 @@ class WorkerEndpoint:
 
     # -- inbound -----------------------------------------------------
 
-    def receive(self, in_queue: Any, timeout: Optional[float]) -> Any:
+    def receive(self) -> Any:
         """Next in-order message: a :class:`Batch` or :data:`STOP`.
 
-        Blocks up to ``timeout`` seconds (``None`` blocks forever) and
-        raises :class:`queue.Empty` on expiry so the caller can send
-        its idle heartbeat.  A columnar batch is returned with a ``memoryview``-backed value
-        column (and position column, unless ranged) aliasing the ring;
-        the caller must finish with them and call :meth:`commit`
-        before the next receive.
+        Blocks until one arrives.  A columnar batch is returned with a
+        ``memoryview``-backed value column (and position column, unless
+        ranged) aliasing the ring; the caller must finish with them and
+        call :meth:`commit` before the next receive.
 
         Raises:
             TornFrameError: The ring held a corrupt frame.  The caller
@@ -179,14 +179,9 @@ class WorkerEndpoint:
         """
         ring = self.data_ring
         pause = _AdaptivePause()
-        deadline = (
-            None if timeout is None else time.monotonic() + timeout
-        )
         while True:
             view = ring.try_read()
             if view is None:
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise queue_module.Empty
                 pause.wait()
                 continue
             started = time.perf_counter()
@@ -196,11 +191,6 @@ class WorkerEndpoint:
             if kind is FrameKind.STOP:
                 ring.commit()
                 return STOP
-            if kind is FrameKind.SPILL:
-                # The payload was too big for the ring: it travels on
-                # the queue, the marker holds its place in the order.
-                ring.commit()
-                return in_queue.get()
             if kind is FrameKind.PICKLED:
                 payload = decoded.payload
                 ring.commit()
@@ -236,47 +226,28 @@ class WorkerEndpoint:
 
     # -- outbound ----------------------------------------------------
 
-    def send_output(
-        self,
-        output: Any,
-        out_queue: Any,
-        heartbeat_interval: float = 0.25,
-    ) -> None:
-        """Ship one :class:`ShardOutput` back on the result ring.
-
-        Oversized outputs spill to the out queue behind a ``SPILL``
-        marker, exactly mirroring the inbound scheme.  While the
-        result ring is full this blocks (the supervisor drains it both
-        at poll time and while it waits for data-ring space, so the
-        wait is bounded), dropping an occasional heartbeat on the out
-        queue so stall detection keeps seeing a live worker.
-        """
-        frame = encode_pickled_frame(
-            FrameKind.OUTPUT, self.shard_id, output.seq, output
-        )
-        ring = self.result_ring
-        if len(frame) > ring.max_payload:
-            out_queue.put(output)
-            frame = encode_control_frame(
-                FrameKind.SPILL, self.shard_id, output.seq
+    def send_output(self, output: Any) -> None:
+        """Ship one :class:`ShardOutput` back on the result ring."""
+        self._send(
+            encode_pickled_frame(
+                FrameKind.OUTPUT, self.shard_id, output.seq, output
             )
+        )
+
+    def acknowledge_stop(self) -> None:
+        """Echo ``STOP`` on the result ring, behind every output."""
+        self._send(encode_control_frame(FrameKind.STOP, self.shard_id))
+
+    def _send(self, frame: bytes) -> None:
+        """Write one frame, waiting while the result ring is full.
+
+        The supervisor drains the ring both at poll time and while it
+        waits for data-ring space, so the wait is bounded.
+        """
+        ring = self.result_ring
         pause = _AdaptivePause()
-        last_beat = time.monotonic()
         while not ring.try_write(frame):
             pause.wait()
-            if (
-                heartbeat_interval
-                and time.monotonic() - last_beat >= heartbeat_interval
-            ):
-                last_beat = time.monotonic()
-                try:
-                    out_queue.put_nowait(
-                        ShardHeartbeat(
-                            self.shard_id, output.seq, busy=False
-                        )
-                    )
-                except queue_module.Full:
-                    pass
 
     def close(self) -> None:
         """Release any deferred views and close the ring mappings."""

@@ -164,7 +164,6 @@ def test_acceptance_full_chaos_suite():
         checkpoint_interval=2,
         restart_backoff=0.0,
         stall_timeout=5.0,
-        heartbeat_interval=0.1,
         injector=injector,
     )
     try:
@@ -349,7 +348,6 @@ def test_wedged_shard_is_stall_killed_and_recovered():
         checkpoint_interval=2,
         restart_backoff=0.0,
         stall_timeout=1.0,
-        heartbeat_interval=0.1,
         injector=injector,
     )
     try:
@@ -366,7 +364,7 @@ def test_wedged_shard_is_stall_killed_and_recovered():
 
 
 def test_sub_timeout_stall_is_tolerated_not_killed():
-    """A slow shard is not a dead shard: heartbeats keep it alive."""
+    """A slow shard is not a dead shard: finished batches keep it alive."""
     records = _records(200)
     injector = FaultInjector().stall_shard(1, seq=2, seconds=0.4)
     service = AggregationService(
@@ -375,7 +373,6 @@ def test_sub_timeout_stall_is_tolerated_not_killed():
         num_shards=NUM_SHARDS,
         batch_size=10,
         stall_timeout=5.0,
-        heartbeat_interval=0.1,
         injector=injector,
     )
     try:
@@ -387,6 +384,41 @@ def test_sub_timeout_stall_is_tolerated_not_killed():
     assert result.answers == _expected_global(records)
     assert all(s.stalls == 0 for s in result.stats.shards)
     assert all(s.restores == 0 for s in result.stats.shards)
+
+
+def test_idle_gap_longer_than_stall_timeout_is_not_a_stall():
+    """Silence with nothing outstanding is idleness, not a wedge.
+
+    The stall clock used to date from the worker's last message, so
+    the first batch after an idle gap longer than ``stall_timeout``
+    found the shard "silent" already and killed it.
+    """
+    records = _records(120)
+    service = AggregationService(
+        QUERIES,
+        get_operator("sum"),
+        num_shards=1,
+        batch_size=10,
+        stall_timeout=0.5,
+    )
+    try:
+        service.submit_many(records[:60])
+        handle = service._transport.handles[0]
+        deadline = time.monotonic() + 10.0
+        while handle.acked_seq < handle.shipped_seq:
+            assert time.monotonic() < deadline, "shard never caught up"
+            service.poll()
+            time.sleep(0.01)
+        time.sleep(1.0)
+        service.submit_many(records[60:])
+        service.poll()
+        result = service.close(timeout=60.0)
+    except BaseException:
+        service.abort()
+        raise
+    assert result.answers == _expected_global(records)
+    assert result.stats.shards[0].stalls == 0
+    assert result.stats.shards[0].restores == 0
 
 
 def test_global_mode_poison_folds_through_a_temporary():

@@ -78,7 +78,6 @@ def _service(injector=None, **kwargs):
     kwargs.setdefault("batch_size", 10)
     kwargs.setdefault("checkpoint_interval", 2)
     kwargs.setdefault("restart_backoff", 0.0)
-    kwargs.setdefault("heartbeat_interval", 0.1)
     return AggregationService(
         QUERIES,
         get_operator("sum"),

@@ -106,7 +106,6 @@ def test_worker_kill_mid_reorder_keeps_watermark_monotone():
         checkpoint_interval=2,
         restart_backoff=0.0,
         stall_timeout=10.0,
-        heartbeat_interval=0.1,
     )
     answers = []
     try:
@@ -165,7 +164,6 @@ def test_repeated_kills_still_exact():
         checkpoint_interval=2,
         restart_backoff=0.0,
         stall_timeout=10.0,
-        heartbeat_interval=0.1,
     )
     answers = []
     try:

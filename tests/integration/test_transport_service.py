@@ -116,6 +116,82 @@ def test_no_segment_or_stderr_leak(start_method, ending, capfd):
 
 
 @needs_shm
+@pytest.mark.timeout(60)
+def test_frames_past_an_offset_fit_do_not_livelock():
+    """1252-byte frames on a 2048-byte ring once hung ``submit_many``.
+
+    A record could only land in an empty ring if it fit before the end
+    of the data region or after a wrap; past about half the ring that
+    depends on where the head sits.  Calls of 100 records leave the
+    head where a 150-record frame never fits, and the send waited
+    forever on an empty ring.
+    """
+    records = keyed_records(3000)
+    service = AggregationService(
+        QUERIES, get_operator("sum"), num_shards=2, batch_size=150,
+        transport="process", ring_capacity=2048,
+    )
+    try:
+        for start in range(0, len(records), 100):
+            service.submit_many(records[start : start + 100])
+            service.poll()
+        result = service.close()
+    except BaseException:
+        service.abort()
+        raise
+    assert result.answers == reference_answers(records)
+    assert result.stats.transport["frames_spilled"] > 0
+
+
+def per_key_reference(records):
+    values_by_key = {}
+    for key, value in records:
+        values_by_key.setdefault(key, []).append(value)
+    expected = {}
+    for key, values in values_by_key.items():
+        sink = CollectSink()
+        StreamEngine(QUERIES, get_operator("sum"), sinks=[sink]).run(values)
+        expected[key] = sink.answers
+    return expected
+
+
+@needs_shm
+@pytest.mark.parametrize("mode", ["global", "per_key"])
+def test_frames_and_checkpoints_cross_in_pieces(start_method, mode, capfd):
+    """Both rings carry frames several pieces long, under both starts.
+
+    On a 1024-byte ring a piece holds at most 508 bytes: every
+    64-record data frame and every output carrying a checkpoint is
+    split and joined again.
+    """
+    records = keyed_records(3000)
+    service = AggregationService(
+        QUERIES, get_operator("sum"), num_shards=2, batch_size=64,
+        transport="process", mode=mode, ring_capacity=1024,
+        checkpoint_interval=2,
+    )
+    handles = service._transport.handles
+    segments = [
+        ring.name
+        for handle in handles
+        for ring in (handle.channel.data_ring, handle.channel.result_ring)
+    ]
+    service.submit_many(records)
+    result = service.close()
+    if mode == "global":
+        assert result.answers == reference_answers(records)
+    else:
+        assert result.per_key == per_key_reference(records)
+    assert result.stats.transport["frames_spilled"] > 0
+    assert all(len(handle.snapshot) > 1024 // 2 for handle in handles)
+    assert [shard.restores for shard in result.stats.shards] == [0, 0]
+    assert [name for name in segments if _segment_exists(name)] == []
+    err = capfd.readouterr().err
+    assert "BufferError" not in err
+    assert "leaked shared_memory" not in err
+
+
+@needs_shm
 def test_numeric_batches_travel_columnar():
     records = keyed_records(300)
     service = AggregationService(

@@ -123,7 +123,6 @@ def test_random_fault_schedule_preserves_global_answers(seed):
         checkpoint_interval=2,
         restart_backoff=0.0,
         stall_timeout=10.0,
-        heartbeat_interval=0.1,
         injector=injector,
     )
     try:

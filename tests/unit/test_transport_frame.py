@@ -410,7 +410,7 @@ def test_output_frame_round_trip():
     assert decoded.payload == ("answers", [1, 2])
 
 
-@pytest.mark.parametrize("kind", [FrameKind.STOP, FrameKind.SPILL])
+@pytest.mark.parametrize("kind", [FrameKind.STOP])
 def test_control_frames_are_bodyless(kind):
     frame = encode_control_frame(kind, 5)
     assert len(frame) == HEADER_BYTES

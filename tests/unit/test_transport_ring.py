@@ -101,9 +101,95 @@ def test_variable_sizes_across_wrap_boundary(ring):
         ring.commit()
 
 
-def test_oversized_payload_raises(ring):
+def _exchange(producer, consumer, payload):
+    """Write ``payload`` while draining pieces; return what was read."""
+    while not producer.try_write(payload):
+        assert consumer.try_read() is None  # pieces joined so far
+    view = consumer.try_read()
+    received = bytes(view)
+    view.release()
+    consumer.commit()
+    return received
+
+
+def test_oversized_payload_travels_in_pieces(ring):
+    payload = bytes(range(256)) * 3  # six pieces of a 256-byte ring
+    assert len(payload) > 5 * ring.max_piece
+    assert _exchange(ring, ring, payload) == payload
+    assert ring.occupancy() == 0
+    # A one-piece payload after it is still a zero-copy segment view.
+    assert ring.try_write(b"small")
+    view = ring.try_read()
+    assert view.obj is ring._shm.buf.obj
+    view.release()
+    ring.commit()
+
+
+def test_any_piece_fits_an_empty_ring_at_any_offset():
+    # A 700-byte write after a 500-byte record on a 1024-byte ring
+    # needed 704 contiguous bytes that an empty ring at offset 504
+    # never has; it returned False forever.  Pieces of at most half
+    # the ring always fit once it drains.
+    ring = SpscRing(capacity=1024)
+    try:
+        assert _exchange(ring, ring, b"a" * 500) == b"a" * 500
+        assert ring.occupancy() == 0
+        assert ring.try_write(b"b" * 700)
+        view = ring.try_read()
+        assert bytes(view) == b"b" * 700
+        view.release()
+        ring.commit()
+    finally:
+        ring.close()
+        ring.unlink()
+
+
+def test_pieces_join_across_reads_that_return_none(ring):
+    consumer = pickle.loads(pickle.dumps(ring))
+    try:
+        payload = bytes(i % 251 for i in range(1000))
+        assert not ring.try_write(payload)  # the ring holds two pieces
+        rounds = 0
+        while True:
+            assert consumer.try_read() is None
+            rounds += 1
+            if ring.try_write(payload):
+                break
+        assert rounds > 2
+        view = consumer.try_read()
+        assert bytes(view) == payload
+        view.release()
+        consumer.commit()
+        assert ring.occupancy() == 0
+    finally:
+        consumer.close()
+
+
+def test_new_payload_while_part_written_raises(ring):
+    assert not ring.try_write(b"x" * 1000)
     with pytest.raises(TransportError):
-        ring.try_write(b"x" * (ring.max_payload + 1))
+        ring.try_write(b"y" * 1000)
+
+
+def test_torn_piece_raises_torn_frame(ring):
+    assert ring.try_write(b"p" * 200)  # pieces of 124 and 76 bytes
+    # The second piece's prefix, at data offset 4 + 124, now claims
+    # more than a piece may hold.
+    ring._data[128:132] = (0x80000000 | 200).to_bytes(4, "little")
+    with pytest.raises(TornFrameError):
+        ring.try_read()
+
+
+def test_ring_discarded_mid_message():
+    producer = SpscRing(capacity=256)
+    consumer = pickle.loads(pickle.dumps(producer))
+    assert not producer.try_write(b"z" * 1000)
+    assert consumer.try_read() is None  # holds a partial join
+    consumer.close()
+    producer.close()
+    producer.unlink()
+    with pytest.raises(FileNotFoundError):
+        SpscRing(256, name=producer.name)
 
 
 def test_read_with_pending_uncommitted_raises(ring):
