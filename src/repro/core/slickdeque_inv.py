@@ -58,9 +58,9 @@ class SlickDequeInv(SlidingAggregator):
         for the builtin operators.  Invertibility makes the telescoped
         form algebraically identical to ``k`` single slides; for
         integer domains the answers are bit-identical, while float
-        batch folds may differ from the per-tuple chain in the final
-        ulps (layers that assert byte-equality fold through
-        :func:`repro.kernels.exact_fold` instead).
+        answers may differ from the per-tuple chain in the final ulps:
+        each kernel fold is the exact left fold, but the telescoped
+        form regroups the additions and subtractions.
         """
         values = as_sequence(values)
         if not len(values):

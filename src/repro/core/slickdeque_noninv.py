@@ -107,8 +107,8 @@ class SlickDequeNonInv(SlidingAggregator):
 
         A batch element survives ``k`` sequential pushes iff no later
         batch element dominates it — i.e. iff it belongs to the batch's
-        *suffix chain* (strict suffix extrema for Max/Min, vectorized
-        by the numpy kernels).  The merge then runs Algorithm 2 once
+        *suffix chain* (strict suffix extrema for Max/Min, one
+        backward scan in the kernel).  The merge then runs Algorithm 2 once
         with the chain's head standing in for every evicted batch
         element: the chain head carries the batch's dominant value, so
         the pre-existing tail nodes it dominates are exactly those the

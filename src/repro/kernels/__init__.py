@@ -7,25 +7,14 @@ batch of raw values (or already-lifted aggregates) into one partial with
 a single C-level loop, and, for selection operators, pre-collapses a
 batch to its dominance suffix chain.
 
-Two backends exist:
-
-* **pure** (:mod:`repro.kernels.pure`) — always available; built on the
-  C-implemented builtins (``sum``, ``len``, ``max``, ``min``,
-  ``math.prod``).  Every pure kernel is *exact*: its folds are
-  bit-identical to the sequential ``combine(acc, lift(v))`` left fold
-  for every input domain, including floats (builtin ``sum`` is used
-  only where it is that left fold — see
-  :func:`repro.kernels.pure.left_sum`).
-* **numpy** (:mod:`repro.kernels.numpy_backend`) — registered only when
-  numpy imports (the ``repro[fast]`` extra); engages only for ndarray
-  inputs, where boxing each element into a Python object would defeat
-  the pure kernels.  Float reductions may reassociate (numpy uses
-  pairwise summation), so a numpy kernel's :meth:`~BatchKernel.fold`
-  reports ``exact=False`` on float data; callers that require
-  bit-exact equivalence with the per-tuple path (the stream engine, the
-  sharded service) fold through :meth:`BatchKernel.fold_runs` — exact
-  on every kernel, for every container — or :func:`exact_fold`, its
-  one-run case.
+Every kernel is *exact*: built on the C-implemented builtins (``sum``,
+``len``, ``max``, ``min``, ``math.prod``, see :mod:`repro.kernels.pure`),
+its folds are bit-identical to the sequential ``combine(acc, lift(v))``
+left fold for every input domain and container, floats included
+(builtin ``sum`` is used only where it is that left fold — see
+:func:`repro.kernels.pure.left_sum`).  An ndarray or ``memoryview``
+batch becomes Python scalars with one ``tolist()`` first, so int64
+inputs never wrap and answers never hold fixed-width scalars.
 
 Kernel selection happens at operator-registry time
 (:func:`repro.operators.registry.get_operator` calls :func:`attach`) or
@@ -35,7 +24,7 @@ operator instance, so the per-batch dispatch cost is one attribute read.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.operators.base import Agg, AggregateOperator
 
@@ -68,12 +57,8 @@ class BatchKernel:
     in every domain (it performs the very same call sequence as the
     per-tuple path, just with the hot callables bound once per batch
     instead of re-resolved per tuple).  Operator-specific subclasses in
-    the backend modules replace the loops with C-level reductions.
+    :mod:`repro.kernels.pure` replace the loops with C-level reductions.
     """
-
-    #: ``True`` when :meth:`fold`/:meth:`fold_aggs` are guaranteed
-    #: bit-identical to the sequential left fold for *all* inputs.
-    exact = True
 
     def __init__(self, operator: AggregateOperator):
         self.operator = operator
@@ -82,11 +67,17 @@ class BatchKernel:
         self._identity_lift = lift_is_identity(operator)
 
     def lift_many(self, values: Sequence[Any]) -> Sequence[Agg]:
-        """Lift every value of a batch (zero-copy for identity lifts)."""
+        """Lift every value of a batch (zero-copy for identity lifts).
+
+        A packed batch comes back unboxed either way: the lifted
+        aggregates outlive the call (the partials ring keeps them), so
+        they must be Python scalars, not ndarray elements.
+        """
+        values = _unboxed(values)
         if self._identity_lift:
             return values
         lift = self._lift
-        return [lift(value) for value in _unboxed(values)]
+        return [lift(value) for value in values]
 
     def fold(self, values: Sequence[Any], seed: Agg) -> Agg:
         """Left fold ``seed ⊕ lift(v₁) ⊕ … ⊕ lift(vₖ)`` over raw values."""
@@ -119,9 +110,8 @@ class BatchKernel:
         with ``seed`` — the caller's open accumulator — and every later
         run with the operator identity, so the result is the list of
         ``len(bounds) - 1`` partials the per-tuple path would have
-        closed, bit for bit, in *every* domain: unlike :meth:`fold`,
-        no kernel's ``fold_runs`` ever reassociates.  The container is
-        classified once per call, not once per run.
+        closed, bit for bit, in *every* domain.  The container is
+        unboxed once per call, not once per run.
 
         This generic body unboxes the batch once and loops
         :meth:`fold` per run; when every run is a single value it is
@@ -158,15 +148,6 @@ class BatchKernel:
         folded += [combine(identity, agg) for agg in aggs[1:]]
         return folded
 
-    def is_exact_for(self, values: Sequence[Any]) -> bool:
-        """Whether :meth:`fold` is bit-exact for this specific batch.
-
-        Unconditionally true for exact kernels; inexact kernels (numpy
-        on float data) override this to claim exactness for inputs that
-        reduce exactly in any order (integer dtypes).
-        """
-        return self.exact
-
     def suffix_chain(
         self, values: Sequence[Any]
     ) -> List[Tuple[int, Agg]]:
@@ -195,37 +176,23 @@ class BatchKernel:
         return chain
 
 
-#: name → factory(operator) -> Optional[BatchKernel].  A factory may
-#: return ``None`` to decline (e.g. numpy missing a dtype), in which
-#: case resolution falls through to the generic kernel.
-_FACTORIES: Dict[
-    str, Callable[[AggregateOperator], Optional[BatchKernel]]
-] = {}
-
-
-def register_kernel_factory(
-    name: str,
-    factory: Callable[[AggregateOperator], Optional[BatchKernel]],
-) -> None:
-    """Register a kernel factory for the operator named ``name``."""
-    _FACTORIES[name] = factory
-
-
 def kernel_for(operator: AggregateOperator) -> BatchKernel:
     """The batch kernel for ``operator``, resolved once and cached.
 
-    Resolution order: a factory registered under the operator's name
-    (the backend modules register the builtin operators), then the
-    generic bound-method kernel.  The result is cached on the operator
-    *instance*, so wrappers that mutate per-instance state (counting
-    operators, ArgMax with custom keys) each get their own kernel.
+    The specialised kernel registered under the operator's name in
+    :data:`repro.kernels.pure._KERNELS` when the operator is an instance
+    of that entry's operator type, else the generic bound-method
+    kernel.  The result is cached on the operator *instance*, so
+    wrappers that mutate per-instance state (counting operators, ArgMax
+    with custom keys) each get their own kernel.
     """
     cached = operator.__dict__.get(_CACHE_ATTR)
     if cached is not None:
         return cached
-    factory = _FACTORIES.get(operator.name)
-    kernel = factory(operator) if factory is not None else None
-    if kernel is None:
+    entry = _pure._KERNELS.get(operator.name)
+    if entry is not None and isinstance(operator, entry[1]):
+        kernel = entry[0](operator)
+    else:
         kernel = BatchKernel(operator)
     setattr(operator, _CACHE_ATTR, kernel)
     return kernel
@@ -241,23 +208,6 @@ def attach(operator: AggregateOperator) -> AggregateOperator:
     return operator
 
 
-def exact_fold(
-    operator: AggregateOperator, values: Sequence[Any], seed: Agg
-) -> Agg:
-    """Fold a batch with the guarantee of bit-exact left-fold answers.
-
-    The one-run case of :meth:`BatchKernel.fold_runs`, which is where
-    exactness is decided: the result is byte-identical to the per-tuple
-    ``combine(acc, lift(v))`` chain in *every* domain and for every
-    container, float columns included (those fold in the kernel's pure
-    body, never in numpy).
-    """
-    total = len(values)
-    if not total:
-        return seed
-    return kernel_for(operator).fold_runs(values, (0, total), seed)[0]
-
-
 def as_sequence(values: Any) -> Sequence[Any]:
     """Return ``values`` as a len()-able, sliceable sequence.
 
@@ -270,40 +220,18 @@ def as_sequence(values: Any) -> Sequence[Any]:
     return list(values)
 
 
-def numpy_enabled() -> bool:
-    """Whether the numpy kernel backend registered successfully."""
-    from repro.kernels import numpy_backend
-
-    return numpy_backend.HAS_NUMPY
-
-
 def active_backends() -> List[str]:
-    """Names of the registered kernel backends, pure first."""
-    backends = ["pure"]
-    if numpy_enabled():
-        backends.append("numpy")
-    return backends
+    """Names of the kernel backends: the one exact set."""
+    return ["pure"]
 
 
-# Backend registration: pure always, numpy when importable.  Import
-# order matters — numpy factories wrap the pure ones so they can fall
-# back per call for non-ndarray inputs.
+# The specialised kernels subclass BatchKernel, so they load last.
 from repro.kernels import pure as _pure  # noqa: E402
-
-_pure.register(register_kernel_factory)
-
-from repro.kernels import numpy_backend as _numpy  # noqa: E402
-
-if _numpy.HAS_NUMPY:
-    _numpy.register(register_kernel_factory, _FACTORIES)
 
 __all__ = [
     "BatchKernel",
     "attach",
     "active_backends",
-    "exact_fold",
     "kernel_for",
     "lift_is_identity",
-    "numpy_enabled",
-    "register_kernel_factory",
 ]

@@ -1,27 +1,28 @@
 """Pure-Python batch kernels built on the C-implemented builtins.
 
-Every kernel here is **exact**: its folds perform the same arithmetic,
-in the same order, as the sequential ``combine(acc, lift(v))`` left
-fold, so bulk answers are bit-identical to per-tuple answers in every
-domain — ``math.prod`` is a left-to-right fold, builtin ``sum`` is one
-on integers everywhere and on floats only before CPython 3.12 (which
-made it compensated; :func:`left_sum` is the fold on every
-interpreter), and the selection kernels return actual stream elements,
-never derived values.
+These are the library's only specialised kernels.  Every kernel here
+is **exact**: its folds perform the same arithmetic, in the same order,
+as the sequential ``combine(acc, lift(v))`` left fold, so bulk answers
+are bit-identical to per-tuple answers in every domain — ``math.prod``
+is a left-to-right fold, builtin ``sum`` is one on integers everywhere
+and on floats only before CPython 3.12 (which made it compensated;
+:func:`left_sum` is the fold on every interpreter), and the selection
+kernels return actual stream elements, never derived values.
 
-Inputs may be lists or ndarrays; ndarrays are converted with
-``tolist()`` first (one C call) because iterating an ndarray boxes each
-element into a fresh Python object, which is slower than the per-tuple
-path these kernels exist to beat.
+Inputs may be lists, ``array``/``memoryview`` columns or ndarrays; the
+packed ones are converted with ``tolist()`` first (one C call), because
+iterating them boxes each element into a fresh object — slower than the
+per-tuple path these kernels exist to beat, and for an ndarray a
+fixed-width numpy scalar whose arithmetic wraps.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Sequence, Tuple
 
 from repro.kernels import BatchKernel
-from repro.operators.base import Agg, AggregateOperator
+from repro.operators.base import Agg
 from repro.operators.invertible import (
     CountOperator,
     ProductOperator,
@@ -97,7 +98,7 @@ class SumKernel(BatchKernel):
         )
 
     def lift_many(self, values: Sequence[Any]) -> Sequence[Agg]:
-        return values
+        return _as_list(values)
 
 
 class CountKernel(BatchKernel):
@@ -149,7 +150,7 @@ class SumOfSquaresKernel(BatchKernel):
         return _sum_runs(squares, bounds, seed, self.operator.identity)
 
     def lift_many(self, values: Sequence[Any]) -> Sequence[Agg]:
-        return [value * value for value in values]
+        return [value * value for value in _as_list(values)]
 
 
 class ProductKernel(BatchKernel):
@@ -224,7 +225,7 @@ class _SelectionKernel(BatchKernel):
         )
 
     def lift_many(self, values: Sequence[Any]) -> Sequence[Agg]:
-        return values
+        return _as_list(values)
 
 
 class MaxKernel(_SelectionKernel):
@@ -268,9 +269,10 @@ class MinKernel(_SelectionKernel):
 
 
 #: Registry name → (kernel class, operator type the kernel's shortcuts
-#: are derived from).  The type guard means a *custom* operator that
-#: happens to reuse a builtin name falls back to the generic kernel
-#: instead of silently inheriting the builtin's arithmetic.
+#: are derived from); :func:`repro.kernels.kernel_for` looks operators
+#: up here.  The type guard means a *custom* operator that happens to
+#: reuse a builtin name falls back to the generic kernel instead of
+#: silently inheriting the builtin's arithmetic.
 _KERNELS = {
     "sum": (SumKernel, SumOperator),
     "count": (CountKernel, CountOperator),
@@ -282,19 +284,3 @@ _KERNELS = {
     "min": (MinKernel, MinOperator),
 }
 
-
-def register(register_factory: Callable[..., None]) -> None:
-    """Register every pure kernel factory with the kernel registry."""
-    for name, (kernel_class, operator_type) in _KERNELS.items():
-        register_factory(name, _factory(kernel_class, operator_type))
-
-
-def _factory(
-    kernel_class: type, operator_type: type
-) -> Callable[[AggregateOperator], Optional[BatchKernel]]:
-    def build(operator: AggregateOperator) -> Optional[BatchKernel]:
-        if not isinstance(operator, operator_type):
-            return None
-        return kernel_class(operator)
-
-    return build

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import PoisonRecordError, ServiceError
-from repro.kernels import exact_fold, kernel_for
+from repro.kernels import kernel_for
 from repro.operators.base import Agg, AggregateOperator
 from repro.service.partition import Batch
 from repro.service.slices import SliceClock
@@ -438,7 +438,7 @@ class ShardState:
                 # Dry run: every lift and combine the engine would
                 # perform, against a throwaway accumulator.  Poison
                 # values raise here, before any engine state mutates.
-                exact_fold(operator, run, operator.identity)
+                kernel_for(operator).fold(run, operator.identity)
             except Exception:
                 folded += self._feed_per_record(
                     batch, output, start, stop

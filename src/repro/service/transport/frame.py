@@ -46,8 +46,7 @@ deliberately decode through ``memoryview`` rather than
 ``numpy.frombuffer``: iterating a ``'q'`` view yields Python
 ints, so integer aggregation keeps arbitrary precision and the
 columnar path is bit-for-bit equivalent to the pickle transport.
-(The numpy kernels wrap the same view with ``numpy.frombuffer``,
-without a copy.)
+The kernels unbox the view with one ``tolist()``.
 
 The capability check is strict on purpose: a value column encodes only
 when every value is exactly ``int`` (within i64 range) or every value

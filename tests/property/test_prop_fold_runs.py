@@ -1,18 +1,17 @@
 """Property tests: the segmented fold is the per-tuple ⊕ chain, run by run.
 
 For every registry operator, any container the bulk paths hand a
-kernel (``list``, ``tuple``, ``array('q'/'d')``, ``memoryview`` and,
-when numpy imports, ``ndarray``), random strictly increasing cut points
-and either seed (the identity, or the fold of an earlier chunk — which
-is a *float* accumulator in front of an int column when the chunk held
-one), ``BatchKernel.fold_runs`` must equal one ``exact_fold`` per run
-must equal ``combine(acc, lift(v))`` per value, by ``repr`` — so
+kernel (``list``, ``tuple``, ``array('q'/'d')``, ``memoryview`` and
+``ndarray``, skipped where numpy does not import), random strictly
+increasing cut points and either seed (the identity, or the fold of an
+earlier chunk — which is a *float* accumulator in front of an int
+column when the chunk held one), ``BatchKernel.fold_runs`` must equal one ``BatchKernel.fold`` per
+run must equal ``combine(acc, lift(v))`` per value, by ``repr`` — so
 ``-0.0`` is not ``0.0`` and ``3`` is not ``3.0``.  A run the chain
 refuses must make the segmented fold raise too.
 
-Int columns are drawn on both sides of the two conditions the numpy
-bodies gate on: the 256-element floor, and the overflow proof
-``size * max|x| < 2**63``.
+Int columns are drawn both well inside int64 and where a 64-bit sum
+(``size * max|x| >= 2**63``) would wrap, in short and in wide columns.
 """
 
 from __future__ import annotations
@@ -23,13 +22,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import exact_fold, kernel_for, numpy_enabled
+from repro.kernels import kernel_for
 from repro.operators.registry import available_operators, get_operator
 
 OPERATOR_NAMES = sorted(available_operators())
 
 small_ints = st.integers(min_value=-1000, max_value=1000)
-#: Past the overflow proof at any column length, still inside int64.
+#: A 64-bit sum of these wraps at any column length; each fits int64.
 wide_ints = st.integers(min_value=-(2**62), max_value=2**62)
 bigints = st.integers(min_value=-(2**80), max_value=2**80)
 #: Non-dyadic: sums of these round at every step, so any
@@ -42,15 +41,13 @@ floats = st.one_of(
 )
 mixed = st.one_of(small_ints, st.booleans(), bigints, floats)
 
-#: Short columns, and ones past the numpy kernels' 256-element floor.
+#: Short columns, and wide ones.
 sizes = st.one_of(
     st.integers(min_value=1, max_value=40),
     st.integers(min_value=256, max_value=300),
 )
 
-CONTAINERS = ["list", "tuple", "array", "memoryview"]
-if numpy_enabled():
-    CONTAINERS.append("ndarray")
+CONTAINERS = ["list", "tuple", "array", "memoryview", "ndarray"]
 
 
 def _column(data, container):
@@ -72,8 +69,7 @@ def _column(data, container):
     if container == "memoryview":
         return values, memoryview(typed)
     if container == "ndarray":
-        import numpy
-
+        numpy = pytest.importorskip("numpy")
         return values, numpy.frombuffer(typed, dtype=typed.typecode)
     return values, typed
 
@@ -120,7 +116,7 @@ def test_fold_runs_equals_exact_fold_equals_the_chain(
     folded = kernel_for(operator).fold_runs(column, bounds, seed)
     assert repr(folded) == repr(expected)
     one_by_one = [
-        exact_fold(operator, column[start:stop], run_seed)
+        kernel_for(operator).fold(column[start:stop], run_seed)
         for (start, stop), run_seed in zip(runs, seeds)
     ]
     assert repr(one_by_one) == repr(expected)

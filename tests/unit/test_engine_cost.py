@@ -223,7 +223,7 @@ def test_event_feed_many_pays_per_slice_and_per_call(displaced_share):
     of what left the window and the answers' ``lower`` — 19 at most;
     everything else (the reorder buffer's proof, sort and release, the
     column split, one segmented fold, one ``close_slices``) is a
-    constant per call (108 in all with numpy, 104 without).  The
+    constant per call (104 in all).  The
     parent made 117, and at least two more (``push_into``,
     ``_release_into``) per displaced record: 214 per 512-record call
     at 10 %, 381 at 30 %."""

@@ -14,10 +14,8 @@ from repro.kernels import (
     BatchKernel,
     active_backends,
     as_sequence,
-    exact_fold,
     kernel_for,
     lift_is_identity,
-    numpy_enabled,
 )
 from repro.kernels import pure
 from repro.kernels.pure import (
@@ -26,12 +24,11 @@ from repro.kernels.pure import (
     MinKernel,
     ProductKernel,
     SumKernel,
+    SumOfSquaresKernel,
 )
 from repro.operators.instrumented import CountingOperator
 from repro.operators.invertible import SumOperator
 from repro.operators.registry import get_operator
-
-np = pytest.importorskip("numpy") if numpy_enabled() else None
 
 
 def _sequential_fold(operator, values, seed):
@@ -41,10 +38,8 @@ def _sequential_fold(operator, values, seed):
     return acc
 
 
-def test_active_backends_always_includes_pure():
-    backends = active_backends()
-    assert backends[0] == "pure"
-    assert ("numpy" in backends) == numpy_enabled()
+def test_active_backends_is_the_one_pure_set():
+    assert active_backends() == ["pure"]
 
 
 def test_kernel_cached_on_the_operator_instance():
@@ -55,19 +50,18 @@ def test_kernel_cached_on_the_operator_instance():
 
 
 def test_builtin_operators_get_specialised_kernels():
-    expected_pure = {
+    expected = {
+        "sum": SumKernel,
         "count": CountKernel,
+        "sum_of_squares": SumOfSquaresKernel,
+        "product": ProductKernel,
         "int_product": ProductKernel,
+        "max": MaxKernel,
         "alpha_max": MaxKernel,
+        "min": MinKernel,
     }
-    for name, kernel_class in expected_pure.items():
-        assert isinstance(kernel_for(get_operator(name)), kernel_class)
-    # sum/max/min get the numpy layer when it registered, pure otherwise.
-    sum_kernel = kernel_for(get_operator("sum"))
-    if numpy_enabled():
-        assert type(sum_kernel).__name__ == "NumpySumKernel"
-    else:
-        assert isinstance(sum_kernel, SumKernel)
+    for name, kernel_class in expected.items():
+        assert type(kernel_for(get_operator(name))) is kernel_class, name
 
 
 def test_unregistered_operators_fall_back_to_the_generic_kernel():
@@ -105,22 +99,9 @@ def test_pure_folds_are_bit_identical_to_sequential_folds():
         for _ in range(40):
             values = [rng.uniform(-50, 50) for _ in range(rng.randint(0, 60))]
             seed = operator.identity
-            assert exact_fold(operator, values, seed) == _sequential_fold(
+            assert kernel.fold(values, seed) == _sequential_fold(
                 operator, values, seed
             ), name
-
-
-def test_exact_fold_routes_float_arrays_around_inexact_kernels():
-    if not numpy_enabled():
-        pytest.skip("numpy backend not registered")
-    operator = get_operator("sum")
-    kernel = kernel_for(operator)
-    values = np.array([0.1 * i for i in range(1, 200)])
-    assert not kernel.exact
-    assert not kernel.is_exact_for(values)
-    assert exact_fold(operator, values, 0.0) == _sequential_fold(
-        operator, values.tolist(), 0.0
-    )
 
 
 @pytest.mark.parametrize(
@@ -160,7 +141,6 @@ def test_sum_kernels_fold_left_to_right_on_every_interpreter(monkeypatch):
         monkeypatch.setattr(pure, "left_sum", body)
         for name, wanted in (("sum", chain), ("sum_of_squares", squares)):
             kernel = kernel_for(get_operator(name))
-            kernel = getattr(kernel, "_pure", kernel)
             assert repr(kernel.fold(values, 0.0)) == repr(wanted)
             halves = kernel.fold_runs(values, [0, 32, 64], 0.0)
             assert repr(halves) == repr(
@@ -189,7 +169,7 @@ def test_exact_fold_on_a_float_column_never_loops_over_combine(box):
     rng = random.Random(23)
     values = [rng.uniform(-10.0, 10.0) for _ in range(256)] + [0.1] * 64
     operator = CombineCountingSum()
-    result = exact_fold(operator, box(array("d", values)), 0.25)
+    result = kernel_for(operator).fold(box(array("d", values)), 0.25)
     assert operator.combines == 0
     assert repr(result) == repr(functools.reduce(operators.add, values, 0.25))
 
@@ -213,41 +193,6 @@ def test_fold_runs_seeds_the_first_run_only():
         ], name
 
 
-def test_fold_runs_reduces_wide_int_columns_behind_the_proof():
-    if not numpy_enabled():
-        pytest.skip("numpy backend not registered")
-    bounds = list(range(0, 513, 64))
-    safe = memoryview(array("q", range(-256, 256)))
-    unsafe = memoryview(array("q", [2**62, -(2**62)] * 256))
-    narrow = np.arange(60_000, 60_512, dtype=np.int32)  # squares wrap i32
-    for name in ("sum", "sum_of_squares", "max", "min"):
-        operator = get_operator(name)
-        kernel = kernel_for(operator)
-        for column in (safe, unsafe, narrow):
-            values = column.tolist()
-            expected = [
-                _sequential_fold(operator, values[lo:hi], operator.identity)
-                for lo, hi in zip(bounds, bounds[1:])
-            ]
-            folded = kernel.fold_runs(column, bounds, operator.identity)
-            assert repr(folded) == repr(expected), name
-            assert all(type(value) is int for value in folded)
-    # ``fold`` shares the proof: a narrow column must not wrap either.
-    squares = kernel_for(get_operator("sum_of_squares"))
-    assert squares.fold(narrow, 0) == sum(v * v for v in narrow.tolist())
-
-
-def test_numpy_selection_kernels_stay_exact_on_float_arrays():
-    if not numpy_enabled():
-        pytest.skip("numpy backend not registered")
-    operator = get_operator("max")
-    kernel = kernel_for(operator)
-    values = np.array([3.5, -1.0, 3.5, 2.0])
-    assert kernel.exact
-    result = kernel.fold(values, operator.identity)
-    assert result == 3.5 and isinstance(result, float)
-
-
 def test_suffix_chain_matches_brute_force_survival():
     rng = random.Random(5)
     for name in ("max", "min", "first", "last", "argmax_cos"):
@@ -269,11 +214,10 @@ def test_suffix_chain_matches_brute_force_survival():
 
 
 def test_integer_ndarrays_avoid_fixed_width_overflow():
-    if not numpy_enabled():
-        pytest.skip("numpy backend not registered")
+    np = pytest.importorskip("numpy")
     operator = get_operator("int_product")
     values = np.full(50, 40, dtype=np.int64)  # 40**50 overflows int64
-    result = exact_fold(operator, values, operator.identity)
+    result = kernel_for(operator).fold(values, operator.identity)
     assert operator.lower(result) == 40**50
 
 
