@@ -1,9 +1,9 @@
-"""Ablation: shared plan vs independent per-query execution (§2.3).
+"""Ablation: shared plan vs one engine per query (§2.3).
 
 The paper's Example 1: compatible ACQs share partial aggregates, so
 "the calculation producing partial aggregates only needs to be
-performed once".  This bench runs the same ACQ set through the shared
-SlickDeque plan and through one-pipeline-per-query execution; shared
+performed once".  This bench runs the same ACQ set through one shared
+SlickDeque plan and through one ``StreamEngine`` per query; shared
 should win, and the gap should widen with more overlapping queries.
 """
 
@@ -30,20 +30,22 @@ def shared_stream():
     return debs12_array(STREAM, reading=0, seed=2012)
 
 
-@pytest.mark.parametrize("mode", ["shared", "independent"])
+@pytest.mark.parametrize("sharing", ["shared", "per_query"])
 @pytest.mark.parametrize("query_set", sorted(QUERY_SETS))
-def test_ablation_sharing(benchmark, mode, query_set, shared_stream):
+def test_ablation_sharing(benchmark, sharing, query_set, shared_stream):
     queries = QUERY_SETS[query_set]
+    engine_sets = [queries] if sharing == "shared" else [[q] for q in queries]
 
     def run():
-        engine = StreamEngine(
-            queries, get_operator("max"), mode=mode
-        )
-        engine.run(shared_stream)
-        return engine.answers_emitted
+        emitted = 0
+        for acqs in engine_sets:
+            engine = StreamEngine(acqs, get_operator("max"))
+            engine.run(shared_stream)
+            emitted += engine.answers_emitted
+        return emitted
 
     emitted = benchmark(run)
     benchmark.extra_info["ablation"] = "sharing"
-    benchmark.extra_info["mode"] = mode
+    benchmark.extra_info["sharing"] = sharing
     benchmark.extra_info["answers"] = emitted
     assert emitted > 0

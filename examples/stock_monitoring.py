@@ -41,12 +41,7 @@ def price_stream(ticks: int, seed: int = 99) -> list:
 
 
 def run_client(name, query, operator_name, prices, show=4):
-    engine = StreamEngine(
-        [query],
-        get_operator(operator_name),
-        mode="shared" if operator_name != "range" else "independent",
-        algorithm="slickdeque",
-    )
+    engine = StreamEngine([query], get_operator(operator_name))
     sink = CollectSink()
     engine.add_sink(sink)
     engine.run(prices)

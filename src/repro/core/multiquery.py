@@ -14,6 +14,14 @@ partials ring and evicts as many partials as the current step's
 lookback requires — one ⊕ per new partial plus amortized one ⊖ per
 evicted partial per query, which degenerates to exactly Algorithm 1's
 two operations when the plan is uniform.
+
+The engine behind the plan is chosen the way
+:func:`~repro.core.facade.make_slickdeque` chooses a single-query
+SlickDeque: invertible operators ride the start-pointer path,
+selection-type ones the shared monotone deque, and a non-invertible
+algebraic composition (Range = Max − Min) runs one engine per
+component over its slot of the tuple partial — "calculating the
+algebraic aggregations follows trivially" (Section 3.1).
 """
 
 from __future__ import annotations
@@ -23,7 +31,9 @@ from itertools import repeat
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import InvalidOperatorError, WindowStateError
+from repro.operators.algebraic import ComposedOperator
 from repro.operators.base import AggregateOperator
+from repro.operators.views import raw_view
 from repro.windows.partial import PartialAggregator
 from repro.windows.plan import PlanCursor, SharedPlan, build_shared_plan
 from repro.windows.query import Query
@@ -193,22 +203,79 @@ class _NonInvEngine:
         return results
 
 
+class _ComponentwiseEngine:
+    """Algebraic path: one engine per component of a composition.
+
+    Component ``i`` runs over slot ``i`` of every tuple partial, raw
+    (its own ``lower`` deferred), and each scheduled query's component
+    answers are zipped and finalised by the composition's ``lower``.
+    """
+
+    def __init__(self, operator: ComposedOperator, plan: SharedPlan):
+        self._op = operator
+        self._parts = [
+            _engine_for(raw_view(component), plan)
+            for component in operator.components
+        ]
+
+    def _zip(self, per_part: List[List[Answer]]) -> List[Answer]:
+        lower = self._op.lower
+        results = []
+        for row in zip(*per_part):
+            position, query, _ = row[0]
+            answers = tuple(answer for _, _, answer in row)
+            results.append((position, query, lower(answers)))
+        return results
+
+    def on_partial(self, value: Any, scheduled, position: int) -> List[Answer]:
+        return self._zip([
+            part.on_partial(slot, scheduled, position)
+            for part, slot in zip(self._parts, value)
+        ])
+
+    def on_partials(
+        self, values: List[Any], steps, positions: List[int]
+    ) -> List[Answer]:
+        """:meth:`on_partial` per partial: a raising component leaves
+        exactly what the per-partial path would have left."""
+        results: List[Answer] = []
+        for value, step, position in zip(values, steps, positions):
+            results += self.on_partial(value, step.answers, position)
+        return results
+
+
+def _engine_for(operator: AggregateOperator, plan: SharedPlan) -> Any:
+    """The engine for ``operator``, dispatched as
+    :func:`~repro.core.facade.make_slickdeque` dispatches."""
+    if operator.invertible:
+        return _InvEngine(operator, plan)
+    if operator.selects:
+        return _NonInvEngine(operator, plan)
+    if isinstance(operator, ComposedOperator):
+        return _ComponentwiseEngine(operator, plan)
+    raise InvalidOperatorError(
+        f"operator {operator.name!r} is neither invertible, selection-"
+        "type, nor an algebraic composition; SlickDeque targets "
+        "distributive and algebraic aggregations (paper Section 3.1)"
+    )
+
+
 class SharedSlickDeque:
     """Multi-ACQ SlickDeque over a shared execution plan.
 
     Args:
         queries: The ACQ set (ranges/slides in tuples).
         operator: Aggregate operation; its invertibility selects the
-            processing scheme, per the paper's headline contribution.
+            processing scheme, per the paper's headline contribution
+            (a non-invertible composition runs per component).
         technique: Partial-aggregation technique for the plan
             (``"panes"`` or ``"pairs"``).
         plan: Optionally a pre-built plan (must match ``queries``).
 
     Raises:
-        InvalidOperatorError: operator neither invertible nor
-            selection-type.  Algebraic compositions should be run
-            through :class:`~repro.core.facade.ComponentwiseAggregator`
-            semantics — one SharedSlickDeque per component.
+        InvalidOperatorError: operator neither invertible, nor
+            selection-type, nor an algebraic composition (e.g.
+            ``bit_and``).
     """
 
     def __init__(
@@ -229,16 +296,7 @@ class SharedSlickDeque:
         # Lazily created by feed_partial(); feed() and feed_partial()
         # are mutually exclusive drive modes for one instance.
         self._partial_cursor: Optional[PlanCursor] = None
-        if operator.invertible:
-            self._engine: Any = _InvEngine(operator, self.plan)
-        elif operator.selects:
-            self._engine = _NonInvEngine(operator, self.plan)
-        else:
-            raise InvalidOperatorError(
-                f"operator {operator.name!r} is neither invertible nor "
-                "selection-type; run algebraic compositions one "
-                "component at a time"
-            )
+        self._engine = _engine_for(operator, self.plan)
 
     @property
     def w_size(self) -> int:

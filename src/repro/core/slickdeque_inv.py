@@ -16,7 +16,7 @@ even if they have different slides").
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, Sequence
 
 from repro.baselines.base import MultiQueryAggregator, SlidingAggregator
 from repro.kernels import as_sequence, kernel_for
@@ -141,40 +141,6 @@ class SlickDequeInvMulti(MultiQueryAggregator):
             )
         partials.push(new_partial)
         return {r: op.lower(ans) for r, ans in self._answers.items()}
-
-    def step_many(self, values: Sequence[Any]) -> List[Dict[int, Any]]:
-        """Bulk slides: the exact :meth:`step` loop with hot paths bound.
-
-        Every range still needs its answer on every slide, so the 2n
-        operations per slide are irreducible (Table 1) — what the bulk
-        path removes is the per-tuple re-resolution of ``lift``,
-        ``combine``, ``inverse``, ``lower`` and the buffer methods.
-        The operation sequence is identical to ``k`` calls of
-        :meth:`step`, so answers are bit-identical in every domain.
-        """
-        op = self._op
-        lift = op.lift
-        combine = op.combine
-        inverse = op.inverse
-        lower = op.lower
-        partials = self._partials
-        peek_expiring = partials.peek_expiring
-        at_offset = partials.at_offset
-        push = partials.push
-        answers = self._answers
-        window = self.window
-        out: List[Dict[int, Any]] = []
-        append = out.append
-        for value in values:
-            new_partial = lift(value)
-            for r, ans in answers.items():
-                expiring = (
-                    peek_expiring() if r == window else at_offset(r)
-                )
-                answers[r] = inverse(combine(ans, new_partial), expiring)
-            push(new_partial)
-            append({r: lower(ans) for r, ans in answers.items()})
-        return out
 
     def memory_words(self) -> int:
         """Section 4.2: ``n`` partials + one word per distinct range."""

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.baselines.base import MultiQueryAggregator, SlidingAggregator
 from repro.errors import WindowStateError
@@ -178,9 +178,11 @@ class SlickDequeNonInv(SlidingAggregator):
 class ChunkedSlickDequeNonInv(SlickDequeNonInv):
     """Algorithm 2 on the library's own chunk-allocated deque.
 
-    Identical answers to the parent; memory is accounted structurally
-    from the actual chunk allocation, which is what the chunk-size
-    ablation bench varies (§4.2's ``k`` parameter).
+    The parent's code, unchanged, over a
+    :class:`~repro.structures.chunked_deque.ChunkedDeque` instead of a
+    ``collections.deque``: identical answers, with memory accounted
+    structurally from the actual chunk allocation, which is what the
+    chunk-size ablation bench varies (§4.2's ``k`` parameter).
     """
 
     def __init__(
@@ -190,79 +192,13 @@ class ChunkedSlickDequeNonInv(SlickDequeNonInv):
         chunk_size: Optional[int] = None,
     ):
         super().__init__(operator, window)
-        self._chunked = ChunkedDeque(
+        self._nodes = ChunkedDeque(
             chunk_size=chunk_size or optimal_chunk_size(window),
             words_per_item=2,
         )
 
-    def push(self, value: Any) -> None:
-        # Use the callables bound once in __init__ — re-resolving
-        # ``op.lift``/``op.dominates`` per push costs two attribute
-        # lookups per tuple on the hottest path in the library.
-        seq = self._seq + 1
-        self._seq = seq
-        new_partial = self._lift(value)
-        nodes = self._chunked
-        if nodes and nodes.front[0] <= seq - self.window:
-            nodes.pop_front()
-        dominates = self._dominates
-        while nodes and dominates(nodes.back[1], new_partial):
-            nodes.pop_back()
-        nodes.push_back((seq, new_partial))
-
-    def push_many(self, values: Sequence[Any]) -> None:
-        """Bulk push via the dominance suffix chain (see the parent)."""
-        values = as_sequence(values)
-        k = len(values)
-        if not k:
-            return
-        seq0 = self._seq
-        self._seq = seq0 + k
-        nodes = self._chunked
-        window = self.window
-        if k >= window:
-            offset = k - window
-            chain = self._kernel.suffix_chain(values[offset:])
-            while nodes:
-                nodes.pop_back()
-            base = seq0 + offset
-            push_back = nodes.push_back
-            for i, agg in chain:
-                push_back((base + i + 1, agg))
-            return
-        chain = self._kernel.suffix_chain(values)
-        dominates = self._dominates
-        head_agg = chain[0][1]
-        while nodes and dominates(nodes.back[1], head_agg):
-            nodes.pop_back()
-        push_back = nodes.push_back
-        for i, agg in chain:
-            push_back((seq0 + i + 1, agg))
-        threshold = seq0 + k - window
-        while nodes and nodes.front[0] <= threshold:
-            nodes.pop_front()
-
-    def query(self) -> Any:
-        if not self._chunked:
-            raise WindowStateError(
-                "query on an empty SlickDeque (no value pushed yet)"
-            )
-        return self._op.lower(self._chunked.front[1])
-
-    @property
-    def occupancy(self) -> int:
-        return len(self._chunked)
-
-    def resize(self, window: int) -> None:
-        from repro.baselines.base import validate_window
-
-        self.window = validate_window(window)
-        nodes = self._chunked
-        while nodes and nodes.front[0] <= self._seq - self.window:
-            nodes.pop_front()
-
     def memory_words(self) -> int:
-        return self._chunked.memory_words()
+        return self._nodes.memory_words()
 
 
 class SlickDequeNonInvMulti(MultiQueryAggregator):
@@ -308,48 +244,6 @@ class SlickDequeNonInvMulti(MultiQueryAggregator):
                 pos, val = next(iterator)
             answers[r] = lower(val)
         return answers
-
-    def step_many(self, values: Sequence[Any]) -> List[Dict[int, Any]]:
-        """Bulk slides: the :meth:`step` body with hot paths bound once.
-
-        Unlike the single-query class, every slide must still sweep the
-        deque for answers (each slide's answer map is part of the
-        result), so the batch cannot be pre-collapsed; the win here is
-        removing the per-tuple attribute lookups and method-call
-        overhead.  The operation sequence — and therefore every answer
-        map — is identical to ``k`` calls of :meth:`step`.
-        """
-        lift = self._lift
-        dominates = self._dominates
-        lower = self._lower
-        nodes = self._nodes
-        popleft = nodes.popleft
-        pop = nodes.pop
-        append = nodes.append
-        ranges = self.ranges
-        window = self.window
-        seq = self._seq
-        out: List[Dict[int, Any]] = []
-        out_append = out.append
-        for value in values:
-            seq += 1
-            new_partial = lift(value)
-            if nodes and nodes[0][0] <= seq - window:
-                popleft()
-            while nodes and dominates(nodes[-1][1], new_partial):
-                pop()
-            append((seq, new_partial))
-            answers: Dict[int, Any] = {}
-            iterator = iter(nodes)
-            pos, val = next(iterator)
-            for r in ranges:  # descending
-                threshold = seq - r
-                while pos <= threshold:
-                    pos, val = next(iterator)
-                answers[r] = lower(val)
-            out_append(answers)
-        self._seq = seq
-        return out
 
     @property
     def occupancy(self) -> int:

@@ -4,7 +4,7 @@ Four studies, each isolating one mechanism:
 
 * **chunk-size** — the §4.2 space formula ``2n + 4k + 4n/k`` over the
   chunk-size parameter, on a worst-case (deque-filling) input;
-* **sharing** — shared-plan vs independent execution over overlapping
+* **sharing** — one shared plan vs one engine per ACQ over overlapping
   ACQ sets (§2.3, Example 1), plus operator-level component sharing;
 * **slicing** — Panes vs Pairs vs Cutty partial counts and Cutty's
   punctuation bandwidth overhead (§2.1);
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import time
-from typing import List
 
 from repro.core.slickdeque_noninv import (
     ChunkedSlickDequeNonInv,
@@ -61,7 +60,7 @@ def chunk_size_study(window: int = 1024) -> Table:
             words = aggregator.memory_words()
             if words > peak_words:
                 peak_words = words
-                peak_chunks = aggregator._chunked.chunk_count
+                peak_chunks = aggregator._nodes.chunk_count
         table.add_row(
             [chunk_size, peak_words, peak_words / (2 * window),
              peak_chunks]
@@ -70,7 +69,7 @@ def chunk_size_study(window: int = 1024) -> Table:
 
 
 def sharing_study(tuples: int = 4000) -> Table:
-    """Shared vs independent execution, and component sharing."""
+    """One shared plan vs one engine per ACQ, and component sharing."""
     stream = debs12_array(tuples, seed=2012)
     table = Table(
         "Ablation: plan sharing (§2.3) — wall-clock per configuration",
@@ -78,17 +77,23 @@ def sharing_study(tuples: int = 4000) -> Table:
     )
     queries = [Query(r, 4) for r in (8, 16, 32, 64, 128)]
     timings = {}
-    for mode in ("independent", "shared"):
-        engine = StreamEngine(queries, get_operator("max"), mode=mode)
+    for label, engine_sets in (
+        ("per-query engines", [[query] for query in queries]),
+        ("shared", [queries]),
+    ):
+        engines = [
+            StreamEngine(acqs, get_operator("max")) for acqs in engine_sets
+        ]
         started = time.perf_counter()
-        engine.run(stream)
-        timings[mode] = time.perf_counter() - started
+        for engine in engines:
+            engine.run(stream)
+        timings[label] = time.perf_counter() - started
         table.add_row(
             [
-                f"max x5 ACQs, {mode}",
-                timings[mode],
-                engine.answers_emitted,
-                timings["independent"] / timings[mode],
+                f"max x5 ACQs, {label}",
+                timings[label],
+                sum(engine.answers_emitted for engine in engines),
+                timings["per-query engines"] / timings[label],
             ]
         )
     # Operator-level sharing: Sum/Count/Mean/Variance from 3 engines.

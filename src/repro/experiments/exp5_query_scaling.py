@@ -26,7 +26,7 @@ from repro.datasets.debs12 import debs12_array
 from repro.datasets.workloads import uniform_ranges
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import Table, series_table
-from repro.metrics.throughput import measure_multi_query
+from repro.metrics.throughput import measure_single_query
 from repro.operators.registry import get_operator
 from repro.registry import available_algorithms, get_algorithm
 
@@ -88,7 +88,7 @@ def run(
         ranges = uniform_ranges(count, window, seed=seed + count)
         for name in algorithms:
             spec = get_algorithm(name)
-            result = measure_multi_query(
+            result = measure_single_query(
                 lambda: spec.multi(get_operator(operator_name), ranges),
                 stream,
             )

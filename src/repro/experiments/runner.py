@@ -14,10 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.datasets.debs12 import debs12_array
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.stats import geometric_mean
-from repro.metrics.throughput import (
-    measure_multi_query,
-    measure_single_query,
-)
+from repro.metrics.throughput import measure_single_query
 from repro.operators.registry import get_operator
 from repro.registry import get_algorithm
 
@@ -93,7 +90,7 @@ def sweep_multi_throughput(
                 continue
             rates = []
             for stream in streams:
-                result = measure_multi_query(
+                result = measure_single_query(
                     lambda: spec.multi(
                         get_operator(operator_name), ranges
                     ),

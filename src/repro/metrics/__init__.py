@@ -8,7 +8,6 @@ counts as the runtime-independent complement to wall-clock throughput).
 from repro.metrics.latency import (
     OUTLIER_FRACTION,
     LatencyRecorder,
-    measure_multi_step_latencies,
     measure_step_latencies,
 )
 from repro.metrics.memory import (
@@ -41,14 +40,12 @@ from repro.metrics.stats import (
 )
 from repro.metrics.throughput import (
     ThroughputResult,
-    measure_multi_query,
     measure_single_query,
 )
 
 __all__ = [
     "LatencyRecorder",
     "measure_step_latencies",
-    "measure_multi_step_latencies",
     "OUTLIER_FRACTION",
     "MemoryResult",
     "measure_memory",
@@ -58,7 +55,6 @@ __all__ = [
     "count_ops_single",
     "ThroughputResult",
     "measure_single_query",
-    "measure_multi_query",
     "Reservoir",
     "Summary",
     "maybe_summary",

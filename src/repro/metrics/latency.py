@@ -49,7 +49,10 @@ class LatencyRecorder:
 def measure_step_latencies(
     aggregator: Any, values: Iterable[Any]
 ) -> LatencyRecorder:
-    """Time every ``step`` of a single-query aggregator over a stream."""
+    """Time every ``step`` of an aggregator over a stream.
+
+    Single- or multi-query: one sample per slide either way.
+    """
     recorder = LatencyRecorder()
     record = recorder.samples_ns.append
     step = aggregator.step
@@ -59,10 +62,3 @@ def measure_step_latencies(
         step(value)
         record(clock() - started)
     return recorder
-
-
-def measure_multi_step_latencies(
-    aggregator: Any, values: Iterable[Any]
-) -> LatencyRecorder:
-    """Time every multi-query ``step`` (one sample per slide)."""
-    return measure_step_latencies(aggregator, values)

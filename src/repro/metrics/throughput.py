@@ -40,29 +40,13 @@ def measure_single_query(
     values: Sequence[Any],
     repeats: int = 1,
 ) -> ThroughputResult:
-    """Drive a fresh single-query aggregator over ``values``.
+    """Drive a fresh aggregator's ``step`` over ``values``.
 
-    The best of ``repeats`` runs is reported, the usual micro-benchmark
-    convention for suppressing scheduler noise.
+    Single- and multi-query aggregators alike: one ``step`` per value,
+    one result (or answer map) per slide.  The best of ``repeats`` runs
+    is reported, the usual micro-benchmark convention for suppressing
+    scheduler noise.
     """
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        aggregator = make_aggregator()
-        step = aggregator.step
-        started = time.perf_counter()
-        for value in values:
-            step(value)
-        elapsed = time.perf_counter() - started
-        best = min(best, elapsed)
-    return ThroughputResult(slides=len(values), seconds=best)
-
-
-def measure_multi_query(
-    make_aggregator: Callable[[], Any],
-    values: Sequence[Any],
-    repeats: int = 1,
-) -> ThroughputResult:
-    """Drive a fresh multi-query aggregator over ``values``."""
     best = float("inf")
     for _ in range(max(1, repeats)):
         aggregator = make_aggregator()

@@ -27,7 +27,7 @@ from repro.operators.invertible import (
     SumOfSquaresOperator,
     SumOperator,
 )
-from repro.operators.noninvertible import MaxOperator, MinOperator
+from repro.operators.noninvertible import NEG_INF, MaxOperator, MinOperator
 
 
 class _LogSumOperator(InvertibleOperator):
@@ -164,6 +164,8 @@ def geometric_mean_operator() -> InvertibleComposedOperator:
 
 
 def _range_finalize(maximum: Any, minimum: Any) -> Any:
+    if maximum == NEG_INF:  # empty window: the components' identities
+        return math.nan
     return maximum - minimum
 
 

@@ -93,6 +93,10 @@ class ComponentSlice(AggregateOperator):
         return self._component.dominates(incumbent, challenger)
 
 
+def _component_tuple(*aggs: Agg) -> Agg:
+    return aggs
+
+
 def raw_view(operator: AggregateOperator) -> AggregateOperator:
     """An un-lowering view of ``operator`` (idempotent)."""
     if isinstance(operator, RawView):
@@ -113,8 +117,6 @@ def partial_view(operator: AggregateOperator) -> AggregateOperator:
             for index, component in enumerate(operator.components)
         ]
         return ComposedOperator(
-            f"partial({operator.name})",
-            slices,
-            lambda *aggs: tuple(aggs),
+            f"partial({operator.name})", slices, _component_tuple
         )
     return PartialView(operator)

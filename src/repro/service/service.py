@@ -46,7 +46,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.multiquery import Answer
+from repro.core.multiquery import Answer, SharedSlickDeque
 from repro.errors import ServiceError
 from repro.metrics import Summary, ThroughputResult, maybe_summary
 from repro.service.merge import EventTimeMerger, GlobalMerger, PerKeyCollator
@@ -63,7 +63,6 @@ from repro.stream.outoforder import (
     TimestampReorderBuffer,
 )
 from repro.stream.sink import DeadLetter, DeadLetterSink
-from repro.windows.plan import build_shared_plan
 from repro.windows.query import Query
 from repro.windows.timebased import DEFAULT_RESOLUTION, TimeQuery
 
@@ -164,7 +163,10 @@ class AggregationService:
         queries: The ACQ set, shared by every shard.
         operator: The aggregate operator.  Global mode requires the
             ``mergeable`` capability plus a SlickDeque path; per-key
-            mode accepts any engine-supported operator.
+            mode accepts any operator
+            :class:`~repro.stream.engine.StreamEngine` runs (Range
+            included) and refuses the rest, e.g. ``bit_and``, with
+            :class:`~repro.errors.InvalidOperatorError` at construction.
         num_shards: Worker (partition) count.
         technique: Partial-aggregation technique (``panes``/``pairs``).
         mode: ``"global"`` for merged whole-stream answers,
@@ -318,8 +320,9 @@ class AggregationService:
                 origin=origin,
             )
         else:
-            # Validate the plan eagerly (same errors as global mode).
-            build_shared_plan(self.queries, technique)
+            # Build one per-key engine eagerly: a plan or operator its
+            # shards cannot run fails here, before any worker spawns.
+            SharedSlickDeque(self.queries, operator, technique)
             self._collator = PerKeyCollator()
         self.origin = origin
         self.slice_seconds = slice_seconds

@@ -221,7 +221,6 @@ class ShardState:
                 self.config.queries,
                 self.config.operator,
                 technique=self.config.technique,
-                mode="shared",
                 sinks=[sink],
             )
             self._engines[key] = engine

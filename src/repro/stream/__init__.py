@@ -1,7 +1,7 @@
 """Stream-processing substrate: sources, engine, sinks, ordering.
 
 The "stand-alone stream aggregator platform" of the paper's Section
-5.1, in miniature: pull-based sources, the shared/independent/Cutty
+5.1, in miniature: pull-based sources, the shared-plan and Cutty
 pipelines, composable sinks, and the slightly-out-of-order reorder
 buffer of Section 3.1.
 """

@@ -1,15 +1,16 @@
 """The stream engine: source → slicing → final aggregation → sinks.
 
 A deliberately small DSMS substrate (the paper evaluates on "a
-stand-alone stream aggregator platform", Section 5.1) with three
+stand-alone stream aggregator platform", Section 5.1) with two
 pipelines:
 
 * **Shared** — the paper's system: one
   :class:`~repro.core.multiquery.SharedSlickDeque` runs every
-  registered ACQ over one shared plan (Panes or Pairs).
-* **Independent** — each ACQ gets its own plan, partial aggregator,
-  and single-query final aggregator (any registry algorithm).  This is
-  the no-sharing baseline of the sharing ablation bench.
+  registered ACQ over one shared plan (Panes or Pairs), for every
+  operator SlickDeque covers — invertible, selection-type, and
+  non-invertible algebraic compositions such as Range, per component.
+  The no-sharing baseline of the sharing ablation is simply one
+  engine per ACQ.
 * **Cutty** — single-query Cutty slicing: partials start only at
   window starts and the answer combines the completed partials with
   the running open partial (Section 2.1, Figure 3), executed by the
@@ -24,50 +25,11 @@ from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.multiquery import SharedSlickDeque
 from repro.kernels import as_sequence
-from repro.errors import PlanError
 from repro.operators.base import AggregateOperator
-from repro.operators.views import partial_view, raw_view
-from repro.registry import get_algorithm
 from repro.stream.punctuation import PunctuatedCuttyPipeline, Punctuation
 from repro.stream.sink import Sink
 from repro.telemetry import runtime as _telemetry_runtime
-from repro.windows.partial import PartialAggregator
-from repro.windows.plan import build_shared_plan
 from repro.windows.query import Query
-
-
-class _IndependentQuery:
-    """One ACQ with its own plan and single-query final aggregator."""
-
-    def __init__(
-        self, query: Query, operator: AggregateOperator,
-        technique: str, algorithm: str,
-    ):
-        self.query = query
-        self._operator = operator
-        plan = build_shared_plan([query], technique)
-        if not plan.uniform_lookback:
-            raise PlanError(
-                f"single-query plan for {query.name} has non-uniform "
-                "lookback; this cannot happen with panes/pairs slicing"
-            )
-        self._partials = PartialAggregator(raw_view(operator), plan)
-        lookback = max(
-            sq.lookback for step in plan.steps for sq in step.answers
-        )
-        spec = get_algorithm(algorithm)
-        self._final = spec.single(partial_view(operator), lookback)
-
-    def feed(self, value: Any) -> List[Tuple[int, Query, Any]]:
-        completed = self._partials.feed(value)
-        if completed is None:
-            return []
-        partial, step, position = completed
-        self._final.push(partial)
-        if not step.answers:
-            return []
-        raw = self._final.query()
-        return [(position, self.query, self._operator.lower(raw))]
 
 
 class StreamEngine:
@@ -78,10 +40,12 @@ class StreamEngine:
         operator: The aggregate operation shared by all of them
             (Section 2.3: compatible aggregations share one plan).
         technique: ``"panes"`` or ``"pairs"``.
-        mode: ``"shared"`` (SlickDeque over one shared plan) or
-            ``"independent"`` (one plan + final aggregator per query).
-        algorithm: Final-aggregation algorithm for independent mode.
         sinks: Answer consumers; each call's triples go to every sink.
+
+    Raises:
+        InvalidOperatorError: for an operator SlickDeque cannot run
+            (neither invertible, selection-type, nor an algebraic
+            composition — e.g. ``bit_and``).
     """
 
     def __init__(
@@ -89,38 +53,14 @@ class StreamEngine:
         queries: Sequence[Query],
         operator: AggregateOperator,
         technique: str = "pairs",
-        mode: str = "shared",
-        algorithm: str = "slickdeque",
         sinks: Optional[Sequence[Sink]] = None,
     ):
         self.queries = tuple(queries)
         self.operator = operator
-        self.mode = mode
         self.sinks: List[Sink] = list(sinks or [])
         self.answers_emitted = 0
         self.tuples_consumed = 0
-        if mode == "shared":
-            self._shared: Optional[SharedSlickDeque] = SharedSlickDeque(
-                self.queries, operator, technique
-            )
-            self._independent: List[_IndependentQuery] = []
-        elif mode == "independent":
-            self._shared = None
-            # Same answer order as the shared plan: descending range,
-            # ties broken by ascending slide then name (the plan's
-            # stable sort over its sorted unique query set).
-            self._independent = [
-                _IndependentQuery(q, operator, technique, algorithm)
-                for q in sorted(
-                    set(self.queries),
-                    key=lambda q: (-q.range_size, q.slide, q.name),
-                )
-            ]
-        else:
-            raise PlanError(
-                f"unknown engine mode {mode!r}; expected 'shared' or "
-                "'independent'"
-            )
+        self._shared = SharedSlickDeque(self.queries, operator, technique)
 
     def add_sink(self, sink: Sink) -> None:
         """Register another answer consumer."""
@@ -143,12 +83,7 @@ class StreamEngine:
         no longer be trusted, which is why ``service/shard.py`` drops
         an engine that raised.
         """
-        if self._shared is not None:
-            triples = self._shared.feed(value)
-        else:
-            triples = []
-            for independent in self._independent:
-                triples += independent.feed(value)
+        triples = self._shared.feed(value)
         self.tuples_consumed += 1
         if triples:  # ``_deliver`` inlined: one call fewer per tuple
             self.answers_emitted += len(triples)
@@ -158,12 +93,11 @@ class StreamEngine:
     def feed_many(self, values: Sequence[Any]) -> None:
         """Consume a batch of stream values (bulk ingestion).
 
-        Shared mode hands the whole batch to the plan's bulk path —
-        partials fold with one segmented kernel call per batch — and delivers
-        the batch's answers in one :meth:`Sink.emit_many` per sink.
-        Independent mode feeds value by value through :meth:`feed`.
-        Either way every sink sees exactly the triples, in exactly the
-        order, that per-value feeding would produce.
+        The whole batch goes to the plan's bulk path — partials fold
+        with one segmented kernel call per batch — and the batch's
+        answers reach each sink in one :meth:`Sink.emit_many`.  Every
+        sink sees exactly the triples, in exactly the order, that
+        per-value feeding would produce.
 
         When a process-global telemetry hub is installed (see
         :func:`repro.telemetry.install`) each call observes its batch
@@ -176,13 +110,9 @@ class StreamEngine:
             started = _perf_counter()
             answers_before = self.answers_emitted
         values = as_sequence(values)
-        if self._shared is not None:
-            triples = self._shared.feed_many(values)
-            self.tuples_consumed += len(values)
-            self._deliver(triples)
-        else:
-            for value in values:
-                self.feed(value)
+        triples = self._shared.feed_many(values)
+        self.tuples_consumed += len(values)
+        self._deliver(triples)
         if hub is not None:
             registry = hub.registry
             registry.histogram(
@@ -343,15 +273,10 @@ class CuttyPipeline:
     that :func:`~repro.stream.punctuation.punctuate` would emit there.
     """
 
-    def __init__(
-        self,
-        query: Query,
-        operator: AggregateOperator,
-        algorithm: str = "slickdeque",
-    ):
+    def __init__(self, query: Query, operator: AggregateOperator):
         self.query = query
         self.operator = operator
-        self._execution = PunctuatedCuttyPipeline(query, operator, algorithm)
+        self._execution = PunctuatedCuttyPipeline(query, operator)
         # Edge phase: partial boundaries fall after positions ≡ -r (mod s).
         self._edge_phase = (-query.range_size) % query.slide
 

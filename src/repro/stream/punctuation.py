@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, List, Sequence, Tuple, Union
 
+from repro.core.facade import make_slickdeque
 from repro.errors import PlanError
 from repro.operators.base import AggregateOperator
 from repro.operators.views import partial_view, raw_view
-from repro.registry import get_algorithm
 from repro.windows.query import Query
 
 
@@ -92,12 +92,7 @@ class PunctuatedCuttyPipeline:
     with the punctuations computed locally.
     """
 
-    def __init__(
-        self,
-        query: Query,
-        operator: AggregateOperator,
-        algorithm: str = "slickdeque",
-    ):
+    def __init__(self, query: Query, operator: AggregateOperator):
         self.query = query
         self.operator = operator
         self._raw = raw_view(operator)
@@ -108,8 +103,7 @@ class PunctuatedCuttyPipeline:
             query.range_size - 1
         ) // query.slide
         if self._completed_per_window > 0:
-            spec = get_algorithm(algorithm)
-            self._final = spec.single(
+            self._final = make_slickdeque(
                 partial_view(operator), self._completed_per_window
             )
         else:

@@ -8,7 +8,11 @@ chunks of two pointers each, the worst-case space is ``2n + 4k + 4n/k``
 words, minimised at ``k = √n``.
 
 This module implements that structure: a doubly-linked list of
-fixed-size chunks with head/tail cursors.  Items are arbitrary Python
+fixed-size chunks with head/tail cursors, speaking the subset of the
+``collections.deque`` interface Algorithm 2 uses (``d[0]``, ``d[-1]``,
+``append``, ``pop``, ``popleft``, ``extend``, ``clear``), so
+:class:`~repro.core.slickdeque_noninv.ChunkedSlickDequeNonInv` is the
+unchanged Algorithm 2 over this storage.  Items are arbitrary Python
 objects; callers state how many logical words one item occupies
 (``words_per_item``, 2 for SlickDeque's ``(pos, val)`` nodes) so
 :meth:`ChunkedDeque.memory_words` reproduces the §4.2 formula for
@@ -18,7 +22,7 @@ Exp 4 and the chunk-size ablation bench.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterator, List, Optional
+from typing import Any, Iterable, Iterator, List, Optional
 
 from repro.errors import WindowStateError
 
@@ -49,11 +53,11 @@ def optimal_chunk_size(expected_items: int) -> int:
 class ChunkedDeque:
     """Double-ended queue over chunk-allocated storage.
 
-    Supports the exact operation set SlickDeque (Non-Inv) and DABA's
-    queues need: ``push_back``, ``pop_back``, ``pop_front``, ``front``,
-    ``back``, front-to-back iteration, and O(1) length.  Chunks are
-    recycled through a one-chunk free list so a steady-state window does
-    not churn the allocator.
+    Supports the ``collections.deque`` operations SlickDeque (Non-Inv)
+    needs: ``d[0]`` (front), ``d[-1]`` (back), ``append``, ``pop``,
+    ``popleft``, ``extend``, ``clear``, front-to-back iteration, and
+    O(1) length.  Chunks are recycled through a one-chunk free list so
+    a steady-state window does not churn the allocator.
     """
 
     def __init__(self, chunk_size: int = 64, words_per_item: int = 2):
@@ -95,7 +99,7 @@ class ChunkedDeque:
 
     # -- core deque operations ---------------------------------------------
 
-    def push_back(self, item: Any) -> None:
+    def append(self, item: Any) -> None:
         """Append ``item`` at the tail."""
         if self._tail_chunk is None or self._tail_index == self.chunk_size:
             chunk = self._new_chunk()
@@ -112,10 +116,10 @@ class ChunkedDeque:
         self._tail_index += 1
         self._length += 1
 
-    def pop_back(self) -> Any:
+    def pop(self) -> Any:
         """Remove and return the tail item."""
         if self._length == 0:
-            raise WindowStateError("pop_back from empty deque")
+            raise WindowStateError("pop from empty deque")
         assert self._tail_chunk is not None
         self._tail_index -= 1
         item = self._tail_chunk.slots[self._tail_index]
@@ -133,10 +137,10 @@ class ChunkedDeque:
             self._reset_empty()
         return item
 
-    def pop_front(self) -> Any:
+    def popleft(self) -> Any:
         """Remove and return the front item."""
         if self._length == 0:
-            raise WindowStateError("pop_front from empty deque")
+            raise WindowStateError("popleft from empty deque")
         assert self._head_chunk is not None
         item = self._head_chunk.slots[self._head_index]
         self._head_chunk.slots[self._head_index] = None
@@ -163,21 +167,29 @@ class ChunkedDeque:
         self._head_index = 0
         self._tail_index = 0
 
-    @property
-    def front(self) -> Any:
-        """The front (oldest) item."""
-        if self._length == 0:
-            raise WindowStateError("front of empty deque")
-        assert self._head_chunk is not None
-        return self._head_chunk.slots[self._head_index]
+    def extend(self, items: Iterable[Any]) -> None:
+        """Append every item, in order."""
+        for item in items:
+            self.append(item)
 
-    @property
-    def back(self) -> Any:
-        """The back (newest) item."""
+    def clear(self) -> None:
+        """Remove every item."""
+        while self._length:
+            self.pop()
+
+    def __getitem__(self, index: int) -> Any:
+        """``d[0]`` is the front (oldest) item, ``d[-1]`` the back."""
         if self._length == 0:
-            raise WindowStateError("back of empty deque")
-        assert self._tail_chunk is not None
-        return self._tail_chunk.slots[self._tail_index - 1]
+            raise WindowStateError("index into empty deque")
+        if index == 0:
+            assert self._head_chunk is not None
+            return self._head_chunk.slots[self._head_index]
+        if index == -1:
+            assert self._tail_chunk is not None
+            return self._tail_chunk.slots[self._tail_index - 1]
+        raise IndexError(
+            f"ChunkedDeque supports only [0] and [-1], got [{index}]"
+        )
 
     def __len__(self) -> int:
         return self._length

@@ -8,12 +8,14 @@ and exact accounting under the drop backpressure policy.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import time
 
 import pytest
 
+from repro.errors import InvalidOperatorError
 from repro.operators.registry import get_operator
 from repro.service import AggregationService
 from repro.stream.engine import StreamEngine
@@ -135,7 +137,54 @@ def test_per_key_mode_over_processes_matches_per_key_engines():
         assert result.per_key.get(key, []) == _expected_per_key(values)
 
 
-def _expected_per_key(values):
+def _expected_per_key(values, operator_name="first"):
     sink = CollectSink()
-    StreamEngine(QUERIES, get_operator("first"), sinks=[sink]).run(values)
+    engine = StreamEngine(QUERIES, get_operator(operator_name), sinks=[sink])
+    engine.run(values)
     return sink.answers
+
+
+@pytest.mark.parametrize("transport", ["inline", "process"])
+def test_per_key_range_answers_equal_per_key_engines(transport):
+    # Range = Max − Min runs per component on each key's shared plan.
+    records = _records(300)
+    with AggregationService(
+        QUERIES,
+        get_operator("range"),
+        num_shards=2,
+        mode="per_key",
+        batch_size=16,
+        transport=transport,
+    ) as service:
+        service.submit_many(records)
+        result = service.close()
+
+    values_by_key = {}
+    for key, value in records:
+        values_by_key.setdefault(key, []).append(value)
+    assert set(result.per_key) == set(values_by_key)
+    for key, values in values_by_key.items():
+        assert result.per_key[key] == _expected_per_key(values, "range")
+    assert result.stats.degraded_keys == ()
+    assert result.dead_letters == []
+
+
+@pytest.mark.parametrize("transport", ["inline", "process"])
+def test_per_key_service_refuses_an_operator_its_engines_cannot_run(
+    transport,
+):
+    # ``bit_and`` has no SlickDeque path.  The service used to accept
+    # it, then fail on the first submit (inline) or crash-loop both
+    # workers and dead-letter every record (process).
+    children = set(multiprocessing.active_children())
+    with pytest.raises(InvalidOperatorError, match="bit_and"):
+        AggregationService(
+            [Query(8, 2)],
+            get_operator("bit_and"),
+            num_shards=2,
+            mode="per_key",
+            transport=transport,
+            max_restarts=1,
+            restart_backoff=0,
+        )
+    assert set(multiprocessing.active_children()) == children

@@ -34,7 +34,7 @@ def brute(queries, operator_name, stream):
     return out
 
 
-@pytest.mark.parametrize("operator_name", ["sum", "max"])
+@pytest.mark.parametrize("operator_name", ["sum", "max", "range"])
 @pytest.mark.parametrize("technique", ["panes", "pairs"])
 @pytest.mark.parametrize("queries", QUERY_SETS,
                          ids=[str(i) for i in range(len(QUERY_SETS))])
@@ -49,9 +49,11 @@ def test_shared_execution_matches_brute_force(
     assert got == brute(queries, operator_name, stream)
 
 
-def test_rejects_non_distributive_operator():
+def test_rejects_operator_without_a_slickdeque_path():
+    # Range (a non-invertible composition) runs per component; an
+    # operator neither invertible, selection-type nor composed cannot.
     with pytest.raises(InvalidOperatorError):
-        SharedSlickDeque([Query(4, 2)], get_operator("range"))
+        SharedSlickDeque([Query(4, 2)], get_operator("bit_and"))
 
 
 def test_w_size_matches_plan():

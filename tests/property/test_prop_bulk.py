@@ -150,26 +150,23 @@ def test_engine_feed_many_is_byte_exact_even_for_floats(stream, plan):
     ``sum`` would show), every sink triple must match the per-tuple
     run byte-for-byte."""
     queries = (Query(10, 3), Query(6, 2))
-    for mode in ("shared", "independent"):
-        for operator_name in ("sum", "mean", "max"):
-            reference_sink, bulk_sink = CollectSink(), CollectSink()
-            reference = StreamEngine(
-                queries, get_operator(operator_name), mode=mode,
-                sinks=[reference_sink],
-            )
-            bulk = StreamEngine(
-                queries, get_operator(operator_name), mode=mode,
-                sinks=[bulk_sink],
-            )
-            for value in stream:
-                reference.feed(value)
-            for chunk in _chunks(stream, plan):
-                bulk.feed_many(chunk)
-            assert repr(bulk_sink.answers) == repr(
-                reference_sink.answers
-            ), (mode, operator_name)
-            assert bulk.tuples_consumed == reference.tuples_consumed
-            assert bulk.answers_emitted == reference.answers_emitted
+    for operator_name in ("sum", "mean", "max", "range"):
+        reference_sink, bulk_sink = CollectSink(), CollectSink()
+        reference = StreamEngine(
+            queries, get_operator(operator_name), sinks=[reference_sink]
+        )
+        bulk = StreamEngine(
+            queries, get_operator(operator_name), sinks=[bulk_sink]
+        )
+        for value in stream:
+            reference.feed(value)
+        for chunk in _chunks(stream, plan):
+            bulk.feed_many(chunk)
+        assert repr(bulk_sink.answers) == repr(
+            reference_sink.answers
+        ), operator_name
+        assert bulk.tuples_consumed == reference.tuples_consumed
+        assert bulk.answers_emitted == reference.answers_emitted
 
 
 # -- ShardState bulk vs single-record batches ------------------------

@@ -1,10 +1,9 @@
-"""Property-based tests: engine modes agree on random workloads.
+"""Property-based tests: engine pipelines agree on random workloads.
 
-The shared SlickDeque plan, the independent per-query pipelines (over
-any registry algorithm), and the Cutty pipeline are three independent
-execution strategies for the same ACQ semantics — hypothesis drives
-random ACQ sets and streams through all of them and requires identical
-answers.
+The shared SlickDeque plan, one engine per query, and the Cutty
+pipeline are independent execution strategies for the same ACQ
+semantics — hypothesis drives random ACQ sets and streams through all
+of them and requires identical answers.
 """
 
 from __future__ import annotations
@@ -34,40 +33,35 @@ streams = st.lists(
 )
 
 
-def _collect(queries, operator_name, stream, mode, algorithm):
+def _collect(queries, operator_name, stream):
     sink = CollectSink()
-    engine = StreamEngine(
-        queries,
-        get_operator(operator_name),
-        mode=mode,
-        algorithm=algorithm,
-        sinks=[sink],
-    )
+    engine = StreamEngine(queries, get_operator(operator_name), sinks=[sink])
     engine.run(stream)
     return sink.answers
 
 
 @given(queries=queries_strategy, stream=streams,
-       operator_name=st.sampled_from(["sum", "max"]))
+       operator_name=st.sampled_from(["sum", "max", "range"]))
 @settings(max_examples=50, deadline=None)
 def test_shared_equals_independent(queries, stream, operator_name):
-    shared = _collect(queries, operator_name, stream, "shared",
-                      "slickdeque")
-    independent = _collect(queries, operator_name, stream,
-                           "independent", "slickdeque")
-    assert shared == independent
+    """One shared plan == one engine per query, value by value.
 
-
-@given(queries=queries_strategy, stream=streams,
-       algorithm=st.sampled_from(["naive", "flatfat", "daba"]))
-@settings(max_examples=40, deadline=None)
-def test_independent_mode_is_algorithm_agnostic(
-    queries, stream, algorithm
-):
-    baseline = _collect(queries, "sum", stream, "independent",
-                        "slickdeque")
-    other = _collect(queries, "sum", stream, "independent", algorithm)
-    assert baseline == other
+    The per-query engines are fed each value in the shared plan's query
+    order (descending range, then ascending slide, then name), so their
+    answers interleave into the shared engine's order.
+    """
+    shared = _collect(queries, operator_name, stream)
+    sink = CollectSink()
+    engines = [
+        StreamEngine([query], get_operator(operator_name), sinks=[sink])
+        for query in sorted(
+            queries, key=lambda q: (-q.range_size, q.slide, q.name)
+        )
+    ]
+    for value in stream:
+        for engine in engines:
+            engine.feed(value)
+    assert shared == sink.answers
 
 
 @given(
@@ -78,6 +72,6 @@ def test_independent_mode_is_algorithm_agnostic(
 @settings(max_examples=50, deadline=None)
 def test_cutty_agrees_with_shared_plan(stream, range_size, slide):
     query = Query(range_size, slide)
-    shared = _collect([query], "max", stream, "shared", "slickdeque")
+    shared = _collect([query], "max", stream)
     cutty = CuttyPipeline(query, get_operator("max")).run(stream)
     assert [(p, a) for p, _, a in shared] == cutty

@@ -167,13 +167,10 @@ def _assert_same(got, expected, operator_name):
             ), (position, query)
 
 
-@pytest.mark.parametrize("mode", ["shared", "independent"])
 @pytest.mark.parametrize("operator_name", OPERATOR_NAMES)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_interleaved_feeds_match_oracle_at_every_sink(
-    operator_name, mode, data
-):
+def test_interleaved_feeds_match_oracle_at_every_sink(operator_name, data):
     queries = data.draw(query_sets)
     technique = data.draw(st.sampled_from(["panes", "pairs"]))
     stream = data.draw(_streams(operator_name))
@@ -184,7 +181,6 @@ def test_interleaved_feeds_match_oracle_at_every_sink(
         queries,
         get_operator(operator_name),
         technique=technique,
-        mode=mode,
         sinks=[first, second, user],
     )
     _drive(engine, stream, plan)

@@ -36,9 +36,9 @@ def _time_engine_supported(name):
     """Whether the time engine can run this operator at all.
 
     The time reduction drives a SlickDeque over *partials*, so
-    operators that are neither invertible nor selection-type (e.g.
-    ``range``, ``bit_and``) are rejected at construction — there is no
-    in-order path to compare the shuffled path against.
+    operators without a SlickDeque path (e.g. ``bit_and``) are
+    rejected at construction — there is no in-order path to compare
+    the shuffled path against.
     """
     try:
         TimeWindowEngine([TimeQuery(2.0, 1.0)], get_operator(name))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.structures.chunked_deque import ChunkedDeque
 from repro.structures.circular_buffer import CircularBuffer
 
-#: 0 = push_back, 1 = pop_front, 2 = pop_back.
+#: 0 = append, 1 = popleft, 2 = pop.
 operations = st.lists(
     st.integers(min_value=0, max_value=2), min_size=1, max_size=300
 )
@@ -23,16 +23,16 @@ def test_chunked_deque_matches_collections_deque(ops, chunk_size):
     model: pydeque = pydeque()
     for step, op in enumerate(ops):
         if op == 0 or not model:
-            subject.push_back(step)
+            subject.append(step)
             model.append(step)
         elif op == 1:
-            assert subject.pop_front() == model.popleft()
+            assert subject.popleft() == model.popleft()
         else:
-            assert subject.pop_back() == model.pop()
+            assert subject.pop() == model.pop()
         assert len(subject) == len(model)
         if model:
-            assert subject.front == model[0]
-            assert subject.back == model[-1]
+            assert subject[0] == model[0]
+            assert subject[-1] == model[-1]
     assert list(subject) == list(model)
 
 
@@ -43,11 +43,11 @@ def test_chunked_deque_allocation_tight(ops, chunk_size):
     subject = ChunkedDeque(chunk_size=chunk_size)
     for step, op in enumerate(ops):
         if op == 0 or not subject:
-            subject.push_back(step)
+            subject.append(step)
         elif op == 1:
-            subject.pop_front()
+            subject.popleft()
         else:
-            subject.pop_back()
+            subject.pop()
         slack = subject.allocated_slots() - len(subject)
         assert 0 <= slack <= 2 * chunk_size
 

@@ -8,7 +8,7 @@ import pytest
 
 from repro.baselines.naive import NaiveAggregator
 from repro.baselines.recalc import RecalcAggregator
-from repro.core.slickdeque_inv import SlickDequeInv
+from repro.core.slickdeque_inv import SlickDequeInv, SlickDequeInvMulti
 from repro.metrics.latency import (
     LatencyRecorder,
     measure_step_latencies,
@@ -101,6 +101,17 @@ class TestThroughput:
         )
         assert result.slides == 500
         assert result.per_second > 0
+
+    def test_drives_multi_query_aggregators_per_slide(self):
+        result = measure_single_query(
+            lambda: SlickDequeInvMulti(SumOperator(), [4, 8]),
+            int_stream(300, seed=3),
+        )
+        assert result.slides == 300
+        recorder = measure_step_latencies(
+            SlickDequeInvMulti(SumOperator(), [4, 8]), int_stream(50, seed=4)
+        )
+        assert len(recorder.samples_ns) == 50
 
     def test_zero_seconds_is_infinite(self):
         assert ThroughputResult(10, 0.0).per_second == math.inf

@@ -55,6 +55,13 @@ def test_chunked_variant_identical():
             MaxOperator(), window
         ).run(stream)
         assert fast == chunked
+        # The bulk path (suffix chain, clear/extend) on chunked storage.
+        for size in (4, 23):
+            bulk = ChunkedSlickDequeNonInv(MaxOperator(), window)
+            for start in range(0, len(stream), size):
+                bulk.push_many(stream[start:start + size])
+                end = min(start + size, len(stream))
+                assert bulk.query() == fast[end - 1]
 
 
 def test_multi_matches_recalc():

@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from repro.errors import PlanError
 from repro.operators.registry import get_operator
 from repro.stream.engine import CuttyPipeline, StreamEngine
 from repro.stream.sink import CollectSink, CountingSink
@@ -29,35 +28,16 @@ class TestStreamEngine:
     STREAM = int_stream(160, seed=81)
     QUERIES = [Query(6, 2), Query(8, 4), Query(5, 2)]
 
-    @pytest.mark.parametrize("operator_name", ["sum", "max", "mean"])
-    @pytest.mark.parametrize("mode", ["shared", "independent"])
-    def test_answers_match_brute_force(self, operator_name, mode):
+    @pytest.mark.parametrize("operator_name", ["sum", "max", "mean", "range"])
+    def test_answers_match_brute_force(self, operator_name):
         sink = CollectSink()
         engine = StreamEngine(
-            self.QUERIES,
-            get_operator(operator_name),
-            mode=mode,
-            sinks=[sink],
+            self.QUERIES, get_operator(operator_name), sinks=[sink]
         )
         engine.run(self.STREAM)
         assert sink.answers == brute_answers(
             self.QUERIES, operator_name, self.STREAM
         )
-
-    def test_independent_supports_any_algorithm(self):
-        for algorithm in ("naive", "flatfat", "daba"):
-            sink = CollectSink()
-            engine = StreamEngine(
-                self.QUERIES,
-                get_operator("sum"),
-                mode="independent",
-                algorithm=algorithm,
-                sinks=[sink],
-            )
-            engine.run(self.STREAM)
-            assert sink.answers == brute_answers(
-                self.QUERIES, "sum", self.STREAM
-            )
 
     def test_counters(self):
         engine = StreamEngine(
@@ -67,18 +47,15 @@ class TestStreamEngine:
         assert engine.tuples_consumed == len(self.STREAM)
         assert engine.answers_emitted == len(self.STREAM) // 2
 
-    @pytest.mark.parametrize("mode", ["shared", "independent"])
     @pytest.mark.parametrize(
         "queries", [[Query(3, 1)], [Query(4, 2), Query(3, 1)], [Query(4, 2)]]
     )
-    def test_refused_value_leaves_engine_as_it_was(self, mode, queries):
+    def test_refused_value_leaves_engine_as_it_was(self, queries):
         # ``0 + "x"`` raises inside the partial stage.  It used to do so
         # after the position had been bumped, so every later answer was
         # reported one position late and "x" counted as consumed.
         sink = CollectSink()
-        engine = StreamEngine(
-            queries, get_operator("sum"), mode=mode, sinks=[sink]
-        )
+        engine = StreamEngine(queries, get_operator("sum"), sinks=[sink])
         engine.feed(1)
         engine.feed(2)
         with pytest.raises(TypeError):
@@ -112,11 +89,6 @@ class TestStreamEngine:
         engine.add_sink(second)
         engine.run(self.STREAM)
         assert first.count == second.count > 0
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(PlanError, match="unknown engine mode"):
-            StreamEngine([Query(4, 2)], get_operator("sum"),
-                         mode="magic")
 
     def test_panes_technique(self):
         sink = CollectSink()
