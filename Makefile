@@ -2,13 +2,19 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-pipeline experiments validate quick-experiments serve metrics event-time clean
+.PHONY: install test cost-gates bench bench-pipeline experiments validate quick-experiments serve metrics event-time clean
 
 install:
 	$(PYTHON) setup.py develop
 
 test:
 	$(PYTHON) -m pytest tests/
+
+# Deterministic cost gates: Python-level library calls per tuple,
+# frame and request on the engine, service and wire paths.  Seconds
+# to run, so a call-count regression fails before the full suite.
+cost-gates:
+	PYTHONPATH=src $(PYTHON) -m pytest -q tests/unit/test_engine_cost.py tests/unit/test_service_cost.py tests/unit/test_wire_cost.py
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

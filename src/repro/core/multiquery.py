@@ -27,26 +27,41 @@ algebraic aggregations follows trivially" (Section 3.1).
 from __future__ import annotations
 
 from collections import deque
-from itertools import repeat
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import InvalidOperatorError, WindowStateError
+from repro.kernels import lift_is_identity
 from repro.operators.algebraic import ComposedOperator
 from repro.operators.base import AggregateOperator
 from repro.operators.views import raw_view
 from repro.windows.partial import PartialAggregator
-from repro.windows.plan import PlanCursor, SharedPlan, build_shared_plan
+from repro.windows.plan import SharedPlan, build_shared_plan
 from repro.windows.query import Query
 
 #: One emitted result: (stream position, query, answer).
 Answer = Tuple[int, Query, Any]
 
 
+def _lower_of(operator: AggregateOperator) -> Optional[Any]:
+    """Bound ``lower``, or ``None`` for the inherited identity."""
+    if type(operator).lower is AggregateOperator.lower:
+        return None
+    return operator.lower
+
+
 class _InvEngine:
     """Invertible path: running answer + start pointer per query."""
 
     def __init__(self, operator: AggregateOperator, plan: SharedPlan):
-        self._op = operator
+        # Bound once (bound methods pickle); each step's due answers
+        # are plain ``(slot, lookback, query)`` rows.
+        self._combine = operator.combine
+        self._inverse = operator.inverse
+        self._lower = _lower_of(operator)
+        self._schedule = [
+            tuple((sq.slot, sq.lookback, sq.query) for sq in step.answers)
+            for step in plan.steps
+        ]
         # Retain enough history for the largest lookback plus the skew
         # between a query's answer steps (bounded by one cycle).
         # Partial number ``i`` (0-based) lives in slot ``i % capacity``.
@@ -56,40 +71,43 @@ class _InvEngine:
         # indexed by ``ScheduledQuery.slot`` — hashing the frozen
         # ``Query`` per partial cost more than the ⊕/⊖ themselves.
         self._answers: List[Any] = [operator.identity] * len(plan.queries)
+        self._slots = tuple(range(len(plan.queries)))
         # Absolute index of the first partial still inside each query's
         # running answer.
         self._starts: List[int] = [0] * len(plan.queries)
         self._count = 0  # partials seen
 
-    def on_partial(self, value: Any, scheduled, position: int) -> List[Answer]:
-        op = self._op
+    def on_partial(self, value, index: int, position: int) -> List[Answer]:
         ring = self._ring
         capacity = len(ring)
         count = self._count
         ring[count % capacity] = value
         self._count = count = count + 1
-        combine = op.combine
-        self._answers = answers = [
-            combine(answer, value) for answer in self._answers
-        ]
+        combine = self._combine
+        answers = self._answers
+        for slot in self._slots:
+            answers[slot] = combine(answers[slot], value)
+        inverse = self._inverse
+        lower = self._lower
         starts = self._starts
         results = []
-        for sq in scheduled:
-            slot = sq.slot
+        for slot, lookback, query in self._schedule[index]:
             answer = answers[slot]
             # Negative while the window fills: nothing to evict yet.
-            target_start = count - sq.lookback
+            target_start = count - lookback
             start = starts[slot]
             while start < target_start:
-                answer = op.inverse(answer, ring[start % capacity])
+                answer = inverse(answer, ring[start % capacity])
                 start += 1
             starts[slot] = start
             answers[slot] = answer
-            results.append((position, sq.query, op.lower(answer)))
+            if lower is not None:
+                answer = lower(answer)
+            results.append((position, query, answer))
         return results
 
     def on_partials(
-        self, values: List[Any], steps, positions: List[int]
+        self, values: List[Any], indices: List[int], positions: List[int]
     ) -> List[Answer]:
         """:meth:`on_partial` over a run of partials, state in locals.
 
@@ -100,36 +118,38 @@ class _InvEngine:
         back once, in a ``finally``: an operator that raises mid-run
         leaves what the per-partial path would have left.
         """
-        op = self._op
-        combine = op.combine
-        inverse = op.inverse
-        lower = op.lower
+        combine = self._combine
+        inverse = self._inverse
+        lower = self._lower
+        schedule = self._schedule
         ring = self._ring
         capacity = len(ring)
         starts = self._starts
         answers = self._answers
+        slots = self._slots
         count = self._count
         results: List[Answer] = []
         emit = results.append
         try:
-            for value, step, position in zip(values, steps, positions):
+            for value, index, position in zip(values, indices, positions):
                 ring[count % capacity] = value
                 count += 1
-                answers = list(map(combine, answers, repeat(value)))
-                for sq in step.answers:
-                    slot = sq.slot
+                for slot in slots:
+                    answers[slot] = combine(answers[slot], value)
+                for slot, lookback, query in schedule[index]:
                     answer = answers[slot]
-                    target_start = count - sq.lookback
+                    target_start = count - lookback
                     start = starts[slot]
                     while start < target_start:
                         answer = inverse(answer, ring[start % capacity])
                         start += 1
                     starts[slot] = start
                     answers[slot] = answer
-                    emit((position, sq.query, lower(answer)))
+                    if lower is not None:
+                        answer = lower(answer)
+                    emit((position, query, answer))
         finally:
             self._count = count
-            self._answers = answers
         return results
 
 
@@ -137,44 +157,55 @@ class _NonInvEngine:
     """Selection path: one monotone deque shared by every query."""
 
     def __init__(self, operator: AggregateOperator, plan: SharedPlan):
-        self._op = operator
+        # Due answers: ``(lookback, query)`` rows, descending lookback.
+        self._dominates = operator.dominates
+        self._lower = _lower_of(operator)
+        self._schedule = [
+            tuple((sq.lookback, sq.query) for sq in step.answers)
+            for step in plan.steps
+        ]
         self._deque: deque = deque()
         self._w_size = plan.w_size
         self._count = 0
 
-    def on_partial(self, value: Any, scheduled, position: int) -> List[Answer]:
-        op = self._op
+    def on_partial(self, value, index: int, position: int) -> List[Answer]:
         nodes_deque = self._deque
-        self._count = count = self._count + 1
+        count = self._count + 1
         if nodes_deque and nodes_deque[0][0] <= count - self._w_size:
             nodes_deque.popleft()
-        dominates = op.dominates
+        dominates = self._dominates
         while nodes_deque and dominates(nodes_deque[-1][1], value):
             nodes_deque.pop()
+        if not nodes_deque:  # nothing to compare: test it on itself
+            dominates(value, value)
         nodes_deque.append((count, value))
+        # Stored last: a value the first ``dominates`` refuses leaves
+        # the count and every live node as they were.
+        self._count = count
 
-        lower = op.lower
+        lower = self._lower
         results = []
         nodes = iter(nodes_deque)
         pos, val = next(nodes)
-        for sq in scheduled:  # descending lookback (plan ordering)
-            threshold = count - sq.lookback
+        for lookback, query in self._schedule[index]:
+            threshold = count - lookback
             while pos <= threshold:
                 pos, val = next(nodes)
-            results.append((position, sq.query, lower(val)))
+            answer = val if lower is None else lower(val)
+            results.append((position, query, answer))
         return results
 
     def on_partials(
-        self, values: List[Any], steps, positions: List[int]
+        self, values: List[Any], indices: List[int], positions: List[int]
     ) -> List[Answer]:
         """:meth:`on_partial` over a run of partials, state in locals.
 
         Same deque operations in the same order per partial; the
         partial count is written back once, in a ``finally``.
         """
-        op = self._op
-        dominates = op.dominates
-        lower = op.lower
+        dominates = self._dominates
+        lower = self._lower
+        schedule = self._schedule
         nodes_deque = self._deque
         popleft = nodes_deque.popleft
         pop = nodes_deque.pop
@@ -184,7 +215,7 @@ class _NonInvEngine:
         results: List[Answer] = []
         emit = results.append
         try:
-            for value, step, position in zip(values, steps, positions):
+            for value, index, position in zip(values, indices, positions):
                 count += 1
                 if nodes_deque and nodes_deque[0][0] <= count - w_size:
                     popleft()
@@ -193,11 +224,12 @@ class _NonInvEngine:
                 push((count, value))
                 nodes = iter(nodes_deque)
                 pos, val = next(nodes)
-                for sq in step.answers:  # descending lookback
-                    threshold = count - sq.lookback
+                for lookback, query in schedule[index]:
+                    threshold = count - lookback
                     while pos <= threshold:
                         pos, val = next(nodes)
-                    emit((position, sq.query, lower(val)))
+                    answer = val if lower is None else lower(val)
+                    emit((position, query, answer))
         finally:
             self._count = count
         return results
@@ -212,35 +244,31 @@ class _ComponentwiseEngine:
     """
 
     def __init__(self, operator: ComposedOperator, plan: SharedPlan):
-        self._op = operator
+        self._lower = operator.lower
         self._parts = [
             _engine_for(raw_view(component), plan)
             for component in operator.components
         ]
 
-    def _zip(self, per_part: List[List[Answer]]) -> List[Answer]:
-        lower = self._op.lower
-        results = []
-        for row in zip(*per_part):
-            position, query, _ = row[0]
-            answers = tuple(answer for _, _, answer in row)
-            results.append((position, query, lower(answers)))
-        return results
-
-    def on_partial(self, value: Any, scheduled, position: int) -> List[Answer]:
-        return self._zip([
-            part.on_partial(slot, scheduled, position)
-            for part, slot in zip(self._parts, value)
-        ])
+    def on_partial(self, value, index: int, position: int) -> List[Answer]:
+        lower = self._lower
+        # One row per due query: its answer triple from each component.
+        return [
+            (position, row[0][1], lower(tuple([a for _, _, a in row])))
+            for row in zip(*[
+                part.on_partial(slot, index, position)
+                for part, slot in zip(self._parts, value)
+            ])
+        ]
 
     def on_partials(
-        self, values: List[Any], steps, positions: List[int]
+        self, values: List[Any], indices: List[int], positions: List[int]
     ) -> List[Answer]:
         """:meth:`on_partial` per partial: a raising component leaves
         exactly what the per-partial path would have left."""
         results: List[Answer] = []
-        for value, step, position in zip(values, steps, positions):
-            results += self.on_partial(value, step.answers, position)
+        for value, index, position in zip(values, indices, positions):
+            results += self.on_partial(value, index, position)
         return results
 
 
@@ -290,12 +318,18 @@ class SharedSlickDeque:
         self.plan = plan or build_shared_plan(self.queries, technique)
         self._partials = PartialAggregator(operator, self.plan)
         self._identity = operator.identity
+        self._cycle = len(self.plan.steps)
         #: Every plan step is one tuple long (any slide-1 query makes
         #: it so): :meth:`feed` then skips the partial stage.
         self._unit_steps = all(step.length == 1 for step in self.plan.steps)
-        # Lazily created by feed_partial(); feed() and feed_partial()
-        # are mutually exclusive drive modes for one instance.
-        self._partial_cursor: Optional[PlanCursor] = None
+        # That partial, ``identity ⊕ lift(value)``, skips an inherited
+        # identity ``lift`` and a selecting ⊕ (it returns its other
+        # operand); other ⊕ run, as ``0 + -0.0`` is ``0.0``.
+        self._lift = None if lift_is_identity(operator) else operator.lift
+        self._seed = None if operator.selects else operator.combine
+        # Step the last feed_partial() closed, ``None`` before: feed()
+        # and feed_partial() are exclusive drive modes of one instance.
+        self._partial_index: Optional[int] = None
         self._engine = _engine_for(operator, self.plan)
 
     @property
@@ -329,21 +363,21 @@ class SharedSlickDeque:
                 "feed_partial() cannot be mixed with feed() on the "
                 "same SharedSlickDeque instance"
             )
-        if self._partial_cursor is None:
-            self._partial_cursor = PlanCursor(self.plan)
-        self._partial_cursor.get_next_partial_length()
-        step = self._partial_cursor.current_step
-        return self._engine.on_partial(value, step.answers, position)
+        index = self._partial_index
+        index = 0 if index is None else (index + 1) % self._cycle
+        self._partial_index = index
+        return self._engine.on_partial(value, index, position)
 
     def feed(self, value: Any) -> List[Answer]:
         """Consume one tuple; return the answers it released.
 
         A value the operator refuses (``lift`` or ⊕ raises in the
-        partial stage) leaves this instance exactly as it was.  A
-        failure inside the final-aggregation update is not covered:
-        the window state can no longer be trusted afterwards.
+        partial stage, or the first ``dominates`` test that replaces a
+        selecting ⊕ at slide 1) leaves this instance exactly as it
+        was.  A later failure inside the final-aggregation update is
+        not covered: the window state can no longer be trusted.
         """
-        if self._partial_cursor is not None:
+        if self._partial_index is not None:
             raise WindowStateError(
                 "feed() cannot be mixed with feed_partial() on the "
                 "same SharedSlickDeque instance"
@@ -351,24 +385,26 @@ class SharedSlickDeque:
         partials = self._partials
         if self._unit_steps:
             # Slide-1 bypass: every step closes on its first tuple, so
-            # the open partial is always the identity and the partial
-            # stage's accumulate / compare / reset round trip is one
-            # lift and one ⊕.  ⊕ with the identity still runs: it is
-            # not a no-op bit for bit (``0 + -0.0`` is ``0.0``).
-            op = self.operator
-            partial = op.combine(self._identity, op.lift(value))
-            steps = self.plan.steps
+            # the open partial is always the identity.  Step and
+            # position advance once the final stage has returned.
+            lift = self._lift
+            partial = value if lift is None else lift(value)
+            seed = self._seed
+            if seed is not None:
+                partial = seed(self._identity, partial)
             index = partials.step_index
-            partials.step_index = (index + 1) % len(steps)
-            partials.position = position = partials.position + 1
-            return self._engine.on_partial(
-                partial, steps[index].answers, position
-            )
+            position = partials.position + 1
+            answers = self._engine.on_partial(partial, index, position)
+            partials.step_index = (index + 1) % self._cycle
+            partials.position = position
+            return answers
         completed = partials.feed(value)
         if completed is None:
             return []
-        partial, step, position = completed
-        return self._engine.on_partial(partial, step.answers, position)
+        partial, _, position = completed
+        # feed() has already moved step_index past the step it closed.
+        index = (partials.step_index - 1) % self._cycle
+        return self._engine.on_partial(partial, index, position)
 
     def feed_many(self, values: Iterable[Any]) -> List[Answer]:
         """Consume a batch of tuples; return every answer released.
@@ -380,7 +416,7 @@ class SharedSlickDeque:
         order.  Answers — values, order, and reported positions — are
         byte-identical to feeding tuple by tuple.
         """
-        if self._partial_cursor is not None:
+        if self._partial_index is not None:
             raise WindowStateError(
                 "feed_many() cannot be mixed with feed_partial() on "
                 "the same SharedSlickDeque instance"

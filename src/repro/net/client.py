@@ -341,6 +341,8 @@ class AggregationClient(_RequestCore):
                 f"connecting to {host}:{port} exceeded "
                 f"{connect_timeout} seconds"
             ) from exc
+        # Else a POLL after a SUBMIT_BATCH waits for that batch's ACK.
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock.settimeout(request_timeout)
         self._sock.sendall(PREFACE)
 

@@ -28,6 +28,7 @@ class RawView(InvertibleOperator):
 
     Subclasses :class:`InvertibleOperator` so invertibility dispatch
     still works; the ``invertible`` flag mirrors the wrapped operator.
+    ``lower`` is the inherited identity, which the engines skip.
     """
 
     def __init__(self, inner: AggregateOperator):
@@ -53,15 +54,11 @@ class RawView(InvertibleOperator):
     def dominates(self, incumbent: Agg, challenger: Agg) -> bool:
         return self.inner.dominates(incumbent, challenger)
 
-    def lower(self, agg: Agg) -> Any:
-        return agg
-
 
 class PartialView(RawView):
     """A raw view whose inputs are *already lifted* aggregates."""
 
-    def lift(self, value: Any) -> Agg:
-        return value
+    lift = AggregateOperator.lift  # the base identity: callers skip it
 
 
 class ComponentSlice(AggregateOperator):

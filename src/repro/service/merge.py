@@ -7,9 +7,9 @@ order instead of stream order is exact precisely when the operator's
 partial recombination is order-insensitive — the
 :attr:`~repro.operators.base.AggregateOperator.mergeable` capability —
 and the final aggregation additionally needs a SlickDeque processing
-path (invertible or selection-type).  :func:`check_mergeable` enforces
-both up front so unsound merges are rejected at service construction,
-not detected as wrong answers.
+path (invertible, selection-type, or a composition such as Range).
+:func:`check_mergeable` enforces both up front so unsound merges are
+rejected at service construction, not detected as wrong answers.
 
 :class:`GlobalMerger` and :class:`EventTimeMerger` track each shard's
 slice watermark on one shared frontier, finalise a slice once every
@@ -25,6 +25,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.core.multiquery import Answer, SharedSlickDeque
 from repro.errors import MergeCapabilityError
+from repro.operators.algebraic import ComposedOperator
 from repro.operators.base import AggregateOperator
 from repro.service.shard import ShardOutput
 from repro.service.slices import SliceClock
@@ -44,9 +45,9 @@ def check_mergeable(operator: AggregateOperator) -> None:
 
     Raises:
         MergeCapabilityError: when partial recombination is
-            order-sensitive (not ``mergeable``) or the operator has no
-            SlickDeque final-aggregation path; such operators must run
-            in per-key mode.
+            order-sensitive (not ``mergeable``: run such an operator
+            in per-key mode), or when the operator has no SlickDeque
+            final-aggregation path at all (e.g. ``bit_and``).
     """
     if not operator.mergeable:
         raise MergeCapabilityError(
@@ -56,13 +57,15 @@ def check_mergeable(operator: AggregateOperator) -> None:
             "combined into exact global answers; run the service in "
             "per-key mode instead"
         )
-    if not (operator.invertible or operator.selects):
+    # Exactly what the shared engine's dispatch refuses.
+    composed = isinstance(operator, ComposedOperator)
+    if not (operator.invertible or operator.selects or composed):
         raise MergeCapabilityError(
             f"operator {operator.name!r} has no shared SlickDeque "
-            "processing path (neither invertible nor selection-type), "
-            "so merged partials cannot drive the global final "
-            "aggregation; run the service in per-key mode, or "
-            "decompose the operator per component"
+            "processing path (neither invertible, selection-type, nor "
+            "an algebraic composition), so merged partials cannot "
+            "drive the global final aggregation; SlickDeque targets "
+            "distributive and algebraic aggregations (paper Section 3.1)"
         )
 
 

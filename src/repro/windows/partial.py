@@ -96,18 +96,20 @@ class PartialAggregator:
         The row view of :meth:`feed_columns`: same fold, same state
         left behind, same failure rule.
         """
-        return list(map(CompletedPartial, *self.feed_columns(values)))
+        partials, indices, positions = self.feed_columns(values)
+        steps = [self.plan.steps[index] for index in indices]
+        return list(map(CompletedPartial, partials, steps, positions))
 
     def feed_columns(
         self, values: Iterable[Any]
-    ) -> Tuple[List[Agg], List[PlanStep], List[int]]:
+    ) -> Tuple[List[Agg], List[int], List[int]]:
         """Fold a batch into three columns, one entry per closed partial.
 
-        Returns ``(partials, steps, positions)``: each completed
-        partial's value, the plan step that closed it and the 1-based
-        stream position of its last tuple — what :meth:`feed_many`
-        zips into :class:`CompletedPartial` rows, without the row
-        objects (the shared engine's bulk path consumes the columns).
+        Returns ``(partials, indices, positions)``: each completed
+        partial's value, the ``plan.steps`` index of the step that
+        closed it and the 1-based stream position of its last tuple —
+        what :meth:`feed_many` zips into :class:`CompletedPartial` rows
+        (the shared engine's bulk path consumes the columns).
 
         The call's cut points come from the plan steps alone; the whole
         batch then folds with one segmented kernel call
@@ -126,12 +128,12 @@ class PartialAggregator:
         count = self._count
         step_index = self.step_index
         bounds = [0]
-        closed: List[PlanStep] = []
+        closed: List[int] = []
         step = steps[step_index]
         end = step.length - count
         while end <= total:
             bounds.append(end)
-            closed.append(step)
+            closed.append(step_index)
             step_index = (step_index + 1) % cycle
             step = steps[step_index]
             end += step.length

@@ -49,12 +49,19 @@ def test_multi_query_resume_equivalence(algorithm):
     assert resumed.run(STREAM[SPLIT:]) == expected[SPLIT:]
 
 
-def test_shared_engine_resume_equivalence():
-    queries = [Query(6, 2), Query(8, 4)]
-    continuous = SharedSlickDeque(queries, get_operator("sum"))
+@pytest.mark.parametrize("operator_name", ["sum", "max", "range"])
+@pytest.mark.parametrize(
+    "queries",
+    [[Query(6, 2), Query(8, 4)], [Query(6, 1), Query(3, 1)]],
+    ids=["mixed", "slide1"],
+)
+def test_shared_engine_resume_equivalence(queries, operator_name):
+    # Every engine's state — bound operator methods, per-step answer
+    # tables, the slide-1 bypass's callables — survives the pickle.
+    continuous = SharedSlickDeque(queries, get_operator(operator_name))
     expected = list(continuous.run(STREAM))
 
-    subject = SharedSlickDeque(queries, get_operator("sum"))
+    subject = SharedSlickDeque(queries, get_operator(operator_name))
     consumed = list(subject.run(STREAM[:SPLIT]))
     resumed = restore(snapshot(subject))
     tail = list(resumed.run(STREAM[SPLIT:]))

@@ -174,6 +174,27 @@ class TestOverTheWireEquivalence:
         assert answers == reference
         assert stats["server"]["accepted_records"] == len(records)
 
+    def test_both_clients_disable_nagle(self):
+        # A POLL written right after a SUBMIT_BATCH must not wait for
+        # the batch's reply to ACK it.
+        async def async_nodelay(port):
+            client = await AsyncAggregationClient.connect(
+                "127.0.0.1", port
+            )
+            async with client:
+                raw = client._writer.get_extra_info("socket")
+                return raw.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+        with ServerThread(
+            AggregationServer(make_service())
+        ) as thread:
+            with AggregationClient("127.0.0.1", thread.port) as client:
+                sync_nodelay = client._sock.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+            assert sync_nodelay
+            assert asyncio.run(async_nodelay(thread.port))
+
     def test_two_connections_share_one_service(self):
         records = keyed_records(120)
         reference = reference_answers(records)

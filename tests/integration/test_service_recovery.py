@@ -10,17 +10,19 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import random
 import signal
 import time
 
 import pytest
 
-from repro.errors import InvalidOperatorError
+from repro.errors import InvalidOperatorError, MergeCapabilityError
 from repro.operators.registry import get_operator
 from repro.service import AggregationService
-from repro.stream.engine import StreamEngine
+from repro.stream.engine import EventTimeEngine, StreamEngine
 from repro.stream.sink import CollectSink
 from repro.windows.query import Query
+from repro.windows.timebased import TimeQuery
 
 QUERIES = (Query(12, 4), Query(8, 2))
 
@@ -167,6 +169,66 @@ def test_per_key_range_answers_equal_per_key_engines(transport):
         assert result.per_key[key] == _expected_per_key(values, "range")
     assert result.stats.degraded_keys == ()
     assert result.dead_letters == []
+
+
+@pytest.mark.parametrize("transport", ["inline", "process"])
+def test_global_range_answers_equal_stream_engine(transport):
+    # Range merges exactly across shards (Max and Min select), and its
+    # merged slice partials drive the per-component shared engine.
+    rng = random.Random(34)
+    records = [
+        (f"sensor-{rng.randrange(5)}", rng.uniform(-100.0, 100.0))
+        for _ in range(3000)
+    ]
+    with AggregationService(
+        QUERIES,
+        get_operator("range"),
+        num_shards=3,
+        batch_size=37,
+        transport=transport,
+    ) as service:
+        service.submit_many(records)
+        result = service.close()
+    expected = _expected("range", records)
+    assert len(result.answers) == 3000 // 4 + 3000 // 2
+    assert repr(result.answers) == repr(expected)
+
+
+@pytest.mark.parametrize("transport", ["inline", "process"])
+def test_time_range_answers_equal_event_time_engine(transport):
+    queries = [TimeQuery(2.0, 1.0), TimeQuery(5.0, 2.0)]
+    events = [
+        (f"sensor-{i % 5}", i / 10 + 0.011, (i * 37 + 5) % 203 - 101)
+        for i in range(600)
+    ]
+    oracle = EventTimeEngine(queries, get_operator("range"), lateness=1.0)
+    expected = oracle.feed_many([(ts, value) for _, ts, value in events])
+    expected += oracle.finish()
+    with AggregationService(
+        queries,
+        get_operator("range"),
+        num_shards=3,
+        mode="time",
+        transport=transport,
+        lateness=1.0,
+    ) as service:
+        service.submit_events(events)
+        result = service.close()
+    assert expected
+    assert repr(result.answers) == repr(expected)
+
+
+@pytest.mark.parametrize("mode", ["global", "time"])
+def test_merged_modes_refuse_an_operator_without_engine_path(mode):
+    queries = [TimeQuery(2.0, 1.0)] if mode == "time" else [Query(8, 2)]
+    with pytest.raises(MergeCapabilityError, match="bit_and"):
+        AggregationService(
+            queries,
+            get_operator("bit_and"),
+            num_shards=2,
+            mode=mode,
+            transport="inline",
+        )
 
 
 @pytest.mark.parametrize("transport", ["inline", "process"])

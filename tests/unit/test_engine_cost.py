@@ -5,10 +5,13 @@ wrapper is worth; the number of Python function calls one ``feed``
 makes does not swing at all.  On the pipeline benchmark's per-tuple
 shape (two slide-1 queries, one ``CollectSink``, windows full) the
 engine made 19 calls per tuple for ``max`` and 24 for ``sum`` before
-the lean path; the ceilings below hold the wrapper to what is left:
-``feed`` → ``SharedSlickDeque.feed`` → ``lift`` / ⊕ → ``on_partial`` →
-``dominates`` / ``lower`` (or ring push, ⊕, ⊖, ``lower``) →
-``emit_many``.
+the lean path, then 11 and 13.  The ceilings below are today's counts:
+besides the algorithm's own operations, a tuple pays ``feed``,
+``SharedSlickDeque.feed``, ``on_partial`` and ``emit_many`` — for
+``max`` two ``dominates`` on average (6 in all), for ``sum`` the ⊕
+with the identity, two ⊕ and two ⊖ (9).  An inherited identity
+``lift`` / ``lower`` is never called, and a selection operator's ⊕
+with the identity is skipped (it returns its other operand).
 """
 
 from __future__ import annotations
@@ -61,11 +64,15 @@ def calls_per_feed(operator_name: str) -> float:
     return calls / MEASURED
 
 
-@pytest.mark.parametrize(
-    "operator_name, ceiling", [("max", 12.0), ("sum", 16.0)]
-)
-def test_feed_makes_few_python_calls(operator_name, ceiling):
-    assert calls_per_feed(operator_name) <= ceiling
+#: Library calls per tuple at slide 1: the gates for ``feed`` and,
+#: no higher than ``feed``'s own count, for ``feed_many``.  Test ids
+#: name the operator only, so tightening a ceiling renames no test.
+SLIDE_ONE_CEILINGS = {"max": 6.0, "sum": 9.0}
+
+
+@pytest.mark.parametrize("operator_name", list(SLIDE_ONE_CEILINGS))
+def test_feed_makes_few_python_calls(operator_name):
+    assert calls_per_feed(operator_name) <= SLIDE_ONE_CEILINGS[operator_name]
 
 
 # ---------------------------------------------------------------------
@@ -135,20 +142,16 @@ def test_bulk_call_count_does_not_grow_with_tuples_per_slice():
     assert wide == narrow
 
 
-@pytest.mark.parametrize(
-    "operator_name, ceiling", [("max", 12.0), ("sum", 16.0)]
-)
-def test_slide_one_feed_many_makes_no_more_calls_than_feed(
-    operator_name, ceiling
-):
+@pytest.mark.parametrize("operator_name", list(SLIDE_ONE_CEILINGS))
+def test_slide_one_feed_many_makes_no_more_calls_than_feed(operator_name):
     """Slide 1 — an answer per tuple per query — is where ``feed_many``
-    used to lose to ``feed`` (parent: 24.0 calls per tuple for sum, 14.0
-    for max, against ``feed``'s 16.0 / 11.0).  It is held to ``feed``'s
-    own ceilings."""
+    used to lose to ``feed`` (once 24.0 calls per tuple for sum, 14.0
+    for max, against ``feed``'s 16.0 / 11.0; today about 4 against 9 /
+    6).  It is held to ``feed``'s own ceilings."""
     per_call = calls_per_feed_many(
         operator_name, [Query(256, 1), Query(64, 1)], 500, calls_made=4
     )
-    assert per_call / 500 <= ceiling
+    assert per_call / 500 <= SLIDE_ONE_CEILINGS[operator_name]
     assert per_call / 500 <= calls_per_feed(operator_name)
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import MergeCapabilityError, ServiceError
-from repro.operators.algebraic import mean_operator, range_operator
+from repro.operators.algebraic import mean_operator
 from repro.operators.positional import FirstOperator, LastOperator
 from repro.operators.registry import get_operator
 from repro.service.merge import check_mergeable
@@ -410,7 +410,7 @@ def test_mergeable_defaults_follow_commutativity():
 
 
 def test_check_mergeable_accepts_the_paper_operators():
-    for name in ("sum", "count", "max", "min", "mean", "stddev"):
+    for name in ("sum", "count", "max", "min", "mean", "stddev", "range"):
         check_mergeable(get_operator(name))
 
 
@@ -420,9 +420,11 @@ def test_check_mergeable_rejects_order_sensitive_operators():
 
 
 def test_check_mergeable_rejects_operators_without_engine_path():
-    # Range is commutative but neither invertible nor selection-type.
+    # ``bit_and`` is commutative but neither invertible, selection-type
+    # nor an algebraic composition: the shared engine refuses it too.
+    # (Range, a composition, runs per component: see the test above.)
     with pytest.raises(MergeCapabilityError, match="processing path"):
-        check_mergeable(range_operator())
+        check_mergeable(get_operator("bit_and"))
 
 
 def test_shard_config_validates_mode_and_interval():

@@ -66,6 +66,27 @@ class TestStreamEngine:
         assert engine.tuples_consumed == 5
         assert sink.answers == brute_answers(queries, "sum", [1, 2, 3, 4, 5])
 
+    def test_slide_one_selection_refusal_leaves_engine_as_it_was(self):
+        # At slide 1 a selection operator's partial stage is ``lift``
+        # alone, so ``cos("x")`` now raises in the first ``dominates``
+        # test of the final stage — still before anything is stored.
+        queries = [Query(4, 1), Query(2, 1)]
+        sink = CollectSink()
+        engine = StreamEngine(queries, get_operator("argmax_cos"), sinks=[sink])
+        # Falling cosines: the deque keeps every node, so the head
+        # expires (and is popped) on the very feed that raises.
+        stream = [index / 10 for index in range(1, 11)]
+        with pytest.raises(TypeError):  # the empty deque tests it too
+            engine.feed("x")
+        for value in stream[:6]:
+            engine.feed(value)
+        with pytest.raises(TypeError):
+            engine.feed("x")
+        assert engine.tuples_consumed == 6
+        for value in stream[6:]:
+            engine.feed(value)
+        assert sink.answers == brute_answers(queries, "argmax_cos", stream)
+
     def test_refused_batch_leaves_shared_engine_as_it_was(self):
         # The bulk partial stage stores its state once, after the last
         # segment folded: a batch it refuses is not half consumed.
