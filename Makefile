@@ -16,8 +16,10 @@ test:
 cost-gates:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/unit/test_engine_cost.py tests/unit/test_service_cost.py tests/unit/test_wire_cost.py
 
+# Every paper sweep case (Table 1, Figs. 10-15, Exp 5, ablations) at
+# the quick scale under pytest-benchmark.
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/paper/bench_paper.py --benchmark-only
 
 # Smoke pass of the BENCHMARK.json pipeline benchmark: all six
 # workloads at 1/8 of the fixed work, every answer checked; exits
@@ -25,14 +27,15 @@ bench:
 bench-pipeline:
 	python3 benchmarks/pipeline/run.py --quick
 
+# The paper harness (benchmarks/paper/) runs from the repository root.
 experiments:
-	$(PYTHON) -m repro.experiments.cli all --scale default --chart
+	PYTHONPATH=src $(PYTHON) -m benchmarks.paper.cli all --scale default --chart
 
 quick-experiments:
-	$(PYTHON) -m repro.experiments.cli all --scale quick
+	PYTHONPATH=src $(PYTHON) -m benchmarks.paper.cli all --scale quick
 
 validate:
-	$(PYTHON) -m repro.experiments.cli validate
+	PYTHONPATH=src $(PYTHON) -m benchmarks.paper.cli validate
 
 serve:
 	PYTHONPATH=src $(PYTHON) examples/net_server.py

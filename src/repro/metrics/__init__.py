@@ -1,15 +1,12 @@
-"""Measurement harness: throughput, latency, memory, operation counts.
+"""Measurements: operation counts, memory, spikes, growth classes, stats.
 
-The four evaluation metrics of paper Section 5.1, adapted to Python as
-documented in DESIGN.md (logical memory words instead of RSS; operation
-counts as the runtime-independent complement to wall-clock throughput).
+The runtime-independent metrics of paper Section 5.1, adapted to
+Python as documented in DESIGN.md (logical memory words instead of
+RSS; operation counts as the complement to wall-clock throughput).
+The wall-clock drivers live with the paper harness in
+``benchmarks/paper/measures.py``.
 """
 
-from repro.metrics.latency import (
-    OUTLIER_FRACTION,
-    LatencyRecorder,
-    measure_step_latencies,
-)
 from repro.metrics.memory import (
     MemoryResult,
     measure_memory,
@@ -38,15 +35,9 @@ from repro.metrics.stats import (
     percentile,
     ratio,
 )
-from repro.metrics.throughput import (
-    ThroughputResult,
-    measure_single_query,
-)
+from repro.metrics.throughput import ThroughputResult
 
 __all__ = [
-    "LatencyRecorder",
-    "measure_step_latencies",
-    "OUTLIER_FRACTION",
     "MemoryResult",
     "measure_memory",
     "peak_memory_words",
@@ -54,7 +45,6 @@ __all__ = [
     "count_ops",
     "count_ops_single",
     "ThroughputResult",
-    "measure_single_query",
     "Reservoir",
     "Summary",
     "maybe_summary",

@@ -48,15 +48,24 @@ def peak_memory_words(aggregator: Any, values: Iterable[Any]) -> int:
 def measure_memory(
     make_aggregator: Callable[[], Any], values: Sequence[Any]
 ) -> MemoryResult:
-    """Logical-word peak plus tracemalloc peak for one run."""
-    tracemalloc.start()
+    """Logical-word peak plus tracemalloc peak for one run.
+
+    A caller that is already tracing keeps tracing: only a session this
+    call started is stopped, and the peak is reset first so an outer
+    session's earlier peak is not counted.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
     try:
+        tracemalloc.reset_peak()
         baseline, _ = tracemalloc.get_traced_memory()
         aggregator = make_aggregator()
         logical = peak_memory_words(aggregator, values)
         _, peak = tracemalloc.get_traced_memory()
     finally:
-        tracemalloc.stop()
+        if started:
+            tracemalloc.stop()
     return MemoryResult(
         logical_words=logical,
         measured_peak_bytes=max(0, peak - baseline),

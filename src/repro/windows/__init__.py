@@ -19,7 +19,6 @@ from repro.windows.timebased import (
     slice_duration,
 )
 from repro.windows.plan import (
-    PlanCursor,
     PlanStep,
     ScheduledQuery,
     SharedPlan,
@@ -57,7 +56,6 @@ __all__ = [
     "SharedPlan",
     "PlanStep",
     "ScheduledQuery",
-    "PlanCursor",
     "build_shared_plan",
     "CompletedPartial",
     "PartialAggregator",

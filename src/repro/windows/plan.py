@@ -168,44 +168,6 @@ class SharedPlan:
         )
 
 
-class PlanCursor:
-    """Stateful walker exposing the paper's ``sharedPlan`` accessors.
-
-    Algorithms 1 and 2 call ``getNextPartialLength()`` then
-    ``getNextSetOfQueries()`` once per loop iteration; this cursor
-    provides exactly that interface over a :class:`SharedPlan`.
-    """
-
-    def __init__(self, plan: SharedPlan):
-        self.plan = plan
-        # A plain index rather than a generator keeps the cursor
-        # picklable (stream checkpointing snapshots whole engines).
-        self._index = -1
-        self._current: PlanStep = None  # type: ignore[assignment]
-
-    def get_next_partial_length(self) -> int:
-        """Advance to the next step; return its partial length."""
-        self._index = (self._index + 1) % len(self.plan.steps)
-        self._current = self.plan.steps[self._index]
-        return self._current.length
-
-    @property
-    def current_step(self) -> PlanStep:
-        """The step most recently returned by the iterator."""
-        if self._current is None:
-            raise PlanError("cursor has not been advanced yet")
-        return self._current
-
-    def get_next_set_of_queries(self) -> Tuple[ScheduledQuery, ...]:
-        """Queries due at the current step, descending by range."""
-        if self._current is None:
-            raise PlanError(
-                "call get_next_partial_length() before "
-                "get_next_set_of_queries()"
-            )
-        return self._current.answers
-
-
 def build_shared_plan(
     queries: Sequence[Query], technique: str = PAIRS
 ) -> SharedPlan:

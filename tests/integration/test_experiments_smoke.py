@@ -1,18 +1,27 @@
-"""Integration: the experiment harness runs end-to-end (quick scale).
+"""Integration: the paper harness runs end-to-end (quick scale).
 
-Each figure/table module executes on a seconds-scale configuration and
+Each figure/table sweep executes on a seconds-scale configuration and
 its qualitative shape claims hold — the fast companion to the full
-``repro-experiments all`` run recorded in EXPERIMENTS.md.
+``make experiments`` run recorded in EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.experiments import exp1_throughput, exp2_multiquery
-from repro.experiments import exp3_latency, exp4_memory
-from repro.experiments import table1_complexity
-from repro.experiments.config import ExperimentConfig
+from repro.registry import available_algorithms
+
+from benchmarks.paper.sweeps import (
+    EXP1,
+    EXP2,
+    EXP3,
+    EXP4,
+    TABLE1,
+    ExperimentConfig,
+    series,
+)
 
 
 @pytest.fixture(scope="module")
@@ -20,42 +29,51 @@ def config():
     return ExperimentConfig.quick()
 
 
-def test_table1_measured_vs_theory():
-    result = table1_complexity.run(window=32, slides=1024)
-    rendered = result.table().render()
+def _measure(sweep, config, operator_name):
+    """One operator's cases of a sweep (the report runs both)."""
+    return {
+        case: sweep.measure(config, *case)
+        for case in sweep.cases(config)
+        if case[0] == operator_name
+    }
+
+
+def test_table1_measured_vs_theory(config):
+    config = dataclasses.replace(config, table1_window=32)
+    results = TABLE1.run(config)
+    rendered = TABLE1.render(config, results, False)
     assert "slickdeque" in rendered
     # The load-bearing cells:
-    assert result.single["sum"]["slickdeque"].amortized == 2.0
-    assert result.single["sum"]["naive"].amortized == 31.0
-    assert result.multi["sum"]["slickdeque"].amortized == 64.0
+    assert results[("sum", "slickdeque", 32)].single.amortized == 2.0
+    assert results[("sum", "naive", 32)].single.amortized == 31.0
+    assert results[("sum", "slickdeque", 32)].multi.amortized == 64.0
 
 
 def test_exp1_shapes(config):
-    result = exp1_throughput.run("sum", config)
+    rates = series(_measure(EXP1, config, "sum"), "sum")
     # Every algorithm produced a rate at every window.
-    for name, by_window in result.series.items():
+    for name, by_window in rates.items():
         assert set(by_window) == set(config.windows), name
         assert all(v and v > 0 for v in by_window.values())
     # SlickDeque (Inv) leads at the largest window.
     largest = max(config.windows)
-    slick = result.series["slickdeque"][largest]
+    slick = rates["slickdeque"][largest]
     assert all(
-        slick >= rate
-        for name, series in result.series.items()
-        for w, rate in series.items()
-        if name != "slickdeque" and w == largest
+        slick >= by_window[largest]
+        for name, by_window in rates.items()
+        if name != "slickdeque"
     )
 
 
 def test_exp2_capabilities(config):
-    result = exp2_multiquery.run("max", config)
-    assert "twostacks" not in result.series
-    assert "daba" not in result.series
+    rates = series(_measure(EXP2, config, "max"), "max")
+    assert "twostacks" not in rates
+    assert "daba" not in rates
     largest = max(config.multi_windows)
-    slick = result.series["slickdeque"][largest]
-    for name, series in result.series.items():
-        if name != "slickdeque" and series.get(largest) is not None:
-            assert slick > series[largest], name
+    slick = rates["slickdeque"][largest]
+    for name, by_window in rates.items():
+        if name != "slickdeque" and by_window.get(largest) is not None:
+            assert slick > by_window[largest], name
 
 
 def test_exp2_naive_cap_respected():
@@ -64,29 +82,25 @@ def test_exp2_naive_cap_respected():
         multi_stream_length=100,
         naive_multi_cap=4,
     )
-    result = exp2_multiquery.run("sum", config,
-                                 algorithms=["naive", "slickdeque"])
-    assert result.series["naive"][2] is not None
-    assert result.series["naive"][8] is None
+    rates = series(EXP2.run(config), "sum")
+    assert rates["naive"].get(2) is not None
+    assert rates["naive"].get(8) is None
+    assert rates["slickdeque"].get(8) is not None
 
 
 def test_exp3_produces_all_categories(config):
-    result = exp3_latency.run(config)
+    results = EXP3.run(config)
     for operator_name in ("sum", "max"):
-        summaries = result.summaries[operator_name]
-        assert set(summaries) == {
-            "naive", "flatfat", "bint", "flatfit", "twostacks", "daba",
-            "slickdeque",
-        }
-        for summary in summaries.values():
+        summaries = series(results, operator_name)
+        assert set(summaries) == set(available_algorithms())
+        for by_window in summaries.values():
+            summary = by_window[config.latency_window]
             assert summary.minimum <= summary.median <= summary.maximum
-    table = result.table("sum").render()
-    assert "p25" in table
+    assert "p25" in EXP3.render(config, results, False)
 
 
 def test_exp4_grouping(config):
-    result = exp4_memory.run(config)
-    words = result.words["sum"]
+    words = series(_measure(EXP4, config, "sum"), "sum")
     for window in config.memory_sizes:
         if window < 4:
             continue
@@ -97,17 +111,6 @@ def test_exp4_grouping(config):
     # Non-inv SlickDeque beats Naive at large windows on real data —
     # quick-config windows are too small for the deque advantage, so
     # the gain check runs directly at window 1024 (Naive costs exactly
-    # its window, no stream needed).
-    from repro.datasets.debs12 import debs12_array
-    from repro.metrics.memory import peak_memory_words
-    from repro.registry import get_algorithm
-    from repro.operators.registry import get_operator
-
+    # its window).
     window = 1024
-    aggregator = get_algorithm("slickdeque").single(
-        get_operator("max"), window
-    )
-    slick = peak_memory_words(
-        aggregator, debs12_array(4 * window, seed=7)
-    )
-    assert slick < window / 2
+    assert EXP4.measure(config, "max", "slickdeque", window) < window / 2

@@ -5,12 +5,18 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets.debs12 import debs12_events
-from repro.experiments import ablations
-from repro.experiments.cli import main as cli_main
 from repro.operators.registry import get_operator
 from repro.windows.compatibility import AcqSpec, CompatibleSharedEngine
 from repro.windows.query import Query
 from repro.windows.timebased import TimeQuery, TimeWindowEngine
+
+from benchmarks.paper.cli import main as cli_main
+from benchmarks.paper.sweeps import (
+    CHUNK,
+    SHAPES,
+    SLICING,
+    ExperimentConfig,
+)
 
 
 def test_time_engine_over_debs12_events():
@@ -78,36 +84,30 @@ def test_compatible_engine_on_debs12():
 
 
 def test_ablation_studies_produce_expected_shapes():
-    chunk_table = ablations.chunk_size_study(window=256)
-    rendered = chunk_table.render()
-    assert "optimum k=√n=16" in rendered
+    config = ExperimentConfig.quick()  # chunk n=256, shape n=64
+    chunks = CHUNK.run(config)
+    assert "optimum k=√n=16" in CHUNK.render(config, chunks, False)
     # The sqrt-sized chunk row must beat the extreme rows.
-    rows = {int(r[0]): float(r[1].replace(",", ""))
-            for r in chunk_table.rows}
+    rows = {k: words for (_, _, k), (words, _) in chunks.items()}
     assert rows[16] < rows[1]
     assert rows[16] < rows[256]
 
-    slicing_table = ablations.slicing_study()
-    by_technique = {row[0]: row for row in slicing_table.rows}
-    assert int(by_technique["pairs"][2]) < int(
-        by_technique["panes"][2]
-    )
-    assert int(by_technique["cutty"][2]) <= int(
-        by_technique["pairs"][2]
-    )
-    assert int(by_technique["cutty"][3]) > 0  # punctuations cost
+    by_technique = {t: row for (_, _, t), row in SLICING.run(config).items()}
+    assert by_technique["pairs"][1] < by_technique["panes"][1]
+    assert by_technique["cutty"][1] <= by_technique["pairs"][1]
+    assert by_technique["cutty"][2] > 0  # punctuations cost
 
-    adversarial_table = ablations.adversarial_study(window=64)
-    by_shape = {row[0]: row for row in adversarial_table.rows}
-    assert int(by_shape["deque-filler"][2]) >= 63  # worst slide = n-1
-    assert int(by_shape["ascending"][3]) == 1
-    assert int(by_shape["descending"][3]) == 64
+    by_shape = {s: row for (_, _, s), row in SHAPES.run(config).items()}
+    assert by_shape["deque-filler"][1] >= 63  # worst slide = n-1
+    assert by_shape["ascending"][2] == 1
+    assert by_shape["descending"][2] == 64
 
 
 def test_cli_out_writes_report(tmp_path):
     target = tmp_path / "report.txt"
     assert cli_main(
-        ["table1", "--window", "8", "--out", str(target)]
+        ["table1", "--window", "8", "--scale", "quick", "--out",
+         str(target)]
     ) == 0
     content = target.read_text()
     assert "Table 1" in content

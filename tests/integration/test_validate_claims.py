@@ -1,7 +1,7 @@
 """Integration: the claims validator reproduces every paper claim.
 
 This is the single highest-level test in the repository: it runs the
-``repro-experiments validate`` machinery (quick scale) and requires
+``python -m benchmarks.paper.cli validate`` machinery (quick scale) and requires
 every checkable claim of the paper to PASS on this machine.
 """
 
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import validate
+from benchmarks.paper import validate
 
 
 @pytest.fixture(scope="module")

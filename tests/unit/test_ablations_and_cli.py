@@ -2,41 +2,57 @@
 
 from __future__ import annotations
 
-import pytest
+import dataclasses
 
-from repro.experiments import ablations
-from repro.experiments.cli import main as cli_main
+from benchmarks.paper import cli
+from benchmarks.paper.cli import main as cli_main
+from benchmarks.paper.sweeps import (
+    CHUNK,
+    SHAPES,
+    SHARING,
+    SLICING,
+    ExperimentConfig,
+    Sweep,
+)
+
+QUICK = ExperimentConfig.quick()
+
+
+def _stub(text, seen=None):
+    """A sweep with no cases whose section is ``text``."""
+    def render(config, results, chart):
+        if seen is not None:
+            seen["chart"] = chart
+        return text
+
+    return Sweep("stub", lambda config: [], None, render)
 
 
 class TestChunkSizeStudy:
     def test_sqrt_row_is_the_minimum(self):
-        table = ablations.chunk_size_study(window=64)
-        by_chunk = {
-            int(row[0]): float(row[1].replace(",", ""))
-            for row in table.rows
-        }
+        results = CHUNK.run(dataclasses.replace(QUICK, chunk_window=64))
+        by_chunk = {k: words for (_, _, k), (words, _) in results.items()}
         assert by_chunk[8] == min(by_chunk.values())  # √64 = 8
 
     def test_every_row_at_least_2n(self):
-        table = ablations.chunk_size_study(window=64)
-        for row in table.rows:
-            assert float(row[1].replace(",", "")) >= 2 * 64
+        results = CHUNK.run(dataclasses.replace(QUICK, chunk_window=64))
+        for words, _ in results.values():
+            assert words >= 2 * 64
 
 
 class TestSlicingStudy:
     def test_orders_partial_counts(self):
-        table = ablations.slicing_study()
-        by_technique = {row[0]: row for row in table.rows}
-        panes = int(by_technique["panes"][2])
-        pairs = int(by_technique["pairs"][2])
-        cutty = int(by_technique["cutty"][2])
+        results = SLICING.run(QUICK)
+        by_technique = {t: row for (_, _, t), row in results.items()}
+        panes = by_technique["panes"][1]
+        pairs = by_technique["pairs"][1]
+        cutty = by_technique["cutty"][1]
         assert panes >= pairs >= cutty
 
     def test_only_cutty_pays_punctuations(self):
-        table = ablations.slicing_study()
-        for row in table.rows:
-            markers = int(row[3])
-            if row[0] == "cutty":
+        for (_, _, technique), row in SLICING.run(QUICK).items():
+            markers = row[2]
+            if technique == "cutty":
                 assert markers > 0
             else:
                 assert markers == 0
@@ -44,24 +60,26 @@ class TestSlicingStudy:
 
 class TestAdversarialStudy:
     def test_shapes_and_bounds(self):
-        table = ablations.adversarial_study(window=32)
-        by_shape = {row[0]: row for row in table.rows}
-        assert float(by_shape["random"][1]) < 2.0
-        assert int(by_shape["deque-filler"][2]) >= 31
-        assert int(by_shape["descending"][3]) == 32
-        assert int(by_shape["ascending"][3]) == 1
+        results = SHAPES.run(dataclasses.replace(QUICK, shape_window=32))
+        by_shape = {s: row for (_, _, s), row in results.items()}
+        assert by_shape["random"][0] < 2.0
+        assert by_shape["deque-filler"][1] >= 31
+        assert by_shape["descending"][2] == 32
+        assert by_shape["ascending"][2] == 1
 
 
 class TestSharingStudy:
     def test_study_reports_both_configurations(self):
-        table = ablations.sharing_study(tuples=400)
-        rows = {row[0]: row for row in table.rows}
-        shared = rows["max x5 ACQs, shared"]
-        per_query = rows["max x5 ACQs, per-query engines"]
-        assert shared[2] == per_query[2]  # identical answer counts
+        results = SHARING.run(QUICK)
+        shared = results[("max", "slickdeque", "shared")]
+        per_query = results[("max", "slickdeque", "per-query engines")]
+        assert shared[1] == per_query[1]  # identical answer counts
         # Wall-clock belongs to the report; a sub-millisecond run can
         # format to "0.000", so only non-negativity is stable.
-        assert float(shared[1]) >= 0
+        assert shared[0] >= 0
+        rendered = SHARING.render(QUICK, results, False)
+        assert "max x5 ACQs, shared" in rendered
+        assert "max x5 ACQs, per-query engines" in rendered
 
     def test_sharing_saves_aggregate_operations(self):
         """The deterministic core of §2.3: shared plans do less ⊕ work.
@@ -91,44 +109,31 @@ class TestSharingStudy:
 
 class TestCli:
     def test_exp5_subcommand(self, capsys, monkeypatch):
-        from repro.experiments import exp5_query_scaling
-
-        monkeypatch.setattr(
-            exp5_query_scaling,
-            "main",
-            lambda config: "EXP5-STUB",
-        )
+        monkeypatch.setitem(cli.SECTIONS, "exp5", (_stub("EXP5-STUB"),))
         assert cli_main(["exp5", "--scale", "quick"]) == 0
         assert "EXP5-STUB" in capsys.readouterr().out
 
     def test_validate_subcommand(self, capsys, monkeypatch):
-        from repro.experiments import validate
-
         monkeypatch.setattr(
-            validate, "main", lambda quick: f"VALIDATE(quick={quick})"
+            cli.validate, "main", lambda quick: f"VALIDATE(quick={quick})"
         )
         assert cli_main(["validate", "--scale", "quick"]) == 0
         assert "VALIDATE(quick=True)" in capsys.readouterr().out
 
     def test_chart_flag(self, capsys, monkeypatch):
-        from repro.experiments import exp1_throughput
-
         captured = {}
-
-        def fake_main(config, chart=False):
-            captured["chart"] = chart
-            return "EXP1-STUB"
-
-        monkeypatch.setattr(exp1_throughput, "main", fake_main)
+        monkeypatch.setitem(
+            cli.SECTIONS, "exp1", (_stub("EXP1-STUB", captured),)
+        )
         assert cli_main(["exp1", "--chart"]) == 0
         assert captured["chart"] is True
 
     def test_ablations_subcommand(self, capsys, monkeypatch):
-        monkeypatch.setattr(ablations, "main", lambda: "ABL-STUB")
+        monkeypatch.setitem(cli.SECTIONS, "ablations", (_stub("ABL-STUB"),))
         assert cli_main(["ablations"]) == 0
         assert "ABL-STUB" in capsys.readouterr().out
 
 
 def test_main_returns_report_sections():
-    report = ablations.slicing_study().render()
+    report = SLICING.report(QUICK)
     assert "Ablation: slicing technique" in report

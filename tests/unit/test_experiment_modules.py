@@ -1,19 +1,22 @@
-"""Unit tests for the experiment result classes and runner."""
+"""Unit tests for the sweep definitions and their derived statements."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.experiments import (
-    exp1_throughput,
-    exp2_multiquery,
-    exp5_query_scaling,
-)
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import (
-    sweep_multi_throughput,
-    sweep_single_throughput,
-    workload,
+from repro.registry import available_algorithms
+
+from benchmarks.paper.measures import energy
+from benchmarks.paper.sweeps import (
+    EXP1,
+    EXP2,
+    EXP5,
+    ExperimentConfig,
+    constant_group,
+    scaling_factor,
+    series,
 )
 
 
@@ -30,99 +33,65 @@ def tiny_config():
 
 class TestRunner:
     def test_workload_three_readings(self, tiny_config):
-        streams = workload(tiny_config)
+        streams = energy(tiny_config.stream_length, tiny_config.seed, 3)
         assert len(streams) == 3
         assert all(len(s) == 300 for s in streams)
         assert streams[0] != streams[1]
 
     def test_single_sweep_shape(self, tiny_config):
-        series = sweep_single_throughput(
-            "sum", ["naive", "slickdeque"], tiny_config
-        )
-        assert set(series) == {"naive", "slickdeque"}
-        for by_window in series.values():
+        rates = series(EXP1.run(tiny_config), "sum")
+        assert set(rates) == set(available_algorithms())
+        for by_window in rates.values():
             assert set(by_window) == {1, 4, 16}
             assert all(v > 0 for v in by_window.values())
 
     def test_multi_sweep_respects_capabilities_and_caps(
         self, tiny_config
     ):
-        series = sweep_multi_throughput(
-            "sum", ["naive", "twostacks", "slickdeque"], tiny_config
-        )
-        assert series["twostacks"] == {1: None, 4: None}
-        assert series["naive"][1] is not None
-        assert series["naive"][4] is not None  # at the cap
-        bigger = ExperimentConfig(
-            multi_windows=(8,),
-            multi_stream_length=100,
-            naive_multi_cap=4,
-        )
-        capped = sweep_multi_throughput("sum", ["naive"], bigger)
-        assert capped["naive"][8] is None
-
-    def test_progress_callback_invoked(self, tiny_config):
-        seen = []
-        sweep_single_throughput(
-            "sum", ["slickdeque"], tiny_config, progress=seen.append
-        )
-        assert len(seen) == 3
-        assert all("slickdeque" in line for line in seen)
+        rates = series(EXP2.run(tiny_config), "sum")
+        assert "twostacks" not in rates
+        assert rates["naive"][1] is not None
+        assert rates["naive"][4] is not None  # at the cap
+        bigger = dataclasses.replace(tiny_config, multi_windows=(8,))
+        assert ("sum", "naive", 8) not in EXP2.cases(bigger)
+        assert ("sum", "slickdeque", 8) in EXP2.cases(bigger)
 
 
 class TestExp1Result:
     def test_constant_group_detection(self):
-        result = exp1_throughput.Exp1Result(
-            operator_name="sum",
-            series={
-                "flat": {16: 100.0, 64: 95.0, 256: 105.0},
-                "fading": {16: 100.0, 64: 20.0, 256: 2.0},
-            },
-            windows=(16, 64, 256),
-        )
-        assert list(result.constant_group()) == ["flat"]
+        assert constant_group({
+            "flat": {16: 100.0, 64: 95.0, 256: 105.0},
+            "fading": {16: 100.0, 64: 20.0, 256: 2.0},
+        }) == ["flat"]
 
     def test_constant_group_ignores_tiny_windows(self):
-        result = exp1_throughput.Exp1Result(
-            operator_name="sum",
-            series={"x": {1: 1000.0, 16: 100.0, 64: 100.0}},
-            windows=(1, 16, 64),
-        )
         # The window-1 outlier is excluded from the comparison.
-        assert list(result.constant_group()) == ["x"]
+        assert constant_group({"x": {1: 1000.0, 16: 100.0, 64: 100.0}}) == [
+            "x"
+        ]
 
-    def test_table_title_names_the_figure(self):
-        result = exp1_throughput.Exp1Result(
-            "sum", {"a": {1: 1.0}}, (1,)
-        )
-        assert "Fig. 10" in result.table().title
+    def test_table_title_names_the_figure(self, tiny_config):
+        config = dataclasses.replace(tiny_config, windows=(1,))
+        assert "Fig. 10" in EXP1.render(config, {("sum", "a", 1): 1.0}, False)
 
 
 class TestExp2Result:
-    def test_table_title_names_the_figure(self):
-        result = exp2_multiquery.Exp2Result(
-            "max", {"a": {1: 1.0}}, (1,)
-        )
-        assert "Fig. 13" in result.table().title
+    def test_table_title_names_the_figure(self, tiny_config):
+        config = dataclasses.replace(tiny_config, multi_windows=(1,))
+        assert "Fig. 13" in EXP2.render(config, {("max", "a", 1): 1.0}, False)
 
 
 class TestExp5Result:
     def test_scaling_factor(self):
-        result = exp5_query_scaling.Exp5Result(
-            operator_name="max",
-            window=64,
-            query_counts=(1, 8),
-            series={"x": {1: 100.0, 8: 25.0}},
-        )
-        assert result.scaling_factor("x") == 4.0
+        assert scaling_factor({1: 100.0, 8: 25.0}) == 4.0
 
-    def test_run_small(self):
-        result = exp5_query_scaling.run(
-            "max",
-            window=8,
+    def test_run_small(self, tiny_config):
+        config = dataclasses.replace(
+            tiny_config,
+            query_window=8,
             query_counts=(1, 4),
-            stream_length=200,
-            algorithms=["naive", "slickdeque"],
+            multi_stream_length=200,
         )
-        assert set(result.series) == {"naive", "slickdeque"}
-        assert result.scaling_factor("naive") >= 1.0
+        rates = series(EXP5.run(config), "max")
+        assert set(rates) == set(available_algorithms(multi_query=True))
+        assert scaling_factor(rates["naive"]) >= 1.0

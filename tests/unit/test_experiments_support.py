@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.cli import main as cli_main
-from repro.experiments.config import (
+from benchmarks.paper.cli import main as cli_main
+from benchmarks.paper.sweeps import (
     ExperimentConfig,
     memory_windows,
     power_of_two_windows,
 )
-from repro.experiments.report import (
+from benchmarks.paper.report import (
     Table,
     improvement_summary,
     series_table,
@@ -80,7 +80,7 @@ class TestReport:
 
 class TestCli:
     def test_table1_runs(self, capsys):
-        assert cli_main(["table1", "--window", "16"]) == 0
+        assert cli_main(["table1", "--window", "16", "--scale", "quick"]) == 0
         out = capsys.readouterr().out
         assert "Table 1" in out
         assert "slickdeque" in out

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from repro.experiments.figures import (
-    _assign_glyphs,
-    ascii_chart,
-    chart_for_exp1,
-    chart_for_exp2,
-)
+import dataclasses
+
+from benchmarks.paper.report import _assign_glyphs, ascii_chart
+from benchmarks.paper.sweeps import EXP1, EXP2, ExperimentConfig
 
 
 class TestGlyphAssignment:
@@ -75,11 +73,15 @@ class TestAsciiChart:
 
 class TestResultAdapters:
     def test_exp1_and_exp2_titles(self):
-        from repro.experiments.exp1_throughput import Exp1Result
-        from repro.experiments.exp2_multiquery import Exp2Result
-
-        series = {"slickdeque": {1: 10.0, 4: 10.0}}
-        fig10 = chart_for_exp1(Exp1Result("sum", series, (1, 4)))
-        assert "Fig. 10" in fig10
-        fig13 = chart_for_exp2(Exp2Result("max", series, (1, 4)))
-        assert "Fig. 13" in fig13
+        config = dataclasses.replace(
+            ExperimentConfig.quick(), windows=(1, 4), multi_windows=(1, 4)
+        )
+        results = {
+            (op, "slickdeque", window): 10.0
+            for op in ("sum", "max")
+            for window in (1, 4)
+        }
+        fig10 = EXP1.render(config, results, True)
+        assert "Fig. 10 (shape)" in fig10
+        fig13 = EXP2.render(config, results, True)
+        assert "Fig. 13 (shape)" in fig13

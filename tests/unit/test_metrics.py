@@ -3,16 +3,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 
 from repro.baselines.naive import NaiveAggregator
 from repro.baselines.recalc import RecalcAggregator
 from repro.core.slickdeque_inv import SlickDequeInv, SlickDequeInvMulti
-from repro.metrics.latency import (
-    LatencyRecorder,
-    measure_step_latencies,
-)
 from repro.metrics.memory import measure_memory, peak_memory_words
 from repro.metrics.opcount import count_ops, count_ops_single
 from repro.metrics.stats import (
@@ -22,12 +19,15 @@ from repro.metrics.stats import (
     percentile,
     ratio,
 )
-from repro.metrics.throughput import (
-    ThroughputResult,
-    measure_single_query,
-)
+from repro.metrics.throughput import ThroughputResult
 from repro.operators.invertible import SumOperator
 from tests.conftest import int_stream
+
+from benchmarks.paper.measures import (
+    LatencyRecorder,
+    measure_step_latencies,
+    measure_throughput,
+)
 
 
 class TestStats:
@@ -87,15 +87,10 @@ class TestLatency:
         assert summary.minimum == 100
         assert summary.maximum == 300
 
-    def test_timed_returns_result(self):
-        recorder = LatencyRecorder()
-        assert recorder.timed(lambda: 42) == 42
-        assert len(recorder.samples_ns) == 1
-
 
 class TestThroughput:
     def test_measures_positive_rate(self):
-        result = measure_single_query(
+        result = measure_throughput(
             lambda: SlickDequeInv(SumOperator(), 8),
             int_stream(500, seed=2),
         )
@@ -103,7 +98,7 @@ class TestThroughput:
         assert result.per_second > 0
 
     def test_drives_multi_query_aggregators_per_slide(self):
-        result = measure_single_query(
+        result = measure_throughput(
             lambda: SlickDequeInvMulti(SumOperator(), [4, 8]),
             int_stream(300, seed=3),
         )
@@ -132,6 +127,22 @@ class TestMemory:
         )
         assert result.logical_words == 16
         assert result.measured_peak_bytes > 0
+
+    def test_measure_memory_keeps_the_callers_trace(self):
+        """An outer tracemalloc session keeps tracing, and its earlier
+        peak is not charged to the measured run."""
+        tracemalloc.start()
+        try:
+            outer = bytearray(1 << 20)
+            del outer
+            result = measure_memory(
+                lambda: NaiveAggregator(SumOperator(), 16),
+                int_stream(50, seed=4),
+            )
+            assert tracemalloc.is_tracing()
+            assert 0 < result.measured_peak_bytes < 1 << 20
+        finally:
+            tracemalloc.stop()
 
 
 class TestOpCount:

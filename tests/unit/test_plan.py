@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import PlanError
-from repro.windows.plan import PlanCursor, build_shared_plan
+from repro.windows.plan import build_shared_plan
 from repro.windows.query import Query
 
 
@@ -100,29 +100,3 @@ def test_describe_mentions_queries():
     text = plan.describe()
     assert "q6/2" in text
     assert "wSize" in text
-
-
-class TestPlanCursor:
-    def test_cycles_through_steps(self):
-        plan = build_shared_plan([Query(6, 2), Query(8, 4)], "pairs")
-        cursor = PlanCursor(plan)
-        lengths = [cursor.get_next_partial_length() for _ in range(4)]
-        assert lengths == [2, 2, 2, 2]
-
-    def test_queries_follow_current_step(self):
-        plan = build_shared_plan([Query(6, 2), Query(8, 4)], "pairs")
-        cursor = PlanCursor(plan)
-        cursor.get_next_partial_length()
-        first = cursor.get_next_set_of_queries()
-        assert [sq.query.range_size for sq in first] == [6]
-        cursor.get_next_partial_length()
-        second = cursor.get_next_set_of_queries()
-        assert [sq.query.range_size for sq in second] == [8, 6]
-
-    def test_premature_access_raises(self):
-        plan = build_shared_plan([Query(6, 2)], "pairs")
-        cursor = PlanCursor(plan)
-        with pytest.raises(PlanError):
-            cursor.get_next_set_of_queries()
-        with pytest.raises(PlanError):
-            _ = cursor.current_step

@@ -2,8 +2,9 @@
 
 Deliverable (e) requires doc comments on every public item; these
 tests make that a regression-checked property rather than a promise:
-every public module, class, and function/method under ``repro`` must
-carry a docstring, and ``__all__`` names must resolve.
+every public module, class, and function/method under ``repro`` and
+under the paper harness ``benchmarks.paper`` must carry a docstring,
+and ``__all__`` names must resolve.
 """
 
 from __future__ import annotations
@@ -14,15 +15,18 @@ import pkgutil
 
 import repro
 
+import benchmarks.paper
+
 
 def _public_modules():
-    yield repro
-    for info in pkgutil.walk_packages(
-        repro.__path__, prefix="repro."
-    ):
-        if any(part.startswith("_") for part in info.name.split(".")):
-            continue
-        yield importlib.import_module(info.name)
+    for package in (repro, benchmarks.paper):
+        yield package
+        for info in pkgutil.walk_packages(
+            package.__path__, prefix=package.__name__ + "."
+        ):
+            if any(part.startswith("_") for part in info.name.split(".")):
+                continue
+            yield importlib.import_module(info.name)
 
 
 def test_every_public_module_has_a_docstring():

@@ -6,7 +6,7 @@ import csv
 import io
 import json
 
-from repro.experiments.report import Table
+from benchmarks.paper.report import Table
 
 
 def _sample_table() -> Table:

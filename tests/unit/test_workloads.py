@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.datasets.workloads import (
+from benchmarks.paper.workloads import (
     heavy_tailed_ranges,
     ladder_ranges,
     tenant_queries,
