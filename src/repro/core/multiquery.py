@@ -57,6 +57,7 @@ class _InvEngine:
         # are plain ``(slot, lookback, query)`` rows.
         self._combine = operator.combine
         self._inverse = operator.inverse
+        self._identity = operator.identity
         self._lower = _lower_of(operator)
         self._schedule = [
             tuple((sq.slot, sq.lookback, sq.query) for sq in step.answers)
@@ -77,6 +78,23 @@ class _InvEngine:
         self._starts: List[int] = [0] * len(plan.queries)
         self._count = 0  # partials seen
 
+    def _refold(self, start: int, count: int) -> Any:
+        """The running answer over partials ``start .. count - 1``,
+        folded afresh.
+
+        For a ⊖ that cannot divide: a float ``product`` partial that
+        underflowed to ``0.0`` is stored as a nonzero factor, so
+        retiring it divides by zero.  The live partials are still in
+        the ring, whose capacity is at least the largest lookback.
+        """
+        ring = self._ring
+        capacity = len(ring)
+        combine = self._combine
+        answer = self._identity
+        for index in range(start, count):
+            answer = combine(answer, ring[index % capacity])
+        return answer
+
     def on_partial(self, value, index: int, position: int) -> List[Answer]:
         ring = self._ring
         capacity = len(ring)
@@ -96,9 +114,13 @@ class _InvEngine:
             # Negative while the window fills: nothing to evict yet.
             target_start = count - lookback
             start = starts[slot]
-            while start < target_start:
-                answer = inverse(answer, ring[start % capacity])
-                start += 1
+            try:
+                while start < target_start:
+                    answer = inverse(answer, ring[start % capacity])
+                    start += 1
+            except ZeroDivisionError:
+                answer = self._refold(target_start, count)
+                start = target_start
             starts[slot] = start
             answers[slot] = answer
             if lower is not None:
@@ -140,9 +162,13 @@ class _InvEngine:
                     answer = answers[slot]
                     target_start = count - lookback
                     start = starts[slot]
-                    while start < target_start:
-                        answer = inverse(answer, ring[start % capacity])
-                        start += 1
+                    try:
+                        while start < target_start:
+                            answer = inverse(answer, ring[start % capacity])
+                            start += 1
+                    except ZeroDivisionError:
+                        answer = self._refold(target_start, count)
+                        start = target_start
                     starts[slot] = start
                     answers[slot] = answer
                     if lower is not None:

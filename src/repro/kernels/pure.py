@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, List, Sequence, Tuple
 
-from repro.kernels import BatchKernel
+from repro.kernels import BatchKernel, _unboxed
 from repro.operators.base import Agg
 from repro.operators.invertible import (
     CountOperator,
@@ -30,14 +30,6 @@ from repro.operators.invertible import (
     SumOperator,
 )
 from repro.operators.noninvertible import MaxOperator, MinOperator
-
-
-def _as_list(values: Sequence[Any]) -> Sequence[Any]:
-    """Materialise ndarray (or similar) inputs as plain lists."""
-    tolist = getattr(values, "tolist", None)
-    if tolist is not None:
-        return tolist()
-    return values
 
 
 def _sequential_sum(values: Sequence[Any], seed: Agg) -> Agg:
@@ -86,7 +78,7 @@ class SumKernel(BatchKernel):
     """Sum/identity-lift addition: :func:`left_sum` is the left fold."""
 
     def fold(self, values: Sequence[Any], seed: Agg) -> Agg:
-        return left_sum(_as_list(values), seed)
+        return left_sum(_unboxed(values), seed)
 
     fold_aggs = fold
 
@@ -94,11 +86,11 @@ class SumKernel(BatchKernel):
         self, values: Sequence[Any], bounds: Sequence[int], seed: Agg
     ) -> List[Agg]:
         return _sum_runs(
-            _as_list(values), bounds, seed, self.operator.identity
+            _unboxed(values), bounds, seed, self.operator.identity
         )
 
     def lift_many(self, values: Sequence[Any]) -> Sequence[Agg]:
-        return _as_list(values)
+        return _unboxed(values)
 
 
 class CountKernel(BatchKernel):
@@ -108,7 +100,7 @@ class CountKernel(BatchKernel):
         return seed + len(values)
 
     def fold_aggs(self, aggs: Sequence[Agg], seed: Agg) -> Agg:
-        return left_sum(_as_list(aggs), seed)
+        return left_sum(_unboxed(aggs), seed)
 
     def fold_runs(
         self, values: Sequence[Any], bounds: Sequence[int], seed: Agg
@@ -132,25 +124,25 @@ class SumOfSquaresKernel(BatchKernel):
 
     def fold(self, values: Sequence[Any], seed: Agg) -> Agg:
         return left_sum(
-            [value * value for value in _as_list(values)], seed
+            [value * value for value in _unboxed(values)], seed
         )
 
     def fold_aggs(self, aggs: Sequence[Agg], seed: Agg) -> Agg:
-        return left_sum(_as_list(aggs), seed)
+        return left_sum(_unboxed(aggs), seed)
 
     def fold_runs(
         self, values: Sequence[Any], bounds: Sequence[int], seed: Agg
     ) -> List[Agg]:
         first = bounds[0]
         squares = [
-            value * value for value in _as_list(values)[first:bounds[-1]]
+            value * value for value in _unboxed(values)[first:bounds[-1]]
         ]
         if first:
             bounds = [bound - first for bound in bounds]
         return _sum_runs(squares, bounds, seed, self.operator.identity)
 
     def lift_many(self, values: Sequence[Any]) -> Sequence[Agg]:
-        return [value * value for value in _as_list(values)]
+        return [value * value for value in _unboxed(values)]
 
 
 class ProductKernel(BatchKernel):
@@ -163,7 +155,7 @@ class ProductKernel(BatchKernel):
     """
 
     def fold(self, values: Sequence[Any], seed: Agg) -> Agg:
-        values = _as_list(values)
+        values = _unboxed(values)
         nonzero = [value for value in values if value != 0]
         return (
             math.prod(nonzero, start=seed[0]),
@@ -179,7 +171,7 @@ class ProductKernel(BatchKernel):
 
     def lift_many(self, values: Sequence[Any]) -> Sequence[Agg]:
         lift = self._lift
-        return [lift(value) for value in _as_list(values)]
+        return [lift(value) for value in _unboxed(values)]
 
 
 class _SelectionKernel(BatchKernel):
@@ -194,7 +186,7 @@ class _SelectionKernel(BatchKernel):
     _reduce: Callable[..., Any] = staticmethod(max)
 
     def fold(self, values: Sequence[Any], seed: Agg) -> Agg:
-        values = _as_list(values)
+        values = _unboxed(values)
         if not values:
             return seed
         # The batch is newer than the seed; combine(older=seed, newer)
@@ -209,7 +201,7 @@ class _SelectionKernel(BatchKernel):
     ) -> List[Agg]:
         if len(bounds) < 2:
             return []
-        values = _as_list(values)
+        values = _unboxed(values)
         if len(bounds) - 1 == bounds[-1] - bounds[0]:
             # One value per run: nothing to reduce.
             return self.seed_runs(values[bounds[0]:bounds[-1]], seed)
@@ -225,7 +217,7 @@ class _SelectionKernel(BatchKernel):
         )
 
     def lift_many(self, values: Sequence[Any]) -> Sequence[Agg]:
-        return _as_list(values)
+        return _unboxed(values)
 
 
 class MaxKernel(_SelectionKernel):
@@ -236,7 +228,7 @@ class MaxKernel(_SelectionKernel):
     def suffix_chain(
         self, values: Sequence[Any]
     ) -> List[Tuple[int, Agg]]:
-        values = _as_list(values)
+        values = _unboxed(values)
         chain: List[Tuple[int, Agg]] = []
         best: Any = None
         for index in range(len(values) - 1, -1, -1):
@@ -256,7 +248,7 @@ class MinKernel(_SelectionKernel):
     def suffix_chain(
         self, values: Sequence[Any]
     ) -> List[Tuple[int, Agg]]:
-        values = _as_list(values)
+        values = _unboxed(values)
         chain: List[Tuple[int, Agg]] = []
         best: Any = None
         for index in range(len(values) - 1, -1, -1):

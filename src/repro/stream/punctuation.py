@@ -102,12 +102,13 @@ class PunctuatedCuttyPipeline:
         self._completed_per_window = (
             query.range_size - 1
         ) // query.slide
-        if self._completed_per_window > 0:
-            self._final = make_slickdeque(
-                partial_view(operator), self._completed_per_window
-            )
-        else:
-            self._final = None
+        # Built for every shape, so construction refuses exactly what
+        # make_slickdeque refuses; with no completed partial in a
+        # window it is never pushed.
+        final = make_slickdeque(
+            partial_view(operator), max(self._completed_per_window, 1)
+        )
+        self._final = final if self._completed_per_window > 0 else None
         self._open = self._raw.identity
         self._position = 0
         self._closed_partials = 0

@@ -25,13 +25,13 @@ import pytest
 from repro.operators.registry import get_operator
 from repro.service import AggregationService, FaultInjector, poison
 from repro.service.partition import shard_of
-from repro.stream.engine import StreamEngine
-from repro.stream.sink import CollectSink
 from repro.windows.query import Query
+from tests import oracle
 
 pytestmark = [pytest.mark.chaos, pytest.mark.timeout(120)]
 
 QUERIES = (Query(12, 4), Query(8, 2))
+SUM = get_operator("sum")
 NUM_SHARDS = 3
 
 
@@ -41,29 +41,6 @@ def _records(count):
         (f"sensor-{i % 11}", (i * 37 + 5) % 203 - 101)
         for i in range(count)
     ]
-
-
-def _expected_global(records):
-    sink = CollectSink()
-    StreamEngine(QUERIES, get_operator("sum"), sinks=[sink]).run(
-        value for _, value in records
-    )
-    return sink.answers
-
-
-def _expected_per_key(records):
-    values_by_key = {}
-    for key, value in records:
-        values_by_key.setdefault(key, []).append(value)
-    expected = {}
-    for key, values in values_by_key.items():
-        sink = CollectSink()
-        StreamEngine(QUERIES, get_operator("sum"), sinks=[sink]).run(
-            values
-        )
-        if sink.answers:
-            expected[key] = sink.answers
-    return expected
 
 
 def _wait_snapshot(service, shard_id, seq, timeout=10.0):
@@ -187,7 +164,7 @@ def test_acceptance_full_chaos_suite():
     # poisoned key keeps its exact pre-poison prefix, then is degraded:
     # the engine raised mid-feed, so its state is discarded rather than
     # trusted, and later records for the key are dead-lettered.
-    expected = _expected_per_key(records)
+    expected = oracle.per_key_windows(SUM, QUERIES, records)
     for key, answers in expected.items():
         if key in poisoned_keys:
             produced = result.per_key.get(key, [])
@@ -246,7 +223,9 @@ def test_corrupt_checkpoint_falls_back_one_generation():
     except BaseException:
         service.abort()
         raise
-    assert result.answers == _expected_global(records)
+    assert result.answers == oracle.count_windows(
+        SUM, QUERIES, [v for _, v in records]
+    )
     assert result.stats.shards[0].corrupt_checkpoints == 1
     assert result.stats.shards[0].restores == 1
     assert not result.stats.failed_shards
@@ -322,7 +301,7 @@ def test_restart_budget_exhaustion_does_not_block_other_shards():
     }
     assert set(result.stats.degraded_keys) == shard1_keys
     # Clean shards' keys are byte-identical to the fault-free run.
-    expected = _expected_per_key(records)
+    expected = oracle.per_key_windows(SUM, QUERIES, records)
     for key, answers in expected.items():
         if key not in shard1_keys:
             assert result.per_key.get(key, []) == answers
@@ -356,7 +335,9 @@ def test_wedged_shard_is_stall_killed_and_recovered():
     except BaseException:
         service.abort()
         raise
-    assert result.answers == _expected_global(records)
+    assert result.answers == oracle.count_windows(
+        SUM, QUERIES, [v for _, v in records]
+    )
     assert result.stats.shards[1].stalls >= 1
     assert result.stats.shards[1].restores >= 1
     assert injector.fired("wedge-cleared"), injector.events
@@ -381,7 +362,9 @@ def test_sub_timeout_stall_is_tolerated_not_killed():
     except BaseException:
         service.abort()
         raise
-    assert result.answers == _expected_global(records)
+    assert result.answers == oracle.count_windows(
+        SUM, QUERIES, [v for _, v in records]
+    )
     assert all(s.stalls == 0 for s in result.stats.shards)
     assert all(s.restores == 0 for s in result.stats.shards)
 
@@ -416,7 +399,9 @@ def test_idle_gap_longer_than_stall_timeout_is_not_a_stall():
     except BaseException:
         service.abort()
         raise
-    assert result.answers == _expected_global(records)
+    assert result.answers == oracle.count_windows(
+        SUM, QUERIES, [v for _, v in records]
+    )
     assert result.stats.shards[0].stalls == 0
     assert result.stats.shards[0].restores == 0
 
@@ -446,7 +431,9 @@ def test_global_mode_poison_folds_through_a_temporary():
         (key, 0 if key == "sensor-3" and index == 57 else value)
         for index, (key, value) in enumerate(poisoned)
     ]
-    assert result.answers == _expected_global(neutralised)
+    assert result.answers == oracle.count_windows(
+        SUM, QUERIES, [v for _, v in neutralised]
+    )
     assert len(result.dead_letters) == 1
     assert result.dead_letters[0].key == "sensor-3"
     assert "mid-slice" in result.dead_letters[0].error
@@ -531,4 +518,6 @@ def test_global_failed_shard_dead_letters_exactly_its_unacked_frames():
         (key, 0 if index + 1 in held else value)
         for index, (key, value) in enumerate(records)
     ]
-    assert result.answers == _expected_global(neutralised)
+    assert result.answers == oracle.count_windows(
+        SUM, QUERIES, [v for _, v in neutralised]
+    )

@@ -26,9 +26,8 @@ from repro.operators.registry import get_operator
 from repro.service import AggregationService, FaultInjector, poison
 from repro.service.partition import shard_of
 from repro.service.transport import ShardChannel, shm_supported
-from repro.stream.engine import StreamEngine
-from repro.stream.sink import CollectSink
 from repro.windows.query import Query
+from tests import oracle
 
 pytestmark = [
     pytest.mark.chaos,
@@ -40,6 +39,7 @@ pytestmark = [
 ]
 
 QUERIES = (Query(12, 4), Query(8, 2))
+SUM = get_operator("sum")
 NUM_SHARDS = 2
 
 
@@ -48,29 +48,6 @@ def _records(count):
         (f"sensor-{i % 11}", (i * 37 + 5) % 203 - 101)
         for i in range(count)
     ]
-
-
-def _expected_global(records):
-    sink = CollectSink()
-    StreamEngine(QUERIES, get_operator("sum"), sinks=[sink]).run(
-        value for _, value in records
-    )
-    return sink.answers
-
-
-def _expected_per_key(records):
-    values_by_key = {}
-    for key, value in records:
-        values_by_key.setdefault(key, []).append(value)
-    expected = {}
-    for key, values in values_by_key.items():
-        sink = CollectSink()
-        StreamEngine(QUERIES, get_operator("sum"), sinks=[sink]).run(
-            values
-        )
-        if sink.answers:
-            expected[key] = sink.answers
-    return expected
 
 
 def _service(injector=None, **kwargs):
@@ -138,7 +115,9 @@ def _check_torn_frame_recovery():
     records = _records(300)
     injector = FaultInjector(seed=3).tear_frame(0, nth=3)
     result = _run(_service(injector), records)
-    assert result.answers == _expected_global(records)
+    assert result.answers == oracle.count_windows(
+        SUM, QUERIES, [v for _, v in records]
+    )
     assert result.stats.records_processed == len(records)
     assert injector.fired("torn-frame"), injector.events
     assert result.stats.shards[0].restores >= 1
@@ -151,7 +130,9 @@ def test_stale_duplicate_frame_is_absorbed_idempotently():
     records = _records(300)
     injector = FaultInjector(seed=4).stale_frame(0, nth=2)
     result = _run(_service(injector), records)
-    assert result.answers == _expected_global(records)
+    assert result.answers == oracle.count_windows(
+        SUM, QUERIES, [v for _, v in records]
+    )
     assert result.stats.records_processed == len(records)
     assert injector.fired("stale-frame"), injector.events
     # Idempotent absorption needs no recovery at all.
@@ -186,7 +167,9 @@ def _check_sigkill_while_ring_full():
         shard_delay_seconds=0.01,
     )
     result = _run(service, records)
-    assert result.answers == _expected_global(records)
+    assert result.answers == oracle.count_windows(
+        SUM, QUERIES, [v for _, v in records]
+    )
     assert result.stats.records_processed == len(records)
     assert injector.fired("kill"), injector.events
     assert result.stats.shards[0].restores >= 1
@@ -214,7 +197,9 @@ def test_direct_sigkill_restores_from_checkpoint():
     except BaseException:
         service.abort()
         raise
-    assert result.answers == _expected_global(records)
+    assert result.answers == oracle.count_windows(
+        SUM, QUERIES, [v for _, v in records]
+    )
     assert result.stats.shards[0].restores == 1
     assert not result.stats.failed_shards
 
@@ -242,7 +227,7 @@ def test_poison_record_takes_pickle_fallback_and_quarantines():
     assert stats["data_plane"] == "shm"
     assert stats["frames_pickled"] >= 1
     assert stats["frames_columnar"] >= 1
-    expected = _expected_per_key(records)
+    expected = oracle.per_key_windows(SUM, QUERIES, records)
     for key, answers in expected.items():
         if key == poison_key:
             produced = result.per_key.get(key, [])
@@ -263,7 +248,9 @@ def test_torn_frame_on_every_shard_simultaneously():
     for shard_id in range(NUM_SHARDS):
         injector.tear_frame(shard_id, nth=2)
     result = _run(_service(injector), records)
-    assert result.answers == _expected_global(records)
+    assert result.answers == oracle.count_windows(
+        SUM, QUERIES, [v for _, v in records]
+    )
     assert len(injector.fired("torn-frame")) == NUM_SHARDS
     for shard in result.stats.shards:
         assert shard.restores >= 1

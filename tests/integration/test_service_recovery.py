@@ -19,10 +19,9 @@ import pytest
 from repro.errors import InvalidOperatorError, MergeCapabilityError
 from repro.operators.registry import get_operator
 from repro.service import AggregationService
-from repro.stream.engine import EventTimeEngine, StreamEngine
-from repro.stream.sink import CollectSink
 from repro.windows.query import Query
 from repro.windows.timebased import TimeQuery
+from tests import oracle
 
 QUERIES = (Query(12, 4), Query(8, 2))
 
@@ -33,14 +32,6 @@ def _records(count):
         (f"sensor-{i % 11}", (i * 37 + 5) % 203 - 101)
         for i in range(count)
     ]
-
-
-def _expected(operator_name, records):
-    sink = CollectSink()
-    StreamEngine(
-        QUERIES, get_operator(operator_name), sinks=[sink]
-    ).run(value for _, value in records)
-    return sink.answers
 
 
 @pytest.mark.parametrize("operator_name", ["sum", "count", "max", "mean"])
@@ -54,7 +45,9 @@ def test_four_shard_process_answers_equal_single_process(operator_name):
     ) as service:
         service.submit_many(records)
         result = service.close()
-    assert result.answers == _expected(operator_name, records)
+    assert result.answers == oracle.count_windows(
+        get_operator(operator_name), QUERIES, [v for _, v in records]
+    )
     assert result.stats.records_processed == len(records)
     assert result.stats.dropped_records == 0
     assert len(result.stats.shards) == 4
@@ -82,7 +75,9 @@ def test_killed_worker_is_restored_and_answers_are_identical():
     except BaseException:
         service.abort()
         raise
-    assert result.answers == _expected("sum", records)
+    assert result.answers == oracle.count_windows(
+        get_operator("sum"), QUERIES, [v for _, v in records]
+    )
     restores = [shard.restores for shard in result.stats.shards]
     assert sum(restores) >= 1, restores
     assert result.stats.records_processed == len(records)
@@ -128,22 +123,9 @@ def test_per_key_mode_over_processes_matches_per_key_engines():
         service.submit_many(records)
         result = service.close()
 
-    values_by_key = {}
-    for key, value in records:
-        values_by_key.setdefault(key, []).append(value)
-    assert set(result.per_key) == {
-        key for key, values in values_by_key.items()
-        if _expected_per_key(values)
-    }
-    for key, values in values_by_key.items():
-        assert result.per_key.get(key, []) == _expected_per_key(values)
-
-
-def _expected_per_key(values, operator_name="first"):
-    sink = CollectSink()
-    engine = StreamEngine(QUERIES, get_operator(operator_name), sinks=[sink])
-    engine.run(values)
-    return sink.answers
+    assert result.per_key == oracle.per_key_windows(
+        get_operator("first"), QUERIES, records
+    )
 
 
 @pytest.mark.parametrize("transport", ["inline", "process"])
@@ -161,12 +143,10 @@ def test_per_key_range_answers_equal_per_key_engines(transport):
         service.submit_many(records)
         result = service.close()
 
-    values_by_key = {}
-    for key, value in records:
-        values_by_key.setdefault(key, []).append(value)
-    assert set(result.per_key) == set(values_by_key)
-    for key, values in values_by_key.items():
-        assert result.per_key[key] == _expected_per_key(values, "range")
+    assert set(result.per_key) == {key for key, _ in records}
+    assert result.per_key == oracle.per_key_windows(
+        get_operator("range"), QUERIES, records
+    )
     assert result.stats.degraded_keys == ()
     assert result.dead_letters == []
 
@@ -189,7 +169,9 @@ def test_global_range_answers_equal_stream_engine(transport):
     ) as service:
         service.submit_many(records)
         result = service.close()
-    expected = _expected("range", records)
+    expected = oracle.count_windows(
+        get_operator("range"), QUERIES, [v for _, v in records]
+    )
     assert len(result.answers) == 3000 // 4 + 3000 // 2
     assert repr(result.answers) == repr(expected)
 
@@ -201,9 +183,9 @@ def test_time_range_answers_equal_event_time_engine(transport):
         (f"sensor-{i % 5}", i / 10 + 0.011, (i * 37 + 5) % 203 - 101)
         for i in range(600)
     ]
-    oracle = EventTimeEngine(queries, get_operator("range"), lateness=1.0)
-    expected = oracle.feed_many([(ts, value) for _, ts, value in events])
-    expected += oracle.finish()
+    expected = oracle.time_windows(
+        get_operator("range"), queries, [(ts, value) for _, ts, value in events]
+    )
     with AggregationService(
         queries,
         get_operator("range"),

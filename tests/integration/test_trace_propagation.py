@@ -34,8 +34,8 @@ from repro.net.protocol import (
     decode_answers,
     encode_frame,
 )
-from repro.stream.engine import StreamEngine
-from repro.stream.sink import CollectSink
+
+from tests import oracle
 
 QUERIES = [Query(16, 8), Query(12, 4)]
 KEYS = [f"sensor-{i}" for i in range(5)]
@@ -49,11 +49,8 @@ def keyed_records(count: int, start: int = 0):
 
 
 def reference_answers(records):
-    sink = CollectSink()
-    StreamEngine(QUERIES, get_operator("sum"), sinks=[sink]).run(
-        value for _, value in records
-    )
-    return sink.answers
+    values = [value for _, value in records]
+    return oracle.count_windows(get_operator("sum"), QUERIES, values)
 
 
 def make_server(**server_kwargs) -> AggregationServer:

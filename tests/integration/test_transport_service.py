@@ -3,7 +3,7 @@
 The shared-memory rings swap the representation underneath the sharded
 service without touching aggregation logic, so their acceptance test
 is blunt: the same stream through the process transport, the inline
-transport and a single-process ``StreamEngine`` must produce the same
+transport and the oracle (``tests/oracle.py``) must produce the same
 answers, for both the columnar fast path and every fallback (mixed
 numerics, non-numeric values), under the ``fork`` and the ``spawn``
 start methods, and a service must leave no shared-memory segment
@@ -22,9 +22,9 @@ from repro.net.server import AggregationServer, ServerThread
 from repro.operators.registry import get_operator
 from repro.service import AggregationService
 from repro.service.transport import shm_supported
-from repro.stream.engine import StreamEngine
-from repro.stream.sink import CollectSink
 from repro.windows.query import Query
+
+from tests import oracle
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -41,11 +41,8 @@ def keyed_records(count, value=lambda i: (i * 37 + 5) % 211 - 105):
 
 
 def reference_answers(records, operator_name="sum"):
-    sink = CollectSink()
-    StreamEngine(QUERIES, get_operator(operator_name), sinks=[sink]).run(
-        value for _, value in records
-    )
-    return sink.answers
+    values = [value for _, value in records]
+    return oracle.count_windows(get_operator(operator_name), QUERIES, values)
 
 
 def run_service(records, operator_name="sum", **kwargs):
@@ -144,15 +141,7 @@ def test_frames_past_an_offset_fit_do_not_livelock():
 
 
 def per_key_reference(records):
-    values_by_key = {}
-    for key, value in records:
-        values_by_key.setdefault(key, []).append(value)
-    expected = {}
-    for key, values in values_by_key.items():
-        sink = CollectSink()
-        StreamEngine(QUERIES, get_operator("sum"), sinks=[sink]).run(values)
-        expected[key] = sink.answers
-    return expected
+    return oracle.per_key_windows(get_operator("sum"), QUERIES, records)
 
 
 @needs_shm

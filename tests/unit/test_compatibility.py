@@ -13,6 +13,7 @@ from repro.windows.compatibility import (
     distributive_components,
 )
 from repro.windows.query import Query
+from tests import oracle
 from tests.conftest import int_stream
 
 
@@ -59,17 +60,17 @@ class TestSharingPlan:
 
 
 class TestCompatibleSharedEngine:
-    def brute(self, specs, stream):
-        expected = []
-        for t in range(1, len(stream) + 1):
-            for spec in specs:
-                if spec.query.reports_at(t):
-                    op = get_operator(spec.operator_name)
-                    window = stream[max(0, t - spec.query.range_size):t]
-                    expected.append(
-                        (t, spec.label, op.lower(op.fold(window)))
-                    )
-        return sorted(expected, key=lambda row: (row[0], row[1]))
+    def expected(self, specs, stream):
+        return sorted(
+            (
+                (position, spec.label, answer)
+                for spec in specs
+                for position, _, answer in oracle.count_windows(
+                    get_operator(spec.operator_name), [spec.query], stream
+                )
+            ),
+            key=lambda row: row[:2],
+        )
 
     def run_engine(self, specs, stream):
         engine = CompatibleSharedEngine(specs)
@@ -86,7 +87,7 @@ class TestCompatibleSharedEngine:
             AcqSpec(Query(8, 2), "count"),
             AcqSpec(Query(8, 2), "mean"),
         ]
-        assert self.run_engine(specs, stream) == self.brute(
+        assert self.run_engine(specs, stream) == self.expected(
             specs, stream
         )
 
@@ -98,7 +99,7 @@ class TestCompatibleSharedEngine:
             AcqSpec(Query(12, 4), "variance"),
         ]
         got = self.run_engine(specs, stream)
-        expected = self.brute(specs, stream)
+        expected = self.expected(specs, stream)
         assert [(p, l) for p, l, _ in got] == [
             (p, l) for p, l, _ in expected
         ]
@@ -118,7 +119,7 @@ class TestCompatibleSharedEngine:
             (position, spec.label, answer)
             for position, spec, answer in engine.run(stream)
         ]
-        assert sorted(got, key=lambda r: (r[0], r[1])) == self.brute(
+        assert sorted(got, key=lambda r: (r[0], r[1])) == self.expected(
             specs, stream
         )
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import PlanError
+from repro.errors import InvalidOperatorError, PlanError
 from repro.operators.registry import get_operator
 from repro.stream.punctuation import (
     PunctuatedCuttyPipeline,
@@ -13,6 +13,7 @@ from repro.stream.punctuation import (
     punctuate,
 )
 from repro.windows.query import Query
+from tests import oracle
 from tests.conftest import int_stream
 
 
@@ -61,26 +62,31 @@ class TestBandwidthOverhead:
 
 
 class TestPunctuatedCuttyPipeline:
-    def brute(self, query, operator_name, stream):
-        op = get_operator(operator_name)
-        return [
-            (t, op.lower(op.fold(stream[max(0, t - query.range_size):t])))
-            for t in range(1, len(stream) + 1)
-            if query.reports_at(t)
-        ]
-
     @pytest.mark.parametrize("operator_name", ["sum", "max", "mean"])
     @pytest.mark.parametrize(
         "range_size,slide", [(6, 2), (7, 3), (3, 5), (5, 1), (4, 4)]
     )
     def test_matches_brute_force(self, operator_name, range_size, slide):
         stream = int_stream(90, seed=range_size * 10 + slide)
-        query = Query(range_size, slide)
-        pipeline = PunctuatedCuttyPipeline(
-            query, get_operator(operator_name)
-        )
-        got = pipeline.run(punctuate(stream, [query]))
-        assert got == self.brute(query, operator_name, stream)
+        query, op = Query(range_size, slide), get_operator(operator_name)
+        want = oracle.count_windows(op, [query], stream)
+        got = PunctuatedCuttyPipeline(query, op).run(punctuate(stream, [query]))
+        assert got == [(position, answer) for position, _, answer in want]
+
+    @pytest.mark.parametrize("operator_name", ["bit_and", "bit_or"])
+    @pytest.mark.parametrize(
+        "query", [Query(3, 3), Query(1, 5), Query(6, 2)], ids=str
+    )
+    def test_refuses_what_make_slickdeque_refuses_for_any_shape(
+        self, query, operator_name
+    ):
+        # A window of at most one partial never builds the final
+        # aggregator; it used to accept an operator SlickDeque refuses.
+        from repro.stream.engine import CuttyPipeline
+
+        for pipeline in (CuttyPipeline, PunctuatedCuttyPipeline):
+            with pytest.raises(InvalidOperatorError):
+                pipeline(query, get_operator(operator_name))
 
     def test_consumes_only_markers_it_receives(self):
         query = Query(6, 2)
