@@ -11,10 +11,11 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # Deterministic cost gates: Python-level library calls per tuple,
-# frame and request on the engine, service and wire paths.  Seconds
-# to run, so a call-count regression fails before the full suite.
+# frame and request on the engine, service and wire paths, and the
+# modules an engine import loads.  Seconds to run, so a regression
+# fails before the full suite.
 cost-gates:
-	PYTHONPATH=src $(PYTHON) -m pytest -q tests/unit/test_engine_cost.py tests/unit/test_service_cost.py tests/unit/test_wire_cost.py
+	PYTHONPATH=src $(PYTHON) -m pytest -q tests/unit/test_engine_cost.py tests/unit/test_service_cost.py tests/unit/test_wire_cost.py tests/unit/test_import_cost.py
 
 # Every paper sweep case (Table 1, Figs. 10-15, Exp 5, ablations) at
 # the quick scale under pytest-benchmark.

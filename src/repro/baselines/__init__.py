@@ -5,43 +5,22 @@ FlatFIT, TwoStacks, DABA — plus the from-scratch Recalc oracle used by
 the test suite.  SlickDeque itself lives in :mod:`repro.core`.
 """
 
-from repro.baselines.base import (
-    MultiQueryAggregator,
-    SlidingAggregator,
-    fold_seeded,
-    validate_ranges,
-    validate_window,
-)
-from repro.baselines.bint import BIntAggregator, BIntMultiAggregator
-from repro.baselines.daba import DABAAggregator
-from repro.baselines.flatfat import FlatFATAggregator, FlatFATMultiAggregator
-from repro.baselines.flatfit import FlatFITAggregator, FlatFITMultiAggregator
-from repro.baselines.naive import NaiveAggregator, NaiveMultiAggregator
-from repro.baselines.panes_inv import (
-    PanesInvAggregator,
-    SubtractOnEvictAggregator,
-)
-from repro.baselines.recalc import RecalcAggregator, RecalcMultiAggregator
-from repro.baselines.twostacks import TwoStacksAggregator
+from repro import _lazy_exports
 
-__all__ = [
-    "SlidingAggregator",
-    "MultiQueryAggregator",
-    "fold_seeded",
-    "validate_window",
-    "validate_ranges",
-    "RecalcAggregator",
-    "RecalcMultiAggregator",
-    "NaiveAggregator",
-    "NaiveMultiAggregator",
-    "PanesInvAggregator",
-    "SubtractOnEvictAggregator",
-    "FlatFATAggregator",
-    "FlatFATMultiAggregator",
-    "BIntAggregator",
-    "BIntMultiAggregator",
-    "FlatFITAggregator",
-    "FlatFITMultiAggregator",
-    "TwoStacksAggregator",
-    "DABAAggregator",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), {
+    ".base": (
+        "MultiQueryAggregator",
+        "SlidingAggregator",
+        "fold_seeded",
+        "validate_ranges",
+        "validate_window",
+    ),
+    ".bint": ("BIntAggregator", "BIntMultiAggregator"),
+    ".daba": ("DABAAggregator",),
+    ".flatfat": ("FlatFATAggregator", "FlatFATMultiAggregator"),
+    ".flatfit": ("FlatFITAggregator", "FlatFITMultiAggregator"),
+    ".naive": ("NaiveAggregator", "NaiveMultiAggregator"),
+    ".panes_inv": ("PanesInvAggregator", "SubtractOnEvictAggregator"),
+    ".recalc": ("RecalcAggregator", "RecalcMultiAggregator"),
+    ".twostacks": ("TwoStacksAggregator",),
+})

@@ -11,35 +11,23 @@
   heterogeneous ACQ sets.
 """
 
-from repro.core.algorithm1 import PaperAlgorithm1
-from repro.core.facade import (
-    ComponentwiseAggregator,
-    ComponentwiseMultiAggregator,
-    make_slickdeque,
-    make_slickdeque_multi,
-)
-from repro.core.multiquery import SharedSlickDeque
-from repro.core.slickdeque_inv import SlickDequeInv, SlickDequeInvMulti
-from repro.core.slickdeque_noninv import (
-    ChunkedSlickDequeNonInv,
-    SlickDequeNonInv,
-    SlickDequeNonInvMulti,
-    chunked_space_words,
-)
-from repro.core.slickdeque_noninv_wrapped import WrappedSlickDequeNonInvMulti
+from repro import _lazy_exports
 
-__all__ = [
-    "SlickDequeInv",
-    "SlickDequeInvMulti",
-    "SlickDequeNonInv",
-    "SlickDequeNonInvMulti",
-    "ChunkedSlickDequeNonInv",
-    "chunked_space_words",
-    "WrappedSlickDequeNonInvMulti",
-    "PaperAlgorithm1",
-    "ComponentwiseAggregator",
-    "ComponentwiseMultiAggregator",
-    "make_slickdeque",
-    "make_slickdeque_multi",
-    "SharedSlickDeque",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), {
+    ".algorithm1": ("PaperAlgorithm1",),
+    ".facade": (
+        "ComponentwiseAggregator",
+        "ComponentwiseMultiAggregator",
+        "make_slickdeque",
+        "make_slickdeque_multi",
+    ),
+    ".multiquery": ("SharedSlickDeque",),
+    ".slickdeque_inv": ("SlickDequeInv", "SlickDequeInvMulti"),
+    ".slickdeque_noninv": (
+        "ChunkedSlickDequeNonInv",
+        "SlickDequeNonInv",
+        "SlickDequeNonInvMulti",
+        "chunked_space_words",
+    ),
+    ".slickdeque_noninv_wrapped": ("WrappedSlickDequeNonInvMulti",),
+})

@@ -1,47 +1,30 @@
 """Workload generators: DEBS12-style, synthetic, and adversarial."""
 
-from repro.datasets.adversarial import (
-    ascending_stream,
-    deque_filler,
-    descending_stream,
-    worst_case_slide_ops,
-)
-from repro.datasets.debs12 import (
-    SAMPLE_RATE_HZ,
-    STATE_FIELDS,
-    Debs12Generator,
-    debs12_array,
-    debs12_events,
-    debs12_values,
-)
-from repro.datasets.synthetic import (
-    ascending,
-    constant,
-    descending,
-    gaussian,
-    materialise,
-    sawtooth,
-    uniform,
-    uniform_ints,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Debs12Generator",
-    "debs12_events",
-    "debs12_values",
-    "debs12_array",
-    "SAMPLE_RATE_HZ",
-    "STATE_FIELDS",
-    "uniform",
-    "uniform_ints",
-    "gaussian",
-    "ascending",
-    "descending",
-    "sawtooth",
-    "constant",
-    "materialise",
-    "deque_filler",
-    "descending_stream",
-    "ascending_stream",
-    "worst_case_slide_ops",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), {
+    ".adversarial": (
+        "ascending_stream",
+        "deque_filler",
+        "descending_stream",
+        "worst_case_slide_ops",
+    ),
+    ".debs12": (
+        "SAMPLE_RATE_HZ",
+        "STATE_FIELDS",
+        "Debs12Generator",
+        "debs12_array",
+        "debs12_events",
+        "debs12_values",
+    ),
+    ".synthetic": (
+        "ascending",
+        "constant",
+        "descending",
+        "gaussian",
+        "materialise",
+        "sawtooth",
+        "uniform",
+        "uniform_ints",
+    ),
+})

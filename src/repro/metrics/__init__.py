@@ -7,58 +7,32 @@ The wall-clock drivers live with the paper harness in
 ``benchmarks/paper/measures.py``.
 """
 
-from repro.metrics.memory import (
-    MemoryResult,
-    measure_memory,
-    peak_memory_words,
-)
-from repro.metrics.opcount import OpCountResult, count_ops, count_ops_single
-from repro.metrics.complexity_fit import (
-    ComplexityFit,
-    classify_algorithm_space,
-    classify_algorithm_time,
-    classify_growth,
-)
-from repro.metrics.spikes import (
-    SpikeProfile,
-    dominant_period,
-    flip_period,
-    spike_gaps,
-    spike_positions,
-)
-from repro.metrics.stats import (
-    Reservoir,
-    Summary,
-    drop_top_fraction,
-    geometric_mean,
-    maybe_summary,
-    percentile,
-    ratio,
-)
-from repro.metrics.throughput import ThroughputResult
+from repro import _lazy_exports
 
-__all__ = [
-    "MemoryResult",
-    "measure_memory",
-    "peak_memory_words",
-    "OpCountResult",
-    "count_ops",
-    "count_ops_single",
-    "ThroughputResult",
-    "Reservoir",
-    "Summary",
-    "maybe_summary",
-    "percentile",
-    "drop_top_fraction",
-    "geometric_mean",
-    "ratio",
-    "ComplexityFit",
-    "classify_growth",
-    "classify_algorithm_time",
-    "classify_algorithm_space",
-    "SpikeProfile",
-    "spike_positions",
-    "spike_gaps",
-    "dominant_period",
-    "flip_period",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), {
+    ".memory": ("MemoryResult", "measure_memory", "peak_memory_words"),
+    ".opcount": ("OpCountResult", "count_ops", "count_ops_single"),
+    ".complexity_fit": (
+        "ComplexityFit",
+        "classify_algorithm_space",
+        "classify_algorithm_time",
+        "classify_growth",
+    ),
+    ".spikes": (
+        "SpikeProfile",
+        "dominant_period",
+        "flip_period",
+        "spike_gaps",
+        "spike_positions",
+    ),
+    ".stats": (
+        "Reservoir",
+        "Summary",
+        "drop_top_fraction",
+        "geometric_mean",
+        "maybe_summary",
+        "percentile",
+        "ratio",
+    ),
+    ".throughput": ("ThroughputResult",),
+})

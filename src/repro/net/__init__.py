@@ -19,53 +19,32 @@ Public surface:
   :class:`AsyncAggregationClient`.
 """
 
-from repro.net.client import AggregationClient, AsyncAggregationClient
-from repro.net.protocol import (
-    LEGACY_PROTOCOL_VERSION,
-    MAGIC,
-    MAX_PAYLOAD_BYTES,
-    PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
-    Frame,
-    FrameDecoder,
-    FrameType,
-    decode_answers,
-    decode_value,
-    encode_answers,
-    encode_frame,
-    encode_value,
-    pack_column,
-    try_decode_frame,
-    try_decode_frame_traced,
-)
-from repro.net.server import (
-    ADMISSION_POLICIES,
-    AdmissionBudget,
-    AggregationServer,
-    ServerThread,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "MAGIC",
-    "PROTOCOL_VERSION",
-    "LEGACY_PROTOCOL_VERSION",
-    "SUPPORTED_VERSIONS",
-    "MAX_PAYLOAD_BYTES",
-    "Frame",
-    "FrameType",
-    "FrameDecoder",
-    "encode_value",
-    "decode_value",
-    "encode_frame",
-    "pack_column",
-    "try_decode_frame",
-    "try_decode_frame_traced",
-    "encode_answers",
-    "decode_answers",
-    "AggregationServer",
-    "AdmissionBudget",
-    "ADMISSION_POLICIES",
-    "ServerThread",
-    "AggregationClient",
-    "AsyncAggregationClient",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), {
+    ".client": ("AggregationClient", "AsyncAggregationClient"),
+    ".protocol": (
+        "LEGACY_PROTOCOL_VERSION",
+        "MAGIC",
+        "MAX_PAYLOAD_BYTES",
+        "PROTOCOL_VERSION",
+        "SUPPORTED_VERSIONS",
+        "Frame",
+        "FrameDecoder",
+        "FrameType",
+        "decode_answers",
+        "decode_value",
+        "encode_answers",
+        "encode_frame",
+        "encode_value",
+        "pack_column",
+        "try_decode_frame",
+        "try_decode_frame_traced",
+    ),
+    ".server": (
+        "ADMISSION_POLICIES",
+        "AdmissionBudget",
+        "AggregationServer",
+        "ServerThread",
+    ),
+})

@@ -298,10 +298,12 @@ class _RequestCore:
         return self._exchange((FrameType.STATS, None, None), _whole)
 
     def drain(self):
-        """Flush the service; returns (remaining answers, final stats).
+        """Flush the service; returns (every answer, final stats).
 
-        The second element is the whole reply dict; its ``"per_key"``
-        rows (per-key mode) are decoded like the answers.
+        The answers are the complete set, those earlier polls returned
+        included (``docs/serving.md``, ``DRAIN``).  The second element
+        is the whole reply dict; its ``"per_key"`` rows (per-key mode)
+        are decoded like the answers.
         """
         return self._exchange((FrameType.DRAIN, None, None), _drained)
 
@@ -390,16 +392,19 @@ class AggregationClient(_RequestCore):
     ) -> List[int]:
         """Pipeline many SUBMIT_BATCH frames, then read all replies.
 
-        All frames are written before any reply is read, so the server
-        sees the burst at once — its admission budget, not this
+        All frames go out in one write before any reply is read, so the
+        server sees the burst at once — its admission budget, not this
         client's pacing, decides what is shed.  Returns per-batch
         accepted counts (``0`` where the server shed and
         ``retry_shed`` is off); shed batches are re-submitted
         sequentially with backoff when ``retry_shed`` is on.
         """
         prepared = [build_submit_batch(batch) for batch in batches]
-        for frame_type, payload, _ in prepared:
-            self.send_frame(frame_type, payload)
+        if prepared:
+            self._sock.sendall(b"".join(
+                encode_frame(frame_type, payload)
+                for frame_type, payload, _ in prepared
+            ))
         accepted: List[int] = []
         shed_indexes: List[int] = []
         for index in range(len(prepared)):

@@ -14,104 +14,58 @@ Public surface:
 * :func:`get_operator` — name-based registry lookup.
 """
 
-from repro.operators.algebraic import (
-    ComposedOperator,
-    InvertibleComposedOperator,
-    compose,
-    geometric_mean_operator,
-    mean_operator,
-    range_operator,
-    stddev_operator,
-    variance_operator,
-)
-from repro.operators.base import (
-    Agg,
-    AggregateOperator,
-    InvertibleOperator,
-    require_invertible,
-    require_selection,
-)
-from repro.operators.boolean import (
-    BitAndOperator,
-    BitOrOperator,
-    BoolAllOperator,
-    BoolAnyOperator,
-)
-from repro.operators.instrumented import CountingOperator, SlideOpRecorder
-from repro.operators.invertible import (
-    CountOperator,
-    IntProductOperator,
-    ProductOperator,
-    SumOfSquaresOperator,
-    SumOperator,
-)
-from repro.operators.noninvertible import (
-    NEG_INF,
-    POS_INF,
-    AlphabeticalMaxOperator,
-    ArgMaxOperator,
-    ArgMinOperator,
-    MaxOperator,
-    MinOperator,
-    argmax_of_cosine,
-    argmin_of_square,
-)
-from repro.operators.positional import FirstOperator, LastOperator
-from repro.operators.views import (
-    ComponentSlice,
-    PartialView,
-    RawView,
-    partial_view,
-    raw_view,
-)
-from repro.operators.registry import (
-    available_operators,
-    get_operator,
-    register_operator,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Agg",
-    "AggregateOperator",
-    "InvertibleOperator",
-    "require_invertible",
-    "require_selection",
-    "SumOperator",
-    "CountOperator",
-    "SumOfSquaresOperator",
-    "ProductOperator",
-    "IntProductOperator",
-    "MaxOperator",
-    "MinOperator",
-    "AlphabeticalMaxOperator",
-    "ArgMaxOperator",
-    "ArgMinOperator",
-    "argmax_of_cosine",
-    "argmin_of_square",
-    "NEG_INF",
-    "POS_INF",
-    "ComposedOperator",
-    "InvertibleComposedOperator",
-    "compose",
-    "mean_operator",
-    "variance_operator",
-    "stddev_operator",
-    "geometric_mean_operator",
-    "range_operator",
-    "CountingOperator",
-    "SlideOpRecorder",
-    "BoolAllOperator",
-    "BoolAnyOperator",
-    "BitAndOperator",
-    "BitOrOperator",
-    "FirstOperator",
-    "LastOperator",
-    "get_operator",
-    "register_operator",
-    "available_operators",
-    "RawView",
-    "PartialView",
-    "ComponentSlice",
-    "raw_view",
-    "partial_view",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), {
+    ".algebraic": (
+        "ComposedOperator",
+        "InvertibleComposedOperator",
+        "compose",
+        "geometric_mean_operator",
+        "mean_operator",
+        "range_operator",
+        "stddev_operator",
+        "variance_operator",
+    ),
+    ".base": (
+        "Agg",
+        "AggregateOperator",
+        "InvertibleOperator",
+        "require_invertible",
+        "require_selection",
+    ),
+    ".boolean": (
+        "BitAndOperator",
+        "BitOrOperator",
+        "BoolAllOperator",
+        "BoolAnyOperator",
+    ),
+    ".instrumented": ("CountingOperator", "SlideOpRecorder"),
+    ".invertible": (
+        "CountOperator",
+        "IntProductOperator",
+        "ProductOperator",
+        "SumOfSquaresOperator",
+        "SumOperator",
+    ),
+    ".noninvertible": (
+        "NEG_INF",
+        "POS_INF",
+        "AlphabeticalMaxOperator",
+        "ArgMaxOperator",
+        "ArgMinOperator",
+        "MaxOperator",
+        "MinOperator",
+        "argmax_of_cosine",
+        "argmin_of_square",
+    ),
+    ".positional": ("FirstOperator", "LastOperator"),
+    ".views": (
+        "ComponentSlice",
+        "PartialView",
+        "RawView",
+        "partial_view",
+        "raw_view",
+    ),
+    ".registry": ("available_operators", "get_operator", "register_operator"),
+})

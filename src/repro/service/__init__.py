@@ -25,73 +25,41 @@ Public surface:
   deterministic fault injection for chaos testing.
 """
 
-from repro.service.chaos import (
-    ChaosEvent,
-    FaultInjector,
-    PoisonValue,
-    WorkerFaultPlan,
-    poison,
-)
-from repro.service.gateway import ServiceGateway
-from repro.service.merge import (
-    GlobalMerger,
-    PerKeyCollator,
-    check_mergeable,
-)
-from repro.service.partition import (
-    BACKPRESSURE_POLICIES,
-    Batch,
-    Router,
-    drop_records,
-    shard_of,
-    stable_hash,
-    thin_batch,
-)
-from repro.service.service import (
-    AggregationService,
-    ServiceResult,
-    ServiceStats,
-    ShardStats,
-)
-from repro.service.shard import (
-    POISON_POLICIES,
-    SHARD_MODES,
-    ShardConfig,
-    ShardOutput,
-    ShardState,
-    shard_main,
-)
-from repro.service.slices import SliceClock
-from repro.service.supervisor import InlineTransport, Supervisor
+from repro import _lazy_exports
 
-__all__ = [
-    "AggregationService",
-    "ServiceGateway",
-    "ServiceResult",
-    "ServiceStats",
-    "ShardStats",
-    "Router",
-    "Batch",
-    "stable_hash",
-    "shard_of",
-    "drop_records",
-    "thin_batch",
-    "BACKPRESSURE_POLICIES",
-    "SliceClock",
-    "ShardConfig",
-    "ShardState",
-    "ShardOutput",
-    "shard_main",
-    "SHARD_MODES",
-    "POISON_POLICIES",
-    "ChaosEvent",
-    "FaultInjector",
-    "PoisonValue",
-    "WorkerFaultPlan",
-    "poison",
-    "GlobalMerger",
-    "PerKeyCollator",
-    "check_mergeable",
-    "Supervisor",
-    "InlineTransport",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), {
+    ".chaos": (
+        "ChaosEvent",
+        "FaultInjector",
+        "PoisonValue",
+        "WorkerFaultPlan",
+        "poison",
+    ),
+    ".gateway": ("ServiceGateway",),
+    ".merge": ("GlobalMerger", "PerKeyCollator", "check_mergeable"),
+    ".partition": (
+        "BACKPRESSURE_POLICIES",
+        "Batch",
+        "Router",
+        "drop_records",
+        "shard_of",
+        "stable_hash",
+        "thin_batch",
+    ),
+    ".service": (
+        "AggregationService",
+        "ServiceResult",
+        "ServiceStats",
+        "ShardStats",
+    ),
+    ".shard": (
+        "POISON_POLICIES",
+        "SHARD_MODES",
+        "ShardConfig",
+        "ShardOutput",
+        "ShardState",
+        "shard_main",
+    ),
+    ".slices": ("SliceClock",),
+    ".supervisor": ("InlineTransport", "Supervisor"),
+})

@@ -33,6 +33,8 @@ on its result ring.
 
 from __future__ import annotations
 
+from repro import _lazy_exports
+
 
 def shm_supported() -> bool:
     """Whether :mod:`multiprocessing.shared_memory` imports here.
@@ -47,27 +49,15 @@ def shm_supported() -> bool:
     return True
 
 
-from repro.service.transport.frame import (  # noqa: E402
-    FrameKind,
-    decode_frame,
-    encode_batch_frame,
-    encode_control_frame,
-    encode_pickled_frame,
-)
-from repro.service.transport.ring import SpscRing  # noqa: E402
-from repro.service.transport.shm import (  # noqa: E402
-    ShardChannel,
-    WorkerEndpoint,
-)
-
-__all__ = [
-    "FrameKind",
-    "ShardChannel",
-    "SpscRing",
-    "WorkerEndpoint",
-    "decode_frame",
-    "encode_batch_frame",
-    "encode_control_frame",
-    "encode_pickled_frame",
-    "shm_supported",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), {
+    ".frame": (
+        "FrameKind",
+        "decode_frame",
+        "encode_batch_frame",
+        "encode_control_frame",
+        "encode_pickled_frame",
+    ),
+    ".ring": ("SpscRing",),
+    ".shm": ("ShardChannel", "WorkerEndpoint"),
+})
+__all__.append("shm_supported")

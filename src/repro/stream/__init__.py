@@ -6,44 +6,26 @@ pipelines, composable sinks, and the slightly-out-of-order reorder
 buffer of Section 3.1.
 """
 
-from repro.stream.engine import CuttyPipeline, StreamEngine
-from repro.stream.outoforder import absorbable
-from repro.stream.punctuation import (
-    PunctuatedCuttyPipeline,
-    Punctuation,
-    bandwidth_overhead,
-    punctuate,
-)
-from repro.stream.records import Record, SensorEvent
-from repro.stream.sink import (
-    CallbackSink,
-    CollectSink,
-    CountingSink,
-    DeadLetter,
-    DeadLetterSink,
-    LatestSink,
-    Sink,
-)
-from repro.stream.source import Source, from_events, from_values
+from repro import _lazy_exports
 
-__all__ = [
-    "Record",
-    "SensorEvent",
-    "Source",
-    "from_values",
-    "from_events",
-    "Sink",
-    "CollectSink",
-    "LatestSink",
-    "CallbackSink",
-    "CountingSink",
-    "DeadLetter",
-    "DeadLetterSink",
-    "StreamEngine",
-    "CuttyPipeline",
-    "absorbable",
-    "Punctuation",
-    "punctuate",
-    "bandwidth_overhead",
-    "PunctuatedCuttyPipeline",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), {
+    ".engine": ("CuttyPipeline", "StreamEngine"),
+    ".outoforder": ("absorbable",),
+    ".punctuation": (
+        "PunctuatedCuttyPipeline",
+        "Punctuation",
+        "bandwidth_overhead",
+        "punctuate",
+    ),
+    ".records": ("Record", "SensorEvent"),
+    ".sink": (
+        "CallbackSink",
+        "CollectSink",
+        "CountingSink",
+        "DeadLetter",
+        "DeadLetterSink",
+        "LatestSink",
+        "Sink",
+    ),
+    ".source": ("Source", "from_events", "from_values"),
+})

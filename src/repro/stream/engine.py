@@ -26,7 +26,6 @@ from typing import Any, Iterable, List, Optional, Sequence, Tuple
 from repro.core.multiquery import SharedSlickDeque
 from repro.kernels import as_sequence
 from repro.operators.base import AggregateOperator
-from repro.stream.punctuation import PunctuatedCuttyPipeline, Punctuation
 from repro.stream.sink import Sink
 from repro.telemetry import runtime as _telemetry_runtime
 from repro.windows.query import Query
@@ -274,9 +273,14 @@ class CuttyPipeline:
     """
 
     def __init__(self, query: Query, operator: AggregateOperator):
+        # Bound here, not at import: punctuation loads the single-query
+        # facade, which the shared engine never needs.
+        from repro.stream.punctuation import PunctuatedCuttyPipeline, Punctuation
+
         self.query = query
         self.operator = operator
         self._execution = PunctuatedCuttyPipeline(query, operator)
+        self._punctuation = Punctuation
         # Edge phase: partial boundaries fall after positions ≡ -r (mod s).
         self._edge_phase = (-query.range_size) % query.slide
 
@@ -291,7 +295,7 @@ class CuttyPipeline:
         answer = execution.feed(value)
         position = execution._position
         if position % self.query.slide == self._edge_phase:
-            execution.feed(Punctuation(position))
+            execution.feed(self._punctuation(position))
         return answer
 
     def run(self, values: Iterable[Any]) -> List[Tuple[int, Any]]:

@@ -7,7 +7,9 @@ SlickDeque (Non-Inv) and DABA's queues (paper Section 4.2 chunked
 allocation).
 """
 
-from repro.structures.chunked_deque import ChunkedDeque, optimal_chunk_size
-from repro.structures.circular_buffer import CircularBuffer
+from repro import _lazy_exports
 
-__all__ = ["CircularBuffer", "ChunkedDeque", "optimal_chunk_size"]
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), {
+    ".chunked_deque": ("ChunkedDeque", "optimal_chunk_size"),
+    ".circular_buffer": ("CircularBuffer",),
+})

@@ -19,31 +19,16 @@ See ``docs/observability.md`` for the metric catalogue and trace
 semantics.
 """
 
-from repro.telemetry.registry import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.telemetry.runtime import (
-    Telemetry,
-    active,
-    install,
-    uninstall,
-)
-from repro.telemetry.trace import Tracer, mint_trace_id
+from repro import _lazy_exports
 
-__all__ = [
-    "DEFAULT_LATENCY_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Telemetry",
-    "Tracer",
-    "active",
-    "install",
-    "mint_trace_id",
-    "uninstall",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), {
+    ".registry": (
+        "DEFAULT_LATENCY_BUCKETS",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+    ),
+    ".runtime": ("Telemetry", "active", "install", "uninstall"),
+    ".trace": ("Tracer", "mint_trace_id"),
+})

@@ -19,9 +19,6 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Optional
 
-from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.trace import Tracer
-
 
 class Telemetry:
     """A metrics registry and a tracer sharing one lifetime.
@@ -37,6 +34,12 @@ class Telemetry:
         slow_threshold: float = 0.050,
         max_slow_ops: int = 128,
     ):
+        # Bound here, not at import: the engine imports this module
+        # for :func:`active` and must not load the instruments (nor
+        # the ``secrets`` behind trace ids) unless a hub is built.
+        from repro.telemetry.registry import MetricsRegistry
+        from repro.telemetry.trace import Tracer
+
         self.registry = MetricsRegistry()
         self.tracer = Tracer(
             slow_threshold=slow_threshold, max_slow_ops=max_slow_ops

@@ -5,66 +5,31 @@ aggregation) and 2.3 (shared processing of ACQs via LCM composite
 slides), plus the partial aggregator that feeds final aggregation.
 """
 
-from repro.windows.compatibility import (
-    AcqSpec,
-    CompatibleSharedEngine,
-    SharingPlan,
-    build_sharing_plan,
-    distributive_components,
-)
-from repro.windows.partial import CompletedPartial, PartialAggregator
-from repro.windows.timebased import (
-    TimeQuery,
-    TimeWindowEngine,
-    slice_duration,
-)
-from repro.windows.plan import (
-    PlanStep,
-    ScheduledQuery,
-    SharedPlan,
-    build_shared_plan,
-)
-from repro.windows.query import Query, max_range
-from repro.windows.slicing import (
-    ALL_TECHNIQUES,
-    CUTTY,
-    PAIRS,
-    PANES,
-    composite_slide,
-    cutty_edges,
-    edges_for,
-    pairs_edges,
-    panes_edges,
-    partial_lengths,
-    punctuation_count,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Query",
-    "max_range",
-    "PANES",
-    "PAIRS",
-    "CUTTY",
-    "ALL_TECHNIQUES",
-    "composite_slide",
-    "panes_edges",
-    "pairs_edges",
-    "cutty_edges",
-    "edges_for",
-    "partial_lengths",
-    "punctuation_count",
-    "SharedPlan",
-    "PlanStep",
-    "ScheduledQuery",
-    "build_shared_plan",
-    "CompletedPartial",
-    "PartialAggregator",
-    "TimeQuery",
-    "TimeWindowEngine",
-    "slice_duration",
-    "AcqSpec",
-    "SharingPlan",
-    "build_sharing_plan",
-    "distributive_components",
-    "CompatibleSharedEngine",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), {
+    ".compatibility": (
+        "AcqSpec",
+        "CompatibleSharedEngine",
+        "SharingPlan",
+        "build_sharing_plan",
+        "distributive_components",
+    ),
+    ".partial": ("CompletedPartial", "PartialAggregator"),
+    ".timebased": ("TimeQuery", "TimeWindowEngine", "slice_duration"),
+    ".plan": ("PlanStep", "ScheduledQuery", "SharedPlan", "build_shared_plan"),
+    ".query": ("Query", "max_range"),
+    ".slicing": (
+        "ALL_TECHNIQUES",
+        "CUTTY",
+        "PAIRS",
+        "PANES",
+        "composite_slide",
+        "cutty_edges",
+        "edges_for",
+        "pairs_edges",
+        "panes_edges",
+        "partial_lengths",
+        "punctuation_count",
+    ),
+})

@@ -234,6 +234,8 @@ class TimeWindowEngine:
         # newest accepted timestamp (a sorted stream is its own
         # watermark).
         self._newest = origin
+        # An empty stream closes no slice, so finish() answers nothing.
+        self._accepted_any = False
 
     def _refuse(self, timestamp: float, newest: float) -> None:
         """Raise for a timestamp that failed the ordering check."""
@@ -277,6 +279,7 @@ class TimeWindowEngine:
         answers = self._close_through(index) if closes else []
         self._accumulator = accumulator
         self._newest = timestamp
+        self._accepted_any = True
         return answers
 
     def feed_many(
@@ -360,10 +363,16 @@ class TimeWindowEngine:
         self._open_index = open_index
         self._accumulator = accumulator
         self._newest = timestamps[-1]
+        self._accepted_any = True
         return answers
 
     def finish(self) -> List[TimeAnswer]:
-        """Close the open slice and return its answers."""
+        """Close the open slice and return its answers.
+
+        A stream that never had a record accepted answers nothing.
+        """
+        if not self._accepted_any:
+            return []
         return self._close_through(self._open_index + 1)
 
     def run(

@@ -105,6 +105,21 @@ class CountingExecutor:
         self.inner.shutdown(*args, **kwargs)
 
 
+class CountingSocket:
+    """Wraps a client's socket and counts its writes."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.writes = 0
+
+    def sendall(self, data):
+        self.writes += 1
+        return self.inner.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
 @pytest.mark.timeout(120)
 class TestOverTheWireEquivalence:
     """Socket answers == the oracle's answers."""
@@ -122,7 +137,11 @@ class TestOverTheWireEquivalence:
             with AggregationClient(
                 "127.0.0.1", thread.port
             ) as client:
+                # Under TCP_NODELAY a write per frame leaves as a
+                # segment per frame: the 16-frame burst is one write.
+                counting = client._sock = CountingSocket(client._sock)
                 accepted = client.submit_batches(chunks)
+                assert counting.writes == 1
                 assert accepted == [len(chunk) for chunk in chunks]
                 polled = client.poll()
                 answers, final = client.drain()

@@ -580,6 +580,34 @@ def test_event_time_engine_raises_on_late_records():
     assert engine.late_records == 1
 
 
+def test_an_empty_stream_answers_nothing_on_every_time_path():
+    # finish() used to close slice 0 as the identity, so a stream that
+    # never had a record answered [(1.0, q, 0)]; the oracle and the
+    # time-mode service answer nothing.
+    from repro.service import AggregationService
+
+    queries = [TimeQuery(2.0, 1.0)]
+    sum_op = get_operator("sum")
+    expected = oracle.time_windows(sum_op, queries, [])
+    assert expected == []
+    service = AggregationService(
+        queries, sum_op, num_shards=2, mode="time", transport="inline"
+    )
+    assert service.close().answers == expected
+    assert TimeWindowEngine(queries, sum_op).finish() == expected
+    assert EventTimeEngine(queries, sum_op, lateness=1.0).finish() == expected
+    # Records still in the reorder buffer at finish are a stream, and
+    # so is one record at the origin itself.
+    engine = EventTimeEngine(queries, sum_op, lateness=10.0)
+    assert engine.feed_many([(0.5, 3), (0.2, 4)]) == []
+    assert engine.finish() == oracle.time_windows(
+        sum_op, queries, [(0.5, 3), (0.2, 4)]
+    )
+    engine = TimeWindowEngine(queries, sum_op)
+    assert engine.feed(0.0, 7) == []
+    assert engine.finish() == oracle.time_windows(sum_op, queries, [(0.0, 7)])
+
+
 def _engine_state(engine):
     inner = engine._inner
     return (
