@@ -8,7 +8,8 @@ Run from the repository root::
     PYTHONPATH=src python -m benchmarks.paper.cli all --scale quick
 
 ``make experiments``, ``make quick-experiments`` and ``make validate``
-wrap it.
+wrap it.  ``validate`` exits 1 when a claim fails and names the failed
+claims on stderr; ``all`` is a report and exits 0 either way.
 """
 
 from __future__ import annotations
@@ -87,7 +88,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Parse arguments, run the experiment(s), print the report."""
+    """Parse arguments, run the experiment(s), print the report.
+
+    Returns the exit status: 1 for ``validate`` with a failed claim,
+    0 otherwise.
+    """
     args = _build_parser().parse_args(argv)
     config = dataclasses.replace(
         SCALES[args.scale](), table1_window=args.window
@@ -98,13 +103,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         for name in chosen
         for sweep in SECTIONS.get(name, ())
     ]
+    failed: List[str] = []
     if args.experiment in ("validate", "all"):
-        sections.append(validate.main(quick=args.scale == "quick"))
+        claims = validate.check_all(quick=args.scale == "quick")
+        sections.append(validate.render(claims))
+        failed = [claim.identifier for claim in claims if not claim.passed]
     report = "\n\n".join(sections)
     print(report)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(report + "\n")
+    if failed and args.experiment == "validate":
+        print(f"failed claims: {', '.join(failed)}", file=sys.stderr)
+        return 1
     return 0
 
 

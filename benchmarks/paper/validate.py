@@ -260,8 +260,3 @@ def render(claims: List[Claim]) -> str:
     lines.append("")
     lines.append(f"{passed}/{len(claims)} claims reproduced")
     return "\n".join(lines)
-
-
-def main(quick: bool = False) -> str:
-    """Run the validator; return the rendered report."""
-    return render(check_all(quick=quick))

@@ -3,12 +3,14 @@
 
 Keyed sensor readings are cut into contiguous frames dealt
 round-robin across four worker processes, each running the
-shard-local half of a shared SlickDeque pipeline; a cross-shard
-merger recombines slice partials into answers identical to a
-single-process run.  Midway through the stream one
-worker is killed with SIGKILL — the supervisor restores it from its
-checkpoint, replays the in-flight batches, and the final answers still
-match the single-process reference exactly.
+shard-local half of a shared SlickDeque pipeline: each frame becomes
+one partial piece per slice it touches, and a cross-shard merger
+combines a slice's pieces in stream order into answers identical to a
+single-process run.  Midway through the stream one worker is killed
+with SIGKILL — a shard holds nothing between frames, so the
+supervisor starts a fresh worker, sends it the frames the dead one had
+not acknowledged, and the final answers still match the
+single-process reference exactly.
 
 Run:  python examples/sharded_service.py
 """
@@ -46,14 +48,12 @@ def main() -> None:
     reference = sink.answers
     print(f"  {len(reference)} answers from {len(records)} readings")
 
-    print("\nsharded run: 4 worker processes, batches of 32, "
-          "checkpoint every 4 batches")
+    print("\nsharded run: 4 worker processes, frames of 32")
     service = AggregationService(
         QUERIES,
         get_operator("sum"),
         num_shards=4,
         batch_size=32,
-        checkpoint_interval=4,
     )
     midpoint = len(records) // 2
     service.submit_many(records[:midpoint])
@@ -69,13 +69,12 @@ def main() -> None:
 
     stats = result.stats
     restores = [shard.restores for shard in stats.shards]
-    print(f"  shards restored from checkpoint: {restores}")
+    print(f"  shard workers respawned: {restores}")
     print(f"  records processed: {stats.records_processed:,} "
           f"(dropped: {stats.dropped_records})")
     for shard in stats.shards:
         print(f"    shard {shard.shard_id}: {shard.records:>4} records "
-              f"in {shard.batches} batches, "
-              f"{shard.checkpoints} checkpoints")
+              f"in {shard.batches} frames")
 
     print("\nsharded answers identical to single-process run:",
           result.answers == reference)

@@ -212,10 +212,9 @@ class TelemetryError(ReproError, ValueError):
 class MergeCapabilityError(ReproError, TypeError):
     """Cross-shard merging would be unsound for this operator.
 
-    Global answers recombine per-shard partial aggregates with
-    ``combine``; that is exact only for operators with the
-    :attr:`~repro.operators.base.AggregateOperator.mergeable`
-    capability (order-insensitive partial recombination) and a
-    SlickDeque processing path (invertible or selection-type).
-    Operators without it must run in per-key mode instead.
+    Global and time mode recombine per-slice pieces with ``combine``
+    in stream order and drive the shared SlickDeque final aggregation
+    with the result, so the operator needs a SlickDeque processing path
+    (invertible, selection-type, or an algebraic composition);
+    ``bit_and`` and ``bit_or`` have none.
     """

@@ -109,24 +109,6 @@ class AggregateOperator(ABC):
             acc = self.combine(acc, agg)
         return acc
 
-    @property
-    def mergeable(self) -> bool:
-        """Whether disjoint partials of one window can be recombined.
-
-        ``True`` when partial aggregates computed over an *arbitrary
-        disjoint partition* of a window's tuples (e.g. the per-shard
-        subsets of a key-partitioned stream) can be ``combine``d into
-        the exact whole-window aggregate regardless of how the
-        partition interleaves the stream.  For an associative operator
-        this holds exactly when ``combine`` is commutative, so the
-        default derives from :attr:`commutative`; operators with
-        order-sensitive tie-breaking (ArgMax) or positional semantics
-        (First, Last) inherit ``False`` the same way.  Subclasses may
-        override (a plain class attribute shadows this property) when
-        commutativity and mergeability diverge.
-        """
-        return self.commutative
-
     def dominates(self, incumbent: Agg, challenger: Agg) -> bool:
         """Whether ``challenger`` makes ``incumbent`` irrelevant.
 

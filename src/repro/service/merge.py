@@ -1,15 +1,16 @@
 """Cross-shard combination of per-shard results.
 
 Global mode rests on one algebraic fact: a slice's whole-stream partial
-is the ``combine`` of the per-shard partials of the same slice, because
-the shards hold *disjoint* subsets of its tuples.  Recombining in shard
-order instead of stream order is exact precisely when the operator's
-partial recombination is order-insensitive — the
-:attr:`~repro.operators.base.AggregateOperator.mergeable` capability —
-and the final aggregation additionally needs a SlickDeque processing
-path (invertible, selection-type, or a composition such as Range).
-:func:`check_mergeable` enforces both up front so unsound merges are
-rejected at service construction, not detected as wrong answers.
+is the ``combine`` of the partials of disjoint runs of its tuples,
+taken in stream order — associativity alone, so order-sensitive
+operators (``first``, ``last``, ``argmax_cos``, ...) merge exactly as
+commutative ones do.  The shards ship one *piece* per same-slice run of
+each frame, keyed by slice and first stream position, and the merger
+combines a slice's pieces in position order.  The final aggregation
+additionally needs a SlickDeque processing path (invertible,
+selection-type, or a composition such as Range);
+:func:`check_mergeable` enforces that up front so an operator without
+one is rejected at service construction, not detected as wrong answers.
 
 :class:`GlobalMerger` and :class:`EventTimeMerger` track each shard's
 slice watermark on one shared frontier, finalise a slice once every
@@ -41,22 +42,14 @@ from repro.windows.timebased import (
 
 
 def check_mergeable(operator: AggregateOperator) -> None:
-    """Reject operators whose cross-shard merge would be unsound.
+    """Reject operators merged partials cannot drive.
 
     Raises:
-        MergeCapabilityError: when partial recombination is
-            order-sensitive (not ``mergeable``: run such an operator
-            in per-key mode), or when the operator has no SlickDeque
-            final-aggregation path at all (e.g. ``bit_and``).
+        MergeCapabilityError: when the operator has no SlickDeque
+            final-aggregation path (neither invertible, selection-type,
+            nor a composition — e.g. ``bit_and``); run it in per-key
+            mode's engines instead, which refuse it too.
     """
-    if not operator.mergeable:
-        raise MergeCapabilityError(
-            f"operator {operator.name!r} does not support cross-shard "
-            "merging: its partial recombination is order-sensitive "
-            "(mergeable=False), so per-shard partials cannot be "
-            "combined into exact global answers; run the service in "
-            "per-key mode instead"
-        )
     # Exactly what the shared engine's dispatch refuses.
     composed = isinstance(operator, ComposedOperator)
     if not (operator.invertible or operator.selects or composed):
@@ -70,16 +63,17 @@ def check_mergeable(operator: AggregateOperator) -> None:
 
 
 class _SliceFrontier:
-    """The min-watermark merge frontier over per-shard slice partials.
+    """The min-watermark merge frontier over per-shard slice pieces.
 
     A slice is finalised once the minimum watermark of the live shards
     passes it: every shard has then shipped (and acknowledged) all of
-    its records for the slice, so the per-shard partials on hand are
-    complete.  Shards with no records in a slice simply contribute
-    nothing — the combine starts from the operator identity — and the
-    partials that are present combine in shard order.  Watermarks count
-    closed slices whichever clock the service runs on, so count and
-    event time share this frontier; a subclass supplies only
+    its frames with records in the slice, so the pieces on hand are
+    complete.  A slice no piece reached is the operator identity; the
+    pieces of one slice combine in order of their first stream
+    position, which is stream order, and a replayed piece — same slice,
+    same first position — replaces its identical original.  Watermarks
+    count closed slices whichever clock the service runs on, so count
+    and event time share this frontier; a subclass supplies only
     :meth:`_finalise`, what a merged slice partial turns into.
     """
 
@@ -90,6 +84,7 @@ class _SliceFrontier:
         # recovered worker present stale values, which ``advance``
         # ignores by construction.
         self._watermarks = [Watermark(0) for _ in range(num_shards)]
+        #: Pieces of unmerged slices: slice -> {first position: piece}.
         self._pending: Dict[int, Dict[int, Any]] = {}
         self._next_slice = 0
         #: Shards declared failed: excluded from the watermark frontier.
@@ -116,7 +111,7 @@ class _SliceFrontier:
     def mark_failed(self, shard_id: int) -> List[Any]:
         """Stop waiting on a failed shard's watermark.
 
-        The shard's already-absorbed partials still participate (they
+        The shard's already-absorbed pieces still participate (they
         are exact for the records it acknowledged), but slices are now
         finalised without waiting for it — otherwise one dead shard
         would wedge the global frontier forever.  Returns any answers
@@ -127,11 +122,9 @@ class _SliceFrontier:
 
     def on_output(self, output: ShardOutput) -> List[Any]:
         """Absorb one shard output; return newly-released answers."""
-        for index, value in output.partials:
+        for index, first, piece in output.partials:
             if index >= self._next_slice:  # replays of merged slices
-                self._pending.setdefault(index, {})[
-                    output.shard_id
-                ] = value
+                self._pending.setdefault(index, {})[first] = piece
         self._watermarks[output.shard_id].advance(output.watermark)
         return self._drain()
 
@@ -149,12 +142,10 @@ class _SliceFrontier:
         frontier = min(active) if active else self._next_slice
         operator = self.operator
         while self._next_slice < frontier:
-            shard_partials = self._pending.pop(self._next_slice, {})
+            pieces = self._pending.pop(self._next_slice, {})
             merged = operator.identity
-            for shard_id in sorted(shard_partials):
-                merged = operator.combine(
-                    merged, shard_partials[shard_id]
-                )
+            for first in sorted(pieces):
+                merged = operator.combine(merged, pieces[first])
             answers.extend(self._finalise(self._next_slice, merged))
             self._next_slice += 1
         self.answers_emitted += len(answers)
@@ -162,7 +153,7 @@ class _SliceFrontier:
 
 
 class GlobalMerger(_SliceFrontier):
-    """Combine per-shard count-slice partials into global engine answers.
+    """Combine count-slice pieces into global engine answers.
 
     Each merged slice partial drives the shared SlickDeque final
     aggregation at the slice's end position — the position the
@@ -170,7 +161,7 @@ class GlobalMerger(_SliceFrontier):
 
     Args:
         queries: The service's ACQ set.
-        operator: The (mergeable) aggregate operator.
+        operator: The aggregate operator (see :func:`check_mergeable`).
         technique: Partial-aggregation technique of the shared plan.
         num_shards: Number of shards feeding this merger.
     """
@@ -196,7 +187,7 @@ class GlobalMerger(_SliceFrontier):
 
 
 class EventTimeMerger(_SliceFrontier):
-    """Combine per-shard *time-slice* partials into time-query answers.
+    """Combine *time-slice* pieces into time-query answers.
 
     Each merged slice partial (the operator identity for a slice no
     shard saw a record in) goes through the same
@@ -206,7 +197,7 @@ class EventTimeMerger(_SliceFrontier):
     ``(window_end_timestamp, time_query, answer)`` triples.  The
     per-shard watermarks count closed *time* slices — the service
     derives them from its bounded-lateness event watermark, and the
-    shard echoes them monotonically even across a crash/replay cycle.
+    shards echo them from their frames.
     """
 
     def __init__(

@@ -7,9 +7,10 @@ shard each.  How a record finds its shard depends on the mode:
 * **global and time mode** — the :class:`Router` is a *frame
   splitter*.  A call's records are cut into contiguous
   ``batch_size``-record frames, dealt round-robin over the live shards,
-  so a frame's positions are a ``range``.  No key is read:
-  :func:`~repro.service.merge.check_mergeable` already guarantees that
-  slice partials combine across shards under any partition.
+  so a frame's positions are a ``range``.  No key is read: a shard
+  turns a frame into pieces keyed by slice and first position, and the
+  merger combines a slice's pieces in position order, so any deal of
+  contiguous frames gives the single-process answers.
 * **per-key mode** — records are hash-partitioned by key into
   per-shard buffers, framed in *flush rounds* whenever one shard's
   buffer reaches ``batch_size``.

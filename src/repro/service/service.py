@@ -7,7 +7,8 @@ mode, hash-partitioned by key in per-key mode), a transport (process-backed
 :class:`~repro.service.supervisor.Supervisor` or in-process
 :class:`~repro.service.supervisor.InlineTransport`) runs the shard
 pipelines, and a merge layer turns shard outputs into answers —
-globally merged for mergeable operators, per key otherwise.
+merged across shards from per-slice pieces in global and time mode,
+collated per key otherwise.
 
 Usage::
 
@@ -26,13 +27,16 @@ In global mode the emitted ``(position, query, answer)`` triples are
 identical to a single-process :class:`~repro.stream.engine.StreamEngine`
 run over the same records in submission order (exactly, for exact-value
 streams such as integers; floating-point answers may differ by
-rounding, since cross-shard recombination reorders the fold).
+rounding, since a slice's pieces are folded separately before they
+combine).
 
 Failure handling (see ``docs/fault_tolerance.md`` for the full model):
 poison records are quarantined to the service's
 :class:`~repro.stream.sink.DeadLetterSink`; crashed workers are
-restored from CRC-verified checkpoints within a per-shard restart
-budget; a shard that exhausts the budget is reported in
+respawned within a per-shard restart budget — a global- or time-mode
+shard holds nothing between frames and is sent the frames it had not
+acknowledged, a per-key shard resumes from its CRC-verified
+checkpoint; a shard that exhausts the budget is reported in
 ``stats.failed_shards``, the records it had not acknowledged are
 dead-lettered with their keys in ``stats.degraded_keys``, and the rest
 of the service keeps answering.
@@ -64,7 +68,7 @@ from repro.stream.outoforder import (
 )
 from repro.stream.sink import DeadLetter, DeadLetterSink
 from repro.windows.query import Query
-from repro.windows.timebased import DEFAULT_RESOLUTION, TimeQuery
+from repro.windows.timebased import DEFAULT_RESOLUTION
 
 
 @dataclass(frozen=True)
@@ -161,9 +165,12 @@ class AggregationService:
 
     Args:
         queries: The ACQ set, shared by every shard.
-        operator: The aggregate operator.  Global mode requires the
-            ``mergeable`` capability plus a SlickDeque path; per-key
-            mode accepts any operator
+        operator: The aggregate operator.  Global and time mode
+            accept any operator with a SlickDeque path (invertible,
+            selection-type, or a composition; order-sensitive ones such
+            as ``first`` included) and raise
+            :class:`~repro.errors.MergeCapabilityError` otherwise;
+            per-key mode accepts any operator
             :class:`~repro.stream.engine.StreamEngine` runs (Range
             included) and refuses the rest, e.g. ``bit_and``, with
             :class:`~repro.errors.InvalidOperatorError` at construction.
@@ -178,9 +185,10 @@ class AggregationService:
             (process transport).
         backpressure: ``"block"`` (lossless), ``"drop"`` or
             ``"sample"`` (load shedding with exact drop counts).
-        checkpoint_interval: Shard checkpoint period in batches
-            (``0`` disables checkpointing; recovery then replays the
-            whole retained history).
+        checkpoint_interval: Per-key mode: shard checkpoint period in
+            batches (``0`` disables checkpointing; recovery then
+            replays the whole retained history).  Global- and
+            time-mode shards hold no state and never checkpoint.
         transport: ``"process"`` (real workers, fault tolerance) or
             ``"inline"`` (synchronous in-process shards, deterministic).
         shard_delay_seconds: Test/benchmark knob — artificial per-batch
@@ -294,12 +302,6 @@ class AggregationService:
                 self.queries, operator, technique, num_shards
             )
         elif mode == "time":
-            for query in self.queries:
-                if not isinstance(query, TimeQuery):
-                    raise ServiceError(
-                        "time mode requires TimeQuery queries, got "
-                        f"{query!r}"
-                    )
             self._merger = EventTimeMerger(
                 self.queries,
                 operator,

@@ -2,39 +2,40 @@
 
 A shard runs one of two pipelines over the records it is sent:
 
-* **global mode** — the frames dealt to it, each a contiguous run of
-  stream positions whose keys it never sees: fold each record into the
-  partial of its slice on
-  the stream's slice timeline (the shard-local half of the engine's
-  partial aggregation): the slice of its global position, or — in
-  ``"time"`` mode, where records carry event timestamps — of its
-  timestamp.  One fold serves both; only the clock that cuts the runs
-  differs.  Completed partials are shipped to the parent, where the
-  cross-shard merger recombines them and drives the shared SlickDeque
-  final aggregation.
+* **global and time mode** — a frame in, its slice pieces out.  Each
+  frame is a contiguous run of stream positions whose keys the shard
+  never sees; every same-slice run of it folds from the identity into
+  one *piece* (the shard-local half of the engine's partial
+  aggregation), keyed by its slice — of its global position, or in
+  ``"time"`` mode of its event timestamp — and its first position.
+  Open slices ship too, so the shard keeps nothing between frames; the
+  parent's merger combines a slice's pieces in position order and
+  drives the shared SlickDeque final aggregation.
 * **per-key mode** — the records of the keys hashed to it, one full
   :class:`~repro.stream.engine.StreamEngine` pipeline per key (shared
   SlickDeque plan each), emitting exact per-key answers for any
-  operator, mergeable or not.
+  operator the engine runs.
 
 Failure hardening lives at the record level: a value that raises inside
 the operator (a *poison record*) is caught per record, quarantined as a
 :class:`~repro.stream.sink.DeadLetter` on the batch's output, and never
-kills the worker.  Slice folds go through a temporary, so the
-accumulator is untouched by a poisoned record; per-key mode pre-checks
-``lift`` before feeding the key's engine, and if the engine itself
-raises mid-feed the key is marked *degraded* (its engine state can no
-longer be trusted) and subsequent records for it are quarantined too.
+kills the worker.  A poisoned run's piece folds its clean records only;
+per-key mode pre-checks ``lift`` before feeding the key's engine, and
+if the engine itself raises mid-feed the key is marked *degraded* (its
+engine state can no longer be trusted) and subsequent records for it
+are quarantined too.
 
-:class:`ShardState` is the *pure* computation state — a plain picklable
-object, so :mod:`repro.stream.checkpoint` snapshots it byte-for-byte and
-the supervisor can restore a killed worker and replay its un-checkpointed
-batches.  :func:`shard_main` is the process entry point wrapping that
-state in a loop over the shard's two shared-memory rings, its only
-channel to the supervisor: batches and ``STOP`` in, one output per
-batch and a ``STOP`` acknowledgement out.  The supervisor tells a slow
-worker from a wedged one by the rings moving, so the worker sends
-nothing just to look alive.
+:class:`ShardState` is a plain picklable object.  In per-key mode it
+holds the key engines, which :mod:`repro.stream.checkpoint` snapshots
+so the supervisor can restore a killed worker and replay its
+un-checkpointed batches; a global- or time-mode worker is simply
+replaced and sent the frames it had not acknowledged.
+:func:`shard_main` is the process entry point wrapping that state in a
+loop over the shard's two shared-memory rings, its only channel to the
+supervisor: batches and ``STOP`` in, one output per batch and a
+``STOP`` acknowledgement out.  The supervisor tells a slow worker from
+a wedged one by the rings moving, so the worker sends nothing just to
+look alive.
 """
 
 from __future__ import annotations
@@ -80,8 +81,9 @@ class ShardConfig:
             checkpointing and for ``spawn`` start methods).
         technique: Partial-aggregation technique (``panes``/``pairs``).
         mode: ``"global"`` or ``"per_key"`` (see module docstring).
-        checkpoint_interval: Snapshot the shard state every this many
-            batches; ``0`` disables checkpointing.
+        checkpoint_interval: Per-key mode: snapshot the shard state
+            every this many batches; ``0`` disables checkpointing.
+            Global- and time-mode shards hold no state to snapshot.
         throttle_seconds: Artificial per-batch delay — a test/benchmark
             knob that makes backpressure deterministic by simulating a
             slow consumer.  ``0.0`` in production use.
@@ -140,14 +142,16 @@ class ShardOutput:
     """One processed batch's results, shipped parent-ward.
 
     Also serves as the batch acknowledgement: ``seq`` tells the
-    supervisor the worker's state now reflects every batch up to it.
+    supervisor the batch's effects have reached the parent (in per-key
+    mode, that the worker's state reflects every batch up to it).
 
     Attributes:
         shard_id: Producing shard.
         seq: Sequence number of the acknowledged batch.
-        watermark: Slices the shard has closed (mirrors the batch).
-        partials: Global mode — ``(slice_index, partial)`` pairs closed
-            by this batch, ascending by index.
+        watermark: The batch's slice watermark, echoed.
+        partials: Global and time mode — the batch's slice pieces, one
+            ``(slice_index, first_position, piece)`` triple per
+            same-slice run holding a clean record, in stream order.
         key_answers: Per-key mode — ``(key, position, query, answer)``
             tuples (positions are per-key stream positions).
         records: Records successfully folded from this batch (poison
@@ -170,7 +174,7 @@ class ShardOutput:
     shard_id: int
     seq: int
     watermark: int
-    partials: List[Tuple[int, Agg]] = field(default_factory=list)
+    partials: List[Tuple[int, int, Agg]] = field(default_factory=list)
     key_answers: List[Tuple[Any, int, Query, Any]] = field(
         default_factory=list
     )
@@ -188,17 +192,10 @@ class ShardState:
 
     def __init__(self, config: ShardConfig):
         self.config = config
+        #: Per-key mode: the last batch the key engines reflect.
         self.processed_seq = 0
-        self.records = 0
         #: Keys whose per-key engine was poisoned mid-feed and dropped.
         self.degraded_keys: set = set()
-        #: Monotone slice watermark this shard has acknowledged —
-        #: pickled with the state, so a restored worker resumes from
-        #: its checkpointed watermark and, because outputs echo
-        #: ``max(batch.watermark, self.watermark)``, never reports a
-        #: regressed one while replaying.
-        self.watermark = 0
-        self._accumulators: Dict[int, Agg] = {}
         self._engines: Dict[Any, StreamEngine] = {}
         self._sinks: Dict[Any, CollectSink] = {}
         #: The slice timeline the fold cuts runs on: count positions
@@ -253,28 +250,20 @@ class ShardState:
         )
 
     def process(self, batch: Batch) -> ShardOutput:
-        """Fold one batch into the shard state and emit its output.
+        """Process one batch and emit its output.
 
-        Replayed batches the state already reflects (``seq`` at or
-        below :attr:`processed_seq`) are acknowledged with an empty
-        output, keeping recovery idempotent.  Poison records are
-        quarantined per record (see the module docstring) and never
-        tear down the fold.
+        Global and time mode are a pure function of the frame: a
+        replayed frame yields the same pieces, which the merger
+        deduplicates.  Per-key mode acknowledges a replayed batch its
+        engines already reflect (``seq`` at or below
+        :attr:`processed_seq`) with an empty output.  Poison records
+        are quarantined per record and never tear down the fold.
         """
-        if batch.watermark > self.watermark:
-            self.watermark = batch.watermark
-        if batch.seq <= self.processed_seq:
-            # Replay acknowledgement: echo the *monotone* watermark, so
-            # a restored worker replaying pre-checkpoint batches never
-            # reports one older than its checkpointed state.
-            return ShardOutput(
-                self.config.shard_id, batch.seq, self.watermark
-            )
         output = ShardOutput(
-            self.config.shard_id,
-            batch.seq,
-            self.watermark,
+            self.config.shard_id, batch.seq, batch.watermark
         )
+        if self._clock is None and batch.seq <= self.processed_seq:
+            return output
         if batch.traces is not None:
             output.trace_ids = tuple(
                 dict.fromkeys(
@@ -282,116 +271,95 @@ class ShardState:
                 )
             )
         if self._clock is None:
-            folded = self._process_per_key(batch, output)
+            output.records = self._process_per_key(batch, output)
+            self.processed_seq = batch.seq
         else:
-            folded = self._fold_slices(batch, output)
-            accumulators = self._accumulators
-            closed = sorted(
-                index for index in accumulators if index < self.watermark
-            )
-            output.partials = [
-                (index, accumulators.pop(index)) for index in closed
-            ]
-        output.records = folded
-        self.processed_seq = batch.seq
-        self.records += folded
+            output.records = self._fold_slices(batch, output)
         return output
 
     def _fold_slices(self, batch: Batch, output: ShardOutput) -> int:
-        """Global and time mode: fold every same-slice run in one kernel call.
+        """Global and time mode: one piece per same-slice run, one kernel call.
 
         The batch's ordering column — its event ``timestamps`` when it
         carries them, its global ``positions`` otherwise — is ascending
-        (a frame is a contiguous run of the stream, the ingress
-        reorder buffer releases event records in timestamp order, and
-        replayed batches are the originals), so the records
-        of one slice are one contiguous run and the clock's ``cut``
-        finds its end with one bisection instead of a per-record
-        ``slice_of`` scan.  The whole batch is cut first, then all its
-        runs fold through one
+        (a frame is a contiguous run of the stream, and the ingress
+        reorder buffer releases event records in timestamp order), so
+        the records of one slice are one contiguous run and the clock's
+        ``cut`` finds its end with one bisection instead of a
+        per-record ``slice_of`` scan.  Every run folds from the
+        operator identity through one
         :meth:`repro.kernels.BatchKernel.fold_runs` — byte-identical to
-        the per-record combine chain — into a temporary, and only then
-        are the accumulators written: a batch holding a poison record
-        raises *before* any state is touched and is replayed per record
-        (:meth:`_fold_per_record`).  Only the first run of a batch can
-        continue an accumulator an earlier batch left open; a batch in
-        which a later run's slice already has one (the column ascends
-        across batches, but that is not provable from one batch) takes
-        the per-record replay too, which seeds every run.
+        the per-record combine chain — and becomes the piece keyed by
+        its slice and its first position.  A batch holding a poison
+        record raises inside the kernel and is replayed per record
+        (:meth:`_fold_per_record`).
         """
         operator = self.config.operator
-        accumulators = self._accumulators
         slice_of = self._clock.slice_of
         cut = self._clock.cut
+        positions = batch.positions
         column = batch.timestamps
         if column is None:
-            column = batch.positions
+            column = positions
         values = batch.values
         total = len(values)
-        indexes: List[int] = []
+        slices: List[int] = []
+        firsts: List[int] = []
         bounds = [0]
         start = 0
         while start < total:
             index = slice_of(column[start])
+            slices.append(index)
+            firsts.append(positions[start])
             start = cut(column, index, start + 1, total)
-            indexes.append(index)
             bounds.append(start)
-        if not indexes:
-            return 0
-        fresh = accumulators.keys().isdisjoint(indexes[1:])
-        if fresh and len(set(indexes)) == len(indexes):
-            try:
-                folded = kernel_for(operator).fold_runs(
-                    values,
-                    bounds,
-                    accumulators.get(indexes[0], operator.identity),
-                )
-            except Exception:
-                pass  # a poison record somewhere: replay per record
-            else:
-                accumulators.update(zip(indexes, folded))
-                return total
-        return self._fold_per_record(batch, output, indexes, bounds)
+        try:
+            pieces = kernel_for(operator).fold_runs(
+                values, bounds, operator.identity
+            )
+        except Exception:  # a poison record somewhere: replay per record
+            return self._fold_per_record(batch, output, slices, bounds)
+        output.partials = list(zip(slices, firsts, pieces))
+        return total
 
     def _fold_per_record(
         self,
         batch: Batch,
         output: ShardOutput,
-        indexes: List[int],
+        slices: List[int],
         bounds: List[int],
     ) -> int:
         """Replay a batch's runs one ⊕ at a time, quarantining poisons.
 
         Exactly the poison records are quarantined, by stream position
         alone — the batch carries no keys here; the parent names them —
-        and the clean ones fold, leaving each accumulator as the
-        per-record path would.  An all-poison run must not materialise
-        an accumulator entry the per-record path never made.
+        and the clean ones fold.  A run with no clean record yields no
+        piece.
         """
         operator = self.config.operator
         combine = operator.combine
         lift = operator.lift
-        accumulators = self._accumulators
         values = batch.values
         positions = batch.positions
         folded = 0
-        for run, index in enumerate(indexes):
-            present = index in accumulators
-            acc = accumulators[index] if present else operator.identity
-            succeeded = False
+        for run, index in enumerate(slices):
+            piece = operator.identity
+            clean = 0
             for offset in range(bounds[run], bounds[run + 1]):
                 value = values[offset]
                 try:
-                    acc = combine(acc, lift(value))
+                    piece = combine(piece, lift(value))
                 except Exception as error:
                     self._quarantine(
                         output, None, value, positions[offset], error
                     )
                     continue
-                succeeded = True
-                folded += 1
-            if present or succeeded:
-                accumulators[index] = acc
+                clean += 1
+            if clean:
+                output.partials.append(
+                    (index, positions[bounds[run]], piece)
+                )
+                folded += clean
         return folded
 
     def _process_per_key(self, batch: Batch, output: ShardOutput) -> int:
@@ -542,13 +510,14 @@ def shard_main(
             batches arrive as zero-copy columnar views off its data
             ring, outputs and the ``STOP`` acknowledgement return on
             its result ring.  Closed when the loop ends.
-        initial_snapshot: Checkpoint bytes to resume from (recovery);
-            ``None`` starts from a fresh state.
+        initial_snapshot: Per-key mode: checkpoint bytes to resume
+            from (recovery); ``None`` starts from a fresh state.
 
-    A torn ring frame (CRC mismatch — the producer died mid-write or
-    chaos corrupted the bytes) raises out of the receive path and the
-    worker exits nonzero; the supervisor's crash recovery respawns it
-    with fresh rings and a checkpoint replay.
+    Only a per-key shard checkpoints.  A torn ring frame (CRC
+    mismatch — the producer died mid-write or chaos corrupted the
+    bytes) raises out of the receive path and the worker exits
+    nonzero; the supervisor's crash recovery respawns it with fresh
+    rings and a replay.
     """
     try:
         if initial_snapshot is not None:
@@ -556,6 +525,8 @@ def shard_main(
         else:
             state = ShardState(config)
         fault_plan = config.chaos
+        per_key = config.mode == "per_key"
+        interval = config.checkpoint_interval if per_key else 0
         batches_since_checkpoint = 0
         while True:
             message = endpoint.receive()
@@ -570,10 +541,7 @@ def shard_main(
             output = state.process(message)
             output.busy_seconds = time.perf_counter() - started
             batches_since_checkpoint += 1
-            if (
-                config.checkpoint_interval
-                and batches_since_checkpoint >= config.checkpoint_interval
-            ):
+            if interval and batches_since_checkpoint >= interval:
                 output.snapshot = snapshot(state)
                 batches_since_checkpoint = 0
             # Release the batch's ring views and consume the frame

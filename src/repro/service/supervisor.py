@@ -16,19 +16,21 @@ responsibilities:
   batch's records, ships the empty frame so watermarks and sequence
   numbers stay intact), or ``sample`` (ships a deterministically
   thinned batch).  Dropped records are counted exactly, per shard.
-* **At-least-once delivery with idempotent effects** — every shipped
-  batch is retained until *two* worker checkpoint generations cover it;
-  shard outputs double as acknowledgements.  What was actually shipped
-  (post-shedding) is what is retained, so a replay reproduces
-  byte-identical outputs.
+* **At-least-once delivery with idempotent effects** — shard outputs
+  double as acknowledgements.  A global- or time-mode frame is
+  retained until acknowledged (the shard keeps nothing between
+  frames); a per-key batch until *two* worker checkpoint generations
+  cover it.  What was actually shipped (post-shedding) is what is
+  retained, so a replay reproduces byte-identical outputs.
 * **Recovery** — a worker that exits without being asked to is
-  respawned from its last checkpoint (or from scratch), its retained
-  batches are re-enqueued in order, and the merge layer's idempotency
-  absorbs any duplicate outputs.  Checkpoints are CRC32-verified before
-  being trusted: a corrupt current generation falls back to the
-  previous one (retention keeps exactly enough batches to replay from
-  there); when both generations are corrupt the shard is failed rather
-  than silently restarted with missing history.
+  respawned — fresh, or per key from its last checkpoint — its
+  retained batches are re-enqueued in order, and the merge layer's
+  idempotency absorbs any duplicate outputs.  Checkpoints are
+  CRC32-verified before being trusted:
+  a corrupt current generation falls back to the previous one
+  (retention keeps exactly enough batches to replay from there); when
+  both generations are corrupt the shard is failed rather than
+  silently restarted with missing history.
 * **Stall detection** — progress is what the supervisor can see move:
   the worker taking frames off the data ring, or outputs read off the
   result ring; a send to a shard with nothing outstanding restarts
@@ -157,8 +159,9 @@ class WorkerHandle:
         self.process: Optional[Any] = None
         #: Shared-memory ring pair (``None`` once discarded).
         self.channel: Optional[ShardChannel] = None
-        #: Batches shipped but not yet covered by two checkpoint
-        #: generations (the fallback generation must stay replayable).
+        #: Batches a respawn may need: unacknowledged frames (global
+        #: and time mode); batches not covered by two checkpoint
+        #: generations (per key: the fallback must stay replayable).
         self.retained: List[Batch] = []
         self.snapshot: Optional[bytes] = None
         self.snapshot_seq = 0
@@ -166,8 +169,7 @@ class WorkerHandle:
         self.prev_snapshot: Optional[bytes] = None
         self.prev_snapshot_seq = 0
         self.acked_seq = 0
-        #: Highest slice watermark the worker has acknowledged —
-        #: monotone (shard outputs echo max(batch, state) watermarks),
+        #: Highest slice watermark the worker has acknowledged,
         #: feeding the service's watermark-lag gauge.
         self.watermark = 0
         #: Highest batch sequence number shipped toward the worker.
@@ -643,9 +645,10 @@ class Supervisor:
     # -- draining outputs ------------------------------------------
 
     def _absorb(self, handle: WorkerHandle, output: ShardOutput) -> None:
+        retained = handle.retained
         if output.dead_letters:
-            # Before a checkpoint below trims the batch from retention.
-            for batch in handle.retained:
+            # Before the trims below drop the batch from retention.
+            for batch in retained:
                 if batch.seq == output.seq:
                     _name_letters(batch, output)
                     break
@@ -667,7 +670,12 @@ class Supervisor:
                 handle.latencies.add(
                     time.perf_counter() - shipped_at
                 )
-        if output.snapshot is not None and output.seq > handle.snapshot_seq:
+        if handle.config.mode != "per_key":
+            # A merged shard is stateless: the acknowledged frames'
+            # pieces are in the merger, and no respawn needs them.
+            while retained and retained[0].seq <= handle.acked_seq:
+                del retained[0]
+        elif output.snapshot is not None and output.seq > handle.snapshot_seq:
             data = output.snapshot
             if self._injector is not None:
                 data = self._injector.on_checkpoint(

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, List, Sequence, Tuple
 
-from repro.errors import PlanError
+from repro.errors import InvalidQueryError, PlanError
 from repro.windows.query import Query
 from repro.windows.slicing import (
     CUTTY,
@@ -180,10 +180,19 @@ def build_shared_plan(
             engine's Cutty pipeline for single-query Cutty execution.
 
     Raises:
+        InvalidQueryError: a query that is not a count-based
+            :class:`~repro.windows.query.Query` (a time query belongs
+            to ``TimeWindowEngine`` or a ``mode="time"`` service).
         PlanError: empty query set, unknown or unsupported technique,
             or a query whose window boundaries miss the edge set (which
             would indicate a slicing bug — checked defensively).
     """
+    for query in queries:
+        if not isinstance(query, Query):
+            raise InvalidQueryError(
+                f"{query!r} is not a count-based Query; run time queries "
+                "on a TimeWindowEngine or a service in mode='time'"
+            )
     unique = sorted(set(queries))
     if not unique:
         raise PlanError("cannot build a shared plan for zero queries")

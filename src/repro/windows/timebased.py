@@ -117,11 +117,22 @@ def slice_duration(
 
     This is the time-based analogue of the Panes pane (Section 2.1):
     every window start and end lands on a slice boundary.
+
+    Raises:
+        InvalidQueryError: an empty set, a duration off the resolution
+            grid, or a query that is not a :class:`TimeQuery` (a count
+            query belongs to ``StreamEngine`` or a ``mode="global"`` /
+            ``"per_key"`` service).
     """
     if not queries:
         raise InvalidQueryError("time query set must not be empty")
     ticks = []
     for query in queries:
+        if not isinstance(query, TimeQuery):
+            raise InvalidQueryError(
+                f"{query!r} is not a TimeQuery; run count queries on a "
+                "StreamEngine or a service in mode='global' or 'per_key'"
+            )
         ticks.append(_to_ticks(query.range_seconds, resolution, "range"))
         ticks.append(_to_ticks(query.slide_seconds, resolution, "slide"))
     return reduce(math.gcd, ticks) * resolution

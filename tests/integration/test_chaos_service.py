@@ -26,6 +26,7 @@ from repro.operators.registry import get_operator
 from repro.service import AggregationService, FaultInjector, poison
 from repro.service.partition import shard_of
 from repro.windows.query import Query
+from repro.windows.timebased import TimeQuery
 from tests import oracle
 
 pytestmark = [pytest.mark.chaos, pytest.mark.timeout(120)]
@@ -199,12 +200,14 @@ def test_acceptance_full_chaos_suite():
 
 
 def test_corrupt_checkpoint_falls_back_one_generation():
+    # Per-key mode: a global-mode shard holds nothing to checkpoint.
     records = _records(300)
     injector = FaultInjector(seed=9).corrupt_checkpoint(0, nth=3)
     service = AggregationService(
         QUERIES,
         get_operator("sum"),
         num_shards=1,
+        mode="per_key",
         batch_size=10,
         checkpoint_interval=2,
         restart_backoff=0.0,
@@ -223,9 +226,7 @@ def test_corrupt_checkpoint_falls_back_one_generation():
     except BaseException:
         service.abort()
         raise
-    assert result.answers == oracle.count_windows(
-        SUM, QUERIES, [v for _, v in records]
-    )
+    assert result.per_key == oracle.per_key_windows(SUM, QUERIES, records)
     assert result.stats.shards[0].corrupt_checkpoints == 1
     assert result.stats.shards[0].restores == 1
     assert not result.stats.failed_shards
@@ -243,6 +244,7 @@ def test_both_generations_corrupt_fails_the_shard_cleanly():
         QUERIES,
         get_operator("sum"),
         num_shards=1,
+        mode="per_key",
         batch_size=10,
         checkpoint_interval=2,
         restart_backoff=0.0,
@@ -511,9 +513,8 @@ def test_global_failed_shard_dead_letters_exactly_its_unacked_frames():
         result.stats.records_processed + result.stats.dead_letters
         == result.stats.records_submitted
     )
-    # Slices are 2 positions wide and frames 10, so each acknowledged
-    # frame's slices closed with it: the answers are the stream's with
-    # every dead-lettered record counted as the identity.
+    # The answers are the stream's with every dead-lettered record
+    # counted as the identity.
     neutralised = [
         (key, 0 if index + 1 in held else value)
         for index, (key, value) in enumerate(records)
@@ -521,3 +522,88 @@ def test_global_failed_shard_dead_letters_exactly_its_unacked_frames():
     assert result.answers == oracle.count_windows(
         SUM, QUERIES, [v for _, v in neutralised]
     )
+
+
+@pytest.mark.parametrize("mode", ["global", "time"])
+def test_failed_merged_shard_keeps_the_records_it_acknowledged(mode):
+    """A merged shard that fails loses none of its acknowledged records.
+
+    Slices of 16 records straddle the 10-record frames, so when shard 1
+    is killed (and then crash-loops through its restart budget) the
+    last slice of its last acknowledged frame is still open.  Its
+    pieces already reached the merger: the answers are the stream's
+    with exactly the dead-lettered records counted as the identity.
+    """
+    records = _records(400)
+    if mode == "global":
+        queries = (Query(32, 16),)
+    else:
+        # Sixteen records per 2 s slice, on an exact binary grid.
+        queries = (TimeQuery(4.0, 2.0),)
+    injector = FaultInjector()
+    service = AggregationService(
+        queries,
+        SUM,
+        num_shards=2,
+        mode=mode,
+        batch_size=10,
+        max_restarts=2,
+        restart_backoff=0.0,
+        injector=injector,
+    )
+
+    def submit(first, last):
+        if mode == "global":
+            service.submit_many(records[first:last])
+        else:
+            service.submit_events(
+                (key, index * 0.125, value)
+                for index, (key, value) in enumerate(
+                    records[first:last], start=first
+                )
+            )
+
+    handle = service._transport.handles[1]
+    try:
+        # Positions 1..100 go out as ten frames (the router, or in time
+        # mode the reorder buffer, holds the 101st record back), and
+        # shard 1's last one, 91..100, ends inside slice 97..112.
+        submit(0, 101)
+        deadline = time.monotonic() + 10.0
+        while handle.acked_seq < max(3, handle.shipped_seq):
+            service.poll()
+            assert time.monotonic() < deadline, "shard 1 never caught up"
+            time.sleep(0.01)
+        injector.crash_loop(1)
+        victim = service.shard_pids()[1]
+        os.kill(victim, signal.SIGKILL)
+        _wait_pid_dead(victim)
+        submit(101, len(records))
+        result = service.close(timeout=60.0)
+    except BaseException:
+        service.abort()
+        raise
+
+    assert result.stats.failed_shards == (1,)
+    held = {letter.position for letter in result.dead_letters}
+    assert held and all(
+        "ShardFailedError" in letter.error and letter.shard_id == 1
+        for letter in result.dead_letters
+    )
+    assert (
+        result.stats.records_processed + result.stats.dead_letters
+        == result.stats.records_submitted
+        == len(records)
+    )
+    values = [
+        0 if index + 1 in held else value
+        for index, (_, value) in enumerate(records)
+    ]
+    if mode == "global":
+        expected = oracle.count_windows(SUM, queries, values)
+    else:
+        expected = oracle.time_windows(
+            SUM, queries, [(index * 0.125, v) for index, v in enumerate(values)]
+        )
+    assert result.answers == expected
+    assert all(shard.checkpoints == 0 for shard in result.stats.shards)

@@ -2,7 +2,8 @@
 
 The shm transport's failure semantics are the point of the design:
 every frame is CRC-sealed, rings are torn down wholesale on worker
-death, and checkpoint + retained-batch replay reconstructs state —
+death, and replaying the retained batches (onto a per-key shard's
+checkpoint; a global-mode shard holds no state) reconstructs it —
 so a torn write, a duplicated (stale) frame, or a SIGKILL while the
 ring is full must all end with answers byte-identical to a fault-free
 run.  These tests drive each of those faults against real worker
@@ -144,8 +145,8 @@ def test_sigkill_while_ring_full_replays_exactly():
 
     A tiny ring plus a throttled worker keeps the data ring saturated,
     so the SIGKILL lands with frames in flight on shared memory — the
-    torn-ring teardown plus checkpoint/replay path must reconstruct
-    every batch without loss or duplication.
+    torn-ring teardown plus replay path must reconstruct every batch
+    without loss or duplication.
     """
     _check_sigkill_while_ring_full()
 
@@ -179,9 +180,12 @@ def _check_sigkill_while_ring_full():
 
 
 def test_direct_sigkill_restores_from_checkpoint():
-    """Checkpoint + retained-batch replay works over fresh rings."""
+    """Checkpoint + retained-batch replay works over fresh rings.
+
+    Per-key mode: a global-mode shard holds nothing to checkpoint.
+    """
     records = _records(300)
-    service = _service(num_shards=1)
+    service = _service(num_shards=1, mode="per_key")
     try:
         service.submit_many(records[:65])
         deadline = time.monotonic() + 10.0
@@ -197,9 +201,7 @@ def test_direct_sigkill_restores_from_checkpoint():
     except BaseException:
         service.abort()
         raise
-    assert result.answers == oracle.count_windows(
-        SUM, QUERIES, [v for _, v in records]
-    )
+    assert result.per_key == oracle.per_key_windows(SUM, QUERIES, records)
     assert result.stats.shards[0].restores == 1
     assert not result.stats.failed_shards
 

@@ -1,12 +1,14 @@
 """Integration tests for the event-time sharded service.
 
-The chaos scenario the watermark checkpointing exists for: a worker is
-SIGKILLed while the ingress reorder buffer still holds unreleased
-records, the supervisor restarts it from its checkpoint, and the
-restored shard's watermark never regresses — replayed outputs carry
+The chaos scenarios of time mode: a worker is SIGKILLed while the
+ingress reorder buffer still holds unreleased records, or its frames
+are torn, duplicated or wedged on the ring.  The supervisor respawns
+it fresh — a time-mode shard holds nothing between frames — and
+replays the frames it had not acknowledged; replayed outputs carry
 stale slice watermarks, which the merger's monotone per-shard
-watermark must ignore, so the final answers are still byte-identical
-to a fault-free single-node run.
+watermark ignores, and replayed pieces, which it deduplicates, so the
+final answers are still byte-identical to a fault-free single-node
+run.
 
 Marked ``chaos`` (real processes, SIGKILL, restart backoffs); the
 in-process equivalence tests live in
@@ -22,7 +24,7 @@ import time
 import pytest
 
 from repro.operators.registry import get_operator
-from repro.service import AggregationService
+from repro.service import AggregationService, FaultInjector
 from repro.windows.timebased import TimeQuery
 from tests import oracle
 
@@ -75,10 +77,10 @@ def _wait_pid_dead(pid, timeout=10.0):
 def test_worker_kill_mid_reorder_keeps_watermark_monotone():
     """SIGKILL a worker while the reorder buffer is occupied.
 
-    The restored worker replays from its checkpoint; its outputs echo
-    a slice watermark that must never regress below what the
-    supervisor had already absorbed, and the final answers must equal
-    the single-node sorted oracle exactly.
+    The respawned worker is sent the frames its predecessor had not
+    acknowledged; the slice watermark the supervisor has absorbed never
+    regresses, and the final answers must equal the single-node sorted
+    oracle exactly.
     """
     records = _event_stream(600)
     expected = oracle.time_windows(
@@ -137,6 +139,7 @@ def test_worker_kill_mid_reorder_keeps_watermark_monotone():
     # and the replayed outputs did not perturb the answers:
     assert answers == expected
     assert result.stats.late_records == 0
+    assert [shard.checkpoints for shard in result.stats.shards] == [0] * 3
 
 
 def test_repeated_kills_still_exact():
@@ -175,3 +178,46 @@ def test_repeated_kills_still_exact():
     answers.extend(service.poll())
     assert result.stats.failed_shards == ()
     assert answers == expected
+
+
+FAULTS = {
+    "kill": lambda injector: injector.kill_worker(0, after_seq=4),
+    "torn": lambda injector: injector.tear_frame(0, nth=3),
+    "stale": lambda injector: injector.stale_frame(0, nth=2),
+    "wedge": lambda injector: injector.wedge_shard(0, seq=3),
+}
+
+
+@pytest.mark.parametrize("start_method", ["fork", "spawn"], indirect=True)
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_transport_faults_recover_exactly(start_method, fault):
+    """Each ring fault of the count-mode chaos suite, in time mode."""
+    records = _event_stream(300)
+    expected = oracle.time_windows(
+        get_operator("sum"), QUERIES, [(t, v) for _, t, v in records]
+    )
+    injector = FAULTS[fault](FaultInjector(seed=11))
+    service = AggregationService(
+        list(QUERIES),
+        get_operator("sum"),
+        num_shards=2,
+        mode="time",
+        lateness=LATENESS,
+        batch_size=10,
+        restart_backoff=0.0,
+        stall_timeout=1.0,
+        injector=injector,
+    )
+    try:
+        service.submit_events(records)
+        result = service.close(timeout=60.0)
+    except BaseException:
+        service.abort()
+        raise
+    assert injector.events, fault
+    assert result.answers == expected
+    assert result.stats.records_processed == len(records)
+    assert result.stats.failed_shards == ()
+    assert result.stats.dead_letters == 0
+    assert (result.stats.shards[0].restores > 0) is (fault != "stale")
+    assert [shard.checkpoints for shard in result.stats.shards] == [0, 0]

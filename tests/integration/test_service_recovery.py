@@ -2,7 +2,7 @@
 
 These exercise the process transport end to end — equivalence against
 the single-process engine for the paper's acceptance operators, a
-SIGKILL'd worker restored from its checkpoint with identical answers,
+SIGKILL'd worker respawned and replayed with identical answers,
 and exact accounting under the drop backpressure policy.
 """
 

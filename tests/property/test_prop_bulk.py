@@ -256,8 +256,9 @@ def test_shard_bulk_path_equals_single_record_batches(
 ):
     """The shard's run-grouped bulk folds — including the per-record
     replay fallback around poison records — must produce exactly the
-    partials, answers, dead letters, and degraded keys that size-1
-    batches (which cannot group anything) produce."""
+    answers, dead letters, and degraded keys that size-1 batches
+    (which cannot group anything) produce, and slice pieces that are
+    the size-1 pieces chained run by run."""
     stamped = [
         (position + 1, key, value)
         for position, (key, value) in enumerate(records)
@@ -272,6 +273,28 @@ def test_shard_bulk_path_equals_single_record_batches(
     for mode in ("global", "per_key"):
         _, bulk_outputs = _drive(mode, stamped, plan)
         _, tiny_outputs = _drive(mode, stamped, [1] * len(stamped))
-        assert repr(_flatten(bulk_outputs)) == repr(
-            _flatten(tiny_outputs)
-        ), mode
+        bulk, tiny = _flatten(bulk_outputs), _flatten(tiny_outputs)
+        if mode == "global":
+            tiny["partials"] = _regroup(tiny["partials"], bulk["partials"])
+        assert repr(bulk) == repr(tiny), mode
+
+
+def _regroup(tiny, bulk):
+    """One-record pieces folded, in position order, into the runs the
+    bulk pieces name: a frame's run fold must equal that chain (no
+    value in these streams is ``-0.0``, so ``0 + v`` is ``v``).  A
+    one-record piece no bulk run covers keeps its own key and shows
+    as a mismatch."""
+    combine = get_operator("sum").combine
+    grouped = {}
+    for index, position, piece in tiny:
+        key = max(
+            (
+                (slice_, first)
+                for slice_, first, _ in bulk
+                if slice_ == index and first <= position
+            ),
+            default=(index, position),
+        )
+        grouped[key] = combine(grouped.get(key, 0), piece)
+    return [(index, first, grouped[index, first]) for index, first in sorted(grouped)]

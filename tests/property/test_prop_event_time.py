@@ -3,8 +3,8 @@
 The contract the event-time layer sells: a stream shuffled within the
 lateness bound produces *exactly* the answers of the same stream fed
 in timestamp order — for every registry operator on the single-node
-engine, and byte-equal through the sharded service for mergeable
-operators.  Disorder beyond the bound is policy, not corruption: under
+engine, and byte-equal through the sharded service for every operator
+with a SlickDeque path.  Disorder beyond the bound is policy, not corruption: under
 ``"drop"`` both paths discard the same records and still agree.
 
 Timestamps are drawn strictly increasing (on the 0.1s grid) so the
@@ -54,9 +54,13 @@ OPERATOR_NAMES = [
     if _time_engine_supported(name)
 ]
 
-#: Mergeable operators with a SlickDeque path (the service's global
-#: time mode requires both) whose arithmetic is exact on ints.
-SERVICE_OPERATORS = ["count", "max", "mean", "min", "sum"]
+#: Operators with a SlickDeque path (what the service's time mode
+#: requires) whose arithmetic is exact on ints; the last four are
+#: order-sensitive, and merge because pieces combine in stream order.
+SERVICE_OPERATORS = [
+    "count", "max", "mean", "min", "sum",
+    "first", "last", "argmax_cos", "argmin_x2",
+]
 
 LATENESS = 1.0
 

@@ -1,12 +1,12 @@
 """Property-based tests: sharded execution equals single-process.
 
-The sharded service's whole correctness argument — slice-aligned
-partial folding per shard, commutative cross-shard recombination,
-plan-driven final aggregation — is checked here against the
+The sharded service's whole correctness argument — slice pieces folded
+per frame, recombined across shards in stream order, plan-driven final
+aggregation — is checked here against the
 single-process engine over random keyed streams, query sets, shard
 counts, and batch sizes.  The inline transport keeps hypothesis fast
 and deterministic while exercising the identical partition/merge code
-paths the process transport ships through queues.
+paths the process transport ships through its rings.
 """
 
 from __future__ import annotations
@@ -54,7 +54,10 @@ def _engine_answers(queries, operator_name, values):
 @given(
     queries=queries_strategy,
     records=keyed_streams,
-    operator_name=st.sampled_from(["sum", "max", "count", "mean"]),
+    # The last four are order-sensitive: pieces combine in stream order.
+    operator_name=st.sampled_from(
+        ["sum", "max", "count", "mean", "first", "last", "argmax_cos", "argmin_x2"]
+    ),
     num_shards=st.integers(min_value=1, max_value=5),
     batch_size=st.integers(min_value=1, max_value=32),
     technique=st.sampled_from(["panes", "pairs"]),

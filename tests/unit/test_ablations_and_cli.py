@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from benchmarks.paper import cli
+from benchmarks.paper import cli, validate
 from benchmarks.paper.cli import main as cli_main
 from benchmarks.paper.sweeps import (
     CHUNK,
@@ -26,6 +26,17 @@ def _stub(text, seen=None):
         return text
 
     return Sweep("stub", lambda config: [], None, render)
+
+
+def _stub_claims(monkeypatch, passed):
+    """Make the validator report C1 passed and C2 ``passed``."""
+    def check_all(quick):
+        return [
+            validate.Claim("C1", f"quick={quick}", True, "stub"),
+            validate.Claim("C2", "second", passed, "stub"),
+        ]
+
+    monkeypatch.setattr(cli.validate, "check_all", check_all)
 
 
 class TestChunkSizeStudy:
@@ -114,11 +125,25 @@ class TestCli:
         assert "EXP5-STUB" in capsys.readouterr().out
 
     def test_validate_subcommand(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            cli.validate, "main", lambda quick: f"VALIDATE(quick={quick})"
-        )
+        _stub_claims(monkeypatch, passed=True)
         assert cli_main(["validate", "--scale", "quick"]) == 0
-        assert "VALIDATE(quick=True)" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "[PASS]   C1  quick=True" in captured.out
+        assert captured.err == ""
+
+    def test_validate_fails_on_a_failed_claim(self, capsys, monkeypatch):
+        _stub_claims(monkeypatch, passed=False)
+        assert cli_main(["validate", "--scale", "quick"]) == 1
+        captured = capsys.readouterr()
+        assert "[FAIL]   C2" in captured.out
+        assert "failed claims: C2" in captured.err
+
+    def test_all_reports_a_failed_claim_and_exits_0(self, capsys, monkeypatch):
+        _stub_claims(monkeypatch, passed=False)
+        for name in cli.SECTIONS:
+            monkeypatch.setitem(cli.SECTIONS, name, (_stub(name.upper()),))
+        assert cli_main(["all", "--scale", "quick"]) == 0
+        assert "[FAIL]   C2" in capsys.readouterr().out
 
     def test_chart_flag(self, capsys, monkeypatch):
         captured = {}

@@ -77,33 +77,37 @@ def test_the_issue_case_answers_are_the_chains(sum_body):
     ]
 
 
-def shard_partials(batches):
+def shard_pieces(batches):
     state = ShardState(
         ShardConfig(0, 1, (Query(8, 8),), get_operator("sum"))
     )
-    partials = []
-    for seq, (first, count, watermark) in enumerate(batches, start=1):
+    pieces = []
+    for seq, (first, count) in enumerate(batches, start=1):
         out = state.process(
             Batch(
                 shard=0,
                 seq=seq,
-                watermark=watermark,
+                watermark=0,
                 positions=list(range(first, first + count)),
                 keys=["k"] * count,
                 values=[0.1] * count,
             )
         )
-        partials += out.partials
-    return partials
+        pieces += out.partials
+    return pieces
 
 
 def test_shard_fold_equals_one_record_batches(sum_body):
-    bulk = shard_partials([(1, 20, 0), (21, 44, 8)])
-    single = shard_partials(
-        [(position, 1, 8 if position == 64 else 0) for position in range(1, 65)]
+    # Slices of eight: each frame's same-slice runs are one piece each,
+    # the left-to-right chain over the run from the identity.
+    bulk = shard_pieces([(1, 20), (21, 44)])
+    runs = [(1, 8), (9, 8), (17, 4), (21, 4)] + [
+        (first, 8) for first in range(25, 65, 8)
+    ]
+    chain = get_operator("sum").fold
+    assert repr(bulk) == repr(
+        [((first - 1) // 8, first, chain([0.1] * count)) for first, count in runs]
     )
-    assert len(bulk) == 8
-    assert repr(bulk) == repr(single)
 
 
 def test_time_engine_feed_many_equals_feed(sum_body):

@@ -5,7 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import InvalidQueryError
+from repro.operators.registry import get_operator
+from repro.service import AggregationService
+from repro.stream.engine import StreamEngine
 from repro.windows.query import Query, max_range
+from repro.windows.timebased import TimeQuery, TimeWindowEngine
 
 
 def test_default_name():
@@ -63,3 +67,27 @@ def test_max_range():
 def test_max_range_empty():
     with pytest.raises(InvalidQueryError):
         max_range([])
+
+
+def _service(queries, mode):
+    return AggregationService(
+        queries, get_operator("sum"), mode=mode, transport="inline"
+    )
+
+
+@pytest.mark.parametrize(
+    "build, right",
+    [
+        (lambda: StreamEngine([TimeQuery(2.0, 1.0)], get_operator("sum")),
+         "TimeWindowEngine"),
+        (lambda: _service([TimeQuery(2.0, 1.0)], "global"), "mode='time'"),
+        (lambda: _service([TimeQuery(2.0, 1.0)], "per_key"), "mode='time'"),
+        (lambda: _service([Query(2, 1)], "time"), "StreamEngine"),
+        (lambda: TimeWindowEngine([Query(2, 1)], get_operator("sum")),
+         "StreamEngine"),
+    ],
+    ids=["engine", "global", "per_key", "time", "time-engine"],
+)
+def test_a_query_of_the_wrong_kind_is_refused_by_name(build, right):
+    with pytest.raises(InvalidQueryError, match=right):
+        build()

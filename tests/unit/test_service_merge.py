@@ -8,6 +8,8 @@ the answers.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.errors import PoisonRecordError
@@ -21,13 +23,13 @@ from repro.windows.timebased import TimeQuery
 TIMELINES = ["count", "time"]
 
 
-def make_merger(timeline, num_shards=2):
+def make_merger(timeline, num_shards=2, operator="sum"):
     if timeline == "count":
         return GlobalMerger(
-            [Query(2, 2)], get_operator("sum"), "pairs", num_shards
+            [Query(2, 2)], get_operator(operator), "pairs", num_shards
         )
     return EventTimeMerger(
-        [TimeQuery(1.0, 1.0)], get_operator("sum"), "pairs", num_shards
+        [TimeQuery(1.0, 1.0)], get_operator(operator), "pairs", num_shards
     )
 
 
@@ -36,8 +38,15 @@ def window_end(timeline, index):
     return 2 * (index + 1) if timeline == "count" else float(index + 1)
 
 
-def output(shard_id, seq, watermark, partials=()):
-    return ShardOutput(shard_id, seq, watermark, partials=list(partials))
+def output(shard_id, seq, watermark, pieces=()):
+    """An output whose pieces are ``(slice, value)``: each piece's first
+    position is the slice's first position (slices are two wide)."""
+    return ShardOutput(
+        shard_id,
+        seq,
+        watermark,
+        partials=[(index, 2 * index + 1, value) for index, value in pieces],
+    )
 
 
 def summary(answers):
@@ -50,18 +59,28 @@ class TestMergeFrontier:
     def test_slice_waits_for_every_shard_then_releases_once(self, timeline):
         merger = make_merger(timeline)
         assert merger.on_output(output(0, 1, 1, [(0, 5)])) == []
-        first = output(1, 1, 1, [(0, 7)])
+        # Shard 1's piece of slice 0 starts one position later.
+        first = ShardOutput(1, 1, 1, partials=[(0, 2, 7)])
         released = merger.on_output(first)
         assert summary(released) == [(window_end(timeline, 0), 12)]
         assert merger.merged_slices == 1
         # A recovered worker re-emits the same output: nothing twice,
-        # and its partial for the merged slice is not held for later.
+        # and its piece of the merged slice is not held for later.
         assert merger.on_output(first) == []
         assert merger.on_output(output(0, 1, 1, [(0, 5)])) == []
         assert merger.answers_emitted == 1
         merger.on_output(output(0, 2, 2, [(1, 1)]))
-        released = merger.on_output(output(1, 2, 2, [(1, 2)]))
-        assert summary(released) == [(window_end(timeline, 1), 3)]
+        released = merger.on_output(output(1, 2, 2))
+        assert summary(released) == [(window_end(timeline, 1), 1)]
+
+    def test_a_replayed_piece_of_an_open_slice_counts_once(self, timeline):
+        merger = make_merger(timeline)
+        piece = ShardOutput(0, 1, 0, partials=[(0, 1, 5)])
+        merger.on_output(piece)
+        merger.on_output(piece)  # replayed before the slice closed
+        merger.on_output(ShardOutput(0, 2, 1, partials=[(0, 2, 7)]))
+        released = merger.on_output(output(1, 1, 1))
+        assert summary(released) == [(window_end(timeline, 0), 12)]
 
     def test_stale_watermark_is_ignored(self, timeline):
         merger = make_merger(timeline)
@@ -95,14 +114,30 @@ class TestMergeFrontier:
             (window_end(timeline, 1), 9),
         ]
 
-    def test_partials_combine_in_shard_order(self, timeline):
-        # (1.0 + 1e16) + -1e16 == 0.0 in shard order 0, 1, 2; arrival
-        # order 1, 2, 0 would give (1e16 + -1e16) + 1.0 == 1.0.
+    def test_pieces_combine_in_position_order(self, timeline):
+        # Positions 1, 3, 5 hold 1.0, 1e16, -1e16: (1.0 + 1e16) + -1e16
+        # is 0.0.  Shard order 0, 1, 2 and arrival order 1, 0, 2 both
+        # put 1.0 last and give 1.0.
         merger = make_merger(timeline, num_shards=3)
-        merger.on_output(output(1, 1, 1, [(0, 1e16)]))
-        merger.on_output(output(2, 1, 1, [(0, -1e16)]))
-        released = merger.on_output(output(0, 1, 1, [(0, 1.0)]))
+        merger.on_output(ShardOutput(1, 1, 1, partials=[(0, 5, -1e16)]))
+        merger.on_output(ShardOutput(0, 1, 1, partials=[(0, 3, 1e16)]))
+        released = merger.on_output(
+            ShardOutput(2, 1, 1, partials=[(0, 1, 1.0)])
+        )
         assert summary(released) == [(window_end(timeline, 0), 0.0)]
+
+    @pytest.mark.parametrize("name", ["first", "last"])
+    def test_order_sensitive_operators_merge_in_stream_order(
+        self, timeline, name
+    ):
+        # Shard 1 holds the slice's later half, and reports first.
+        merger = make_merger(timeline, operator=name)
+        merger.on_output(ShardOutput(1, 1, 1, partials=[(0, 2, "late")]))
+        released = merger.on_output(
+            ShardOutput(0, 1, 1, partials=[(0, 1, "early")])
+        )
+        wanted = "early" if name == "first" else "late"
+        assert summary(released) == [(window_end(timeline, 0), wanted)]
 
 
 def make_shard(timeline):
@@ -140,24 +175,32 @@ def make_batch(timeline, values, seq=1, watermark=3, pick=slice(None)):
     )
 
 
+def merged(pieces):
+    """Each slice's pieces summed in position order: what the merger
+    makes of them."""
+    slices = {}
+    for index, first, piece in sorted(pieces, key=lambda p: p[1]):
+        slices[index] = slices.get(index, 0) + piece
+    return slices
+
+
 def per_record(timeline, values):
     """The same records one batch each: the per-record reference."""
     state = make_shard(timeline)
-    partials, dead = [], []
+    pieces, dead, records = [], [], 0
     for offset in range(len(values)):
-        closing = 3 if offset == len(values) - 1 else 0
         out = state.process(
             make_batch(
                 timeline,
                 values,
                 seq=offset + 1,
-                watermark=closing,
                 pick=slice(offset, offset + 1),
             )
         )
-        partials += out.partials
+        pieces += out.partials
         dead += out.dead_letters
-    return partials, dead, state.records
+        records += out.records
+    return merged(pieces), dead, records
 
 
 @pytest.mark.parametrize("timeline", TIMELINES)
@@ -165,21 +208,35 @@ class TestShardSliceFold:
     def test_runs_are_cut_at_slice_edges(self, timeline):
         values = [1, 10, 100, 1000, 10000]
         out = make_shard(timeline).process(make_batch(timeline, values))
-        assert out.partials == [(0, 11), (1, 100), (2, 11000)]
+        assert out.partials == [(0, 1, 11), (1, 3, 100), (2, 5, 11000)]
         assert out.records == 5 and out.dead_letters == []
-        assert (out.partials, [], 5) == per_record(timeline, values)
+        assert out.watermark == 3
+        assert (merged(out.partials), [], 5) == per_record(timeline, values)
 
-    def test_open_slice_carries_over_to_the_next_batch(self, timeline):
+    def test_open_slices_ship_and_nothing_is_held(self, timeline):
         values = [1, 10, 100, 1000, 10000]
         state = make_shard(timeline)
+        fresh = pickle.dumps(state)
         first = state.process(
             make_batch(timeline, values, watermark=2, pick=slice(0, 4))
         )
-        assert first.partials == [(0, 11), (1, 100)]
+        # Slice 2 is still open, and ships as a piece all the same.
+        assert first.partials == [(0, 1, 11), (1, 3, 100), (2, 5, 1000)]
+        assert first.watermark == 2
+        assert pickle.dumps(state) == fresh
         second = state.process(
-            make_batch(timeline, values, seq=2, pick=slice(4, 5))
+            make_batch(timeline, values, seq=2, watermark=1, pick=slice(4, 5))
         )
-        assert second.partials == [(2, 11000)]
+        assert second.partials == [(2, 6, 10000)]
+        assert second.watermark == 1  # echoed, even when it is stale
+        assert pickle.dumps(state) == fresh
+
+    def test_a_replayed_frame_yields_the_same_pieces(self, timeline):
+        values = [1, "x", 100, 1000, 10000]
+        state = make_shard(timeline)
+        once = state.process(make_batch(timeline, values))
+        again = state.process(make_batch(timeline, values))
+        assert repr(once) == repr(again)
 
     def test_poison_is_quarantined_as_the_per_record_path_would(
         self, timeline
@@ -187,17 +244,16 @@ class TestShardSliceFold:
         # Slice 0 is poisoned mid-run, slice 1 is all poison.
         values = [1, "x", "y", 1000, 10000]
         out = make_shard(timeline).process(make_batch(timeline, values))
-        assert out.partials == [(0, 1), (2, 11000)]  # no entry for 1
+        assert out.partials == [(0, 1, 1), (2, 5, 11000)]  # none for 1
         assert [
             (letter.position, letter.value) for letter in out.dead_letters
         ] == [(2, "x"), (3, "y")]
         assert out.records == 3
-        partials, dead, records = per_record(timeline, values)
-        assert (out.partials, out.dead_letters, out.records) == (
-            partials,
-            dead,
-            records,
-        )
+        assert (
+            merged(out.partials),
+            out.dead_letters,
+            out.records,
+        ) == per_record(timeline, values)
 
     def test_one_poison_in_the_middle_run_spares_the_rest_of_the_batch(
         self, timeline
@@ -205,21 +261,26 @@ class TestShardSliceFold:
         # One shard, slices of four: runs (1..4), (5..8), (9..12); the
         # poison sits among clean records of the middle run.
         values = [1, 2, 3, 4, 10, "x", 30, 40, 100, 200, 300, 400]
-        assert wide_partials(timeline, [values]) == (
-            [(0, 10), (1, 80), (2, 1000)],
+        assert wide_pieces(timeline, [values]) == (
+            [(0, 1, 10), (1, 5, 80), (2, 9, 1000)],
             [(6, "x")],
             11,
         )
-        assert wide_partials(timeline, [values]) == wide_partials(
+        pieces, dead, records = wide_pieces(
             timeline, [[value] for value in values]
+        )
+        assert (merged(pieces), dead, records) == (
+            {0: 10, 1: 80, 2: 1000},
+            [(6, "x")],
+            11,
         )
 
     def test_an_all_poison_run_in_a_whole_batch_fold_makes_no_entry(
         self, timeline
     ):
         values = [1, 2, 3, 4, "a", "b", "c", "d", 100, 200, 300, 400]
-        partials, dead, records = wide_partials(timeline, [values])
-        assert partials == [(0, 10), (2, 1000)]  # no entry for slice 1
+        pieces, dead, records = wide_pieces(timeline, [values])
+        assert pieces == [(0, 1, 10), (2, 9, 1000)]  # none for slice 1
         assert [position for position, _ in dead] == [5, 6, 7, 8]
         assert records == 8
 
@@ -227,27 +288,11 @@ class TestShardSliceFold:
         self, timeline
     ):
         state = make_wide_shard(timeline, poison_policy="raise")
+        fresh = pickle.dumps(state)
         values = [1, 2, 3, 4, 10, "x", 30, 40]
         with pytest.raises(PoisonRecordError, match="position 6"):
             state.process(wide_batch(timeline, values, first=1, seq=1))
-        assert state._accumulators == {0: 10}
-
-    def test_a_later_run_continuing_an_open_slice_is_seeded(self, timeline):
-        # Not how the router ships batches (the ordering column ascends
-        # across them), but the fold cannot know: a later run whose
-        # slice an earlier batch left open must continue it.
-        state = make_wide_shard(timeline)
-        state.process(
-            wide_batch(timeline, [0.1, 0.1], first=5, seq=1, watermark=0)
-        )
-        out = state.process(
-            wide_batch(
-                timeline, [1, 2, 3, 4, 0.1, 0.1], first=1, seq=2, watermark=2
-            ),
-        )
-        assert repr(out.partials) == repr(
-            [(0, 10), (1, 0 + 0.1 + 0.1 + 0.1 + 0.1)]
-        )
+        assert pickle.dumps(state) == fresh
 
 
 def make_wide_shard(timeline, **options):
@@ -287,19 +332,15 @@ def wide_batch(timeline, values, first, seq, watermark=0):
     )
 
 
-def wide_partials(timeline, chunks):
-    """``(partials, dead letters, records)`` of consecutive batches."""
+def wide_pieces(timeline, chunks):
+    """``(pieces, dead letters, records)`` of consecutive batches."""
     state = make_wide_shard(timeline)
-    partials, dead = [], []
+    pieces, dead, records = [], [], 0
     first = 1
     for seq, chunk in enumerate(chunks, start=1):
-        last = seq == len(chunks)
-        out = state.process(
-            wide_batch(
-                timeline, chunk, first, seq, watermark=10**6 if last else 0
-            )
-        )
+        out = state.process(wide_batch(timeline, chunk, first, seq))
         first += len(chunk)
-        partials += out.partials
+        pieces += out.partials
         dead += [(letter.position, letter.value) for letter in out.dead_letters]
-    return partials, dead, state.records
+        records += out.records
+    return pieces, dead, records

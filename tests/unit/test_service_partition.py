@@ -7,7 +7,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import MergeCapabilityError, ServiceError
-from repro.operators.algebraic import mean_operator
 from repro.operators.positional import FirstOperator, LastOperator
 from repro.operators.registry import get_operator
 from repro.service.merge import check_mergeable
@@ -401,22 +400,17 @@ def test_slice_clock_matches_partial_aggregator_boundaries(
 # -- merge capability -----------------------------------------------
 
 
-def test_mergeable_defaults_follow_commutativity():
-    assert get_operator("sum").mergeable
-    assert get_operator("max").mergeable
-    assert mean_operator().mergeable
-    assert not FirstOperator().mergeable
-    assert not LastOperator().mergeable
-
-
 def test_check_mergeable_accepts_the_paper_operators():
     for name in ("sum", "count", "max", "min", "mean", "stddev", "range"):
         check_mergeable(get_operator(name))
 
 
-def test_check_mergeable_rejects_order_sensitive_operators():
-    with pytest.raises(MergeCapabilityError, match="per-key mode"):
-        check_mergeable(FirstOperator())
+def test_check_mergeable_accepts_order_sensitive_operators():
+    # Pieces combine in stream order, so commutativity is not needed.
+    for operator in (FirstOperator(), LastOperator()):
+        check_mergeable(operator)
+    for name in ("argmax_cos", "argmin_x2"):
+        check_mergeable(get_operator(name))
 
 
 def test_check_mergeable_rejects_operators_without_engine_path():
